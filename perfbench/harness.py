@@ -8,9 +8,16 @@ LP backend, so it always measures the library default.
 Each call is checked outside the timed region.  A call fails when it raises,
 returns an allocation that fails ``check_feasible``, or, for an exact
 allocator, misses the reference totals by more than 1e-5 (relative to
-max(1, |reference|)).  A failure is counted and never aborts the run.  The
+max(1, |reference|)), or when its problem has no reference because the
+oracle raised.  A failure is counted and never aborts the run.  The
 library's ``run_benchmark`` is not used: it computes its oracle outside the
 per-row ``try`` and never checks feasibility.
+
+Reference totals are benchmark data, stored in ``refs/`` by make_refs.py and
+keyed by problem fingerprint.  A problem without a stored reference gets one
+computed at set-up by the code under test; an allocator's output is then not
+compared with a reference it computed itself in this run (such a call is
+counted as unchecked, not as verified).
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import resource
 import statistics
 import time
@@ -45,15 +51,16 @@ from .trace import LAYERS, ROOT, Tracer
 EXACT_TOL = 1e-5
 SETUP_MIN_S = 1.5  # set up at least 3 times and for at least this long
 # Timings are scaled to a machine on which probe() takes this long.  On a
-# shared machine the speed drifts by +-20% within and between runs; probes
-# run right after each call track that drift, and scaling by them keeps runs
-# of the same code comparable.  The unscaled medians are printed alongside.
+# shared machine the speed drifts by 20-50% within and between runs; probes
+# interleaved with the calls track that drift, and scaling each call by the
+# median of the probes nearest to it in time keeps runs of the same code
+# comparable.  The unscaled medians are printed alongside.
 PROBE_REFERENCE_S = 2e-3
-PROBE_SHARE = 0.02
+PROBE_SHARE = 0.02  # probe time per sweep, as a share of its call time
+NEAREST_PROBES = 15  # probes whose median scales one call
 
 HERE = Path(__file__).resolve().parent
-REFS_DIR = HERE / "refs"  # committed reference totals
-CACHE_DIR = HERE / "cache"  # references computed on a miss (not committed)
+REFS_DIR = HERE / "refs"  # reference totals, written by make_refs.py
 
 Run = Callable[[Problem, str], object]  # run_allocator with the default config
 
@@ -61,82 +68,88 @@ Run = Callable[[Problem, str], object]  # run_allocator with the default config
 # -- set-up -------------------------------------------------------------------
 
 
-def _load_refs(workload: str) -> dict[str, dict[str, float]]:
-    refs: dict[str, dict[str, float]] = {}
-    for folder in (REFS_DIR, CACHE_DIR):
-        path = folder / f"{workload}.json"
-        if path.exists():
-            refs.update(json.loads(path.read_text()))
-    return refs
+def load_refs(workload: str) -> dict[str, dict[str, float]]:
+    path = REFS_DIR / f"{workload}.json"
+    return json.loads(path.read_text()) if path.exists() else {}
 
 
-def _save_cache(workload: str, new: dict[str, dict[str, float]]) -> None:
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{workload}.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data.update(new)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(data, sort_keys=True))
-    os.replace(tmp, path)
+def reference_totals(problem: Problem, oracle: str, run: Run = run_allocator) -> dict[str, float]:
+    return total_allocation(problem, run(problem, oracle).allocation)
 
 
-def reference_totals(problem: Problem, allocator: str) -> dict[str, float]:
-    return total_allocation(problem, run_allocator(problem, allocator).allocation)
+@dataclass(frozen=True)
+class Reference:
+    """Max-min fair totals of one problem, from the allocator ``oracle``."""
+
+    oracle: str
+    totals: dict[str, float] | None  # None when the oracle raised
+    stored: bool  # read from refs/ rather than computed in this run
+    error: str | None = None
 
 
 @dataclass
 class Setup:
     instances: list[Instance]
-    references: dict[str, dict[str, float] | None]  # fingerprint -> totals
-    computed_s: float  # time spent computing exact references on a miss
-    computed: int
+    references: dict[str, Reference | None]  # fingerprint -> reference
+    computed: int  # references computed in this run (not stored)
+    computed_s: float
 
 
-def set_up(workload: str, seed: int, persist: bool = True) -> Setup:
-    """Build, validate and fingerprint the workload's problems, then load or
-    compute their reference totals."""
+def set_up(
+    workload: str,
+    seed: int,
+    computed: dict[str, Reference] | None = None,
+    run: Run = run_allocator,
+) -> Setup:
+    """Build, validate and fingerprint the workload's problems, then look up
+    their reference totals.  A reference missing from refs/ is computed with
+    ``run`` (once per fingerprint and ``computed`` memo); an oracle that
+    raises leaves a failed reference, which fails that problem's calls."""
     instances = build_instances(workload, seed)
     for x in instances:
         violations = validate_problem(x.problem)
         if violations:
             raise ValueError(f"{x.group.name}[{x.index}] is invalid: {violations[0]}")
-    stored = _load_refs(workload)
-    references: dict[str, dict[str, float] | None] = {}
-    new: dict[str, dict[str, float]] = {}
-    t0 = time.perf_counter()
+    stored = load_refs(workload)
+    computed = {} if computed is None else computed
+    references: dict[str, Reference | None] = {}
+    misses, t0 = 0, time.perf_counter()
     for x in instances:
-        kind = x.group.reference
-        if kind == "exact":
-            if x.fingerprint not in stored:
-                new[x.fingerprint] = reference_totals(x.problem, "exact")
-            references[x.fingerprint] = stored.get(x.fingerprint) or new[x.fingerprint]
-        elif kind == "waterfill":
-            references[x.fingerprint] = reference_totals(x.problem, "waterfill")
+        oracle, fp = x.group.reference, x.fingerprint
+        if oracle is None:
+            references[fp] = None
+        elif fp in stored:
+            references[fp] = Reference(oracle, stored[fp], stored=True)
         else:
-            references[x.fingerprint] = None
-    computed_s = time.perf_counter() - t0 if new else 0.0
-    if new and persist:
-        _save_cache(workload, new)
-    return Setup(instances, references, computed_s, len(new))
+            if fp not in computed:
+                misses += 1
+                try:
+                    computed[fp] = Reference(oracle, reference_totals(x.problem, oracle, run), False)
+                except Exception as exc:  # counted as failed calls on this problem
+                    computed[fp] = Reference(oracle, None, False, f"{type(exc).__name__}: {exc}")
+            references[fp] = computed[fp]
+    return Setup(instances, references, misses, time.perf_counter() - t0 if misses else 0.0)
 
 
 @dataclass
 class SetupTiming:
     scaled: list[float]
     raw: list[float]
-    computed: int  # exact references computed on a miss (first set-up only)
+    computed: int  # references computed on a miss (first set-up only)
     computed_s: float
 
 
 def time_setup(workload: str, seed: int) -> tuple[Setup, SetupTiming]:
     """Set up at least three times and for at least SETUP_MIN_S; each sample
     is one set-up's time scaled by the speed factor of 20 probes after it.
+    References missing from refs/ are computed in the first set-up only.
     Returns the last set-up and the timings."""
     timing = SetupTiming([], [], 0, 0.0)
+    computed: dict[str, Reference] = {}
     t_start = time.perf_counter()
     while len(timing.raw) < 3 or time.perf_counter() - t_start < SETUP_MIN_S:
         t0 = time.perf_counter()
-        setup = set_up(workload, seed)
+        setup = set_up(workload, seed, computed)
         timing.raw.append(time.perf_counter() - t0)
         timing.scaled.append(timing.raw[-1] * speed_factor([probe() for _ in range(20)]))
         timing.computed += setup.computed
@@ -152,25 +165,36 @@ class Outcome:
     allocator: str
     instance: Instance
     wall_s: float
-    speed: float  # machine speed factor measured right after the call
     error: str | None = None
     fairness: float | None = None
+    unchecked: bool = False  # exact output not compared: its reference is its own
+    speed: float = 1.0  # machine speed factor around the call, set by sweep()
 
 
-def check(x: Instance, allocator: str, report, reference) -> tuple[str | None, float | None]:
-    """Return (failure reason or None, fairness against the reference)."""
+def check(
+    x: Instance, allocator: str, report, reference: Reference | None
+) -> tuple[str | None, float | None, bool]:
+    """Return (failure reason or None, fairness against the reference,
+    unchecked).  An exact allocator's output is compared with the reference
+    unless that reference is its own output from this run."""
     feasible = check_feasible(x.problem, report.allocation)
     if not feasible.feasible:
-        return "infeasible allocation", None
+        return "infeasible allocation", None, False
     if reference is None:
-        return None, None
+        return None, None, False
+    if reference.totals is None:
+        return f"no reference: {reference.oracle} raised {reference.error}", None, False
     totals = total_allocation(x.problem, report.allocation)
     if allocator in EXACT_ALLOCATORS:
-        worst = max(abs(totals[k] - ref) / max(1.0, abs(ref)) for k, ref in reference.items())
+        if allocator == reference.oracle and not reference.stored:
+            return None, None, True
+        worst = max(
+            abs(totals[k] - ref) / max(1.0, abs(ref)) for k, ref in reference.totals.items()
+        )
         if worst > EXACT_TOL:
-            return f"misses the reference totals by {worst:.3g}", None
-        return None, None
-    return None, compare_rates(x.problem, totals, reference).fairness_geomean
+            return f"misses the reference totals by {worst:.3g}", None, False
+        return None, None, False
+    return None, compare_rates(x.problem, totals, reference.totals).fairness_geomean, False
 
 
 def schedule(setup: Setup) -> list[tuple[Instance, str]]:
@@ -191,9 +215,7 @@ def schedule(setup: Setup) -> list[tuple[Instance, str]]:
 
 
 def call(x: Instance, allocator: str, setup: Setup, run: Run) -> Outcome:
-    """Time one call, probe the machine's speed right after it (for at
-    least PROBE_SHARE of the call's time), then check the output; only the
-    call itself is timed."""
+    """Time one call, then check its output; only the call itself is timed."""
     error = report = None
     t0 = time.perf_counter()
     try:
@@ -201,32 +223,39 @@ def call(x: Instance, allocator: str, setup: Setup, run: Run) -> Outcome:
     except Exception as exc:  # a failed call is a counted row
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
-    probes = [probe()]
-    while sum(probes) < PROBE_SHARE * wall:
-        probes.append(probe())
-    speed = speed_factor(probes)
-    fairness = None
+    fairness, unchecked = None, False
     if error is None:
         try:
-            error, fairness = check(x, allocator, report, setup.references[x.fingerprint])
+            error, fairness, unchecked = check(
+                x, allocator, report, setup.references[x.fingerprint]
+            )
         except Exception as exc:  # malformed output, e.g. unknown keys
             error = f"check raised {type(exc).__name__}: {exc}"
-    return Outcome(allocator, x, wall, speed, error, fairness)
+    return Outcome(allocator, x, wall, error, fairness, unchecked)
+
+
+_STREAM = None  # the probe's 8 MB array, allocated on first use
 
 
 def probe() -> float:
     """Time a fixed piece of work shaped like the allocators' own: building
-    and reading a dict keyed by strings, then eliminating rows of a small
-    dense tableau.  The collector is paused so that the program's heap
-    cannot change the probe's cost."""
+    and reading a dict keyed by strings, eliminating rows of a small dense
+    tableau (both cache-resident, like the LP allocators), and one pass over
+    an 8 MB array, larger than a core's L2 cache, like the dense subdemand
+    matrices of the large waterfill problems.  The collector is paused so
+    that the program's heap cannot change the probe's cost."""
+    global _STREAM
+    if _STREAM is None:
+        _STREAM = np.ones(2**20)
     gc.disable()
     try:
         t0 = time.perf_counter()
-        coeffs = {f"f:d{i % 90}:p{i}": i * 0.5 for i in range(1500)}
-        total = sum(coeffs[f"f:d{i % 90}:p{i}"] for i in range(0, 1500, 3))
+        coeffs = {f"f:d{i % 90}:p{i}": i * 0.5 for i in range(1000)}
+        total = sum(coeffs[f"f:d{i % 90}:p{i}"] for i in range(0, 1000, 3))
         tableau = np.full((120, 300), total)
-        for r in range(25):
+        for r in range(15):
             tableau -= 1e-3 * tableau[r]
+        np.multiply(_STREAM, 1.0, out=_STREAM)
         return time.perf_counter() - t0
     finally:
         gc.enable()
@@ -238,15 +267,43 @@ def speed_factor(probes: list[float]) -> float:
     return PROBE_REFERENCE_S / statistics.median(probes)
 
 
-def sweep(setup: Setup, run: Run) -> list[Outcome]:
-    return [call(x, a, setup, run) for x, a in schedule(setup)]
+@dataclass
+class Sweep:
+    outcomes: list[Outcome]
+    speed: float  # median speed factor of all the sweep's probes
 
 
-def pass_times(outcomes: list[Outcome], scaled: bool = True) -> dict[str, float]:
+def sweep(setup: Setup, run: Run) -> Sweep:
+    """Every pairing once.  After each call the machine is probed while
+    the sweep's probe time is below PROBE_SHARE of its call time, so the
+    probes spread over the sweep.  Each call is then scaled by the median of
+    the NEAREST_PROBES probes closest to it in time, which follows the
+    machine's drift within the sweep while one preempted probe barely
+    moves it."""
+    outcomes, mids, at, took = [], [], [], []
+    called = probed = 0.0
+    for x, a in schedule(setup):
+        t0 = time.perf_counter()
+        outcomes.append(call(x, a, setup, run))
+        mids.append(t0 + outcomes[-1].wall_s / 2)
+        called += outcomes[-1].wall_s
+        while not took or probed < PROBE_SHARE * called:
+            t0 = time.perf_counter()
+            took.append(probe())
+            at.append(t0 + took[-1] / 2)
+            probed += took[-1]
+    at_arr, took_arr = np.array(at), np.array(took)
+    for o, mid in zip(outcomes, mids):
+        nearest = np.argsort(np.abs(at_arr - mid), kind="stable")[:NEAREST_PROBES]
+        o.speed = speed_factor(took_arr[nearest])
+    return Sweep(outcomes, speed_factor(took))
+
+
+def pass_times(s: Sweep, scaled: bool = True) -> dict[str, float]:
     """An allocator's pass time: the sum of its call times in one sweep,
     each scaled by its speed factor unless ``scaled`` is false."""
     totals = dict.fromkeys(ALLOCATORS, 0.0)
-    for o in outcomes:
+    for o in s.outcomes:
         totals[o.allocator] += o.wall_s * (o.speed if scaled else 1.0)
     return totals
 
@@ -278,16 +335,16 @@ def measure(setup: Setup, seconds: float, run: Run = run_allocator) -> Result:
     last = 0.0
     while not result.sweeps or time.perf_counter() - t_start + last <= seconds:
         t0 = time.perf_counter()
-        outcomes = sweep(setup, run)
+        s = sweep(setup, run)
         last = time.perf_counter() - t0
-        result.speed.append(statistics.median(o.speed for o in outcomes))
-        for a, wall in pass_times(outcomes).items():
+        result.speed.append(s.speed)
+        for a, wall in pass_times(s).items():
             result.samples[a].append(wall)
-        for a, wall in pass_times(outcomes, scaled=False).items():
+        for a, wall in pass_times(s, scaled=False).items():
             result.raw[a].append(wall)
         if not result.sweeps:
-            result.first_sweep = outcomes
-        result.outcomes += outcomes
+            result.first_sweep = s.outcomes
+        result.outcomes += s.outcomes
         result.sweeps += 1
     result.wall_s = time.perf_counter() - t_start
     result.cpu_s = time.process_time() - c_start
@@ -322,7 +379,9 @@ def end_to_end(setup_samples: list[float], result: Result) -> dict[str, tuple[fl
         metrics[f"solve_s.{a}"] = (statistics.median(result.samples[a]), "s")
     first = result.first_sweep
     metrics["fairness_geomean"] = (geomean(scores(first)), "ratio")
-    worst = min(geomean(scores(first, a)) for a in APPROX_ALLOCATORS if scores(first, a))
+    worst = min(
+        (geomean(scores(first, a)) for a in APPROX_ALLOCATORS if scores(first, a)), default=0.0
+    )
     metrics["fairness_min"] = (worst, "ratio")
     ok = len(result.outcomes) - len(result.failed)
     metrics["ok_share"] = (ok / len(result.outcomes), "ratio")
@@ -350,17 +409,17 @@ def measure_traced(setup: Setup, seconds: float) -> TracedResult:
     t_start, last = time.perf_counter(), 0.0
     while not traced or time.perf_counter() - t_start + last <= seconds:
         t0 = time.perf_counter()
-        out = sweep(setup, run_allocator)
-        untraced.append(sum(o.wall_s * o.speed for o in out))
-        outcomes += out
+        s = sweep(setup, run_allocator)
+        untraced.append(sum(pass_times(s).values()))
+        outcomes += s.outcomes
         tracer = first if not traced else Tracer()
         tracer.install()
         try:
-            out = sweep(setup, tracer.wrap(run_allocator, ROOT))
+            s = sweep(setup, tracer.wrap(run_allocator, ROOT))
         finally:
             tracer.uninstall()
-        traced.append(sum(o.wall_s * o.speed for o in out))
-        outcomes += out
+        traced.append(sum(pass_times(s).values()))
+        outcomes += s.outcomes
         last = time.perf_counter() - t0
     return TracedResult(first, untraced, traced, outcomes)
 
@@ -388,7 +447,6 @@ def _named(tracer: Tracer, name: str):
 
 def per_layer(traced: TracedResult) -> dict[str, tuple[float, str]]:
     t = traced.tracer
-    own = t.self_times()
     solves = _named(t, "lp.SolveSession.solve")
     builds = _named(t, "lp.build_feasible_alloc")
     subdemands = _named(t, "waterfill.build_subdemands")
@@ -425,12 +483,8 @@ def per_layer(traced: TracedResult) -> dict[str, tuple[float, str]]:
         sum(s.info["comparators"] for s in _named(t, "sortnet.build_sorting_network") if s.info),
         "count",
     )
-    # model and lp have no spans beyond model.validate_s, lp.build_s and lp.solve_s
-    for layer in ("bench", "optimizers", "waterfill", "sortnet"):
-        m[f"{layer}.self_s"] = (sum(own[s.id] for s in t.spans if s.layer == layer), "s")
     for a in APPROX_ALLOCATORS:
         m[f"fairness.{a}"] = (geomean(scores(traced.outcomes, a)), "ratio")
-    m["trace.traced_s"] = (sum(s.duration for s in t.spans if s.parent is None), "s")
     m["trace.overhead_s"] = (
         statistics.median(b - a for a, b in zip(traced.untraced_s, traced.traced_s)),
         "s",

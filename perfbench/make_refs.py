@@ -1,10 +1,15 @@
-"""Compute the exact reference totals of a range of seeds and store them in
-perfbench/refs/, the benchmark data committed with the benchmark.
+"""Compute the reference totals of a range of seeds and store them in
+perfbench/refs/, the benchmark data kept with the benchmark.
 
-    python3 perfbench/make_refs.py 0 10    # seeds 0..10 inclusive
+    python3 perfbench/make_refs.py 0 20            # seeds 0..20, every workload
+    python3 perfbench/make_refs.py 0 20 cluster    # one workload
 
-A seed without stored references still runs: its references are computed
-during set-up and kept in perfbench/cache/ for later runs.
+Each problem's reference comes from the oracle its group names: the exact
+LP sequence, or exact single-path waterfilling.  A waterfill reference of up
+to CROSS_CHECK_DEMANDS demands is also checked against the exact LP sequence
+here, and a disagreement stops the script, so that the stored data does not
+rest on waterfilling alone.  A seed without stored references still runs:
+its references are computed during set-up and not stored.
 """
 
 from __future__ import annotations
@@ -18,22 +23,32 @@ sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT)]
 
 from perfbench import harness, inputs  # noqa: E402
 
+CROSS_CHECK_DEMANDS = 20
 
-def main(first: int, last: int) -> None:
-    for workload, groups in inputs.WORKLOADS.items():
-        if not any(g.reference == "exact" for g in groups):
-            continue
-        path = harness.REFS_DIR / f"{workload}.json"
-        stored = json.loads(path.read_text()) if path.exists() else {}
+
+def main(first: int, last: int, workloads: list[str]) -> None:
+    for workload in workloads or inputs.WORKLOADS:
+        stored = harness.load_refs(workload)
         for seed in range(first, last + 1):
-            setup = harness.set_up(workload, seed, persist=False)
-            for x in setup.instances:
-                if x.group.reference == "exact":
-                    stored[x.fingerprint] = setup.references[x.fingerprint]
+            for x in inputs.build_instances(workload, seed):
+                oracle = x.group.reference
+                if oracle is None:
+                    continue
+                totals = harness.reference_totals(x.problem, oracle)
+                if oracle == "waterfill" and len(x.problem.demands) <= CROSS_CHECK_DEMANDS:
+                    exact = harness.reference_totals(x.problem, "exact")
+                    worst = max(abs(totals[k] - v) / max(1.0, abs(v)) for k, v in exact.items())
+                    if worst > harness.EXACT_TOL:
+                        raise SystemExit(
+                            f"{workload} seed {seed} {x.group.name}[{x.index}]: waterfill "
+                            f"misses the exact LP totals by {worst:.3g}"
+                        )
+                stored[x.fingerprint] = totals
             print(f"{workload} seed {seed}: {len(stored)} references", flush=True)
         harness.REFS_DIR.mkdir(exist_ok=True)
+        path = harness.REFS_DIR / f"{workload}.json"
         path.write_text(json.dumps(stored, sort_keys=True, indent=0) + "\n")
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]), int(sys.argv[2]))
+    main(int(sys.argv[1]), int(sys.argv[2]), sys.argv[3:])

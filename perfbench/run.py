@@ -77,7 +77,10 @@ def main(argv: list[str] | None = None) -> int:
         setup, timing = harness.time_setup(args.workload, args.seed)
         computed, computed_s = timing.computed, timing.computed_s
     if computed:
-        print(f"# reference miss: computed {computed} exact references in {computed_s:.2f} s")
+        print(
+            f"# reference miss: computed {computed} references in {computed_s:.2f} s "
+            "(not stored; an allocator's output is not checked against its own)"
+        )
 
     digest = inputs.inputs_fingerprint(setup.instances)
     recorded = json.loads((CHECKOUT / "perfbench" / "fingerprints.json").read_text())
@@ -107,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         outcomes = result.outcomes
         print(
             f"# measured {result.wall_s:.1f} s in {result.sweeps} sweeps, cpu/wall "
-            f"{result.cpu_s / result.wall_s:.3f}, speed factor per sweep "
+            f"{result.cpu_s / result.wall_s:.3f}, speed factor per sweep (median of its probes) "
             + " ".join(f"{f:.3f}" for f in result.speed)
         )
         print(f"# setup: n={len(timing.raw)}, unscaled median {statistics.median(timing.raw):.4g} s")
@@ -122,9 +125,13 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     failed = [o for o in outcomes if o.error is not None]
+    unchecked = sum(o.unchecked for o in outcomes)
     for o in failed[:20]:
         print(f"# FAILED {o.allocator} on {o.instance.group.name}[{o.instance.index}]: {o.error}")
-    print(f"# attempted {len(outcomes)} calls, failed {len(failed)} (failed_share {len(failed) / len(outcomes):.4g})")
+    print(
+        f"# attempted {len(outcomes)} calls, failed {len(failed)} "
+        f"(failed_share {len(failed) / len(outcomes):.4g}), unchecked {unchecked}"
+    )
     for name, (value, unit) in metrics.items():
         _line(name, value, unit)
     print(

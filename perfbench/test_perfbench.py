@@ -1,5 +1,6 @@
-"""Self-checks of the benchmark harness: deterministic, valid inputs; failed
-calls are counted without aborting the run; the traced layer split adds up."""
+"""Self-checks of the benchmark harness: deterministic, valid inputs with
+stored references; failed calls, failed oracles and wrong exact outputs are
+counted without aborting the run; the traced layer split adds up."""
 
 import json
 from dataclasses import replace
@@ -33,14 +34,32 @@ def test_inputs_are_deterministic_valid_and_recorded(workload):
     assert {x.fingerprint for x in other}.isdisjoint(x.fingerprint for x in first)
 
 
-def _small_setup(workload):
-    """Seed 0 (references committed), two problems per group."""
-    setup = harness.set_up(workload, 0, persist=False)
+@pytest.mark.parametrize("workload", sorted(inputs.WORKLOADS))
+def test_every_reference_of_seed_0_is_stored(workload):
+    setup = harness.set_up(workload, 0, run=_no_oracle)
+    assert setup.computed == 0
+    for x in setup.instances:
+        ref = setup.references[x.fingerprint]
+        assert (ref is None) == (x.group.reference is None)
+        assert ref is None or (ref.stored and ref.oracle == x.group.reference)
+
+
+def _no_oracle(problem, allocator):
+    raise RuntimeError("injected oracle failure")
+
+
+def _small(setup):
+    """Two problems per group."""
     return replace(setup, instances=[x for x in setup.instances if x.index < 2])
 
 
+def _small_setup(workload):
+    """Seed 0 (references stored), two problems per group."""
+    return _small(harness.set_up(workload, 0))
+
+
 def test_failed_and_infeasible_calls_are_counted_and_the_run_continues():
-    setup = _small_setup("cluster")
+    setup = _small_setup("wan-lp")
 
     def faulty(problem, allocator):
         if allocator == "gb":
@@ -62,14 +81,63 @@ def test_failed_and_infeasible_calls_are_counted_and_the_run_continues():
     assert metrics["ok_share"][0] == pytest.approx(1 - len(injected) / len(result.outcomes))
 
 
+def test_run_where_every_approximate_allocator_fails_still_reports():
+    setup = _small_setup("wan-lp")
+
+    def faulty(problem, allocator):
+        if allocator in inputs.APPROX_ALLOCATORS:
+            raise RuntimeError("injected failure")
+        return run_allocator(problem, allocator)
+
+    result = harness.measure(setup, 0.0, run=faulty)
+    assert {o.allocator for o in result.failed} == set(inputs.APPROX_ALLOCATORS)
+    metrics = harness.end_to_end([0.1], result)
+    assert metrics["fairness_geomean"][0] == 0.0 and metrics["fairness_min"][0] == 0.0
+    assert metrics["ok_share"][0] < 1
+
+
+def test_wrong_waterfill_output_fails_against_the_stored_reference():
+    setup = _small_setup("wan-lp")
+
+    def shrunk_waterfill(problem, allocator):
+        report = run_allocator(problem, allocator)
+        if allocator == "waterfill":  # still feasible, no longer max-min fair
+            report.allocation = Allocation({k: 0.5 * r for k, r in report.allocation.rates.items()})
+        return report
+
+    result = harness.measure(setup, 0.0, run=shrunk_waterfill)
+    assert {o.allocator for o in result.failed} == {"waterfill"}
+    assert all(o.error.startswith("misses the reference") for o in result.failed)
+    assert len(result.failed) == sum(a == "waterfill" for _, a in harness.schedule(setup))
+
+
+def test_failed_oracle_fails_the_problems_calls_and_the_run_continues():
+    setup = _small(harness.set_up("cluster", 10**6, run=_no_oracle))
+    assert setup.computed > 0
+    result = harness.measure(setup, 0.0)
+    assert len(result.outcomes) == len(harness.schedule(setup))
+    assert len(result.failed) == len(result.outcomes)  # every cluster group has an oracle
+    assert all("injected oracle failure" in o.error for o in result.failed)
+
+
 def test_exact_allocator_missing_the_reference_fails():
     setup = _small_setup("wan-lp")
     x = next(x for x in setup.instances if x.group.reference == "exact")
     report = run_allocator(x.problem, "exact")
     reference = setup.references[x.fingerprint]
-    assert harness.check(x, "exact", report, reference) == (None, None)
-    shifted = {k: v + 1e-3 for k, v in reference.items()}
+    assert harness.check(x, "exact", report, reference) == (None, None, False)
+    shifted = replace(reference, totals={k: v + 1e-3 for k, v in reference.totals.items()})
     assert harness.check(x, "exact", report, shifted)[0].startswith("misses the reference")
+
+
+def test_output_is_not_verified_against_its_own_reference():
+    setup = _small_setup("wan-lp")
+    x = next(x for x in setup.instances if x.group.reference == "waterfill")
+    report = run_allocator(x.problem, "waterfill")
+    own = replace(setup.references[x.fingerprint], stored=False)
+    assert harness.check(x, "waterfill", report, own) == (None, None, True)
+    shifted = replace(own, totals={k: v + 1e-3 for k, v in own.totals.items()})
+    assert harness.check(x, "waterfill", report, shifted) == (None, None, True)
 
 
 def test_traced_layer_split_accounts_for_each_allocator_wall_time():
