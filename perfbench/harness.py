@@ -9,9 +9,11 @@ Each call is checked outside the timed region.  A call fails when it raises,
 returns an allocation that fails ``check_feasible``, or, for an exact
 allocator, misses the reference totals by more than 1e-5 (relative to
 max(1, |reference|)), or when its problem has no reference because the
-oracle raised.  A failure is counted and never aborts the run.  The
-library's ``run_benchmark`` is not used: it computes its oracle outside the
-per-row ``try`` and never checks feasibility.
+oracle raised.  An exact allocator that its group lists as ``scored`` is
+scored for fairness instead (see inputs.WORKLOADS).  A failure is counted
+and never aborts the run.  The library's ``run_benchmark`` is not used: it
+computes its oracle outside the per-row ``try`` and never checks
+feasibility.
 
 Reference totals are benchmark data, stored in ``refs/`` by make_refs.py and
 keyed by problem fingerprint.  A problem without a stored reference gets one
@@ -40,9 +42,9 @@ from fairalloc.model import Problem, check_feasible, total_allocation, validate_
 
 from .inputs import (
     ALLOCATORS,
-    APPROX_ALLOCATORS,
     EXACT_ALLOCATORS,
     LP_ALLOCATORS,
+    SCORED_ALLOCATORS,
     Instance,
     build_instances,
 )
@@ -176,7 +178,8 @@ def check(
 ) -> tuple[str | None, float | None, bool]:
     """Return (failure reason or None, fairness against the reference,
     unchecked).  An exact allocator's output is compared with the reference
-    unless that reference is its own output from this run."""
+    unless that reference is its own output from this run, or its group
+    scores it."""
     feasible = check_feasible(x.problem, report.allocation)
     if not feasible.feasible:
         return "infeasible allocation", None, False
@@ -185,7 +188,7 @@ def check(
     if reference.totals is None:
         return f"no reference: {reference.oracle} raised {reference.error}", None, False
     totals = total_allocation(x.problem, report.allocation)
-    if allocator in EXACT_ALLOCATORS:
+    if allocator in EXACT_ALLOCATORS and allocator not in x.group.scored:
         if allocator == reference.oracle and not reference.stored:
             return None, None, True
         worst = max(
@@ -373,14 +376,14 @@ def peak_rss_mb() -> float:
 def end_to_end(setup_samples: list[float], result: Result) -> dict[str, tuple[float, str]]:
     """Fairness comes from the first sweep (outputs are deterministic):
     the geometric mean over every scored call, and the geometric mean of the
-    least fair approximate allocator."""
+    least fair scored allocator."""
     metrics = {"setup_s": (statistics.median(setup_samples), "s")}
     for a in ALLOCATORS:
         metrics[f"solve_s.{a}"] = (statistics.median(result.samples[a]), "s")
     first = result.first_sweep
     metrics["fairness_geomean"] = (geomean(scores(first)), "ratio")
     worst = min(
-        (geomean(scores(first, a)) for a in APPROX_ALLOCATORS if scores(first, a)), default=0.0
+        (geomean(scores(first, a)) for a in SCORED_ALLOCATORS if scores(first, a)), default=0.0
     )
     metrics["fairness_min"] = (worst, "ratio")
     ok = len(result.outcomes) - len(result.failed)
@@ -483,7 +486,7 @@ def per_layer(traced: TracedResult) -> dict[str, tuple[float, str]]:
         sum(s.info["comparators"] for s in _named(t, "sortnet.build_sorting_network") if s.info),
         "count",
     )
-    for a in APPROX_ALLOCATORS:
+    for a in SCORED_ALLOCATORS:
         m[f"fairness.{a}"] = (geomean(scores(traced.outcomes, a)), "ratio")
     m["trace.overhead_s"] = (
         statistics.median(b - a for a, b in zip(traced.untraced_s, traced.traced_s)),

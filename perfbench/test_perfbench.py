@@ -111,6 +111,20 @@ def test_wrong_waterfill_output_fails_against_the_stored_reference():
     assert len(result.failed) == sum(a == "waterfill" for _, a in harness.schedule(setup))
 
 
+def test_exact_allocators_are_scored_where_they_are_known_not_to_be_exact():
+    setup = _small_setup("cluster")
+    result = harness.measure(setup, 0.0)
+    assert not result.failed
+    oneshot = [o for o in result.outcomes if o.allocator == "oneshot"]
+    assert oneshot and all(0 < o.fairness <= 1 + 1e-9 for o in oneshot)
+    pinned = [o for o in result.outcomes if o.instance.group.name == "cluster-4x12-pinned"]
+    assert pinned and all(o.allocator == "waterfill" for o in pinned)
+    assert all(o.fairness < 1 for o in pinned)  # the shortfall shows as fairness
+    metrics = harness.end_to_end([0.1], result)
+    waterfill = harness.geomean(harness.scores(result.first_sweep, "waterfill"))
+    assert metrics["fairness_min"][0] <= waterfill < 1
+
+
 def test_failed_oracle_fails_the_problems_calls_and_the_run_continues():
     setup = _small(harness.set_up("cluster", 10**6, run=_no_oracle))
     assert setup.computed > 0
