@@ -15,7 +15,6 @@ from fairalloc import (
     Path,
     Problem,
     Resource,
-    approx_sequence_bins,
     equi_depth_elastic,
     exact_sequential_max_min,
     geo_binner,
@@ -46,12 +45,6 @@ for k, bins in gb.notes["bins"].items():
 # exact max-min rates:
 star = total_allocation(problem, exact_sequential_max_min(problem).allocation)
 print("exact oracle:    ", star)
-
-# The increment-variable reformulation of the sequence tracks per-bin gains
-# and lands on the same totals.
-bins = approx_sequence_bins(problem, u=u, alpha=alpha)
-print("bin sequence:    ", total_allocation(problem, bins.allocation),
-      f"({bins.lp_solves} LP solves)")
 
 # The equi-depth binner spreads demands uniformly over bins (boundaries come
 # from a quick waterfill estimate and are solved as LP variables).  On this

@@ -31,8 +31,6 @@ from .lp import (
     SolveSession,
     build_feasible_alloc,
     dump_lp,
-    solve,
-    solve_count,
     write_lp_text,
 )
 from .metrics import (
@@ -62,7 +60,6 @@ from .optimizers import (
     AllocationError,
     BinConfig,
     EquiDepthConfig,
-    approx_sequence_bins,
     compute_equi_boundaries,
     equi_depth_elastic,
     equi_depth_multibin,

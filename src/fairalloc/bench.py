@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .lp import SolveSession
-from .metrics import compare_rates, default_vartheta
+from .metrics import compare_rates
 from .model import (
     Allocation,
     Demand,
@@ -26,14 +26,12 @@ from .model import (
     total_allocation,
 )
 from .optimizers import (
-    BinConfig,
     EquiDepthConfig,
-    compute_equi_boundaries,
     equi_depth_elastic,
     equi_depth_multibin,
+    estimate_equi_boundaries,
     exact_sequential_max_min,
     geo_binner,
-    merge_boundaries,
     one_shot_exact,
     suggest_bin_config,
     swan_sequence,
@@ -100,26 +98,20 @@ def load_allocation(path: str | FsPath) -> Allocation:
 # -- named allocators -------------------------------------------------------------
 
 
-def _run_waterfill_exact(problem: Problem, config: dict, session) -> AllocatorReport:
-    multi = [d.id for d in problem.demands if len(d.paths) > 1]
-    if multi:
-        raise ValueError(
-            f"waterfill handles single-path demands only; {multi[:3]} have "
-            "several paths (use approx-waterfill or adaptive-waterfill)"
-        )
+def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
+    if exact:
+        multi = [d.id for d in problem.demands if len(d.paths) > 1]
+        if multi:
+            raise ValueError(
+                f"waterfill handles single-path demands only; {multi[:3]} have "
+                "several paths (use approx-waterfill or adaptive-waterfill)"
+            )
+    fill = single_path_waterfill if exact else approx_waterfill
     matrix, caps = build_subdemands(problem, uniform_theta(problem))
-    rates = single_path_waterfill(matrix, caps)
+    rates = fill(matrix, caps)
     alloc = Allocation({c: float(r) for c, r in zip(matrix.columns, rates)})
-    return AllocatorReport(alloc, 0, 1, {"allocator": "waterfill", "converged": True})
-
-
-def _run_approx_waterfill(problem: Problem, config: dict, session) -> AllocatorReport:
-    matrix, caps = build_subdemands(problem, uniform_theta(problem))
-    rates = approx_waterfill(matrix, caps)
-    alloc = Allocation({c: float(r) for c, r in zip(matrix.columns, rates)})
-    return AllocatorReport(
-        alloc, 0, 1, {"allocator": "approx-waterfill", "converged": True}
-    )
+    name = "waterfill" if exact else "approx-waterfill"
+    return AllocatorReport(alloc, 0, 1, {"allocator": name, "converged": True})
 
 
 def _run_adaptive(problem: Problem, config: dict, session) -> AllocatorReport:
@@ -165,21 +157,13 @@ def _run_eb_elastic(problem: Problem, config: dict, session) -> AllocatorReport:
 
 
 def _run_eb_multibin(problem: Problem, config: dict, session) -> AllocatorReport:
-    aw = adaptive_waterfill(
-        problem, max_iterations=int(config.get("iterations", 10)), inner="approx"
+    boundaries = estimate_equi_boundaries(
+        problem,
+        int(config.get("bins", max(2, min(8, len(problem.demands) // 2)))),
+        int(config.get("iterations", 10)),
     )
-    dm = problem.demand_map()
-    totals: dict[str, float] = {d.id: 0.0 for d in problem.demands}
-    for (k, pid), r in aw.allocation.rates.items():
-        totals[k] += dm[k].utility_on(pid) * r
-    est = {k: totals[k] / dm[k].weight for k in totals}
-    bins = int(config.get("bins", max(2, min(8, len(problem.demands) // 2))))
-    bounds, _ = compute_equi_boundaries(est, min(bins, len(est)))
-    merged = merge_boundaries(bounds)
-    if not merged:
-        merged = [max(est.values(), default=1.0) or 1.0]
     return equi_depth_multibin(
-        problem, merged, epsilon=float(config.get("epsilon", 0.25)), session=session
+        problem, boundaries, epsilon=float(config.get("epsilon", 0.25)), session=session
     )
 
 
@@ -190,8 +174,8 @@ _RUNNERS: dict[str, Callable[[Problem, dict, SolveSession], AllocatorReport]] = 
     "gb": _run_gb,
     "eb-elastic": _run_eb_elastic,
     "eb-multibin": _run_eb_multibin,
-    "waterfill": _run_waterfill_exact,
-    "approx-waterfill": _run_approx_waterfill,
+    "waterfill": lambda p, c, s: _run_waterfill(p, exact=True),
+    "approx-waterfill": lambda p, c, s: _run_waterfill(p, exact=False),
     "adaptive-waterfill": _run_adaptive,
 }
 
@@ -305,24 +289,24 @@ def run_benchmark(
 
     ``oracle`` is either the id "exact" (the sequential LP oracle, solved
     once per distinct problem) or a mapping scenario label -> golden per-
-    demand rates.  Allocator failures become row-level errors; the run
-    continues.
+    demand rates.  Allocator and oracle failures (an invalid problem, say)
+    become row-level errors; the run continues.
     """
     if isinstance(oracle, str) and oracle != "exact":
         raise ValueError("oracle must be 'exact' or a mapping of golden rates")
     golden_cache: dict[int, dict[str, float]] = {}
     rows: list[BenchmarkRow] = []
     for sc in scenarios:
-        if isinstance(oracle, Mapping):
-            golden = dict(oracle[sc.label])
-        else:
-            key = id(sc.problem)
-            if key not in golden_cache:
-                golden_cache[key] = total_allocation(
-                    sc.problem, exact_sequential_max_min(sc.problem).allocation
-                )
-            golden = golden_cache[key]
         try:
+            if isinstance(oracle, Mapping):
+                golden = dict(oracle[sc.label])
+            else:
+                key = id(sc.problem)
+                if key not in golden_cache:
+                    golden_cache[key] = total_allocation(
+                        sc.problem, exact_sequential_max_min(sc.problem).allocation
+                    )
+                golden = golden_cache[key]
             t0 = time.perf_counter()
             report = run_allocator(sc.problem, sc.allocator, sc.config)
             wall_ms = (time.perf_counter() - t0) * 1e3

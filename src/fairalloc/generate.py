@@ -150,7 +150,7 @@ def generate_problem(
     pairs: set[tuple[str, str]] = set()
     for i in range(1, nodes):
         j = int(rng.integers(0, i))  # random attachment keeps it connected
-        pairs.add((min(labels[i], labels[j]), max(labels[i], labels[j])))
+        pairs.add((labels[j], labels[i]))  # index order, as in all_pairs
     all_pairs = [
         (labels[i], labels[j]) for i in range(nodes) for j in range(i + 1, nodes)
     ]

@@ -27,8 +27,6 @@ __all__ = [
     "SimplexBackend",
     "ScipyBackend",
     "SolveSession",
-    "solve",
-    "solve_count",
     "build_feasible_alloc",
     "rate_var",
     "total_var",
@@ -434,15 +432,6 @@ class SolveSession:
     @property
     def count(self) -> int:
         return self._count
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve with the built-in simplex (no session bookkeeping)."""
-    return SimplexBackend().solve(lp)
-
-
-def solve_count(session: SolveSession) -> int:
-    return session.count
 
 
 # -- shared FeasibleAlloc fragment --------------------------------------------

@@ -6,11 +6,13 @@ feasible-allocation LP fragment:
 * exact sequential: maximize the i-th smallest ratio, freeze, repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
   network and maximizes a geometrically weighted sum of the sorted outputs;
-* capped sequence (SWAN-style) and its per-bin-increment reformulation;
-* one-shot geometric binner: per-bin rate variables with geometrically
-  decaying objective weights, solved once;
-* equi-depth binners: bin boundaries taken from (elastic variant) or fed by
-  (multi-bin variant) an adaptive-waterfill estimate.
+* capped sequence (SWAN-style);
+* binned LP: per-bin rate variables with geometrically decaying objective
+  weights, solved once; the geometric binner caps the bins with a
+  geometric ladder, the equi-depth multi-bin variant with boundaries from
+  an adaptive-waterfill estimate;
+* equi-depth elastic binner: boundaries taken from that estimate and
+  solved as LP variables.
 
 Ratio objectives carry a deterministic per-demand tie-break factor
 (1 + eta * 2^-i, demand order) so that degenerate optima are resolved the
@@ -43,10 +45,10 @@ __all__ = [
     "exact_sequential_max_min",
     "one_shot_exact",
     "swan_sequence",
-    "approx_sequence_bins",
     "geo_binner",
     "compute_equi_boundaries",
     "merge_boundaries",
+    "estimate_equi_boundaries",
     "equi_depth_elastic",
     "equi_depth_multibin",
     "achievable_rate_bound",
@@ -342,7 +344,8 @@ def swan_sequence(
     Iteration b maximizes the ratio sum subject to rho_k <= u * alpha^(b-1);
     a demand that ends an iteration strictly below its cap is frozen there
     for all later iterations.  Runs until every demand is frozen or the cap
-    ladder covers the achievable range.  One LP per iteration.
+    ladder covers the achievable range.  One LP per iteration.  Converged
+    only if every demand froze; otherwise the top cap truncated some.
     """
     _require_valid(problem)
     if not u > 0:
@@ -393,78 +396,7 @@ def swan_sequence(
             "u": u,
             "alpha": alpha,
             "ladder": ladder,
-            "converged": True,
-        },
-    )
-
-
-def approx_sequence_bins(
-    problem: Problem,
-    u: float,
-    alpha: float,
-    max_bins: int | None = None,
-    session: SolveSession | None = None,
-) -> AllocatorReport:
-    """The capped sequence rewritten over per-bin increment variables.
-
-    Iteration b allocates only the increment y_kb <= u * (alpha^(b-1) -
-    alpha^(b-2)) on top of the frozen earlier bins, with y_kb forced to 0 for
-    demands that did not fill their previous bins.  Totals match
-    swan_sequence; the per-bin variables are kept in the report notes.
-    """
-    _require_valid(problem)
-    if not u > 0:
-        raise ValueError("u must be > 0")
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
-    session = session or SolveSession()
-    ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
-
-    increments: dict[str, list[float]] = {d.id: [] for d in problem.demands}
-    frozen: set[str] = set()
-    iterations = 0
-    last_values: Mapping[str, float] = {}
-
-    for b in range(1, ladder + 1):
-        iterations = b
-        inc_cap = u if b == 1 else u * (alpha ** (b - 1) - alpha ** (b - 2))
-        prev_cap = u * alpha ** (b - 2) if b > 1 else 0.0
-        lp = _ratio_fragment(problem, f"bin-seq-{b}")
-        weight: dict[str, float] = {}
-        for i, d in enumerate(problem.demands):
-            k = d.id
-            done = sum(increments[k])
-            y = f"y:{k}"
-            lp.add_variable(y, 0.0, 0.0 if k in frozen else inc_cap)
-            lp.add_constraint(
-                {ratio_var(k): 1.0, y: -1.0}, "==", done, name=f"cum:{k}"
-            )
-            weight[y] = _tie(i)
-        lp.objective = weight
-        sol = _solved(session, lp)
-        last_values = sol.values
-
-        for d in problem.demands:
-            k = d.id
-            got = sol.values[f"y:{k}"]
-            increments[k].append(got)
-            if k not in frozen and sum(increments[k]) < (
-                prev_cap + inc_cap
-            ) - FREEZE_TOL * max(1.0, prev_cap + inc_cap):
-                frozen.add(k)
-        if len(frozen) == len(problem.demands):
-            break
-
-    return AllocatorReport(
-        _allocation_from(problem, last_values),
-        lp_solves=session.count,
-        iterations=iterations,
-        notes={
-            "allocator": "bin-sequence",
-            "u": u,
-            "alpha": alpha,
-            "bin_increments": increments,
-            "converged": True,
+            "converged": len(frozen) == len(problem.demands),
         },
     )
 
@@ -492,13 +424,47 @@ def _repair_bin_prefix(
     return out
 
 
+def _binned_lp(
+    problem: Problem,
+    caps: Sequence[float],
+    epsilon: float,
+    name: str,
+    session: SolveSession,
+):
+    """Solve the one-shot binned LP: per-bin ratio variables y_kb <= caps[b-1]
+    summing to rho_k, objective sum_k sum_b epsilon^(b-1) y_kb.
+
+    Returns the LP solution and each demand's per-bin rates, restacked into
+    the lowest bins first.
+    """
+    lp = _ratio_fragment(problem, name)
+    objective: dict[str, float] = {}
+    for i, d in enumerate(problem.demands):
+        k = d.id
+        coeffs = {ratio_var(k): -1.0}
+        for b, cap in enumerate(caps, start=1):
+            y = f"y:{k}:{b}"
+            lp.add_variable(y, 0.0, cap)
+            coeffs[y] = 1.0
+            objective[y] = epsilon ** (b - 1) * _tie(i)
+        lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{k}")
+    lp.objective = objective
+    sol = _solved(session, lp)
+
+    totals = {
+        d.id: sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, len(caps) + 1))
+        for d in problem.demands
+    }
+    return sol, _repair_bin_prefix(totals, caps)
+
+
 def geo_binner(
     problem: Problem,
     cfg: BinConfig,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """One-shot geometric binner: a single LP over per-bin ratio variables
-    with objective sum_k sum_b epsilon^(b-1) y_kb.
+    """One-shot geometric binner: the binned LP with the geometric cap
+    ladder of ``cfg``.
 
     The decaying weights make every optimum fill a demand's lower bins before
     the higher ones, which reproduces the capped sequence's allocation
@@ -507,26 +473,7 @@ def geo_binner(
     _require_valid(problem)
     session = session or SolveSession()
     caps = [cfg.bin_cap(b) for b in range(1, cfg.num_bins + 1)]
-
-    lp = _ratio_fragment(problem, "geo-binner")
-    objective: dict[str, float] = {}
-    for i, d in enumerate(problem.demands):
-        k = d.id
-        coeffs = {ratio_var(k): -1.0}
-        for b in range(1, cfg.num_bins + 1):
-            y = f"y:{k}:{b}"
-            lp.add_variable(y, 0.0, caps[b - 1])
-            coeffs[y] = 1.0
-            objective[y] = cfg.epsilon ** (b - 1) * _tie(i)
-        lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{k}")
-    lp.objective = objective
-    sol = _solved(session, lp)
-
-    totals = {
-        d.id: sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, cfg.num_bins + 1))
-        for d in problem.demands
-    }
-    bins = _repair_bin_prefix(totals, caps)
+    sol, bins = _binned_lp(problem, caps, cfg.epsilon, "geo-binner", session)
 
     notes = {
         "allocator": "geo-binner",
@@ -552,6 +499,17 @@ def geo_binner(
     )
 
 
+def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
+    """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
+    (F_k sums utility-weighted path rates), and its iteration count."""
+    aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
+    dm = problem.demand_map()
+    totals: dict[str, float] = {d.id: 0.0 for d in problem.demands}
+    for (k, pid), r in aw.allocation.rates.items():
+        totals[k] += dm[k].utility_on(pid) * r
+    return {k: totals[k] / dm[k].weight for k in totals}, aw.iterations
+
+
 def suggest_bin_config(
     problem: Problem,
     alpha: float = 2.0,
@@ -567,14 +525,8 @@ def suggest_bin_config(
     when the bin count requires it.
     """
     if u is None:
-        est = adaptive_waterfill(problem, max_iterations=1, inner="approx")
-        totals: dict[str, float] = {d.id: 0.0 for d in problem.demands}
-        for (k, _), r in est.allocation.rates.items():
-            totals[k] += r
-        dm = problem.demand_map()
-        positive = [
-            totals[k] / dm[k].weight for k in totals if totals[k] > 1e-12
-        ]
+        ratios, _ = _estimate_ratios(problem, 1)
+        positive = [r for r in ratios.values() if r > 1e-12]
         u = 0.9 * min(positive) if positive else 1e-3 * problem.max_capacity()
     if num_bins is None:
         num_bins = default_num_bins(problem, u, alpha)
@@ -626,6 +578,18 @@ def merge_boundaries(boundaries: Sequence[float], rel_tol: float = 1e-9) -> list
     return out
 
 
+def estimate_equi_boundaries(
+    problem: Problem, num_bins: int, aw_iterations: int = 10
+) -> list[float]:
+    """Multi-bin boundary ladder from an adaptive-waterfill estimate: the
+    equi-depth boundaries of the estimated ratios, merged to be strictly
+    increasing (one bin at the largest estimate, or 1.0, if none is
+    positive)."""
+    est, _ = _estimate_ratios(problem, aw_iterations)
+    bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
+    return merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
+
+
 def equi_depth_elastic(
     problem: Problem,
     cfg: EquiDepthConfig,
@@ -641,12 +605,7 @@ def equi_depth_elastic(
     _require_valid(problem)
     session = session or SolveSession()
 
-    aw = adaptive_waterfill(problem, max_iterations=cfg.aw_iterations, inner="approx")
-    dm = problem.demand_map()
-    totals: dict[str, float] = {d.id: 0.0 for d in problem.demands}
-    for (k, pid), r in aw.allocation.rates.items():
-        totals[k] += dm[k].utility_on(pid) * r
-    est_ratio = {k: totals[k] / dm[k].weight for k in totals}
+    est_ratio, aw_iterations = _estimate_ratios(problem, cfg.aw_iterations)
 
     num_bins = min(cfg.num_bins, len(problem.demands))
     est_bounds, groups = compute_equi_boundaries(est_ratio, num_bins)
@@ -693,7 +652,7 @@ def equi_depth_elastic(
                 sol.values[f"l:{b}"] for b in range(1, n_groups + 1)
             ],
             "slack": slack,
-            "aw_iterations": aw.iterations,
+            "aw_iterations": aw_iterations,
             "converged": True,
         },
     )
@@ -705,8 +664,8 @@ def equi_depth_multibin(
     epsilon: float,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """Geometric-binner LP shape with bin caps taken from the supplied
-    boundary ladder (l_1, l_2 - l_1, ...) instead of geometric growth."""
+    """The binned LP with bin caps taken from the supplied boundary ladder
+    (l_1, l_2 - l_1, ...) instead of geometric growth."""
     _require_valid(problem)
     if not boundaries:
         raise ValueError("need at least one boundary")
@@ -723,25 +682,7 @@ def equi_depth_multibin(
     caps = [boundaries[0]] + [
         b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])
     ]
-    lp = _ratio_fragment(problem, "equi-depth-multibin")
-    objective: dict[str, float] = {}
-    for i, d in enumerate(problem.demands):
-        k = d.id
-        coeffs = {ratio_var(k): -1.0}
-        for b, cap in enumerate(caps, start=1):
-            y = f"y:{k}:{b}"
-            lp.add_variable(y, 0.0, cap)
-            coeffs[y] = 1.0
-            objective[y] = epsilon ** (b - 1) * _tie(i)
-        lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{k}")
-    lp.objective = objective
-    sol = _solved(session, lp)
-
-    totals = {
-        d.id: sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, len(caps) + 1))
-        for d in problem.demands
-    }
-    bins = _repair_bin_prefix(totals, caps)
+    sol, bins = _binned_lp(problem, caps, epsilon, "equi-depth-multibin", session)
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),

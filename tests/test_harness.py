@@ -15,7 +15,15 @@ from fairalloc.bench import (
     save_problem,
 )
 from fairalloc.generate import TrafficSpec, generate_problem, k_shortest_paths, sample_volumes
-from fairalloc.model import Allocation, check_feasible, validate_problem
+from fairalloc.model import (
+    Allocation,
+    Demand,
+    Path,
+    Problem,
+    Resource,
+    check_feasible,
+    validate_problem,
+)
 
 
 def test_generator_is_deterministic_under_seed():
@@ -26,6 +34,14 @@ def test_generator_is_deterministic_under_seed():
 def test_generator_output_is_valid():
     prob = generate_problem(7, 10, TrafficSpec("poisson", 3.0, seed=1), 2)
     assert validate_problem(prob) == []
+
+
+@pytest.mark.parametrize("nodes,edges", [(12, 18), (30, 45)])
+def test_generator_output_is_valid_beyond_ten_nodes(nodes, edges):
+    # node labels n10+ sort before n2..n9 as strings; edge ids must not repeat
+    for seed in range(20):
+        prob = generate_problem(nodes, edges, TrafficSpec("uniform", 1.0, seed=seed), 1)
+        assert validate_problem(prob) == [], seed
 
 
 def test_single_path_when_k_is_one():
@@ -175,6 +191,19 @@ def test_allocator_failure_is_a_row_not_a_crash():
     rows = run_benchmark([Scenario("s", prob, "waterfill")])  # multipath -> error
     assert rows[0].error is not None
     assert "single-path" in rows[0].error
+
+
+def test_invalid_problem_is_a_row_not_a_crash():
+    prob = generate_problem(5, 6, TrafficSpec("uniform", 4.0, seed=9), 2)
+    bad = Problem(
+        [Resource("L", 1.0)], [Path("p", ["missing"])], [Demand("d", ["p"])]
+    )
+    rows = run_benchmark(
+        [Scenario("ok", prob, "gb"), Scenario("bad", bad, "gb"), Scenario("ok2", prob, "exact")]
+    )
+    assert [r.scenario for r in rows] == ["ok", "bad", "ok2"]
+    assert rows[0].error is None and rows[2].error is None
+    assert "invalid problem" in rows[1].error
 
 
 def test_rows_independent_of_scenario_order():

@@ -8,8 +8,6 @@ from fairalloc.lp import (
     SolveSession,
     build_feasible_alloc,
     rate_var,
-    solve,
-    solve_count,
     total_var,
     write_lp_text,
 )
@@ -26,7 +24,7 @@ def lp_max_x_le_3():
 
 
 def test_single_bound():
-    sol = solve(lp_max_x_le_3())
+    sol = SimplexBackend().solve(lp_max_x_le_3())
     assert sol.status == "optimal"
     assert sol.values["x"] == pytest.approx(3.0)
 
@@ -37,7 +35,7 @@ def test_shared_budget():
     lp.add_variable("y")
     lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0)
     lp.objective = {"x": 1.0, "y": 1.0}
-    assert solve(lp).objective == pytest.approx(1.0)
+    assert SimplexBackend().solve(lp).objective == pytest.approx(1.0)
 
 
 def test_infeasible_pair():
@@ -46,14 +44,14 @@ def test_infeasible_pair():
     lp.add_constraint({"x": 1.0}, "<=", 0.0)
     lp.add_constraint({"x": 1.0}, ">=", 1.0)
     lp.objective = {"x": 1.0}
-    assert solve(lp).status == "infeasible"
+    assert SimplexBackend().solve(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram(name="t")
     lp.add_variable("x")
     lp.objective = {"x": 1.0}
-    assert solve(lp).status == "unbounded"
+    assert SimplexBackend().solve(lp).status == "unbounded"
 
 
 def test_free_variable_and_upper_bound():
@@ -62,7 +60,7 @@ def test_free_variable_and_upper_bound():
     lp.add_variable("y", lower=0.0, upper=2.0)
     lp.add_constraint({"x": 1.0, "y": 1.0}, "==", 1.0)
     lp.objective = {"x": -1.0, "y": 1.0}
-    sol = solve(lp)
+    sol = SimplexBackend().solve(lp)
     assert sol.values == pytest.approx({"x": -1.0, "y": 2.0})
 
 
@@ -70,7 +68,7 @@ def test_min_sense():
     lp = LinearProgram(name="t", sense="min")
     lp.add_variable("x", lower=1.0, upper=5.0)
     lp.objective = {"x": 1.0}
-    assert solve(lp).objective == pytest.approx(1.0)
+    assert SimplexBackend().solve(lp).objective == pytest.approx(1.0)
 
 
 def test_deterministic_resolve():
@@ -83,8 +81,8 @@ def test_deterministic_resolve():
             {f"x{j}": float(rng.normal()) for j in range(12)}, "<=", 2.0
         )
     lp.objective = {f"x{j}": float(rng.normal()) for j in range(12)}
-    first = solve(lp)
-    second = solve(lp)
+    first = SimplexBackend().solve(lp)
+    second = SimplexBackend().solve(lp)
     assert first.values == second.values  # bitwise identical
 
 
@@ -92,12 +90,12 @@ def test_validation_errors():
     lp = LinearProgram(name="bad")
     lp.add_variable("x", lower=2.0, upper=1.0)
     with pytest.raises(ValueError, match="lower > upper"):
-        solve(lp)
+        SimplexBackend().solve(lp)
     lp2 = LinearProgram(name="bad2")
     lp2.add_variable("x")
     lp2.add_constraint({"nope": 1.0}, "<=", 1.0)
     with pytest.raises(ValueError, match="unknown"):
-        solve(lp2)
+        SimplexBackend().solve(lp2)
 
 
 def _random_lp(rng, trial):
@@ -151,23 +149,23 @@ def test_simplex_matches_reference_on_random_corpus():
 
 def test_fresh_session_counts_zero():
     session = SolveSession()
-    assert solve_count(session) == 0
+    assert session.count == 0
 
 
 def test_session_counts_each_solve():
     session = SolveSession()
     session.solve(lp_max_x_le_3())
     session.solve(lp_max_x_le_3())
-    assert solve_count(session) == 2
+    assert session.count == 2
 
 
 def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     session = SolveSession()
     geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05), session)
-    assert solve_count(session) == 1
+    assert session.count == 1
     session = SolveSession()
     report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
-    assert solve_count(session) == report.iterations > 1
+    assert session.count == report.iterations > 1
 
 
 # -- feasible-allocation fragment ----------------------------------------------

@@ -5,7 +5,6 @@ from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, tot
 from fairalloc.optimizers import (
     BinConfig,
     EquiDepthConfig,
-    approx_sequence_bins,
     compute_equi_boundaries,
     default_num_bins,
     equi_depth_elastic,
@@ -143,37 +142,13 @@ def test_swan_close_to_oracle_for_symmetric_case():
     assert sum(got.values()) == pytest.approx(sum(star.values()))
 
 
-# -- per-bin increment reformulation ---------------------------------------------
-
-
-def test_bin_increments_respect_caps():
+def test_swan_reports_unconverged_when_the_ladder_runs_out():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    u, alpha = 1.0, 2.0
-    rep = approx_sequence_bins(prob, u, alpha)
-    for ys in rep.notes["bin_increments"].values():
-        assert ys[0] <= u + 1e-9
-        for b in range(1, len(ys)):
-            assert ys[b] <= u * (alpha**b - alpha ** (b - 1)) + 1e-9
-
-
-def test_bin_increment_totals_match_swan():
-    for seed in (0, 3, 7, 11, 19):
-        prob = distinct_utility_instance(seed)
-        sw = swan_sequence(prob, 0.3, 2.0)
-        ab = approx_sequence_bins(prob, 0.3, 2.0)
-        ts = total_allocation(prob, sw.allocation)
-        tb = total_allocation(prob, ab.allocation)
-        for k in ts:
-            assert tb[k] == pytest.approx(ts[k], abs=1e-6)
-        assert sw.iterations == ab.iterations
-
-
-def test_frozen_demand_gets_zero_increment():
-    prob = single_link(10.0, [(0.5, 1.0), (None, 1.0)])
-    rep = approx_sequence_bins(prob, 1.0, 2.0)
-    ys = rep.notes["bin_increments"]["d0"]
-    assert ys[0] == pytest.approx(0.5)
-    assert all(y == pytest.approx(0.0, abs=1e-12) for y in ys[1:])
+    short = swan_sequence(prob, 0.1, 2.0, max_bins=2)
+    totals = total_allocation(prob, short.allocation)
+    assert totals == pytest.approx({"d0": 0.2, "d1": 0.2})
+    assert not short.converged
+    assert swan_sequence(prob, 0.1, 2.0).converged
 
 
 # -- geometric binner ------------------------------------------------------------
@@ -339,7 +314,6 @@ def test_all_optimizer_allocations_are_feasible():
         reports = [
             exact_sequential_max_min(prob),
             swan_sequence(prob, 0.3, 2.0),
-            approx_sequence_bins(prob, 0.3, 2.0),
             geo_binner(prob, suggest_bin_config(prob, alpha=2.0)),
             equi_depth_elastic(prob, EquiDepthConfig(num_bins=2)),
         ]
