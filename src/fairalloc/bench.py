@@ -111,7 +111,14 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
     rates = fill(matrix, caps)
     alloc = Allocation({c: float(r) for c, r in zip(matrix.columns, rates)})
     name = "waterfill" if exact else "approx-waterfill"
-    return AllocatorReport(alloc, 0, 1, {"allocator": name, "converged": True})
+    notes = {"allocator": name, "converged": True}
+    if exact and any(q != 1.0 for d in problem.demands for q in d.utility.values()):
+        notes["exact"] = False
+        notes["inexact_reason"] = (
+            "utility != 1: waterfilling equalises weighted path rates f_k/w_k, "
+            "not utility-weighted totals F_k/w_k"
+        )
+    return AllocatorReport(alloc, 0, 1, notes)
 
 
 def _run_adaptive(problem: Problem, config: dict, session) -> AllocatorReport:

@@ -468,12 +468,16 @@ def geo_binner(
 
     The decaying weights make every optimum fill a demand's lower bins before
     the higher ones, which reproduces the capped sequence's allocation
-    without iterating.
+    without iterating.  Like the sequence, it reports ``converged=False``
+    (and a ``coverage`` note) when some demand fills the whole ladder, since
+    the top cap may have truncated it.
     """
     _require_valid(problem)
     session = session or SolveSession()
     caps = [cfg.bin_cap(b) for b in range(1, cfg.num_bins + 1)]
     sol, bins = _binned_lp(problem, caps, cfg.epsilon, "geo-binner", session)
+    top = sum(caps)
+    truncated = any(sum(s) >= top - FREEZE_TOL * max(1.0, top) for s in bins.values())
 
     notes = {
         "allocator": "geo-binner",
@@ -483,13 +487,11 @@ def geo_binner(
         "num_bins": cfg.num_bins,
         "bin_caps": caps,
         "bins": bins,
-        "converged": True,
+        "converged": not truncated,
     }
-    min_w = min(d.weight for d in problem.demands)
-    if cfg.u * cfg.alpha ** (cfg.num_bins - 1) < achievable_rate_bound(problem) / min_w:
+    if truncated:
         notes["coverage"] = (
-            "bin ladder tops out below the achievable ratio bound; "
-            "allocations above it are truncated"
+            "a demand fills the whole bin ladder; its allocation may be truncated"
         )
     return AllocatorReport(
         _allocation_from(problem, sol.values),

@@ -5,6 +5,12 @@ re-weights subdemands toward less congested paths each round.
 Multi-path demands are expanded into one subdemand per (demand, path); the
 subdemands of a bounded demand share a virtual edge whose capacity is the
 demand volume, so no demand can exceed what it asked for.
+
+The expansion is compiled once per problem into a sparse incidence
+(``SubdemandMatrix``, CSR over rows).  The waterfillers walk its row slices
+and compute link loads with ``np.bincount``, which sums each row in column
+order; no dense rows x columns array is formed.  The adaptive waterfiller
+builds the incidence once and only rescales its weights between rounds.
 """
 
 from __future__ import annotations
@@ -35,18 +41,35 @@ THETA_CONVERGENCE = 1e-6
 
 @dataclass(frozen=True)
 class SubdemandMatrix:
-    """Per-(demand, path) columns over resource rows (virtual edges last).
+    """Subdemand incidence in CSR form: resource rows first, then one
+    virtual-edge row per bounded demand; one column per (demand, path).
 
-    ``gamma[e, c]`` is the waterfilling weight w_k * theta_k^p when row e lies
-    on column c's path, else 0.  ``consumption`` carries r_k^e on the same
-    sparsity pattern (1 on virtual edges) so capacity deductions stay correct
-    when consumption factors differ from 1.
+    Row ``e`` owns the nonzeros ``indptr[e]:indptr[e + 1]``.  For each,
+    ``indices`` holds the column (increasing within a row), ``row_of`` the
+    row (``indptr`` expanded, for ``np.bincount``), ``gamma`` the
+    column's waterfilling weight w_k * theta_k^p, and ``consumption`` r_k^e
+    (1 on virtual edges), so capacity deductions stay correct when
+    consumption factors differ from 1.  ``weight`` (w_k) and ``owner`` (the
+    demand's index in ``problem.demands``) are per column.
+
+    The pattern depends only on the problem.  A new theta rescales ``gamma``
+    in place (w_k * theta_k^p gathered by column), so one matrix serves
+    every round of the adaptive waterfiller.
     """
 
-    gamma: np.ndarray
-    consumption: np.ndarray
     rows: tuple[str, ...]
     columns: tuple[tuple[str, str], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    row_of: np.ndarray
+    gamma: np.ndarray
+    consumption: np.ndarray
+    weight: np.ndarray
+    owner: np.ndarray
+
+    def rescale(self, theta: np.ndarray) -> None:
+        """Set gamma to w_k * theta_k^p for a per-column theta, in place."""
+        np.take(self.weight * theta, self.indices, out=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -69,7 +92,8 @@ def uniform_theta(problem: Problem) -> ThetaState:
 def build_subdemands(
     problem: Problem, theta: ThetaState | Mapping[tuple[str, str], float]
 ) -> tuple[SubdemandMatrix, np.ndarray]:
-    """Expand demands into single-path subdemand columns and capacities.
+    """Expand demands into single-path subdemand columns and capacities:
+    the CSR incidence, built in one pass over the demands.
 
     Raises ValueError when a demand's theta row does not sum to 1 within 1e-9
     or contains negatives.  Unbounded demands get no virtual edge.
@@ -77,6 +101,7 @@ def build_subdemands(
     weights = theta.theta if isinstance(theta, ThetaState) else theta
     path_map = problem.path_map()
 
+    col_theta: list[float] = []
     for d in problem.demands:
         row = [weights.get((d.id, pid), 0.0) for pid in d.paths]
         if any(t < -1e-12 for t in row):
@@ -85,38 +110,63 @@ def build_subdemands(
             raise ValueError(
                 f"path weights for demand {d.id!r} sum to {sum(row)}, expected 1"
             )
+        col_theta += row
 
     rows = [r.id for r in problem.resources]
     caps = [r.capacity for r in problem.resources]
+    row_idx = {rid: i for i, rid in enumerate(rows)}
+    columns: list[tuple[str, str]] = []
+    nz_col: list[int] = []
+    nz_row: list[int] = []
+    nz_cons: list[float] = []
     for d in problem.demands:
         if d.bounded:
+            vrow = len(rows)
             rows.append(virtual_edge_id(d.id))
             caps.append(float(d.volume))
-    row_idx = {rid: i for i, rid in enumerate(rows)}
+        for pid in d.paths:
+            on_path = path_map[pid].resources
+            nz_col += [len(columns)] * (len(on_path) + d.bounded)
+            columns.append((d.id, pid))
+            nz_row += [row_idx[rid] for rid in on_path]
+            nz_cons += [d.consumption_on(rid) for rid in on_path]
+            if d.bounded:
+                nz_row.append(vrow)
+                nz_cons.append(1.0)
 
-    columns = [(d.id, pid) for d in problem.demands for pid in d.paths]
-    gamma = np.zeros((len(rows), len(columns)))
-    cons = np.zeros_like(gamma)
-    for c, (k, pid) in enumerate(columns):
-        d = problem.demand_map()[k]
-        g = d.weight * weights.get((k, pid), 0.0)
-        for rid in path_map[pid].resources:
-            gamma[row_idx[rid], c] = g
-            cons[row_idx[rid], c] = d.consumption_on(rid)
-        if d.bounded:
-            v = row_idx[virtual_edge_id(k)]
-            gamma[v, c] = g
-            cons[v, c] = 1.0
-    return SubdemandMatrix(gamma, cons, tuple(rows), tuple(columns)), np.array(caps)
+    # Entries were appended in column order, so a stable sort by row leaves
+    # every row's columns increasing.
+    nz_row_arr = np.array(nz_row, dtype=np.intp)
+    order = np.argsort(nz_row_arr, kind="stable")
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(nz_row_arr, minlength=len(rows)), out=indptr[1:])
+    indices = np.array(nz_col, dtype=np.intp)[order]
+    paths_per_demand = [len(d.paths) for d in problem.demands]
+    weight = np.array([d.weight for d in problem.demands], dtype=float)
+    matrix = SubdemandMatrix(
+        rows=tuple(rows),
+        columns=tuple(columns),
+        indptr=indptr,
+        indices=indices,
+        row_of=nz_row_arr[order],
+        gamma=np.empty(len(indices)),
+        consumption=np.array(nz_cons, dtype=float)[order],
+        weight=np.repeat(weight, paths_per_demand),
+        owner=np.repeat(np.arange(len(problem.demands)), paths_per_demand),
+    )
+    matrix.rescale(np.array(col_theta, dtype=float))
+    return matrix, np.array(caps, dtype=float)
 
 
 def _check_columns(matrix: SubdemandMatrix) -> np.ndarray:
     """Columns with no resource are structural errors; zero-weight columns
     (theta = 0) are legal and simply receive rate 0."""
-    if np.any(matrix.consumption.sum(axis=0) <= 0.0):
-        bad = int(np.argmin(matrix.consumption.sum(axis=0)))
+    n_cols = len(matrix.columns)
+    cons = np.bincount(matrix.indices, weights=matrix.consumption, minlength=n_cols)
+    if np.any(cons <= 0.0):
+        bad = int(np.argmin(cons))
         raise ValueError(f"subdemand {matrix.columns[bad]} lies on no resource")
-    return matrix.gamma.sum(axis=0) > 0.0
+    return np.bincount(matrix.indices, weights=matrix.gamma, minlength=n_cols) > 0.0
 
 
 def single_path_waterfill(
@@ -130,27 +180,32 @@ def single_path_waterfill(
     Terminates in at most one round per link.
     """
     active = _check_columns(matrix)
-    gamma, cons = matrix.gamma, matrix.consumption
-    n_rows, n_cols = gamma.shape
-    caps = np.array(capacities, dtype=float)
+    indptr, cols, gamma, cons = matrix.indptr, matrix.indices, matrix.gamma, matrix.consumption
+    n_rows = len(matrix.rows)
+    row_of = matrix.row_of
+    weighted = gamma * cons
+    capacity = np.asarray(capacities, dtype=float)
+    left = capacity
     live = np.ones(n_rows, dtype=bool)
-    rates = np.zeros(n_cols)
+    rates = np.zeros(len(matrix.columns))
 
     while active.any():
-        load = (gamma * cons) @ active.astype(float)
+        load = np.bincount(row_of, weighted * active[cols], minlength=n_rows)
         eligible = live & (load > 0.0)
         if not eligible.any():
             break
         share = np.full(n_rows, np.inf)
-        share[eligible] = np.maximum(caps[eligible], 0.0) / load[eligible]
+        share[eligible] = np.maximum(left[eligible], 0.0) / load[eligible]
         e = int(np.argmin(share))  # ties: lowest row index (resource order)
         zeta = share[e]
-        fixed = active & (gamma[e] > 0.0)
-        rates[fixed] = zeta * gamma[e, fixed]
-        usage = cons[:, fixed] @ rates[fixed]
-        caps -= usage
+        on_e, g_e = cols[indptr[e] : indptr[e + 1]], gamma[indptr[e] : indptr[e + 1]]
+        pick = active[on_e] & (g_e > 0.0)
+        fixed = on_e[pick]
+        rates[fixed] = zeta * g_e[pick]
+        # Unfixed subdemands have rate 0, so this deducts all fixed so far.
+        left = capacity - np.bincount(row_of, cons * rates[cols], minlength=n_rows)
         live[e] = False
-        active &= ~fixed
+        active[fixed] = False
     return rates
 
 
@@ -163,14 +218,14 @@ def approx_waterfill(matrix: SubdemandMatrix, capacities: np.ndarray) -> np.ndar
     inputs, but never exceeds any capacity.
     """
     active = _check_columns(matrix)
-    gamma, cons = matrix.gamma, matrix.consumption
-    n_rows, n_cols = gamma.shape
+    indptr, cols, gamma, cons = matrix.indptr, matrix.indices, matrix.gamma, matrix.consumption
+    n_rows = len(matrix.rows)
     caps = np.array(capacities, dtype=float)
 
-    rates = np.zeros(n_cols)
+    rates = np.zeros(len(matrix.columns))
     rates[active] = np.inf
 
-    load = (gamma * cons) @ active.astype(float)
+    load = np.bincount(matrix.row_of, gamma * cons * active[cols], minlength=n_rows)
     share = np.full(n_rows, np.inf)
     share[load > 0.0] = caps[load > 0.0] / load[load > 0.0]
     order = np.argsort(share, kind="stable")  # ties: lowest resource index
@@ -178,29 +233,25 @@ def approx_waterfill(matrix: SubdemandMatrix, capacities: np.ndarray) -> np.ndar
     for e in order:
         if not np.isfinite(share[e]):
             continue
-        members = np.where(active & (gamma[e] > 0.0))[0]
+        s, t = indptr[e], indptr[e + 1]
+        pick = active[cols[s:t]] & (gamma[s:t] > 0.0)
+        members, g, q = cols[s:t][pick], gamma[s:t][pick], cons[s:t][pick]
         cap = caps[e]
         while members.size:
-            denom = float(np.dot(gamma[e, members], cons[e, members]))
+            denom = float(np.dot(g, q))
             if denom <= 0.0:
                 break
             zeta = max(cap, 0.0) / denom
-            tentative = zeta * gamma[e, members]
+            tentative = zeta * g
             elsewhere = rates[members] < tentative
             if not elsewhere.any():
                 rates[members] = tentative
                 break
-            dropped = members[elsewhere]
-            cap -= float(np.dot(cons[e, dropped], rates[dropped]))
-            members = members[~elsewhere]
+            cap -= float(np.dot(q[elsewhere], rates[members[elsewhere]]))
+            keep = ~elsewhere
+            members, g, q = members[keep], g[keep], q[keep]
     rates[np.isinf(rates)] = 0.0
     return rates
-
-
-def _rates_dict(
-    matrix: SubdemandMatrix, rates: np.ndarray
-) -> dict[tuple[str, str], float]:
-    return {col: float(r) for col, r in zip(matrix.columns, rates)}
 
 
 def adaptive_waterfill(
@@ -215,7 +266,8 @@ def adaptive_waterfill(
     Stops when the largest theta change drops to theta_tol (default 1e-6) or
     at max_iterations; non-convergence is flagged in the report, not an
     error.  Demands with zero total rate keep their previous theta (the
-    update is undefined there).
+    update is undefined there).  The subdemand incidence is built once; each
+    round rescales its weights in place.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -223,7 +275,10 @@ def adaptive_waterfill(
         raise ValueError(f"unknown inner waterfiller {inner!r}")
     fill = single_path_waterfill if inner == "exact" else approx_waterfill
 
-    theta = dict(uniform_theta(problem).theta)
+    start = uniform_theta(problem)
+    matrix, caps = build_subdemands(problem, start)
+    columns = matrix.columns
+    theta = np.array([start.theta[c] for c in columns])
     trace: list[dict] = []
     converged = False
     rates: dict[tuple[str, str], float] = {}
@@ -231,18 +286,18 @@ def adaptive_waterfill(
 
     for t in range(1, max_iterations + 1):
         iterations = t
-        matrix, caps = build_subdemands(problem, theta)
-        rates = _rates_dict(matrix, fill(matrix, caps))
-        trace.append({"iteration": t, "theta": dict(theta), "rates": dict(rates)})
+        matrix.rescale(theta)
+        flow = fill(matrix, caps)
+        rates = dict(zip(columns, flow.tolist()))
+        trace.append(
+            {"iteration": t, "theta": dict(zip(columns, theta.tolist())), "rates": rates}
+        )
 
-        totals: dict[str, float] = {}
-        for (k, _), r in rates.items():
-            totals[k] = totals.get(k, 0.0) + r
-        new_theta = dict(theta)
-        for (k, p), r in rates.items():
-            if totals[k] > 0.0:
-                new_theta[(k, p)] = r / totals[k]
-        delta = max(abs(new_theta[kp] - theta[kp]) for kp in theta)
+        # Each demand's total, summed in column order, gathered back by column.
+        totals = np.bincount(matrix.owner, flow, minlength=len(problem.demands))[matrix.owner]
+        new_theta = theta.copy()
+        np.divide(flow, totals, out=new_theta, where=totals > 0.0)
+        delta = float(np.max(np.abs(new_theta - theta)))
         theta = new_theta
         if delta <= theta_tol:
             converged = True
@@ -257,7 +312,7 @@ def adaptive_waterfill(
             "allocator": f"adaptive-waterfill/{inner}",
             "converged": converged,
             "theta_trace": trace,
-            "final_theta": theta,
+            "final_theta": dict(zip(columns, theta.tolist())),
         },
     )
 

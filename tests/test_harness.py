@@ -261,3 +261,20 @@ def test_load_problem_error_names_file(tmp_path):
     path.write_text("{broken")
     with pytest.raises(ValueError, match="bad.json"):
         load_problem(path)
+
+
+def test_waterfill_notes_that_it_is_not_exact_under_non_unit_utility():
+    def two_on_a_link(utility):
+        return Problem(
+            [Resource("L", 4.0)],
+            [Path("p0", ["L"]), Path("p1", ["L"])],
+            [Demand("d0", ["p0"], utility={"p0": utility}), Demand("d1", ["p1"])],
+        )
+
+    unit = run_allocator(two_on_a_link(1.0), "waterfill")
+    assert "exact" not in unit.notes
+    rep = run_allocator(two_on_a_link(3.0), "waterfill")
+    assert rep.notes["exact"] is False
+    assert "utility" in rep.notes["inexact_reason"]
+    # The allocation is unchanged: path rates are equalised, not totals.
+    assert rep.allocation.rates == unit.allocation.rates

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fairalloc.bench import run_allocator
+from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
     BinConfig,
@@ -199,6 +201,26 @@ def test_geo_binner_bin_prefix_property(two_link_example):
 def test_geo_binner_allocation_is_feasible(two_link_example):
     rep = geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05))
     assert check_feasible(two_link_example, rep.allocation).feasible
+
+
+def test_geo_binner_reports_truncation_at_the_top_of_the_ladder():
+    # achievable_rate_bound ignores utility > 1, so the ladder stops at 4.5
+    prob = Problem(
+        [Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"], utility={"p": 5.0})]
+    )
+    rep = run_allocator(prob, "gb")
+    assert total_allocation(prob, rep.allocation)["d"] == pytest.approx(4.5)
+    exact = exact_sequential_max_min(prob).allocation
+    assert total_allocation(prob, exact)["d"] == pytest.approx(5.0)
+    assert not rep.converged
+    assert "coverage" in rep.notes
+
+
+def test_geo_binner_converges_on_a_wan_problem():
+    prob = generate_problem(6, 8, TrafficSpec("gravity", 8.0, 3), 4)
+    rep = run_allocator(prob, "gb")
+    assert rep.converged
+    assert "coverage" not in rep.notes
 
 
 def test_suggest_bin_config_covers_range_and_respects_guard():

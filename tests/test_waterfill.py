@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairalloc.model import Allocation, Demand, Path, Problem, Resource
+import fairalloc.waterfill as wf
+from fairalloc.bench import run_allocator
+from fairalloc.generate import TrafficSpec, generate_problem
+from fairalloc.model import Allocation, Demand, Path, Problem, Resource, check_feasible
 from fairalloc.waterfill import (
     ThetaState,
     adaptive_waterfill,
@@ -14,6 +18,129 @@ from fairalloc.waterfill import (
 )
 
 from conftest import unit_qr_instance
+
+
+def dense(m):
+    """Dense (rows x columns) views of the CSR gamma and consumption."""
+    gamma = np.zeros((len(m.rows), len(m.columns)))
+    cons = np.zeros_like(gamma)
+    for e in range(len(m.rows)):
+        nz = slice(m.indptr[e], m.indptr[e + 1])
+        gamma[e, m.indices[nz]] = m.gamma[nz]
+        cons[e, m.indices[nz]] = m.consumption[nz]
+    return gamma, cons
+
+
+# -- dense reference: rows x columns waterfillers, the oracle for the CSR ones ---
+
+
+def _dense_active(gamma, cons):
+    if np.any(cons.sum(axis=0) <= 0.0):
+        raise ValueError("subdemand lies on no resource")
+    return gamma.sum(axis=0) > 0.0
+
+
+def dense_single_path_waterfill(gamma, cons, capacities):
+    active = _dense_active(gamma, cons)
+    n_rows, n_cols = gamma.shape
+    caps = np.array(capacities, dtype=float)
+    live = np.ones(n_rows, dtype=bool)
+    rates = np.zeros(n_cols)
+    while active.any():
+        load = (gamma * cons) @ active.astype(float)
+        eligible = live & (load > 0.0)
+        if not eligible.any():
+            break
+        share = np.full(n_rows, np.inf)
+        share[eligible] = np.maximum(caps[eligible], 0.0) / load[eligible]
+        e = int(np.argmin(share))
+        zeta = share[e]
+        fixed = active & (gamma[e] > 0.0)
+        rates[fixed] = zeta * gamma[e, fixed]
+        caps -= cons[:, fixed] @ rates[fixed]
+        live[e] = False
+        active &= ~fixed
+    return rates
+
+
+def dense_approx_waterfill(gamma, cons, capacities):
+    active = _dense_active(gamma, cons)
+    n_rows, n_cols = gamma.shape
+    caps = np.array(capacities, dtype=float)
+    rates = np.zeros(n_cols)
+    rates[active] = np.inf
+    load = (gamma * cons) @ active.astype(float)
+    share = np.full(n_rows, np.inf)
+    share[load > 0.0] = caps[load > 0.0] / load[load > 0.0]
+    for e in np.argsort(share, kind="stable"):
+        if not np.isfinite(share[e]):
+            continue
+        members = np.where(active & (gamma[e] > 0.0))[0]
+        cap = caps[e]
+        while members.size:
+            denom = float(np.dot(gamma[e, members], cons[e, members]))
+            if denom <= 0.0:
+                break
+            zeta = max(cap, 0.0) / denom
+            tentative = zeta * gamma[e, members]
+            elsewhere = rates[members] < tentative
+            if not elsewhere.any():
+                rates[members] = tentative
+                break
+            dropped = members[elsewhere]
+            cap -= float(np.dot(cons[e, dropped], rates[dropped]))
+            members = members[~elsewhere]
+    rates[np.isinf(rates)] = 0.0
+    return rates
+
+
+# Weights, consumption and theta take few-bit values, so every load is an
+# exact sum whichever order the two layouts add it in; capacities and volumes
+# are arbitrary.  Multi-path splits include zero entries.
+SPLITS = {
+    1: [(1.0,)],
+    2: [(0.5, 0.5), (1.0, 0.0), (0.25, 0.75), (0.0, 1.0)],
+    3: [(0.5, 0.25, 0.25), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (0.25, 0.0, 0.75)],
+}
+
+
+@st.composite
+def subdemand_problems(draw):
+    n_links = draw(st.integers(1, 5))
+    links = [f"L{i}" for i in range(n_links)]
+    capacity = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
+    resources = [Resource(l, draw(capacity)) for l in links]
+    paths, demands, theta = [], [], {}
+    for k in range(draw(st.integers(1, 6))):
+        volume = draw(st.one_of(st.none(), st.floats(0.1, 8.0)))
+        # A bounded demand's path may hold only its virtual edge.
+        min_len = 0 if volume is not None else 1
+        pids, consumption = [], {}
+        for i in range(draw(st.integers(1, 3))):
+            on_path = st.lists(st.sampled_from(links), min_size=min_len, max_size=3, unique=True)
+            edges = draw(on_path)
+            pid = f"d{k}p{i}"
+            paths.append(Path(pid, edges))
+            pids.append(pid)
+            for rid in edges:
+                consumption[rid] = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+        weight = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        demands.append(Demand(f"d{k}", pids, volume, weight, consumption=consumption))
+        split = draw(st.sampled_from(SPLITS[len(pids)]))
+        theta.update(zip(((f"d{k}", p) for p in pids), split))
+    return Problem(resources, paths, demands), theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(subdemand_problems())
+def test_csr_waterfillers_match_the_dense_reference(case):
+    prob, theta = case
+    m, caps = build_subdemands(prob, theta)
+    gamma, cons = dense(m)
+    exact = dense_single_path_waterfill(gamma, cons, caps)
+    np.testing.assert_allclose(single_path_waterfill(m, caps), exact, rtol=0, atol=1e-12)
+    approx = dense_approx_waterfill(gamma, cons, caps)
+    np.testing.assert_allclose(approx_waterfill(m, caps), approx, rtol=0, atol=1e-12)
 
 
 def single_link(capacity, weights):
@@ -56,9 +183,10 @@ def test_waterfill_saturates_volume_or_a_link():
         prob = unit_qr_instance(seed, multi=False)
         m, caps = build_subdemands(prob, uniform_theta(prob))
         rates = single_path_waterfill(m, caps)
-        usage = (m.consumption * rates).sum(axis=1)
+        _, cons = dense(m)
+        usage = (cons * rates).sum(axis=1)
         for c_idx, (k, pid) in enumerate(m.columns):
-            on_rows = np.where(m.consumption[:, c_idx] > 0)[0]
+            on_rows = np.where(cons[:, c_idx] > 0)[0]
             saturated = any(
                 usage[r] >= caps[r] - 1e-9 * max(1.0, caps[r]) for r in on_rows
             )
@@ -82,7 +210,7 @@ def test_approx_never_exceeds_capacity():
         prob = unit_qr_instance(seed)
         m, caps = build_subdemands(prob, uniform_theta(prob))
         rates = approx_waterfill(m, caps)
-        usage = (m.consumption * rates).sum(axis=1)
+        usage = (dense(m)[1] * rates).sum(axis=1)
         assert (usage <= caps + 1e-9 * np.maximum(1.0, caps)).all()
 
 
@@ -107,16 +235,17 @@ def test_single_path_theta_is_one():
     prob = single_link(1.0, [1.0])
     m, caps = build_subdemands(prob, uniform_theta(prob))
     assert m.columns == (("d0", "p0"),)
-    assert m.gamma[0, 0] == 1.0
+    assert dense(m)[0][0, 0] == 1.0
 
 
 def test_worked_example_gamma(two_link_example):
     m, caps = build_subdemands(two_link_example, uniform_theta(two_link_example))
     rows = {rid: i for i, rid in enumerate(m.rows)}
     cols = {c: i for i, c in enumerate(m.columns)}
-    assert m.gamma[rows["e1"], cols[("d1", "p1")]] == pytest.approx(0.5)
-    assert m.gamma[rows["e2"], cols[("d1", "p2")]] == pytest.approx(0.5)
-    assert m.gamma[rows["e2"], cols[("d2", "p3")]] == pytest.approx(1.0)
+    gamma, _ = dense(m)
+    assert gamma[rows["e1"], cols[("d1", "p1")]] == pytest.approx(0.5)
+    assert gamma[rows["e2"], cols[("d1", "p2")]] == pytest.approx(0.5)
+    assert gamma[rows["e2"], cols[("d2", "p3")]] == pytest.approx(1.0)
     assert caps == pytest.approx([0.5, 1.0])
 
 
@@ -129,7 +258,7 @@ def test_bounded_demand_shares_virtual_edge():
     m, caps = build_subdemands(prob, uniform_theta(prob))
     v = m.rows.index("d1::vol")
     assert caps[v] == 5.0
-    assert (m.consumption[v] == 1.0).all()
+    assert (dense(m)[1][v] == 1.0).all()
     rates = single_path_waterfill(m, caps)
     assert rates.sum() == pytest.approx(5.0)  # volume is the bottleneck
 
@@ -173,6 +302,54 @@ def test_zero_rate_demand_keeps_theta():
     rep = adaptive_waterfill(prob, max_iterations=3, inner="exact")
     assert rep.notes["final_theta"][("blocked", "p1")] == 1.0
     assert rep.allocation.rates[("live", "p2")] == pytest.approx(4.0)
+
+
+def test_adaptive_builds_the_incidence_once(monkeypatch, two_link_example):
+    calls = []
+    build = wf.build_subdemands
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(wf, "build_subdemands", counted)
+    rep = adaptive_waterfill(two_link_example, max_iterations=10)
+    assert rep.iterations == 10
+    assert len(calls) == 1
+
+
+def test_adaptive_matches_a_rebuild_per_iteration():
+    # The pre-CSR update: rebuild from the theta dict every round and
+    # renormalise each demand's rates in column order.
+    for seed in range(20):
+        prob = unit_qr_instance(seed)
+        rep = adaptive_waterfill(prob, max_iterations=6)
+        theta = dict(uniform_theta(prob).theta)
+        for entry in rep.notes["theta_trace"]:
+            assert entry["theta"] == theta
+            m, caps = build_subdemands(prob, theta)
+            rates = dict(zip(m.columns, approx_waterfill(m, caps).tolist()))
+            assert entry["rates"] == rates
+            totals = {}
+            for (k, _), r in rates.items():
+                totals[k] = totals.get(k, 0.0) + r
+            theta = {
+                (k, p): r / totals[k] if totals[k] > 0.0 else theta[(k, p)]
+                for (k, p), r in rates.items()
+            }
+        assert rep.notes["final_theta"] == theta
+
+
+@pytest.fixture(scope="module")
+def wan_870():
+    return generate_problem(30, 50, TrafficSpec("uniform", 8.0, 0), 4)
+
+
+@pytest.mark.parametrize("allocator", ["approx-waterfill", "adaptive-waterfill"])
+def test_waterfillers_are_feasible_at_870_demands(wan_870, allocator):
+    assert len(wan_870.demands) == 870
+    rep = run_allocator(wan_870, allocator)
+    assert check_feasible(wan_870, rep.allocation).feasible
 
 
 def test_theta_trace_csv_shape(two_link_example):
