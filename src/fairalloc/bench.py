@@ -190,14 +190,18 @@ ALLOCATOR_IDS = tuple(_RUNNERS)
 
 
 def run_allocator(
-    problem: Problem, allocator: str, config: dict | None = None
+    problem: Problem,
+    allocator: str,
+    config: dict | None = None,
+    session: SolveSession | None = None,
 ) -> AllocatorReport:
+    """Run a registered allocator; its LPs go through ``session`` (a fresh
+    built-in-simplex session by default)."""
     if allocator not in _RUNNERS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
         )
-    session = SolveSession()
-    return _RUNNERS[allocator](problem, config or {}, session)
+    return _RUNNERS[allocator](problem, config or {}, session or SolveSession())
 
 
 # -- POP-style partitioning -------------------------------------------------------

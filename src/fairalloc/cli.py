@@ -108,12 +108,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"invalid problem: {v}", file=sys.stderr)
         return 1
     config = _solve_config(args)
+    session = SolveSession(_DumpingBackend(args.dump_lp_dir)) if args.dump_lp_dir else None
     t0 = time.perf_counter()
-    if args.dump_lp_dir:
-        session = SolveSession(_DumpingBackend(args.dump_lp_dir))
-        report = bench._RUNNERS[args.allocator](problem, config, session)
-    else:
-        report = bench.run_allocator(problem, args.allocator, config)
+    report = bench.run_allocator(problem, args.allocator, config, session)
     wall_ms = (time.perf_counter() - t0) * 1e3
     out = {
         "allocator": args.allocator,

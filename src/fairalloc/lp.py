@@ -2,6 +2,11 @@
 a pluggable backend seam, and the shared feasible-allocation constraint
 builder used by every optimization-based allocator.
 
+Every solve goes through one standard form: `_standard_form` validates a
+`LinearProgram` once and maps its names to dense arrays (`A`, relations,
+`b`, `c`, bounds) in variable and constraint order.  The built-in simplex,
+the scipy HiGHS backend and the solution check all work on those arrays.
+
 The built-in solver is a two-phase primal simplex with Bland's anti-cycling
 rule.  It is written for desk-scale correctness and determinism, not speed:
 solving the same program twice yields bit-identical values.
@@ -12,7 +17,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol
+from typing import Mapping, NamedTuple, Protocol
 
 import numpy as np
 
@@ -117,102 +122,110 @@ class SimplexError(RuntimeError):
     """Numeric failure inside the built-in solver (names the offending LP)."""
 
 
+# -- standard form --------------------------------------------------------------
+
+_RELATION_SIGN = {"<=": 1, "==": 0, ">=": -1}
+
+
+class _StandardForm(NamedTuple):
+    """Dense arrays of a validated LP, rows in constraint order and columns
+    in variable order: `A x (relations) b`, `lower <= x <= upper`,
+    maximize `c x`."""
+
+    A: np.ndarray
+    relations: np.ndarray  # per row: 1 for "<=", 0 for "==", -1 for ">="
+    b: np.ndarray
+    c: np.ndarray  # negated objective when the sense is "min"
+    lower: np.ndarray  # -inf where unbounded below
+    upper: np.ndarray  # +inf where unbounded above
+
+
+def _standard_form(lp: LinearProgram) -> _StandardForm:
+    """Validate `lp` and translate it to arrays: the one place that maps
+    variable names to matrix columns."""
+    lp.validate()
+    col = {v.name: j for j, v in enumerate(lp.variables)}
+    cons = lp.constraints
+    A = np.zeros((len(cons), len(col)))
+    rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+    A[rows, [col[name] for con in cons for name in con.coeffs]] = [
+        a for con in cons for a in con.coeffs.values()
+    ]
+    sign = 1.0 if lp.sense == "max" else -1.0
+    c = np.zeros(len(col))
+    c[[col[name] for name in lp.objective]] = [sign * a for a in lp.objective.values()]
+    return _StandardForm(
+        A,
+        np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int),
+        np.array([con.rhs for con in cons], dtype=float),
+        c,
+        np.array([-np.inf if v.lower is None else v.lower for v in lp.variables]),
+        np.array([np.inf if v.upper is None else v.upper for v in lp.variables]),
+    )
+
+
+def _optimal(lp: LinearProgram, x: np.ndarray) -> LpSolution:
+    values = dict(zip((v.name for v in lp.variables), x.tolist()))
+    obj = sum(a * values[n] for n, a in lp.objective.items())
+    return LpSolution("optimal", values, float(obj))
+
+
 # -- built-in solver ----------------------------------------------------------
 
 
-def _simplex_core(
-    lp: LinearProgram,
-) -> tuple[str, dict[str, float]]:
+def _pivot(T: np.ndarray, b: np.ndarray, r: int, j: int) -> None:
+    """Make T[r, j] a unit pivot and eliminate column j from the other rows
+    (only the rows with a nonzero there change)."""
+    piv = T[r, j]
+    T[r] /= piv
+    b[r] /= piv
+    rows = np.nonzero(T[:, j])[0]
+    rows = rows[rows != r]
+    f = T[rows, j]
+    T[rows] -= f[:, None] * T[r]
+    b[rows] -= f * b[r]
+
+
+def _simplex_core(sf: _StandardForm, name: str) -> tuple[str, np.ndarray | None]:
     """Two-phase dense tableau simplex.  Finite lower bounds are shifted out,
-    free variables are split, and upper bounds become explicit rows, so the
-    core only sees `A x (rel) b, x >= 0`."""
-    lp.validate()
+    each free variable gets a negative column right after its own, and upper
+    bounds become rows after the constraints, so the tableau only sees
+    `A x (rel) b, x >= 0`.  Returns the status and, when optimal, x in
+    variable order."""
+    n = len(sf.c)
+    free = np.isneginf(sf.lower)
+    offset = np.where(free, 0.0, sf.lower)
+    pos = np.arange(n) + np.cumsum(free) - free  # column of each variable
+    neg = pos[free] + 1
+    ncols = n + len(neg)
 
-    # column layout: one column per shifted variable, two for free variables
-    col_of: dict[str, tuple[int, int | None]] = {}  # name -> (pos col, neg col)
-    offsets: dict[str, float] = {}
-    ncols = 0
-    for v in lp.variables:
-        if v.lower is None:
-            col_of[v.name] = (ncols, ncols + 1)
-            offsets[v.name] = 0.0
-            ncols += 2
-        else:
-            col_of[v.name] = (ncols, None)
-            offsets[v.name] = v.lower
-            ncols += 1
+    bounded = np.nonzero(np.isfinite(sf.upper))[0]
+    S = np.vstack((sf.A, np.zeros((len(bounded), n))))
+    S[len(sf.b) + np.arange(len(bounded)), bounded] = 1.0
+    b = np.concatenate((sf.b, sf.upper[bounded]))
+    rel = np.concatenate((sf.relations, np.ones(len(bounded), dtype=int)))
+    if offset.any():
+        b = b - S @ offset
+    flip = b < 0.0
+    S[flip] *= -1.0
+    b[flip] *= -1.0
+    rel[flip] *= -1
 
-    rows: list[tuple[dict[int, float], str, float]] = []
-
-    def add_row(coeffs: Mapping[str, float], rel: str, rhs: float) -> None:
-        row: dict[int, float] = {}
-        shift = 0.0
-        for name, a in coeffs.items():
-            if a == 0.0:
-                continue
-            pos, neg = col_of[name]
-            row[pos] = row.get(pos, 0.0) + a
-            if neg is not None:
-                row[neg] = row.get(neg, 0.0) - a
-            shift += a * offsets[name]
-        rows.append((row, rel, rhs - shift))
-
-    for c in lp.constraints:
-        add_row(c.coeffs, c.relation, c.rhs)
-    for v in lp.variables:
-        if v.upper is not None:
-            add_row({v.name: 1.0}, "<=", v.upper)
-
-    sign = 1.0 if lp.sense == "max" else -1.0
-    cost = np.zeros(ncols)
-    for name, a in lp.objective.items():
-        pos, neg = col_of[name]
-        cost[pos] += sign * a
-        if neg is not None:
-            cost[neg] -= sign * a
-
-    m = len(rows)
-    # count slack/artificial columns after rhs sign normalization
-    norm_rows: list[tuple[dict[int, float], str, float]] = []
-    for row, rel, rhs in rows:
-        if rhs < 0.0:
-            row = {j: -a for j, a in row.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm_rows.append((row, rel, rhs))
-
-    n_slack = sum(1 for _, rel, _ in norm_rows if rel != "==")
-    n_art = sum(1 for _, rel, _ in norm_rows if rel != "<=")
-    width = ncols + n_slack + n_art
-
+    m = len(b)
+    slack_rows = np.nonzero(rel != 0)[0]
+    art_rows = np.nonzero(rel != 1)[0]
+    n_slack = len(slack_rows)
+    slack_cols = ncols + np.arange(n_slack)
+    art_cols = ncols + n_slack + np.arange(len(art_rows))
+    width = ncols + n_slack + len(art_rows)
     T = np.zeros((m, width))
-    b = np.zeros(m)
-    basis = np.full(m, -1, dtype=int)
-    art_cols: list[int] = []
-    s = ncols
-    a_col = ncols + n_slack
-    for i, (row, rel, rhs) in enumerate(norm_rows):
-        for j, a in row.items():
-            T[i, j] = a
-        b[i] = rhs
-        if rel == "<=":
-            T[i, s] = 1.0
-            basis[i] = s
-            s += 1
-        elif rel == ">=":
-            T[i, s] = -1.0
-            s += 1
-            T[i, a_col] = 1.0
-            basis[i] = a_col
-            art_cols.append(a_col)
-            a_col += 1
-        else:
-            T[i, a_col] = 1.0
-            basis[i] = a_col
-            art_cols.append(a_col)
-            a_col += 1
-
-    art_set = set(art_cols)
+    T[:, pos] = S
+    T[:, neg] = -S[:, free]
+    T[slack_rows, slack_cols] = rel[slack_rows]
+    T[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols  # a ">=" row starts on its artificial
     max_iter = max(5000, 200 * (m + width))
 
     def run(z: np.ndarray, allowed: np.ndarray) -> float:
@@ -229,118 +242,84 @@ def _simplex_core(
                 return zval
             j = int(cand[0])  # Bland: lowest index enters
             col = T[:, j]
-            pos = np.where(col > PIVOT_TOL)[0]
-            if pos.size == 0:
+            up = np.where(col > PIVOT_TOL)[0]
+            if up.size == 0:
                 return np.inf
-            ratios = b[pos] / col[pos]
+            ratios = b[up] / col[up]
             rmin = float(np.min(ratios))
-            near = pos[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+            near = up[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
             r = int(near[np.argmin(basis[near])])  # Bland: lowest basic leaves
-            piv = T[r, j]
-            T[r] /= piv
-            b[r] /= piv
-            for i in range(m):
-                if i != r and T[i, j] != 0.0:
-                    f = T[i, j]
-                    T[i] -= f * T[r]
-                    b[i] -= f * b[r]
+            _pivot(T, b, r, j)
             zval += z[j] * b[r]
-            z_j = z[j]
-            z -= z_j * T[r]
+            z -= z[j] * T[r]
             z[j] = 0.0
             basis[r] = j
-            b[b < 0.0] = np.where(b[b < 0.0] > -1e-11, 0.0, b[b < 0.0])
+            b[(b < 0.0) & (b > -1e-11)] = 0.0
         raise SimplexError(
-            f"simplex iteration cap exceeded on LP {lp.name!r} "
-            f"({m} rows, {width} cols)"
+            f"simplex iteration cap exceeded on LP {name!r} ({m} rows, {width} cols)"
         )
 
     allowed = np.ones(width, dtype=bool)
-
-    if art_cols:
+    if len(art_rows):
         z1 = np.zeros(width)
-        for c_ in art_cols:
-            z1[c_] = -1.0
+        z1[art_cols] = -1.0
         # express phase-1 objective in terms of the current (artificial) basis
         obj1 = 0.0
-        for i in range(m):
-            if basis[i] in art_set:
-                z1 += T[i]
-                z1[basis[i]] = 0.0
-                obj1 -= b[i]
+        for i in art_rows:
+            z1 += T[i]
+            z1[basis[i]] = 0.0
+            obj1 -= b[i]
         shift = run(z1, allowed)
-        if obj1 + shift < -1e-7 * max(1.0, float(np.max(b)) if m else 1.0):
-            return "infeasible", {}
+        if obj1 + shift < -1e-7 * max(1.0, float(np.max(b))):
+            return "infeasible", None
         # Drive leftover artificials out of the basis where possible.  Any
         # non-artificial column works (slack columns included: a row whose
         # structural part was eliminated can still constrain the slack
         # space); a row with no such column is genuinely redundant.
-        for i in range(m):
-            if basis[i] in art_set:
-                nz = np.where(np.abs(T[i, : ncols + n_slack]) > PIVOT_TOL)[0]
-                if nz.size:
-                    j = int(nz[0])
-                    piv = T[i, j]
-                    T[i] /= piv
-                    b[i] /= piv
-                    for r2 in range(m):
-                        if r2 != i and T[r2, j] != 0.0:
-                            f = T[r2, j]
-                            T[r2] -= f * T[i]
-                            b[r2] -= f * b[i]
-                    basis[i] = j
-        allowed[list(art_set)] = False
+        for i in np.nonzero(basis >= ncols + n_slack)[0]:
+            nz = np.where(np.abs(T[i, : ncols + n_slack]) > PIVOT_TOL)[0]
+            if nz.size:
+                _pivot(T, b, i, int(nz[0]))
+                basis[i] = nz[0]
+        allowed[art_cols] = False
 
     z2 = np.zeros(width)
-    z2[:ncols] = cost
+    z2[pos] = sf.c
+    z2[neg] = -sf.c[free]
     for i in range(m):
         if z2[basis[i]] != 0.0:
-            cb = z2[basis[i]]
-            z2 -= cb * T[i]
+            z2 -= z2[basis[i]] * T[i]
             z2[basis[i]] = 0.0
-    status_shift = run(z2, allowed)
-    if status_shift == np.inf:
-        return "unbounded", {}
+    if run(z2, allowed) == np.inf:
+        return "unbounded", None
 
     x = np.zeros(width)
     x[basis] = b
-    values: dict[str, float] = {}
-    for v in lp.variables:
-        pos, neg = col_of[v.name]
-        val = x[pos] + offsets[v.name]
-        if neg is not None:
-            val -= x[neg]
-        values[v.name] = float(val)
+    values = x[pos] + offset
+    values[free] -= x[neg]
     return "optimal", values
 
 
-def _check_solution(lp: LinearProgram, values: dict[str, float]) -> None:
+def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
     """Guard against silent numeric corruption: an 'optimal' answer must
-    actually satisfy the constraints."""
-    scale = 1.0
-    for c in lp.constraints:
-        scale = max(scale, abs(c.rhs), *(abs(a) for a in c.coeffs.values()))
+    actually satisfy the bounds and the constraints."""
+    scale = max(1.0, np.max(np.abs(sf.b), initial=0), np.max(np.abs(sf.A), initial=0))
     tol = 1e-6 * scale
-    for v in lp.variables:
-        val = values[v.name]
-        if v.lower is not None and val < v.lower - tol:
-            raise SimplexError(f"{lp.name}: {v.name}={val} below bound {v.lower}")
-        if v.upper is not None and val > v.upper + tol:
-            raise SimplexError(f"{lp.name}: {v.name}={val} above bound {v.upper}")
-    for c in lp.constraints:
-        lhs = sum(a * values[n] for n, a in c.coeffs.items())
-        ok = (
-            lhs <= c.rhs + tol
-            if c.relation == "<="
-            else lhs >= c.rhs - tol
-            if c.relation == ">="
-            else abs(lhs - c.rhs) <= tol
+    out = np.nonzero((x < sf.lower - tol) | (x > sf.upper + tol))[0]
+    if out.size:
+        j = out[0]
+        v = lp.variables[j]
+        side = f"below bound {v.lower}" if x[j] < sf.lower[j] else f"above bound {v.upper}"
+        raise SimplexError(f"{lp.name}: {v.name}={x[j]} {side}")
+    lhs = sf.A @ x
+    gap = lhs - sf.b
+    ok = np.where(sf.relations == 0, np.abs(gap), sf.relations * gap) <= tol
+    if not ok.all():
+        i = int(np.argmin(ok))
+        c = lp.constraints[i]
+        raise SimplexError(
+            f"{lp.name}: constraint {c.name or c.relation} violated ({lhs[i]} vs {c.rhs})"
         )
-        if not ok:
-            raise SimplexError(
-                f"{lp.name}: constraint {c.name or c.relation} violated "
-                f"({lhs} vs {c.rhs})"
-            )
 
 
 class LpBackend(Protocol):  # pragma: no cover - typing seam
@@ -351,12 +330,12 @@ class SimplexBackend:
     """The built-in deterministic solver."""
 
     def solve(self, lp: LinearProgram) -> LpSolution:
-        status, values = _simplex_core(lp)
+        sf = _standard_form(lp)
+        status, x = _simplex_core(sf, lp.name)
         if status != "optimal":
             return LpSolution(status, {}, float("nan"))
-        _check_solution(lp, values)
-        obj = sum(a * values[n] for n, a in lp.objective.items())
-        return LpSolution("optimal", values, float(obj))
+        _check_solution(lp, sf, x)
+        return _optimal(lp, x)
 
 
 class ScipyBackend:
@@ -369,36 +348,16 @@ class ScipyBackend:
     def solve(self, lp: LinearProgram) -> LpSolution:
         from scipy.optimize import linprog
 
-        lp.validate()
-        names = [v.name for v in lp.variables]
-        idx = {n: i for i, n in enumerate(names)}
-        n = len(names)
-        sign = 1.0 if lp.sense == "max" else -1.0
-        c = np.zeros(n)
-        for name, a in lp.objective.items():
-            c[idx[name]] = -sign * a  # linprog minimizes
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for con in lp.constraints:
-            row = np.zeros(n)
-            for name, a in con.coeffs.items():
-                row[idx[name]] = a
-            if con.relation == "<=":
-                a_ub.append(row)
-                b_ub.append(con.rhs)
-            elif con.relation == ">=":
-                a_ub.append(-row)
-                b_ub.append(-con.rhs)
-            else:
-                a_eq.append(row)
-                b_eq.append(con.rhs)
-        bounds = [(v.lower, v.upper) for v in lp.variables]
+        sf = _standard_form(lp)
+        ub = sf.relations != 0  # ">=" rows enter negated
+        eq = ~ub
         res = linprog(
-            c,
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
+            -sf.c,  # linprog minimizes
+            A_ub=sf.A[ub] * sf.relations[ub, None] if ub.any() else None,
+            b_ub=sf.b[ub] * sf.relations[ub] if ub.any() else None,
+            A_eq=sf.A[eq] if eq.any() else None,
+            b_eq=sf.b[eq] if eq.any() else None,
+            bounds=np.column_stack((sf.lower, sf.upper)),
             method="highs",
         )
         if res.status == 2:
@@ -407,9 +366,7 @@ class ScipyBackend:
             return LpSolution("unbounded", {}, float("nan"))
         if not res.success:
             raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
-        values = {name: float(res.x[i]) for name, i in idx.items()}
-        obj = sum(a * values[nm] for nm, a in lp.objective.items())
-        return LpSolution("optimal", values, float(obj))
+        return _optimal(lp, res.x)
 
 
 class SolveSession:
@@ -476,14 +433,14 @@ def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> Line
                 name=f"volume:{d.id}",
             )
 
+    usage: dict[str, dict[str, float]] = {}  # resource -> rate var -> r_k^e
+    for d in problem.demands:
+        for pid in d.paths:
+            for rid in path_map[pid].resources:
+                usage.setdefault(rid, {})[rate_var(d.id, pid)] = d.consumption_on(rid)
     for r in problem.resources:
-        coeffs: dict[str, float] = {}
-        for d in problem.demands:
-            for pid in d.paths:
-                if r.id in path_map[pid].resources:
-                    coeffs[rate_var(d.id, pid)] = d.consumption_on(r.id)
-        if coeffs:
-            lp.add_constraint(coeffs, "<=", r.capacity, name=f"cap:{r.id}")
+        if r.id in usage:
+            lp.add_constraint(usage[r.id], "<=", r.capacity, name=f"cap:{r.id}")
     return lp
 
 

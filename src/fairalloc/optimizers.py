@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .lp import (
+    Constraint,
     LinearProgram,
     SolveSession,
+    Variable,
     build_feasible_alloc,
     rate_var,
     total_var,
@@ -102,7 +104,7 @@ class BinConfig:
 class EquiDepthConfig:
     num_bins: int
     epsilon: float = 0.25
-    slack: Mapping[int, float] | float | None = None  # None = 5% of bin span
+    slack: float | None = None  # None = 5% of bin span
     aw_iterations: int = 10
 
     def __post_init__(self):
@@ -112,9 +114,7 @@ class EquiDepthConfig:
             raise ValueError("epsilon must be in (0, 1)")
         if self.aw_iterations < 1:
             raise ValueError("aw_iterations must be >= 1")
-        if isinstance(self.slack, Mapping) and any(s < 0 for s in self.slack.values()):
-            raise ValueError("slack must be nonnegative")
-        if isinstance(self.slack, (int, float)) and self.slack < 0:
+        if self.slack is not None and self.slack < 0:
             raise ValueError("slack must be nonnegative")
 
 
@@ -180,35 +180,43 @@ def exact_sequential_max_min(
     _require_valid(problem)
     session = session or SolveSession()
     demands = [d.id for d in problem.demands]
+    base = _ratio_fragment(problem, "max-min")
     frozen: dict[str, float] = {}
     rounds = 0
     last_values: Mapping[str, float] = {}
 
+    def ratio_rows(floor) -> list[Constraint]:
+        # the fragment's rows, then per demand its frozen ratio or floor(k)
+        return base.constraints + [
+            Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+            if k in frozen
+            else floor(k)
+            for k in demands
+        ]
+
     while len(frozen) < len(demands):
         rounds += 1
-        lp = _ratio_fragment(problem, f"max-min-round-{rounds}")
-        lp.add_variable("t")
-        for k in demands:
-            if k in frozen:
-                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
-            else:
-                lp.add_constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)
-        lp.objective = {"t": 1.0}
+        lp = LinearProgram(
+            f"max-min-round-{rounds}",
+            base.variables + [Variable("t")],
+            ratio_rows(lambda k: Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)),
+            {"t": 1.0},
+        )
         sol = _solved(session, lp)
         t_i = sol.values["t"]
         last_values = sol.values
 
+        probe_rows = ratio_rows(lambda k: Constraint({ratio_var(k): 1.0}, ">=", t_i))
         probes: dict[str, float] = {}
         for k in demands:
             if k in frozen:
                 continue
-            probe = _ratio_fragment(problem, f"probe-{rounds}-{k}")
-            for j in demands:
-                if j in frozen:
-                    probe.add_constraint({ratio_var(j): 1.0}, "==", frozen[j])
-                else:
-                    probe.add_constraint({ratio_var(j): 1.0}, ">=", t_i)
-            probe.objective = {ratio_var(k): 1.0}
+            probe = LinearProgram(
+                f"probe-{rounds}-{k}",
+                list(base.variables),
+                list(probe_rows),
+                {ratio_var(k): 1.0},
+            )
             probes[k] = _solved(session, probe).objective
 
         newly = [k for k, v in probes.items() if v <= t_i + FREEZE_TOL]
@@ -355,6 +363,8 @@ def swan_sequence(
     session = session or SolveSession()
     ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
 
+    base = _ratio_fragment(problem, "capped-seq")
+    objective = _ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
     iterations = 0
@@ -363,16 +373,20 @@ def swan_sequence(
     for b in range(1, ladder + 1):
         iterations = b
         cap = u * alpha ** (b - 1)
-        lp = _ratio_fragment(problem, f"capped-seq-{b}")
+        rows: list[Constraint] = []
         for d in problem.demands:
             k = d.id
             if k in frozen:
-                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                rows.append(
+                    Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                )
             else:
-                lp.add_constraint({ratio_var(k): 1.0}, "<=", cap)
+                rows.append(Constraint({ratio_var(k): 1.0}, "<=", cap))
                 if b > 1:
-                    lp.add_constraint({ratio_var(k): 1.0}, ">=", prev[k])
-        lp.objective = _ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
+                    rows.append(Constraint({ratio_var(k): 1.0}, ">=", prev[k]))
+        lp = LinearProgram(
+            f"capped-seq-{b}", list(base.variables), base.constraints + rows, objective
+        )
         sol = _solved(session, lp)
         last_values = sol.values
 
@@ -615,10 +629,8 @@ def equi_depth_elastic(
 
     max_ratio = max(est_ratio.values(), default=0.0)
     slack: list[float] = []
-    for b, group in enumerate(groups):
-        if isinstance(cfg.slack, Mapping):
-            slack.append(float(cfg.slack.get(b + 1, 0.0)))
-        elif isinstance(cfg.slack, (int, float)) and cfg.slack is not None:
+    for group in groups:
+        if cfg.slack is not None:
             slack.append(float(cfg.slack))
         else:
             span = est_ratio[group[-1]] - est_ratio[group[0]]

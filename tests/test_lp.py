@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import fairalloc.lp as lp_module
+import fairalloc.optimizers as opt
 from fairalloc.lp import (
+    Constraint,
     LinearProgram,
     ScipyBackend,
     SimplexBackend,
+    SimplexError,
     SolveSession,
     build_feasible_alloc,
     rate_var,
@@ -12,7 +16,17 @@ from fairalloc.lp import (
     write_lp_text,
 )
 from fairalloc.model import Demand, Path, Problem, Resource
-from fairalloc.optimizers import BinConfig, geo_binner, swan_sequence
+from fairalloc.optimizers import (
+    FREEZE_TOL,
+    BinConfig,
+    default_num_bins,
+    exact_sequential_max_min,
+    geo_binner,
+    ratio_var,
+    swan_sequence,
+)
+
+from conftest import distinct_utility_instance, small_grid_instance
 
 
 def lp_max_x_le_3():
@@ -144,6 +158,105 @@ def test_simplex_matches_reference_on_random_corpus():
     assert optimal >= 50
 
 
+def _random_bounded_lp(rng, trial):
+    """Like _random_lp, but its variables are free, free with an upper bound
+    (possibly negative), or bounded below at a nonzero value (with or
+    without an upper bound), and the sense is max or min."""
+    n = int(rng.integers(2, 21))
+    m = int(rng.integers(1, 16))
+    sense = "max" if rng.random() < 0.5 else "min"
+    lp = LinearProgram(name=f"bounded{trial}", sense=sense)
+    x0 = np.zeros(n)
+    for j in range(n):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:  # free
+            lower, upper = None, None
+            x0[j] = rng.uniform(-3, 3)
+        elif kind == 1:  # free with an upper bound
+            lower, upper = None, float(rng.uniform(-3, 3))
+            x0[j] = upper - rng.uniform(0, 2)
+        else:  # nonzero finite lower bound
+            lower = float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))
+            upper = None if kind == 2 else lower + float(rng.uniform(0.5, 4))
+            x0[j] = lower + rng.uniform(0, 2 if upper is None else upper - lower)
+        lp.add_variable(f"x{j}", lower, upper)
+    for _ in range(m):
+        nz = int(rng.integers(1, min(n, 6) + 1))
+        cols = rng.choice(n, size=nz, replace=False)
+        coeffs = {f"x{int(j)}": float(rng.normal()) for j in cols}
+        lhs0 = sum(a * x0[int(name[1:])] for name, a in coeffs.items())
+        draw = rng.random()
+        if draw < 0.4:
+            lp.add_constraint(coeffs, "<=", lhs0 + float(rng.uniform(0, 2)))
+        elif draw < 0.8:
+            lp.add_constraint(coeffs, ">=", lhs0 - float(rng.uniform(0, 2)))
+        else:
+            lp.add_constraint(coeffs, "==", lhs0)
+    lp.objective = {f"x{j}": float(rng.normal()) for j in range(n) if rng.random() < 0.8}
+    return lp
+
+
+def test_simplex_matches_reference_on_free_and_shifted_variables():
+    """Free columns, free columns with an upper-bound row (negative ones
+    flip), and shifted lower bounds: statuses agree with scipy HiGHS on
+    every draw and objectives within 1e-7 relative on >= 50 optimal ones."""
+    rng = np.random.default_rng(29)
+    simp, ref = SimplexBackend(), ScipyBackend()
+    optimal = 0
+    seen = {"free": 0, "free+upper": 0, "shifted": 0}
+    for trial in range(300):
+        if optimal >= 60:
+            break
+        lp = _random_bounded_lp(rng, trial)
+        mine, theirs = simp.solve(lp), ref.solve(lp)
+        assert mine.status == theirs.status, lp.name
+        if mine.status == "optimal":
+            optimal += 1
+            denom = max(1.0, abs(theirs.objective))
+            assert abs(mine.objective - theirs.objective) / denom < 1e-7, lp.name
+            for v in lp.variables:
+                if v.lower is not None:
+                    seen["shifted"] += 1
+                else:
+                    seen["free" if v.upper is None else "free+upper"] += 1
+    assert optimal >= 50
+    assert min(seen.values()) >= 50
+
+
+def _guard_lp():
+    lp = LinearProgram(name="guard")
+    lp.add_variable("x", 0.0, 2.0)
+    lp.add_variable("y", lower=None, upper=1.5)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 3.0, name="budget")
+    lp.add_constraint({"x": 1.0, "y": -1.0}, ">=", -1.0, name="floor")
+    lp.add_constraint({"y": 1.0}, "==", 1.0, name="pin")
+    lp.objective = {"x": 1.0}
+    return lp
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([2.0, 1.0], None),
+        ([2.0, 1.1], "budget violated"),
+        ([0.0, 1.0 + 1e-3], "floor violated"),
+        ([1.0, 0.9], "pin violated"),
+        ([2.1, 1.0], "x=2.1 above bound 2.0"),
+        ([-0.1, 1.0], "x=-0.1 below bound 0.0"),
+        ([1.0, 1.6], "y=1.6 above bound 1.5"),
+    ],
+)
+def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, message):
+    monkeypatch.setattr(
+        lp_module, "_simplex_core", lambda sf, name: ("optimal", np.array(point))
+    )
+    if message is None:
+        assert SimplexBackend().solve(_guard_lp()).values == {"x": 2.0, "y": 1.0}
+    else:
+        with pytest.raises(SimplexError, match=message):
+            SimplexBackend().solve(_guard_lp())
+
+
 # -- solve sessions ------------------------------------------------------------
 
 
@@ -237,3 +350,146 @@ def test_lp_text_dump_round_trips_structure():
     # variable identifiers are sanitized for the interchange format
     bounds = text.split("Bounds\n")[1]
     assert ":" not in bounds
+
+
+def _nested_loop_capacity_rows(problem):
+    # The reference build: every resource scans every (demand, path).
+    path_map = problem.path_map()
+    rows = []
+    for r in problem.resources:
+        coeffs = {}
+        for d in problem.demands:
+            for pid in d.paths:
+                if r.id in path_map[pid].resources:
+                    coeffs[rate_var(d.id, pid)] = d.consumption_on(r.id)
+        if coeffs:
+            rows.append(Constraint(coeffs, "<=", r.capacity, name=f"cap:{r.id}"))
+    return rows
+
+
+def test_capacity_rows_match_the_nested_loop_reference():
+    # ids out of sorted order, a resource no path uses, consumption != 1
+    consuming = Problem(
+        [Resource("z", 2.0), Resource("idle", 1.0), Resource("a", 3.0),
+         Resource("m", 1.5)],
+        [Path("q2", ["m", "z"]), Path("q1", ["a"]), Path("q0", ["z", "a", "m"])],
+        [
+            Demand("late", ["q2", "q1"], consumption={"z": 0.5, "m": 2.0}),
+            Demand("early", ["q0"], volume=1.0, consumption={"a": 4.0}),
+        ],
+    )
+    problems = [small_grid_instance(s) for s in range(20)]
+    problems += [distinct_utility_instance(s) for s in range(5)] + [consuming]
+    for problem in problems:
+        lp = build_feasible_alloc(problem)
+        ref = build_feasible_alloc(problem)
+        ref.constraints = [
+            c for c in ref.constraints if not c.name.startswith("cap:")
+        ] + _nested_loop_capacity_rows(problem)
+        assert write_lp_text(lp) == write_lp_text(ref)
+    caps = build_feasible_alloc(consuming).constraints[-3:]
+    assert [c.name for c in caps] == ["cap:z", "cap:a", "cap:m"]
+    assert list(caps[0].coeffs.items()) == [("f:late:q2", 0.5), ("f:early:q0", 1.0)]
+
+
+# -- one fragment per allocator call -------------------------------------------
+
+
+class _Recording:
+    def __init__(self):
+        self.lps = []
+
+    def solve(self, lp):
+        self.lps.append(lp)
+        return SimplexBackend().solve(lp)
+
+
+def _rebuilt_exact(problem, solve):
+    """The exact sequence's LPs with a fresh fragment per LP."""
+    demands = [d.id for d in problem.demands]
+    frozen, rounds, lps = {}, 0, []
+
+    def pin_or(lp, floor):
+        for k in demands:
+            if k in frozen:
+                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+            else:
+                floor(lp, k)
+
+    while len(frozen) < len(demands):
+        rounds += 1
+        lp = opt._ratio_fragment(problem, f"max-min-round-{rounds}")
+        lp.add_variable("t")
+        pin_or(lp, lambda p, k: p.add_constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0))
+        lp.objective = {"t": 1.0}
+        lps.append(lp)
+        t_i = solve(lp).values["t"]
+        probes = {}
+        for k in demands:
+            if k not in frozen:
+                probe = opt._ratio_fragment(problem, f"probe-{rounds}-{k}")
+                pin_or(probe, lambda p, j: p.add_constraint({ratio_var(j): 1.0}, ">=", t_i))
+                probe.objective = {ratio_var(k): 1.0}
+                lps.append(probe)
+                probes[k] = solve(probe).objective
+        newly = [k for k, v in probes.items() if v <= t_i + FREEZE_TOL]
+        for k in newly or [min(probes, key=lambda k: (probes[k], k))]:
+            frozen[k] = t_i
+    return lps
+
+
+def _rebuilt_swan(problem, u, alpha, solve):
+    """The capped sequence's LPs with a fresh fragment per LP."""
+    frozen, prev, lps = {}, {}, []
+    for b in range(1, default_num_bins(problem, u, alpha) + 1):
+        cap = u * alpha ** (b - 1)
+        lp = opt._ratio_fragment(problem, f"capped-seq-{b}")
+        for d in problem.demands:
+            k = d.id
+            if k in frozen:
+                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+            else:
+                lp.add_constraint({ratio_var(k): 1.0}, "<=", cap)
+                if b > 1:
+                    lp.add_constraint({ratio_var(k): 1.0}, ">=", prev[k])
+        lp.objective = opt._ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
+        lps.append(lp)
+        values = solve(lp).values
+        for d in problem.demands:
+            if d.id not in frozen:
+                prev[d.id] = values[ratio_var(d.id)]
+                if prev[d.id] < cap - FREEZE_TOL * max(1.0, cap):
+                    frozen[d.id] = prev[d.id]
+        if len(frozen) == len(problem.demands):
+            break
+    return lps
+
+
+@pytest.mark.parametrize("allocator", ["exact", "swan"])
+def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
+    monkeypatch, allocator
+):
+    build = opt.build_feasible_alloc
+    for problem in [small_grid_instance(s) for s in range(6)] + [distinct_utility_instance(1)]:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "build_feasible_alloc", counted)
+        rec = _Recording()
+        if allocator == "exact":
+            exact_sequential_max_min(problem, SolveSession(rec))
+        else:
+            swan_sequence(problem, 0.1, 2.0, session=SolveSession(rec))
+        assert len(calls) == 1
+        monkeypatch.setattr(opt, "build_feasible_alloc", build)
+        solve = SimplexBackend().solve
+        ref = (
+            _rebuilt_exact(problem, solve)
+            if allocator == "exact"
+            else _rebuilt_swan(problem, 0.1, 2.0, solve)
+        )
+        assert len(rec.lps) > 1
+        assert [write_lp_text(lp) for lp in rec.lps] == [write_lp_text(lp) for lp in ref]

@@ -277,6 +277,14 @@ def test_elastic_symmetric_split_is_fair():
     assert totals["d1"] == pytest.approx(5.0, abs=1e-4)
 
 
+def test_elastic_slack_is_one_float_for_every_bin():
+    prob = single_link(10.0, [(None, 1.0), (None, 1.0), (None, 2.0), (None, 2.0)])
+    rep = equi_depth_elastic(prob, EquiDepthConfig(num_bins=2, slack=0.3))
+    assert rep.notes["slack"] == [0.3, 0.3]
+    with pytest.raises(ValueError, match="nonnegative"):
+        EquiDepthConfig(num_bins=2, slack=-0.1)
+
+
 def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_example):
     star = total_allocation(
         two_link_example, exact_sequential_max_min(two_link_example).allocation
