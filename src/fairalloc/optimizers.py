@@ -3,7 +3,9 @@
 All of them operate on weighted ratios f_k / w_k and share the same
 feasible-allocation LP fragment:
 
-* exact sequential: maximize the i-th smallest ratio, freeze, repeat;
+* exact sequential: a round LP maximizes the smallest unfrozen ratio,
+  grouped probe LPs find the demands that cannot rise above it, those
+  freeze, repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
   network and maximizes a geometrically weighted sum of the sorted outputs;
 * capped sequence (SWAN-style);
@@ -173,16 +175,23 @@ def exact_sequential_max_min(
 ) -> AllocatorReport:
     """Weighted max-min fairness by the classic LP sequence.
 
-    Round i maximizes a common floor t over all unfrozen ratios; a probe LP
-    per unfrozen demand then detects which of them cannot exceed t (those
-    freeze at ratio exactly t).  Terminates when every demand is frozen.
+    Round i maximizes a common floor t_i over all unfrozen ratios (the round
+    LP); grouped probe LPs then find which unfrozen demands cannot exceed
+    t_i, and those freeze at ratio exactly t_i.  A probe keeps every
+    unfrozen ratio >= t_i and maximizes the sum of the candidates' ratios;
+    a candidate that ends above t_i is not bottlenecked and leaves the set,
+    and the probe repeats until no candidate rises.  This is exact: if a
+    candidate could rise alone by delta, the sum's optimum would be at least
+    |C| * t_i + delta, so some candidate would end above t_i.  Terminates
+    when every demand is frozen; lp_solves = rounds + probe_lps.
     """
     _require_valid(problem)
     session = session or SolveSession()
     demands = [d.id for d in problem.demands]
     base = _ratio_fragment(problem, "max-min")
     frozen: dict[str, float] = {}
-    rounds = 0
+    forced: list[str] = []
+    rounds = probe_lps = 0
     last_values: Mapping[str, float] = {}
 
     def ratio_rows(floor) -> list[Constraint]:
@@ -207,36 +216,51 @@ def exact_sequential_max_min(
         last_values = sol.values
 
         probe_rows = ratio_rows(lambda k: Constraint({ratio_var(k): 1.0}, ">=", t_i))
-        probes: dict[str, float] = {}
-        for k in demands:
-            if k in frozen:
-                continue
+        candidates = [k for k in demands if k not in frozen]
+        rose: dict[str, float] = {}
+        j = 0
+        while candidates:
+            j += 1
             probe = LinearProgram(
-                f"probe-{rounds}-{k}",
+                f"probe-{rounds}-{j}",
                 list(base.variables),
                 list(probe_rows),
-                {ratio_var(k): 1.0},
+                {ratio_var(k): 1.0 for k in candidates},
             )
-            probes[k] = _solved(session, probe).objective
+            values = _solved(session, probe).values
+            rising = {
+                k: values[ratio_var(k)]
+                for k in candidates
+                if values[ratio_var(k)] > t_i + FREEZE_TOL
+            }
+            if not rising:
+                break
+            rose.update(rising)
+            candidates = [k for k in candidates if k not in rising]
+        probe_lps += j
 
-        newly = [k for k, v in probes.items() if v <= t_i + FREEZE_TOL]
-        if not newly:
-            # float slop can leave every probe epsilon above t; freeze the
-            # tightest demand so the sequence always makes progress
-            newly = [min(probes, key=lambda k: (probes[k], k))]
-        for k in newly:
+        if not candidates:
+            # float slop can make every candidate rise epsilon above t; freeze
+            # the one that rose least so the sequence always makes progress
+            candidates = [min(rose, key=lambda k: (rose[k], k))]
+            forced += candidates
+        for k in candidates:
             frozen[k] = t_i
 
     allocation = _allocation_from(problem, last_values)
+    notes = {
+        "allocator": "exact-sequential",
+        "frozen_ratios": dict(frozen),
+        "probe_lps": probe_lps,
+        "converged": not forced,
+    }
+    if forced:
+        notes["forced_freezes"] = forced
     return AllocatorReport(
         allocation,
         lp_solves=session.count,
         iterations=rounds,
-        notes={
-            "allocator": "exact-sequential",
-            "frozen_ratios": dict(frozen),
-            "converged": True,
-        },
+        notes=notes,
     )
 
 

@@ -24,6 +24,8 @@ def test_solve_exact_reproduces_worked_example(worked_example_file, tmp_path, ca
     report = json.loads(out.read_text())
     assert report["totals"]["d1"] == pytest.approx(0.75)
     assert report["totals"]["d2"] == pytest.approx(0.75)
+    assert report["lp_solves"] == report["iterations"] + report["notes"]["probe_lps"]
+    assert report["converged"] and "forced_freezes" not in report["notes"]
     assert "LP solves" in capsys.readouterr().out
 
 

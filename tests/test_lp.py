@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -405,7 +407,8 @@ class _Recording:
 
 
 def _rebuilt_exact(problem, solve):
-    """The exact sequence's LPs with a fresh fragment per LP."""
+    """The exact sequence's LPs (round LP, then grouped probes) with a fresh
+    fragment per LP."""
     demands = [d.id for d in problem.demands]
     frozen, rounds, lps = {}, 0, []
 
@@ -424,16 +427,23 @@ def _rebuilt_exact(problem, solve):
         lp.objective = {"t": 1.0}
         lps.append(lp)
         t_i = solve(lp).values["t"]
-        probes = {}
-        for k in demands:
-            if k not in frozen:
-                probe = opt._ratio_fragment(problem, f"probe-{rounds}-{k}")
-                pin_or(probe, lambda p, j: p.add_constraint({ratio_var(j): 1.0}, ">=", t_i))
-                probe.objective = {ratio_var(k): 1.0}
-                lps.append(probe)
-                probes[k] = solve(probe).objective
-        newly = [k for k, v in probes.items() if v <= t_i + FREEZE_TOL]
-        for k in newly or [min(probes, key=lambda k: (probes[k], k))]:
+        candidates, rose = [k for k in demands if k not in frozen], {}
+        for j in itertools.count(1):
+            probe = opt._ratio_fragment(problem, f"probe-{rounds}-{j}")
+            pin_or(probe, lambda p, k: p.add_constraint({ratio_var(k): 1.0}, ">=", t_i))
+            probe.objective = {ratio_var(k): 1.0 for k in candidates}
+            lps.append(probe)
+            values = solve(probe).values
+            rising = {
+                k: values[ratio_var(k)]
+                for k in candidates
+                if values[ratio_var(k)] > t_i + FREEZE_TOL
+            }
+            rose.update(rising)
+            candidates = [k for k in candidates if k not in rising]
+            if not rising or not candidates:
+                break
+        for k in candidates or [min(rose, key=lambda k: (rose[k], k))]:
             frozen[k] = t_i
     return lps
 

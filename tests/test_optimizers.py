@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import fairalloc.optimizers as opt
 from fairalloc.bench import run_allocator
 from fairalloc.generate import TrafficSpec, generate_problem
+from fairalloc.lp import (
+    Constraint,
+    LinearProgram,
+    ScipyBackend,
+    SimplexBackend,
+    SolveSession,
+    Variable,
+)
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
     BinConfig,
@@ -15,12 +24,13 @@ from fairalloc.optimizers import (
     geo_binner,
     merge_boundaries,
     one_shot_exact,
+    ratio_var,
     suggest_bin_config,
     swan_sequence,
 )
 from fairalloc.metrics import compare_rates
 
-from conftest import distinct_utility_instance, small_grid_instance
+from conftest import distinct_utility_instance, small_grid_instance, unit_qr_instance
 
 
 def single_link(capacity, demands):
@@ -67,6 +77,112 @@ def test_exact_rejects_invalid_problem():
     bad = Problem([Resource("L", -1.0)], [Path("p", ["L"])], [Demand("d", ["p"])])
     with pytest.raises(ValueError, match="invalid problem"):
         exact_sequential_max_min(bad)
+
+
+# -- per-demand probe reference: one probe LP per unfrozen demand, the oracle for
+# the grouped probes ------------------------------------------------------------
+
+
+def per_demand_exact(problem):
+    """Frozen ratios and totals of the LP sequence that, after each round,
+    probes every unfrozen demand alone."""
+    session = SolveSession(SimplexBackend())
+    base = opt._ratio_fragment(problem, "max-min")
+    demands = [d.id for d in problem.demands]
+    frozen = {}
+
+    def rows(floor):
+        return base.constraints + [
+            Constraint({ratio_var(k): 1.0}, "==", frozen[k]) if k in frozen else floor(k)
+            for k in demands
+        ]
+
+    while len(frozen) < len(demands):
+        sol = session.solve(
+            LinearProgram(
+                "round",
+                base.variables + [Variable("t")],
+                rows(lambda k: Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)),
+                {"t": 1.0},
+            )
+        )
+        t_i, last = sol.values["t"], sol.values
+        probe_rows = rows(lambda k: Constraint({ratio_var(k): 1.0}, ">=", t_i))
+        probes = {
+            k: session.solve(
+                LinearProgram("probe", base.variables, probe_rows, {ratio_var(k): 1.0})
+            ).objective
+            for k in demands
+            if k not in frozen
+        }
+        newly = [k for k, v in probes.items() if v <= t_i + opt.FREEZE_TOL]
+        for k in newly or [min(probes, key=lambda k: (probes[k], k))]:
+            frozen[k] = t_i
+    return frozen, total_allocation(problem, opt._allocation_from(problem, last))
+
+
+def _close(got, want):
+    assert got.keys() == want.keys()
+    for k in want:
+        assert abs(got[k] - want[k]) <= 1e-6 * max(1.0, abs(want[k])), k
+
+
+@pytest.mark.parametrize(
+    "make,seeds",
+    [
+        (small_grid_instance, range(15)),
+        (distinct_utility_instance, range(8)),
+        (unit_qr_instance, range(8)),
+    ],
+)
+def test_grouped_probes_match_the_per_demand_reference(make, seeds):
+    for seed in seeds:
+        prob = make(seed)
+        report = exact_sequential_max_min(prob)
+        frozen, totals = per_demand_exact(prob)
+        _close(report.notes["frozen_ratios"], frozen)
+        _close(total_allocation(prob, report.allocation), totals)
+        assert report.converged
+        assert report.lp_solves == report.iterations + report.notes["probe_lps"]
+
+
+def test_identical_demands_on_one_link_take_two_lps():
+    prob = single_link(10.0, [(None, 1.0)] * 7)
+    report = exact_sequential_max_min(prob)
+    assert report.lp_solves == 2
+    assert total_allocation(prob, report.allocation) == pytest.approx(
+        {f"d{i}": 10.0 / 7 for i in range(7)}
+    )
+
+
+def test_grouped_probes_keep_the_lp_count_low_on_a_wan_problem():
+    prob = generate_problem(8, 12, TrafficSpec("uniform", 8.0, 0), 4)
+    assert len(prob.demands) == 56
+    assert exact_sequential_max_min(prob).lp_solves <= 100
+
+
+def test_exact_agrees_across_backends():
+    problems = [small_grid_instance(s) for s in range(40)]
+    problems += [distinct_utility_instance(s) for s in range(4)]
+    for prob in problems:
+        simplex = exact_sequential_max_min(prob, SolveSession(SimplexBackend()))
+        highs = exact_sequential_max_min(prob, SolveSession(ScipyBackend()))
+        want = total_allocation(prob, simplex.allocation)
+        got = total_allocation(prob, highs.allocation)
+        assert got == pytest.approx(want, rel=0, abs=1e-6)
+        assert highs.lp_solves == simplex.lp_solves
+
+
+def test_forced_freezes_are_reported(monkeypatch):
+    # a negative tolerance makes every probe rise, so only the fallback that
+    # freezes the least-risen demand lets the sequence progress
+    monkeypatch.setattr(opt, "FREEZE_TOL", -1e-3)
+    prob = small_grid_instance(3)
+    report = exact_sequential_max_min(prob)
+    assert check_feasible(prob, report.allocation).feasible
+    assert not report.converged
+    assert report.notes["forced_freezes"]
+    assert set(report.notes["forced_freezes"]) <= set(report.notes["frozen_ratios"])
 
 
 # -- one-shot exact ----------------------------------------------------------------
