@@ -1,11 +1,12 @@
 """The two exact max-min fair allocators, side by side.
 
-The sequential allocator solves a short series of LPs: a round LP
-maximizes a common floor, grouped probe LPs detect which demands cannot rise
-above it, those freeze, repeat.  A probe maximizes the sum of the candidate
-ratios with every unfrozen ratio at least the floor; demands that end above
-the floor drop out and the probe repeats until none rises.  The one-shot allocator embeds a Batcher odd-even merge network in
-a single LP so the objective can weight the sorted ratios directly:
+The sequential allocator solves one LP per round: it maximizes a common
+floor over the unfrozen ratios, and the demands whose floor rows carry a
+positive optimal dual are bottlenecked there, so they freeze; repeat.  The
+duals sum to at least 1, so every round freezes a demand and there are at
+most as many LPs as demands.  The one-shot allocator embeds a Batcher
+odd-even merge network in a single LP so the objective can weight the
+sorted ratios directly:
 maximize sum_i epsilon^(i-1) t_i with t the sorted ratio vector.
 """
 
@@ -33,7 +34,7 @@ session = SolveSession()
 seq = exact_sequential_max_min(problem, session)
 print("sequential totals:", total_allocation(problem, seq.allocation))
 print("sequential LP solves:", seq.lp_solves, "= freeze rounds", seq.iterations,
-      "+ probe LPs", seq.notes["probe_lps"])
+      "for", len(problem.demands), "demands")
 
 # One LP total, thanks to the sorting network.
 shot = one_shot_exact(problem, epsilon=0.05)

@@ -174,16 +174,20 @@ def _run_eb_multibin(problem: Problem, config: dict, session) -> AllocatorReport
     )
 
 
-_RUNNERS: dict[str, Callable[[Problem, dict, SolveSession], AllocatorReport]] = {
-    "exact": lambda p, c, s: exact_sequential_max_min(p, s),
-    "oneshot": lambda p, c, s: one_shot_exact(p, float(c.get("epsilon", 0.01)), s),
-    "swan": _run_swan,
-    "gb": _run_gb,
-    "eb-elastic": _run_eb_elastic,
-    "eb-multibin": _run_eb_multibin,
-    "waterfill": lambda p, c, s: _run_waterfill(p, exact=True),
-    "approx-waterfill": lambda p, c, s: _run_waterfill(p, exact=False),
-    "adaptive-waterfill": _run_adaptive,
+# allocator id -> (runner, the config keys it reads)
+_RUNNERS: dict[str, tuple[Callable[..., AllocatorReport], tuple[str, ...]]] = {
+    "exact": (lambda p, c, s: exact_sequential_max_min(p, s), ()),
+    "oneshot": (
+        lambda p, c, s: one_shot_exact(p, float(c.get("epsilon", 0.01)), s),
+        ("epsilon",),
+    ),
+    "swan": (_run_swan, ("alpha", "u", "bins")),
+    "gb": (_run_gb, ("alpha", "u", "epsilon", "bins")),
+    "eb-elastic": (_run_eb_elastic, ("bins", "epsilon", "slack", "iterations")),
+    "eb-multibin": (_run_eb_multibin, ("bins", "epsilon", "iterations")),
+    "waterfill": (lambda p, c, s: _run_waterfill(p, exact=True), ()),
+    "approx-waterfill": (lambda p, c, s: _run_waterfill(p, exact=False), ()),
+    "adaptive-waterfill": (_run_adaptive, ("iterations", "inner")),
 }
 
 ALLOCATOR_IDS = tuple(_RUNNERS)
@@ -196,12 +200,21 @@ def run_allocator(
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Run a registered allocator; its LPs go through ``session`` (a fresh
-    built-in-simplex session by default)."""
+    built-in-simplex session by default).  A config key the allocator does
+    not read is an error, so no key is reported as applied when it was not."""
     if allocator not in _RUNNERS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
         )
-    return _RUNNERS[allocator](problem, config or {}, session or SolveSession())
+    runner, keys = _RUNNERS[allocator]
+    config = config or {}
+    unused = sorted(set(config) - set(keys))
+    if unused:
+        raise ValueError(
+            f"{allocator} does not read config keys {unused}; it accepts "
+            f"{list(keys) or 'none'}"
+        )
+    return runner(problem, config, session or SolveSession())
 
 
 # -- POP-style partitioning -------------------------------------------------------

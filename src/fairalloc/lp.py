@@ -6,6 +6,7 @@ Every solve goes through one standard form: `_standard_form` validates a
 `LinearProgram` once and maps its names to dense arrays (`A`, relations,
 `b`, `c`, bounds) in variable and constraint order.  The built-in simplex,
 the scipy HiGHS backend and the solution check all work on those arrays.
+Both backends return optimal row duals in one sign convention.
 
 The built-in solver is a two-phase primal simplex with Bland's anti-cycling
 rule.  It is written for desk-scale correctness and determinism, not speed:
@@ -109,9 +110,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """When optimal, ``duals`` holds an optimal dual per constraint, in order:
+    d objective / d rhs in the LP's own sense (so >= 0 on a "<=" row of a max
+    LP, <= 0 on a ">=" row, and 0 on a slack row)."""
+
     status: str  # "optimal", "infeasible" or "unbounded"
     values: dict[str, float]
     objective: float
+    duals: tuple[float, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -164,10 +170,12 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     )
 
 
-def _optimal(lp: LinearProgram, x: np.ndarray) -> LpSolution:
+def _optimal(lp: LinearProgram, x: np.ndarray, duals: np.ndarray) -> LpSolution:
+    # `duals` belong to the maximized standard form: negate them for "min"
     values = dict(zip((v.name for v in lp.variables), x.tolist()))
     obj = sum(a * values[n] for n, a in lp.objective.items())
-    return LpSolution("optimal", values, float(obj))
+    sign = 1.0 if lp.sense == "max" else -1.0
+    return LpSolution("optimal", values, float(obj), tuple((sign * duals).tolist()))
 
 
 # -- built-in solver ----------------------------------------------------------
@@ -186,12 +194,17 @@ def _pivot(T: np.ndarray, b: np.ndarray, r: int, j: int) -> None:
     b[rows] -= f * b[r]
 
 
-def _simplex_core(sf: _StandardForm, name: str) -> tuple[str, np.ndarray | None]:
+def _simplex_core(
+    sf: _StandardForm, name: str
+) -> tuple[str, np.ndarray | None, np.ndarray | None]:
     """Two-phase dense tableau simplex.  Finite lower bounds are shifted out,
     each free variable gets a negative column right after its own, and upper
     bounds become rows after the constraints, so the tableau only sees
     `A x (rel) b, x >= 0`.  Returns the status and, when optimal, x in
-    variable order."""
+    variable order and the duals y of `sf`'s rows, read from the phase-2
+    reduced costs z = c - y^T A: a row's artificial (or a "<=" row's slack)
+    column is e_i with cost 0, so z there is -y_i.  Flipped rows' duals
+    change sign back; upper-bound rows' duals are dropped."""
     n = len(sf.c)
     free = np.isneginf(sf.lower)
     offset = np.where(free, 0.0, sf.lower)
@@ -271,7 +284,7 @@ def _simplex_core(sf: _StandardForm, name: str) -> tuple[str, np.ndarray | None]
             obj1 -= b[i]
         shift = run(z1, allowed)
         if obj1 + shift < -1e-7 * max(1.0, float(np.max(b))):
-            return "infeasible", None
+            return "infeasible", None, None
         # Drive leftover artificials out of the basis where possible.  Any
         # non-artificial column works (slack columns included: a row whose
         # structural part was eliminated can still constrain the slack
@@ -291,13 +304,17 @@ def _simplex_core(sf: _StandardForm, name: str) -> tuple[str, np.ndarray | None]
             z2 -= z2[basis[i]] * T[i]
             z2[basis[i]] = 0.0
     if run(z2, allowed) == np.inf:
-        return "unbounded", None
+        return "unbounded", None, None
 
     x = np.zeros(width)
     x[basis] = b
     values = x[pos] + offset
     values[free] -= x[neg]
-    return "optimal", values
+    unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
+    unit[slack_rows] = slack_cols
+    unit[art_rows] = art_cols
+    duals = np.where(flip, z2[unit], -z2[unit])
+    return "optimal", values, duals[: len(sf.b)]
 
 
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
@@ -331,11 +348,11 @@ class SimplexBackend:
 
     def solve(self, lp: LinearProgram) -> LpSolution:
         sf = _standard_form(lp)
-        status, x = _simplex_core(sf, lp.name)
+        status, x, duals = _simplex_core(sf, lp.name)
         if status != "optimal":
             return LpSolution(status, {}, float("nan"))
         _check_solution(lp, sf, x)
-        return _optimal(lp, x)
+        return _optimal(lp, x, duals)
 
 
 class ScipyBackend:
@@ -366,14 +383,20 @@ class ScipyBackend:
             return LpSolution("unbounded", {}, float("nan"))
         if not res.success:
             raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
-        return _optimal(lp, res.x)
+        # marginals are d(min -c x)/d(rhs) of linprog's rows; ">=" rows went
+        # in negated
+        duals = np.empty(len(sf.b))
+        duals[ub] = -sf.relations[ub] * res.ineqlin.marginals
+        duals[eq] = -res.eqlin.marginals
+        return _optimal(lp, res.x, duals)
 
 
 class SolveSession:
     """Counts LP solves; the count is the hardware-independent cost metric
     the benchmark reports.
 
-    Thread-safe: concurrent allocator runs may share a session.
+    Thread-safe: concurrent allocator runs may share a session (each
+    report's lp_solves then also counts the solves of runs it overlapped).
     """
 
     def __init__(self, backend: LpBackend | None = None):

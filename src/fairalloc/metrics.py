@@ -8,8 +8,6 @@ Efficiency is the plain total-rate ratio against a baseline allocator.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -45,18 +43,6 @@ class MetricsReport:
             "vartheta": self.vartheta,
             "vartheta_rule": self.vartheta_rule,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        buf.write("fairness_geomean,efficiency_ratio,total_rate,baseline_total,vartheta\n")
-        buf.write(
-            f"{self.fairness_geomean!r},{self.efficiency_ratio!r},"
-            f"{self.total_rate!r},{self.baseline_total!r},{self.vartheta!r}\n"
-        )
-        return buf.getvalue()
 
 
 def q_fairness(

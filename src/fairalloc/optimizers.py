@@ -3,9 +3,9 @@
 All of them operate on weighted ratios f_k / w_k and share the same
 feasible-allocation LP fragment:
 
-* exact sequential: a round LP maximizes the smallest unfrozen ratio,
-  grouped probe LPs find the demands that cannot rise above it, those
-  freeze, repeat;
+* exact sequential: one LP a round maximizes the smallest unfrozen ratio;
+  the demands its optimal duals certify as bottlenecked freeze there,
+  repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
   network and maximizes a geometrically weighted sum of the sorted outputs;
 * capped sequence (SWAN-style);
@@ -63,6 +63,7 @@ __all__ = [
 
 EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
 FREEZE_TOL = 1e-7
+DUAL_TOL = 1e-9  # a floor dual above this certifies that the demand is bottlenecked
 TIE_BREAK = 1e-4
 
 
@@ -173,94 +174,64 @@ def _allocation_from(problem: Problem, values: Mapping[str, float]) -> Allocatio
 def exact_sequential_max_min(
     problem: Problem, session: SolveSession | None = None
 ) -> AllocatorReport:
-    """Weighted max-min fairness by the classic LP sequence.
+    """Weighted max-min fairness by the classic LP sequence, one LP a round.
 
-    Round i maximizes a common floor t_i over all unfrozen ratios (the round
-    LP); grouped probe LPs then find which unfrozen demands cannot exceed
-    t_i, and those freeze at ratio exactly t_i.  A probe keeps every
-    unfrozen ratio >= t_i and maximizes the sum of the candidates' ratios;
-    a candidate that ends above t_i is not bottlenecked and leaves the set,
-    and the probe repeats until no candidate rises.  This is exact: if a
-    candidate could rise alone by delta, the sum's optimum would be at least
-    |C| * t_i + delta, so some candidate would end above t_i.  Terminates
-    when every demand is frozen; lp_solves = rounds + probe_lps.
+    Round i maximizes a common floor t_i over the unfrozen ratios: maximize
+    t subject to rho_k - t >= 0 for each unfrozen k, the frozen ratios held
+    fixed.  Its optimal duals say which demands are bottlenecked (the dual
+    saturation test of Danna, Mandal & Singh, INFOCOM 2012).  Write y_k >= 0
+    for the dual of k's floor row.  By complementary slackness, y_k > 0
+    means rho_k = t_i in every optimum, so k freezes at t_i.  Dual
+    feasibility on t's column gives sum_k y_k >= 1, so every round freezes
+    at least one demand, and lp_solves = rounds <= len(demands).  A demand
+    that is bottlenecked but whose dual happens to be 0 (degeneracy) stays
+    unfrozen and freezes at the same t in a later round.
     """
     _require_valid(problem)
     session = session or SolveSession()
+    start = session.count
     demands = [d.id for d in problem.demands]
     base = _ratio_fragment(problem, "max-min")
+    floor_row = len(base.constraints)  # demand i's floor or freeze row: floor_row + i
     frozen: dict[str, float] = {}
-    forced: list[str] = []
-    rounds = probe_lps = 0
+    rounds = 0
     last_values: Mapping[str, float] = {}
-
-    def ratio_rows(floor) -> list[Constraint]:
-        # the fragment's rows, then per demand its frozen ratio or floor(k)
-        return base.constraints + [
-            Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
-            if k in frozen
-            else floor(k)
-            for k in demands
-        ]
 
     while len(frozen) < len(demands):
         rounds += 1
         lp = LinearProgram(
             f"max-min-round-{rounds}",
             base.variables + [Variable("t")],
-            ratio_rows(lambda k: Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)),
+            base.constraints
+            + [
+                Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                if k in frozen
+                else Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)
+                for k in demands
+            ],
             {"t": 1.0},
         )
         sol = _solved(session, lp)
-        t_i = sol.values["t"]
         last_values = sol.values
-
-        probe_rows = ratio_rows(lambda k: Constraint({ratio_var(k): 1.0}, ">=", t_i))
-        candidates = [k for k in demands if k not in frozen]
-        rose: dict[str, float] = {}
-        j = 0
-        while candidates:
-            j += 1
-            probe = LinearProgram(
-                f"probe-{rounds}-{j}",
-                list(base.variables),
-                list(probe_rows),
-                {ratio_var(k): 1.0 for k in candidates},
+        y = {k: -sol.duals[floor_row + i] for i, k in enumerate(demands) if k not in frozen}
+        if sum(y.values()) < 1.0 - 1e-6:  # dual feasibility on t's column fails
+            raise AllocationError(
+                f"LP {lp.name!r}: floor duals sum to {sum(y.values()):.6g} < 1"
             )
-            values = _solved(session, probe).values
-            rising = {
-                k: values[ratio_var(k)]
-                for k in candidates
-                if values[ratio_var(k)] > t_i + FREEZE_TOL
-            }
-            if not rising:
-                break
-            rose.update(rising)
-            candidates = [k for k in candidates if k not in rising]
-        probe_lps += j
+        t_i = sol.values["t"]
+        for k, y_k in y.items():
+            if y_k > DUAL_TOL:
+                frozen[k] = t_i
 
-        if not candidates:
-            # float slop can make every candidate rise epsilon above t; freeze
-            # the one that rose least so the sequence always makes progress
-            candidates = [min(rose, key=lambda k: (rose[k], k))]
-            forced += candidates
-        for k in candidates:
-            frozen[k] = t_i
-
-    allocation = _allocation_from(problem, last_values)
-    notes = {
-        "allocator": "exact-sequential",
-        "frozen_ratios": dict(frozen),
-        "probe_lps": probe_lps,
-        "converged": not forced,
-    }
-    if forced:
-        notes["forced_freezes"] = forced
     return AllocatorReport(
-        allocation,
-        lp_solves=session.count,
+        _allocation_from(problem, last_values),
+        lp_solves=session.count - start,
         iterations=rounds,
-        notes=notes,
+        notes={
+            "allocator": "exact-sequential",
+            "frozen_ratios": dict(frozen),
+            "converged": True,
+        },
     )
 
 
@@ -285,6 +256,7 @@ def one_shot_exact(
             f"precision for n={n} demands; use the geometric binner instead"
         )
     session = session or SolveSession()
+    start = session.count
 
     lp = _ratio_fragment(problem, "one-shot-exact")
     wires: list[str] = [ratio_var(d.id) for d in problem.demands]
@@ -318,7 +290,7 @@ def one_shot_exact(
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count,
+        lp_solves=session.count - start,
         iterations=1,
         notes={
             "allocator": "one-shot-exact",
@@ -385,6 +357,7 @@ def swan_sequence(
     if not alpha > 1:
         raise ValueError("alpha must be > 1")
     session = session or SolveSession()
+    start = session.count
     ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
 
     base = _ratio_fragment(problem, "capped-seq")
@@ -427,7 +400,7 @@ def swan_sequence(
 
     return AllocatorReport(
         _allocation_from(problem, last_values),
-        lp_solves=session.count,
+        lp_solves=session.count - start,
         iterations=iterations,
         notes={
             "allocator": "swan-sequence",
@@ -512,6 +485,7 @@ def geo_binner(
     """
     _require_valid(problem)
     session = session or SolveSession()
+    start = session.count
     caps = [cfg.bin_cap(b) for b in range(1, cfg.num_bins + 1)]
     sol, bins = _binned_lp(problem, caps, cfg.epsilon, "geo-binner", session)
     top = sum(caps)
@@ -533,7 +507,7 @@ def geo_binner(
         )
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count,
+        lp_solves=session.count - start,
         iterations=1,
         notes=notes,
     )
@@ -644,6 +618,7 @@ def equi_depth_elastic(
     """
     _require_valid(problem)
     session = session or SolveSession()
+    start = session.count
 
     est_ratio, aw_iterations = _estimate_ratios(problem, cfg.aw_iterations)
 
@@ -679,7 +654,7 @@ def equi_depth_elastic(
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count,
+        lp_solves=session.count - start,
         iterations=1,
         notes={
             "allocator": "equi-depth-elastic",
@@ -716,6 +691,7 @@ def equi_depth_multibin(
     if epsilon ** (len(boundaries) - 1) < EPSILON_GUARD:
         raise ValueError("epsilon underflows the double-precision guard")
     session = session or SolveSession()
+    start = session.count
 
     caps = [boundaries[0]] + [
         b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])
@@ -724,7 +700,7 @@ def equi_depth_multibin(
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count,
+        lp_solves=session.count - start,
         iterations=1,
         notes={
             "allocator": "equi-depth-multibin",

@@ -24,8 +24,8 @@ def test_solve_exact_reproduces_worked_example(worked_example_file, tmp_path, ca
     report = json.loads(out.read_text())
     assert report["totals"]["d1"] == pytest.approx(0.75)
     assert report["totals"]["d2"] == pytest.approx(0.75)
-    assert report["lp_solves"] == report["iterations"] + report["notes"]["probe_lps"]
-    assert report["converged"] and "forced_freezes" not in report["notes"]
+    assert report["lp_solves"] == report["iterations"]
+    assert report["converged"]
     assert "LP solves" in capsys.readouterr().out
 
 
@@ -53,6 +53,19 @@ def test_solve_dump_lp_flag_writes_interchange_files(worked_example_file, tmp_pa
     dumps = sorted(lpdir.glob("*.lp"))
     assert len(dumps) == 1  # the one-shot binner solves exactly one LP
     assert "Maximize" in dumps[0].read_text()
+
+
+def test_solve_rejects_a_flag_its_allocator_does_not_read(
+    worked_example_file, tmp_path, capsys
+):
+    out = tmp_path / "report.json"
+    code = cli_main(
+        ["solve", "--input", str(worked_example_file), "--allocator", "swan",
+         "--epsilon", "0.5", "--output", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "['alpha', 'u', 'bins']" in capsys.readouterr().err
 
 
 def test_solve_unknown_allocator_is_usage_error(worked_example_file, tmp_path):

@@ -1,7 +1,7 @@
-"""Every name a demo imports from fairalloc must exist (a cheap guard
-against API removals that would break the demos, without running them).
-The adaptive-waterfilling demo also runs: it is the only demo that reads the
-theta trace, whose format a name check cannot see."""
+"""Every demo runs to completion as its own process, so an API change that
+breaks one (a removed name, a dropped report note) fails here.  The
+adaptive-waterfilling demo's output is also checked: it is the only demo
+that prints the theta trace."""
 
 import ast
 import importlib
@@ -27,17 +27,26 @@ def test_demo_imports_exist(demo):
     assert not missing, missing
 
 
+def _run_demo(demo: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(demo)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    assert _run_demo(demo).strip()
+
+
 def test_demos_found():
     assert len(DEMOS) >= 6
 
 
 def test_adaptive_waterfilling_demo_runs():
-    # The only demo that reads theta_trace and theta_trace_csv, so it runs.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "04_adaptive_waterfilling.py")],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    ).stdout
+    # The only demo that reads theta_trace and theta_trace_csv.
+    out = _run_demo(ROOT / "demos" / "04_adaptive_waterfilling.py")
     csv = out[out.index("iteration,demand,path,theta,rate") :].strip().splitlines()
     assert len(csv) == 1 + 6 * 3  # six iterations, three subdemands
     for line in csv[1:]:

@@ -263,6 +263,18 @@ def test_load_problem_error_names_file(tmp_path):
         load_problem(path)
 
 
+def test_run_allocator_rejects_config_keys_its_allocator_does_not_read(two_link_example):
+    with pytest.raises(ValueError) as err:
+        run_allocator(two_link_example, "swan", {"epsilon": 0.5, "slack": 3, "inner": "exact"})
+    assert str(err.value) == (
+        "swan does not read config keys ['epsilon', 'inner', 'slack']; "
+        "it accepts ['alpha', 'u', 'bins']"
+    )
+    with pytest.raises(ValueError, match="accepts none"):
+        run_allocator(two_link_example, "exact", {"epsilon": 0.5})
+    assert run_allocator(two_link_example, "swan", {"alpha": 2.0}).converged
+
+
 def test_waterfill_notes_that_it_is_not_exact_under_non_unit_utility():
     def two_on_a_link(utility):
         return Problem(

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,7 @@ from fairalloc.lp import (
 )
 from fairalloc.model import Demand, Path, Problem, Resource
 from fairalloc.optimizers import (
+    DUAL_TOL,
     FREEZE_TOL,
     BinConfig,
     default_num_bins,
@@ -225,6 +224,41 @@ def test_simplex_matches_reference_on_free_and_shifted_variables():
     assert min(seen.values()) >= 50
 
 
+def _assert_optimal_duals(lp, sol, tol=1e-7):
+    """Row duals y (as d objective / d rhs) of an optimal solution: the right
+    sign per relation, complementary slackness on rows and on bounded
+    columns, and strong duality, all in the maximized standard form."""
+    sf = lp_module._standard_form(lp)
+    x = np.array([sol.values[v.name] for v in lp.variables])
+    y = (1.0 if lp.sense == "max" else -1.0) * np.array(sol.duals)
+    assert y.shape == sf.b.shape
+    assert np.all(sf.relations * y >= -tol), lp.name  # "<=" rows y >= 0, ">=" y <= 0
+    assert np.all(np.abs(y * (sf.A @ x - sf.b)) <= tol), lp.name
+    d = sf.c - sf.A.T @ y  # reduced costs: > 0 only at an upper, < 0 at a lower bound
+    tight = np.abs(d) > tol
+    bound = np.where(d > 0, sf.upper, sf.lower)[tight]
+    assert np.all(np.isfinite(bound)), lp.name
+    assert np.all(np.abs(d[tight] * (x[tight] - bound)) <= tol), lp.name
+    dual_objective = y @ sf.b + d[tight] @ bound
+    assert abs(sf.c @ x - dual_objective) <= tol * max(1.0, abs(sf.c @ x)), lp.name
+
+
+@pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
+@pytest.mark.parametrize("corpus,seed", [(_random_lp, 11), (_random_bounded_lp, 29)])
+def test_duals_satisfy_strong_duality_and_complementary_slackness(backend, corpus, seed):
+    rng = np.random.default_rng(seed)
+    optimal = 0
+    for trial in range(300):
+        if optimal >= 60:
+            break
+        lp = corpus(rng, trial)
+        sol = backend().solve(lp)
+        if sol.optimal:
+            optimal += 1
+            _assert_optimal_duals(lp, sol)
+    assert optimal >= 50
+
+
 def _guard_lp():
     lp = LinearProgram(name="guard")
     lp.add_variable("x", 0.0, 2.0)
@@ -250,7 +284,9 @@ def _guard_lp():
 )
 def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, message):
     monkeypatch.setattr(
-        lp_module, "_simplex_core", lambda sf, name: ("optimal", np.array(point))
+        lp_module,
+        "_simplex_core",
+        lambda sf, name: ("optimal", np.array(point), np.zeros(len(sf.b))),
     )
     if message is None:
         assert SimplexBackend().solve(_guard_lp()).values == {"x": 2.0, "y": 1.0}
@@ -407,44 +443,25 @@ class _Recording:
 
 
 def _rebuilt_exact(problem, solve):
-    """The exact sequence's LPs (round LP, then grouped probes) with a fresh
-    fragment per LP."""
+    """The exact sequence's round LPs with a fresh fragment per LP."""
     demands = [d.id for d in problem.demands]
     frozen, rounds, lps = {}, 0, []
-
-    def pin_or(lp, floor):
-        for k in demands:
-            if k in frozen:
-                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
-            else:
-                floor(lp, k)
-
     while len(frozen) < len(demands):
         rounds += 1
         lp = opt._ratio_fragment(problem, f"max-min-round-{rounds}")
         lp.add_variable("t")
-        pin_or(lp, lambda p, k: p.add_constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0))
+        for k in demands:
+            if k in frozen:
+                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+            else:
+                lp.add_constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)
         lp.objective = {"t": 1.0}
         lps.append(lp)
-        t_i = solve(lp).values["t"]
-        candidates, rose = [k for k in demands if k not in frozen], {}
-        for j in itertools.count(1):
-            probe = opt._ratio_fragment(problem, f"probe-{rounds}-{j}")
-            pin_or(probe, lambda p, k: p.add_constraint({ratio_var(k): 1.0}, ">=", t_i))
-            probe.objective = {ratio_var(k): 1.0 for k in candidates}
-            lps.append(probe)
-            values = solve(probe).values
-            rising = {
-                k: values[ratio_var(k)]
-                for k in candidates
-                if values[ratio_var(k)] > t_i + FREEZE_TOL
-            }
-            rose.update(rising)
-            candidates = [k for k in candidates if k not in rising]
-            if not rising or not candidates:
-                break
-        for k in candidates or [min(rose, key=lambda k: (rose[k], k))]:
-            frozen[k] = t_i
+        sol = solve(lp)
+        floor_duals = sol.duals[len(sol.duals) - len(demands) :]
+        for k, y in zip(demands, floor_duals):
+            if k not in frozen and -y > DUAL_TOL:
+                frozen[k] = sol.values["t"]
     return lps
 
 
@@ -480,6 +497,7 @@ def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
     monkeypatch, allocator
 ):
     build = opt.build_feasible_alloc
+    longest = 0
     for problem in [small_grid_instance(s) for s in range(6)] + [distinct_utility_instance(1)]:
         calls = []
 
@@ -501,5 +519,6 @@ def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
             if allocator == "exact"
             else _rebuilt_swan(problem, 0.1, 2.0, solve)
         )
-        assert len(rec.lps) > 1
+        longest = max(longest, len(rec.lps))
         assert [write_lp_text(lp) for lp in rec.lps] == [write_lp_text(lp) for lp in ref]
+    assert longest > 1  # some sequence reuses the fragment

@@ -105,6 +105,3 @@ def test_compare_rates_report_serializes(two_link_example):
     rep = compare_rates(two_link_example, {"d1": 0.75, "d2": 0.5}, {"d1": 0.75, "d2": 0.75})
     data = rep.to_dict()
     assert data["fairness_geomean"] == pytest.approx(math.sqrt(1.0 * (0.5 / 0.75)))
-    csv = rep.to_csv_row().strip().splitlines()
-    assert csv[0].startswith("fairness_geomean,")
-    assert len(csv) == 2
