@@ -74,7 +74,6 @@ from .report import AllocatorReport, report_to_dict
 from .sortnet import SortingNetwork, build_sorting_network, sorts_all_binary_inputs
 from .waterfill import (
     SubdemandMatrix,
-    ThetaState,
     adaptive_waterfill,
     approx_waterfill,
     build_subdemands,

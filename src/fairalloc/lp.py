@@ -383,6 +383,7 @@ class ScipyBackend:
             return LpSolution("unbounded", {}, float("nan"))
         if not res.success:
             raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
+        _check_solution(lp, sf, res.x)
         # marginals are d(min -c x)/d(rhs) of linprog's rows; ">=" rows went
         # in negated
         duals = np.empty(len(sf.b))

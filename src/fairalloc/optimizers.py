@@ -37,7 +37,7 @@ from .lp import (
     rate_var,
     total_var,
 )
-from .model import Allocation, Problem, validate_problem
+from .model import Allocation, Problem, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
 from .waterfill import adaptive_waterfill
@@ -55,7 +55,7 @@ __all__ = [
     "estimate_equi_boundaries",
     "equi_depth_elastic",
     "equi_depth_multibin",
-    "achievable_rate_bound",
+    "achievable_ratio_bound",
     "default_num_bins",
     "suggest_bin_config",
     "ratio_var",
@@ -71,10 +71,34 @@ class AllocationError(RuntimeError):
     """An allocator could not produce a solution (infeasible or numeric)."""
 
 
+def _check_levels(
+    epsilon: float, levels: int, advice: str = "use fewer bins or a larger epsilon"
+) -> None:
+    """An objective weighting levels by epsilon^0 .. epsilon^(levels-1) needs
+    epsilon in (0, 1) and a smallest weight above the double-precision guard."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    if epsilon ** (levels - 1) < EPSILON_GUARD:
+        raise ValueError(
+            f"epsilon^{levels - 1} = {epsilon ** (levels - 1):.3g} underflows the "
+            f"double-precision guard {EPSILON_GUARD:g}; {advice}"
+        )
+
+
+def _geometric(u: float, alpha: float, num_bins: int) -> list[float]:
+    """The geometric boundary ladder u * alpha^b for b < num_bins."""
+    if not u > 0:
+        raise ValueError("u must be > 0")
+    if not alpha > 1:
+        raise ValueError("alpha must be > 1")
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+    return [u * alpha**b for b in range(num_bins)]
+
+
 @dataclass(frozen=True)
 class BinConfig:
-    """Geometric bin ladder: bin 1 covers [0, u], bin b adds
-    u * (alpha^(b-1) - alpha^(b-2)) more headroom."""
+    """Geometric bin ladder: bin b ends at the boundary u * alpha^b."""
 
     u: float
     alpha: float
@@ -82,25 +106,12 @@ class BinConfig:
     epsilon: float
 
     def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError("u must be > 0")
-        if not self.alpha > 1:
-            raise ValueError("alpha must be > 1")
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.epsilon ** (self.num_bins - 1) < EPSILON_GUARD:
-            raise ValueError(
-                f"epsilon^(num_bins-1) = {self.epsilon ** (self.num_bins - 1):.3g} "
-                f"underflows the double-precision guard {EPSILON_GUARD:g}; "
-                "use fewer bins or a larger epsilon"
-            )
+        _geometric(self.u, self.alpha, self.num_bins)
+        _check_levels(self.epsilon, self.num_bins)
 
-    def bin_cap(self, b: int) -> float:
-        if b == 1:
-            return self.u
-        return self.u * (self.alpha ** (b - 1) - self.alpha ** (b - 2))
+    @property
+    def boundaries(self) -> list[float]:
+        return _geometric(self.u, self.alpha, self.num_bins)
 
 
 @dataclass(frozen=True)
@@ -113,8 +124,7 @@ class EquiDepthConfig:
     def __post_init__(self):
         if self.num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
+        _check_levels(self.epsilon, self.num_bins)
         if self.aw_iterations < 1:
             raise ValueError("aw_iterations must be >= 1")
         if self.slack is not None and self.slack < 0:
@@ -248,13 +258,7 @@ def one_shot_exact(
     """
     _require_valid(problem)
     n = len(problem.demands)
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if epsilon ** max(n - 1, 0) < EPSILON_GUARD:
-        raise ValueError(
-            f"epsilon^(n-1) = {epsilon ** (n - 1):.3g} underflows double "
-            f"precision for n={n} demands; use the geometric binner instead"
-        )
+    _check_levels(epsilon, n, f"for n={n} demands, use the geometric binner instead")
     session = session or SolveSession()
     start = session.count
 
@@ -305,22 +309,28 @@ def one_shot_exact(
 # -- capped sequences and binners ----------------------------------------------
 
 
-def achievable_rate_bound(problem: Problem) -> float:
-    """Cheap upper bound on any total rate: min of the volume-side bound
-    max_k d_k * max_p q_k^p and the capacity-side bound max_e c_e * |paths|."""
-    volume_side = math.inf
-    if all(d.bounded for d in problem.demands):
-        volume_side = max(
-            d.volume * max(d.utility_on(p) for p in d.paths) for d in problem.demands
+def achievable_ratio_bound(problem: Problem) -> float:
+    """Cheap upper bound on any weighted ratio F_k / w_k: the largest over
+    demands k of min(d_k * max_p q_k^p, sum_p q_k^p * min_(e on p) c_e / r_k^e)
+    / w_k, since no path of k carries more than its tightest resource allows."""
+    resources, paths = problem.resource_map(), problem.path_map()
+    bound = 0.0
+    for d in problem.demands:
+        volume_side = math.inf
+        if d.bounded:
+            volume_side = d.volume * max(d.utility_on(p) for p in d.paths)
+        capacity_side = sum(
+            d.utility_on(p)
+            * min(resources[e].capacity / d.consumption_on(e) for e in paths[p].resources)
+            for p in d.paths
         )
-    capacity_side = problem.max_capacity() * len(problem.paths)
-    return min(volume_side, capacity_side)
+        bound = max(bound, min(volume_side, capacity_side) / d.weight)
+    return bound
 
 
 def default_num_bins(problem: Problem, u: float, alpha: float) -> int:
     """Enough geometric bins to cover ratios up to the achievable bound."""
-    min_w = min(d.weight for d in problem.demands)
-    bound = achievable_rate_bound(problem) / min_w
+    bound = achievable_ratio_bound(problem)
     if bound <= u:
         return 1
     return max(1, math.ceil(math.log(bound / u, alpha))) + 1
@@ -345,20 +355,18 @@ def swan_sequence(
     """Iterative approximate max-min fairness with geometrically growing
     per-demand rate caps.
 
-    Iteration b maximizes the ratio sum subject to rho_k <= u * alpha^(b-1);
-    a demand that ends an iteration strictly below its cap is frozen there
-    for all later iterations.  Runs until every demand is frozen or the cap
-    ladder covers the achievable range.  One LP per iteration.  Converged
-    only if every demand froze; otherwise the top cap truncated some.
+    Iteration b maximizes the ratio sum subject to rho_k <= u * alpha^(b-1),
+    the b-th boundary of the geometric ladder (``BinConfig.boundaries``); a
+    demand that ends an iteration strictly below its cap is frozen there for
+    all later iterations.  Runs until every demand is frozen or the ladder
+    covers the achievable range.  One LP per iteration.  Converged only if
+    every demand froze; otherwise the top cap truncated some.
     """
     _require_valid(problem)
-    if not u > 0:
-        raise ValueError("u must be > 0")
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
+    ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
+    caps = _geometric(u, alpha, ladder)
     session = session or SolveSession()
     start = session.count
-    ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
 
     base = _ratio_fragment(problem, "capped-seq")
     objective = _ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
@@ -367,9 +375,8 @@ def swan_sequence(
     iterations = 0
     last_values: Mapping[str, float] = {}
 
-    for b in range(1, ladder + 1):
+    for b, cap in enumerate(caps, start=1):
         iterations = b
-        cap = u * alpha ** (b - 1)
         rows: list[Constraint] = []
         for d in problem.demands:
             k = d.id
@@ -412,43 +419,35 @@ def swan_sequence(
     )
 
 
-def _repair_bin_prefix(
-    totals: Mapping[str, float], caps: Sequence[float]
-) -> dict[str, list[float]]:
-    """Restack each demand's per-bin mass into the lowest bins first.
-
-    LP optima are unique in objective value but not in individual bin
-    variables; the canonical optimum fills the prefix.  Restacking preserves
-    each demand's total, hence feasibility and objective value.
-    """
-    out: dict[str, list[float]] = {}
-    for k, total in totals.items():
-        left = max(0.0, total)
-        stack = []
-        for cap in caps:
-            take = min(left, cap)
-            stack.append(take)
-            left -= take
-        if left > 0:  # beyond the ladder: spill into the top bin
-            stack[-1] += left
-        out[k] = stack
-    return out
-
-
-def _binned_lp(
+def _binned(
     problem: Problem,
-    caps: Sequence[float],
+    boundaries: Sequence[float],
     epsilon: float,
-    name: str,
-    session: SolveSession,
-):
-    """Solve the one-shot binned LP: per-bin ratio variables y_kb <= caps[b-1]
-    summing to rho_k, objective sum_k sum_b epsilon^(b-1) y_kb.
+    session: SolveSession | None,
+    notes: dict,
+) -> AllocatorReport:
+    """The one-shot binned LP over a boundary ladder l_1 < ... < l_B.
 
-    Returns the LP solution and each demand's per-bin rates, restacked into
-    the lowest bins first.
+    Bin b holds y_kb in [0, l_b - l_(b-1)] (l_0 = 0), the bins sum to rho_k,
+    and the objective is sum_k sum_b epsilon^(b-1) y_kb.  One LP, named by
+    ``notes["allocator"]``.  LP optima are unique in objective value but not
+    in the individual bins, so each demand's total is restacked into its
+    lowest bins first (``bins`` note); that keeps the total, hence
+    feasibility and objective value.  A demand that fills the whole ladder
+    may have been truncated by its top boundary: the report then says
+    ``converged=False`` and carries a ``coverage`` note.
     """
-    lp = _ratio_fragment(problem, name)
+    _require_valid(problem)
+    if not boundaries:
+        raise ValueError("need at least one boundary")
+    if boundaries[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
+        raise ValueError("boundaries must be strictly increasing and positive")
+    _check_levels(epsilon, len(boundaries))
+    session = session or SolveSession()
+    start = session.count
+    caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
+
+    lp = _ratio_fragment(problem, notes["allocator"])
     objective: dict[str, float] = {}
     for i, d in enumerate(problem.demands):
         k = d.id
@@ -462,45 +461,21 @@ def _binned_lp(
     lp.objective = objective
     sol = _solved(session, lp)
 
-    totals = {
-        d.id: sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, len(caps) + 1))
-        for d in problem.demands
-    }
-    return sol, _repair_bin_prefix(totals, caps)
+    top = boundaries[-1]
+    bins: dict[str, list[float]] = {}
+    truncated = False
+    for d in problem.demands:
+        left = max(0.0, sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, len(caps) + 1)))
+        truncated |= left >= top - FREEZE_TOL * max(1.0, top)
+        stack = []
+        for cap in caps:
+            take = min(left, cap)
+            stack.append(take)
+            left -= take
+        stack[-1] += left  # beyond the ladder: spill into the top bin
+        bins[d.id] = stack
 
-
-def geo_binner(
-    problem: Problem,
-    cfg: BinConfig,
-    session: SolveSession | None = None,
-) -> AllocatorReport:
-    """One-shot geometric binner: the binned LP with the geometric cap
-    ladder of ``cfg``.
-
-    The decaying weights make every optimum fill a demand's lower bins before
-    the higher ones, which reproduces the capped sequence's allocation
-    without iterating.  Like the sequence, it reports ``converged=False``
-    (and a ``coverage`` note) when some demand fills the whole ladder, since
-    the top cap may have truncated it.
-    """
-    _require_valid(problem)
-    session = session or SolveSession()
-    start = session.count
-    caps = [cfg.bin_cap(b) for b in range(1, cfg.num_bins + 1)]
-    sol, bins = _binned_lp(problem, caps, cfg.epsilon, "geo-binner", session)
-    top = sum(caps)
-    truncated = any(sum(s) >= top - FREEZE_TOL * max(1.0, top) for s in bins.values())
-
-    notes = {
-        "allocator": "geo-binner",
-        "u": cfg.u,
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "num_bins": cfg.num_bins,
-        "bin_caps": caps,
-        "bins": bins,
-        "converged": not truncated,
-    }
+    notes = {**notes, "bin_caps": caps, "bins": bins, "converged": not truncated}
     if truncated:
         notes["coverage"] = (
             "a demand fills the whole bin ladder; its allocation may be truncated"
@@ -513,15 +488,38 @@ def geo_binner(
     )
 
 
+def geo_binner(
+    problem: Problem,
+    cfg: BinConfig,
+    session: SolveSession | None = None,
+) -> AllocatorReport:
+    """One-shot geometric binner: the binned LP over ``cfg.boundaries``.
+
+    The decaying weights make every optimum fill a demand's lower bins before
+    the higher ones.  Over the capped sequence's ladder this reproduces
+    ``swan_sequence``'s allocation without iterating, provided epsilon is
+    small enough that no trade of lower-bin rate for higher-bin rate pays
+    (the delta rule); at a larger epsilon the two can differ.  Like the
+    sequence, it reports ``converged=False`` (and a ``coverage`` note) when
+    some demand fills the whole ladder, since the top boundary may have
+    truncated it.
+    """
+    notes = {
+        "allocator": "geo-binner",
+        "u": cfg.u,
+        "alpha": cfg.alpha,
+        "epsilon": cfg.epsilon,
+        "num_bins": cfg.num_bins,
+    }
+    return _binned(problem, cfg.boundaries, cfg.epsilon, session, notes)
+
+
 def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
     """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
     (F_k sums utility-weighted path rates), and its iteration count."""
     aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
-    dm = problem.demand_map()
-    totals: dict[str, float] = {d.id: 0.0 for d in problem.demands}
-    for (k, pid), r in aw.allocation.rates.items():
-        totals[k] += dm[k].utility_on(pid) * r
-    return {k: totals[k] / dm[k].weight for k in totals}, aw.iterations
+    totals = total_allocation(problem, aw.allocation)
+    return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
 
 
 def suggest_bin_config(
@@ -677,37 +675,9 @@ def equi_depth_multibin(
     epsilon: float,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """The binned LP with bin caps taken from the supplied boundary ladder
-    (l_1, l_2 - l_1, ...) instead of geometric growth."""
-    _require_valid(problem)
-    if not boundaries:
-        raise ValueError("need at least one boundary")
-    if any(b <= 0 for b in boundaries) or any(
-        b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])
-    ):
-        raise ValueError("boundaries must be strictly increasing and positive")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if epsilon ** (len(boundaries) - 1) < EPSILON_GUARD:
-        raise ValueError("epsilon underflows the double-precision guard")
-    session = session or SolveSession()
-    start = session.count
-
-    caps = [boundaries[0]] + [
-        b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])
-    ]
-    sol, bins = _binned_lp(problem, caps, epsilon, "equi-depth-multibin", session)
-
-    return AllocatorReport(
-        _allocation_from(problem, sol.values),
-        lp_solves=session.count - start,
-        iterations=1,
-        notes={
-            "allocator": "equi-depth-multibin",
-            "epsilon": epsilon,
-            "boundaries": list(boundaries),
-            "bin_caps": caps,
-            "bins": bins,
-            "converged": True,
-        },
-    )
+    """The binned LP over the supplied boundary ladder instead of a geometric
+    one.  A demand is capped at the top boundary (with ``boundaries`` from
+    ``estimate_equi_boundaries``, the largest estimate), and a demand that
+    reaches it is flagged like a truncated geometric binner."""
+    notes = {"allocator": "equi-depth-multibin", "epsilon": epsilon, "boundaries": list(boundaries)}
+    return _binned(problem, boundaries, epsilon, session, notes)

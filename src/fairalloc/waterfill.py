@@ -26,7 +26,6 @@ from .report import AllocatorReport
 
 __all__ = [
     "SubdemandMatrix",
-    "ThetaState",
     "BottleneckCheck",
     "build_subdemands",
     "single_path_waterfill",
@@ -72,25 +71,13 @@ class SubdemandMatrix:
         np.take(self.weight * theta, self.indices, out=self.gamma)
 
 
-@dataclass(frozen=True)
-class ThetaState:
-    theta: Mapping[tuple[str, str], float]
-    iteration: int = 0
-
-    def __init__(self, theta: Mapping[tuple[str, str], float], iteration: int = 0):
-        object.__setattr__(self, "theta", dict(theta))
-        object.__setattr__(self, "iteration", iteration)
-
-
-def uniform_theta(problem: Problem) -> ThetaState:
-    theta = {
-        (d.id, pid): 1.0 / len(d.paths) for d in problem.demands for pid in d.paths
-    }
-    return ThetaState(theta, 0)
+def uniform_theta(problem: Problem) -> dict[tuple[str, str], float]:
+    """Path weights theta_k^p that split every demand evenly over its paths."""
+    return {(d.id, pid): 1.0 / len(d.paths) for d in problem.demands for pid in d.paths}
 
 
 def build_subdemands(
-    problem: Problem, theta: ThetaState | Mapping[tuple[str, str], float]
+    problem: Problem, theta: Mapping[tuple[str, str], float]
 ) -> tuple[SubdemandMatrix, np.ndarray]:
     """Expand demands into single-path subdemand columns and capacities:
     the CSR incidence, built in one pass over the demands.
@@ -98,12 +85,11 @@ def build_subdemands(
     Raises ValueError when a demand's theta row does not sum to 1 within 1e-9
     or contains negatives.  Unbounded demands get no virtual edge.
     """
-    weights = theta.theta if isinstance(theta, ThetaState) else theta
     path_map = problem.path_map()
 
     col_theta: list[float] = []
     for d in problem.demands:
-        row = [weights.get((d.id, pid), 0.0) for pid in d.paths]
+        row = [theta.get((d.id, pid), 0.0) for pid in d.paths]
         if any(t < -1e-12 for t in row):
             raise ValueError(f"negative path weight for demand {d.id!r}")
         if abs(sum(row) - 1.0) > 1e-9:
@@ -278,7 +264,7 @@ def adaptive_waterfill(
     start = uniform_theta(problem)
     matrix, caps = build_subdemands(problem, start)
     columns = matrix.columns
-    theta = np.array([start.theta[c] for c in columns])
+    theta = np.array([start[c] for c in columns])
     trace: list[dict] = []
     converged = False
     rates: dict[tuple[str, str], float] = {}

@@ -262,7 +262,7 @@ def test_06_bandwidth_bottleneck_theory():
         totals: dict[str, float] = {}
         for (k, _), r in rates.items():
             totals[k] = totals.get(k, 0.0) + r
-        theta = dict(uniform_theta(prob).theta)
+        theta = uniform_theta(prob)
         for (k, p), r in rates.items():
             if totals[k] > 0:
                 theta[(k, p)] = r / totals[k]

@@ -3,8 +3,6 @@ breaks one (a removed name, a dropped report note) fails here.  The
 adaptive-waterfilling demo's output is also checked: it is the only demo
 that prints the theta trace."""
 
-import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -14,17 +12,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_exist(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
-    missing = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fairalloc":
-            module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-    assert not missing, missing
 
 
 def _run_demo(demo: Path) -> str:

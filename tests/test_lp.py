@@ -295,6 +295,24 @@ def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, mes
             SimplexBackend().solve(_guard_lp())
 
 
+def test_scipy_backend_rejects_a_corrupt_optimal_point(monkeypatch):
+    import scipy.optimize
+    from types import SimpleNamespace
+
+    def linprog(*args, **kwargs):  # "optimal", but x + y = 3.1 breaks the budget row
+        return SimpleNamespace(
+            status=0,
+            success=True,
+            x=np.array([2.0, 1.1]),
+            ineqlin=SimpleNamespace(marginals=np.zeros(2)),
+            eqlin=SimpleNamespace(marginals=np.zeros(1)),
+        )
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    with pytest.raises(SimplexError, match="budget violated"):
+        ScipyBackend().solve(_guard_lp())
+
+
 # -- solve sessions ------------------------------------------------------------
 
 

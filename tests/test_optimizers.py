@@ -335,8 +335,7 @@ def test_bin_config_validation():
     with pytest.raises(ValueError, match="guard"):
         BinConfig(1.0, 2.0, 8, 1e-6)  # 1e-42 underflows
     cfg = BinConfig(1.0, 2.0, 3, 1e-6)  # exactly at the guard boundary
-    assert cfg.bin_cap(2) == pytest.approx(1.0)
-    assert cfg.bin_cap(3) == pytest.approx(2.0)
+    assert cfg.boundaries == [1.0, 2.0, 4.0]
 
 
 def test_single_demand_saturates_first_bin_exactly():
@@ -375,16 +374,46 @@ def test_geo_binner_allocation_is_feasible(two_link_example):
 
 
 def test_geo_binner_reports_truncation_at_the_top_of_the_ladder():
-    # achievable_rate_bound ignores utility > 1, so the ladder stops at 4.5
+    # u is 0.9 of the estimated ratio 5, so a one-bin ladder stops at 4.5
     prob = Problem(
         [Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"], utility={"p": 5.0})]
     )
-    rep = run_allocator(prob, "gb")
+    rep = run_allocator(prob, "gb", {"bins": 1})
     assert total_allocation(prob, rep.allocation)["d"] == pytest.approx(4.5)
     exact = exact_sequential_max_min(prob).allocation
     assert total_allocation(prob, exact)["d"] == pytest.approx(5.0)
     assert not rep.converged
     assert "coverage" in rep.notes
+
+
+def test_default_ladder_covers_utility_above_one():
+    # A path of utility 5 turns one unit of capacity into a ratio of 5.
+    prob = Problem(
+        [Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"], utility={"p": 5.0})]
+    )
+    assert opt.achievable_ratio_bound(prob) == pytest.approx(5.0)
+    for allocator in ("gb", "swan"):
+        rep = run_allocator(prob, allocator)
+        assert total_allocation(prob, rep.allocation)["d"] == pytest.approx(5.0)
+        assert rep.converged
+        assert "coverage" not in rep.notes
+
+
+def test_default_ladder_covers_consumption_below_one():
+    # Consumption 0.1 lets each demand carry up to 10 on a capacity-1 link.
+    prob = Problem(
+        [Resource("L", 1.0)],
+        [Path("p0", ["L"]), Path("p1", ["L"])],
+        [Demand(f"d{i}", [f"p{i}"], consumption={"L": 0.1}) for i in range(2)],
+    )
+    assert opt.achievable_ratio_bound(prob) == pytest.approx(10.0)
+    rep = run_allocator(prob, "gb")
+    totals = total_allocation(prob, rep.allocation)
+    assert sum(totals.values()) == pytest.approx(10.0)
+    for rate in totals.values():  # the exact rate is 5; gb stays within alpha = 2
+        assert 5.0 / 2 - 1e-9 <= rate <= 5.0 * 2 + 1e-9
+    assert rep.converged
+    assert "coverage" not in rep.notes
 
 
 def test_geo_binner_converges_on_a_wan_problem():
@@ -456,6 +485,12 @@ def test_elastic_slack_is_one_float_for_every_bin():
         EquiDepthConfig(num_bins=2, slack=-0.1)
 
 
+def test_equi_depth_config_rejects_an_underflowing_epsilon():
+    with pytest.raises(ValueError, match="guard"):
+        EquiDepthConfig(num_bins=8, epsilon=1e-3)  # 1e-21 underflows
+    assert EquiDepthConfig(num_bins=4, epsilon=1e-3).epsilon == 1e-3  # 1e-9 is fine
+
+
 def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_example):
     star = total_allocation(
         two_link_example, exact_sequential_max_min(two_link_example).allocation
@@ -489,6 +524,19 @@ def test_multibin_single_boundary_caps_rate():
     prob2 = single_link(3.0, [(2.0, 1.0)])
     rep2 = equi_depth_multibin(prob2, [3.0], epsilon=0.25)
     assert total_allocation(prob2, rep2.allocation)["d0"] == pytest.approx(2.0)
+
+
+def test_multibin_reports_truncation_at_its_top_boundary():
+    # Both demands could get 5, but the top boundary stops them at 3.
+    prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
+    rep = equi_depth_multibin(prob, [1.0, 3.0], epsilon=0.25)
+    assert total_allocation(prob, rep.allocation) == pytest.approx({"d0": 3.0, "d1": 3.0})
+    assert not rep.converged
+    assert "coverage" in rep.notes
+    roomy = equi_depth_multibin(prob, [1.0, 5.0, 10.0], epsilon=0.25)
+    assert total_allocation(prob, roomy.allocation) == pytest.approx({"d0": 5.0, "d1": 5.0})
+    assert roomy.converged
+    assert "coverage" not in roomy.notes
 
 
 def test_multibin_rejects_bad_boundaries(two_link_example):

@@ -7,7 +7,6 @@ from fairalloc.bench import run_allocator
 from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.model import Allocation, Demand, Path, Problem, Resource, check_feasible
 from fairalloc.waterfill import (
-    ThetaState,
     adaptive_waterfill,
     approx_waterfill,
     build_subdemands,
@@ -324,7 +323,7 @@ def test_adaptive_matches_a_rebuild_per_iteration():
     for seed in range(20):
         prob = unit_qr_instance(seed)
         rep = adaptive_waterfill(prob, max_iterations=6)
-        theta = dict(uniform_theta(prob).theta)
+        theta = uniform_theta(prob)
         for entry in rep.notes["theta_trace"]:
             assert entry["theta"] == theta
             m, caps = build_subdemands(prob, theta)
