@@ -19,8 +19,10 @@ from .metrics import compare_rates
 from .model import (
     Allocation,
     Demand,
+    FeasibilityCheck,
     Problem,
     Resource,
+    check_feasible,
     problem_from_json,
     problem_to_json,
     total_allocation,
@@ -305,6 +307,16 @@ BENCH_CSV_HEADER = (
 )
 
 
+def _infeasibility(check: FeasibilityCheck) -> str:
+    if check.negative_rates:
+        k, p, rate = check.negative_rates[0]
+        return f"rate {rate:.6g} of ({k}, {p}) is negative"
+    slacks = [(s, f"volume of {k}") for k, s in check.volume_slack.items()]
+    slacks += [(s, f"capacity of {r}") for r, s in check.capacity_slack.items()]
+    slack, what = min(slacks)
+    return f"{what} exceeded by {-slack:.6g}"
+
+
 def run_benchmark(
     scenarios: list[Scenario],
     oracle: str | Mapping[str, Mapping[str, float]] = "exact",
@@ -314,7 +326,8 @@ def run_benchmark(
     ``oracle`` is either the id "exact" (the sequential LP oracle, solved
     once per distinct problem) or a mapping scenario label -> golden per-
     demand rates.  Allocator and oracle failures (an invalid problem, say)
-    become row-level errors; the run continues.
+    and allocations that fail ``check_feasible`` become row-level errors;
+    the run continues.
     """
     if isinstance(oracle, str) and oracle != "exact":
         raise ValueError("oracle must be 'exact' or a mapping of golden rates")
@@ -334,6 +347,9 @@ def run_benchmark(
             t0 = time.perf_counter()
             report = run_allocator(sc.problem, sc.allocator, sc.config)
             wall_ms = (time.perf_counter() - t0) * 1e3
+            check = check_feasible(sc.problem, report.allocation)
+            if not check.feasible:
+                raise ValueError(f"infeasible allocation: {_infeasibility(check)}")
             totals = total_allocation(sc.problem, report.allocation)
             metrics = compare_rates(sc.problem, totals, golden)
             rows.append(

@@ -8,9 +8,11 @@ Every solve goes through one standard form: `_standard_form` validates a
 the scipy HiGHS backend and the solution check all work on those arrays.
 Both backends return optimal row duals in one sign convention.
 
-The built-in solver is a two-phase primal simplex with Bland's anti-cycling
-rule.  It is written for desk-scale correctness and determinism, not speed:
-solving the same program twice yields bit-identical values.
+The built-in solver is a dense two-phase primal simplex: upper bounds stay
+column bounds (bounded-variable simplex), a crash start covers zero-rhs
+rows without artificials, and the largest reduced cost enters, with Bland's
+rule as the anti-cycling fallback after a run of degenerate pivots.  It is
+deterministic: solving the same program twice yields bit-identical values.
 """
 
 from __future__ import annotations
@@ -112,12 +114,15 @@ class LinearProgram:
 class LpSolution:
     """When optimal, ``duals`` holds an optimal dual per constraint, in order:
     d objective / d rhs in the LP's own sense (so >= 0 on a "<=" row of a max
-    LP, <= 0 on a ">=" row, and 0 on a slack row)."""
+    LP, <= 0 on a ">=" row, and 0 on a slack row).  ``iterations`` is the
+    backend's work count: simplex pivots plus bound flips for the built-in
+    solver, HiGHS's iteration count for the scipy backend."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: dict[str, float]
     objective: float
     duals: tuple[float, ...] = ()
+    iterations: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -170,15 +175,20 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     )
 
 
-def _optimal(lp: LinearProgram, x: np.ndarray, duals: np.ndarray) -> LpSolution:
+def _optimal(
+    lp: LinearProgram, x: np.ndarray, duals: np.ndarray, iterations: int
+) -> LpSolution:
     # `duals` belong to the maximized standard form: negate them for "min"
     values = dict(zip((v.name for v in lp.variables), x.tolist()))
     obj = sum(a * values[n] for n, a in lp.objective.items())
     sign = 1.0 if lp.sense == "max" else -1.0
-    return LpSolution("optimal", values, float(obj), tuple((sign * duals).tolist()))
+    duals = tuple((sign * duals).tolist())
+    return LpSolution("optimal", values, float(obj), duals, iterations)
 
 
 # -- built-in solver ----------------------------------------------------------
+
+DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, r: int, j: int) -> None:
@@ -194,17 +204,62 @@ def _pivot(T: np.ndarray, b: np.ndarray, r: int, j: int) -> None:
     b[rows] -= f * b[r]
 
 
+def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> None:
+    """Give `rows` (rows with b = 0) structural basic columns by block
+    pivots.  Each pass picks, for each remaining row, its largest entry among
+    the columns that are nonzero in no other remaining row: that block is
+    diagonal, so one elimination pivots it, and b, zero on those rows, does
+    not change.  Rows that find no such column keep their artificials."""
+    left = rows
+    while left.size:
+        sub = T[left, :ncols]
+        nz = sub != 0.0
+        single = nz.sum(axis=0) == 1
+        mag = np.where(nz & single, np.abs(sub), 0.0)
+        best = np.argmax(mag, axis=1)
+        got = mag[np.arange(left.size), best] > PIVOT_TOL
+        if not got.any():
+            return
+        P, J = left[got], best[got]
+        T[P] /= T[P, J][:, None]
+        hit = np.flatnonzero(np.any(T[:, J] != 0.0, axis=1))
+        hit = hit[~np.isin(hit, P)]
+        T[hit] -= T[hit][:, J] @ T[P]
+        T[np.ix_(hit, J)] = 0.0
+        basis[P] = J
+        left = left[~got]
+
+
 def _simplex_core(
     sf: _StandardForm, name: str
-) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-    """Two-phase dense tableau simplex.  Finite lower bounds are shifted out,
-    each free variable gets a negative column right after its own, and upper
-    bounds become rows after the constraints, so the tableau only sees
-    `A x (rel) b, x >= 0`.  Returns the status and, when optimal, x in
-    variable order and the duals y of `sf`'s rows, read from the phase-2
-    reduced costs z = c - y^T A: a row's artificial (or a "<=" row's slack)
-    column is e_i with cost 0, so z there is -y_i.  Flipped rows' duals
-    change sign back; upper-bound rows' duals are dropped."""
+) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
+    """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u`.
+
+    Finite lower bounds are shifted out and each free variable gets a
+    negative column right after its own.  A finite upper bound of a non-free
+    variable stays a column bound (bounded-variable simplex): a nonbasic
+    column sits at 0 or at its bound, kept as the complement u - x, so the
+    ratio test also stops a basic column at its bound, and an entering column
+    that reaches its own bound first flips there without a pivot.  Only free
+    variables' upper bounds become rows after the constraints.
+
+    Crash start: a row with b < 0 is negated, and so is a ">=" row with
+    b = 0, which then starts on its slack; "==" rows with b = 0 take
+    structural columns by `_crash`.  Only the rows left over start on
+    artificials, and phase 1 maximises minus their sum.  The phase-2
+    objective row rides along in phase 1, so no pricing-out pass is needed.
+
+    Pricing is Dantzig's: the largest reduced cost enters.  After
+    DEGENERATE_RUN consecutive degenerate steps Bland's rule (lowest index
+    enters) takes over until a step makes progress.  Ties in the ratio test
+    always go to the lowest basic index, so every choice is deterministic.
+
+    Returns the status, x in variable order and the duals y of `sf`'s rows
+    when optimal, and the number of pivots plus bound flips.  The duals are
+    read from the phase-2 reduced costs z = c - y^T A: a row's artificial (or
+    a "<=" row's slack) column is e_i with cost 0 and is never complemented,
+    so z there is -y_i.  Negated rows' duals change sign back; upper-bound
+    rows' duals are dropped."""
     n = len(sf.c)
     free = np.isneginf(sf.lower)
     offset = np.where(free, 0.0, sf.lower)
@@ -212,14 +267,14 @@ def _simplex_core(
     neg = pos[free] + 1
     ncols = n + len(neg)
 
-    bounded = np.nonzero(np.isfinite(sf.upper))[0]
+    bounded = np.nonzero(np.isfinite(sf.upper) & free)[0]
     S = np.vstack((sf.A, np.zeros((len(bounded), n))))
     S[len(sf.b) + np.arange(len(bounded)), bounded] = 1.0
     b = np.concatenate((sf.b, sf.upper[bounded]))
     rel = np.concatenate((sf.relations, np.ones(len(bounded), dtype=int)))
     if offset.any():
         b = b - S @ offset
-    flip = b < 0.0
+    flip = (b < 0.0) | ((b == 0.0) & (rel == -1))
     S[flip] *= -1.0
     b[flip] *= -1.0
     rel[flip] *= -1
@@ -230,91 +285,122 @@ def _simplex_core(
     n_slack = len(slack_rows)
     slack_cols = ncols + np.arange(n_slack)
     art_cols = ncols + n_slack + np.arange(len(art_rows))
-    width = ncols + n_slack + len(art_rows)
-    T = np.zeros((m, width))
-    T[:, pos] = S
-    T[:, neg] = -S[:, free]
+    lim = ncols + n_slack  # columns that may enter: artificials never do
+    width = lim + len(art_rows)
+    ub = np.full(width, np.inf)
+    ub[pos[~free]] = (sf.upper - offset)[~free]
+    has_ub = bool(np.isfinite(ub).any())
+    flipped = np.zeros(width, dtype=bool)  # column holds u - x
+
+    # rows 0..m-1: constraints; m: phase-2 reduced costs (b[m] = -objective);
+    # m+1: phase-1 reduced costs, dropped after phase 1
+    T = np.zeros((m + 2, width))
+    T[:m, pos] = S
+    T[:m, neg] = -S[:, free]
     T[slack_rows, slack_cols] = rel[slack_rows]
     T[art_rows, art_cols] = 1.0
+    T[m, pos] = sf.c
+    T[m, neg] = -sf.c[free]
+    b = np.concatenate((b, [0.0, 0.0]))
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols  # a ">=" row starts on its artificial
+    _crash(T, basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
+    # phase 1 maximises minus the leftover artificials, priced out on the basis
+    left = np.nonzero(basis >= lim)[0]
+    T[m + 1] = T[left].sum(axis=0)
+    T[m + 1, basis[left]] = 0.0
+    b[m + 1] = b[left].sum()
     max_iter = max(5000, 200 * (m + width))
+    steps = 0
 
-    def run(z: np.ndarray, allowed: np.ndarray) -> float:
-        """Bland's-rule pivoting on (T, b, z); returns the objective shift.
-        Raises on iteration-cap overrun, returns +inf when unbounded."""
-        zval = 0.0
+    def run(T: np.ndarray, b: np.ndarray) -> bool:
+        """Pivot on the tableau whose last row holds the reduced costs until
+        it is optimal (True) or unbounded (False); raises on the iteration
+        cap."""
+        nonlocal steps
+        z = T[-1, :lim]
+        bm = b[:m]
         # Optimality tolerance sits well below the smallest epsilon-weighted
         # objective level the allocators rely on (>= 1e-10) but well above
         # float noise, and scales with the objective magnitude.
-        tol_opt = 1e-12 * max(1.0, float(np.max(np.abs(z))) if z.size else 1.0)
+        tol_opt = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+        degenerate = 0
         for _ in range(max_iter):
-            cand = np.where(allowed & (z > tol_opt))[0]
-            if cand.size == 0:
-                return zval
-            j = int(cand[0])  # Bland: lowest index enters
-            col = T[:, j]
-            up = np.where(col > PIVOT_TOL)[0]
-            if up.size == 0:
-                return np.inf
-            ratios = b[up] / col[up]
-            rmin = float(np.min(ratios))
-            near = up[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-            r = int(near[np.argmin(basis[near])])  # Bland: lowest basic leaves
-            _pivot(T, b, r, j)
-            zval += z[j] * b[r]
-            z -= z[j] * T[r]
-            z[j] = 0.0
-            basis[r] = j
-            b[(b < 0.0) & (b > -1e-11)] = 0.0
+            if degenerate < DEGENERATE_RUN:
+                j = int(np.argmax(z))
+                if z[j] <= tol_opt:
+                    return True
+            else:
+                cand = np.flatnonzero(z > tol_opt)
+                if cand.size == 0:
+                    return True
+                j = int(cand[0])
+            col = T[:m, j]
+            if has_ub:
+                ubB = ub[basis]
+                down = col > PIVOT_TOL
+                rows = np.flatnonzero(down | ((col < -PIVOT_TOL) & (ubB < np.inf)))
+                room = np.where(down[rows], bm[rows], ubB[rows] - bm[rows])
+                ratios = np.maximum(room, 0.0) / np.abs(col[rows])
+            else:
+                rows = np.flatnonzero(col > PIVOT_TOL)
+                ratios = bm[rows] / col[rows]
+            step = float(np.min(ratios)) if rows.size else np.inf
+            if ub[j] <= step and ub[j] < np.inf:  # the entering column reaches its bound
+                step = ub[j]
+                b -= step * T[:, j]
+                T[:, j] *= -1.0
+                flipped[j] = not flipped[j]
+            elif not rows.size:
+                return False
+            else:
+                near = rows[ratios <= step + 1e-12 * max(1.0, abs(step))]
+                r = int(near[np.argmin(basis[near])])
+                if col[r] < 0.0:  # the basic column leaves at its bound
+                    k = basis[r]
+                    T[r] *= -1.0
+                    T[r, k] = 1.0
+                    b[r] = ub[k] - b[r]
+                    flipped[k] = not flipped[k]
+                _pivot(T, b, r, j)
+                basis[r] = j
+            steps += 1
+            bm[(bm < 0.0) & (bm > -1e-11)] = 0.0
+            degenerate = 0 if step > 1e-12 else degenerate + 1
         raise SimplexError(
             f"simplex iteration cap exceeded on LP {name!r} ({m} rows, {width} cols)"
         )
 
-    allowed = np.ones(width, dtype=bool)
-    if len(art_rows):
-        z1 = np.zeros(width)
-        z1[art_cols] = -1.0
-        # express phase-1 objective in terms of the current (artificial) basis
-        obj1 = 0.0
-        for i in art_rows:
-            z1 += T[i]
-            z1[basis[i]] = 0.0
-            obj1 -= b[i]
-        shift = run(z1, allowed)
-        if obj1 + shift < -1e-7 * max(1.0, float(np.max(b))):
-            return "infeasible", None, None
+    if left.size:
+        run(T, b)
+        if b[m + 1] > 1e-7 * max(1.0, float(np.max(b[:m]))):
+            return "infeasible", None, None, steps
         # Drive leftover artificials out of the basis where possible.  Any
         # non-artificial column works (slack columns included: a row whose
         # structural part was eliminated can still constrain the slack
         # space); a row with no such column is genuinely redundant.
-        for i in np.nonzero(basis >= ncols + n_slack)[0]:
-            nz = np.where(np.abs(T[i, : ncols + n_slack]) > PIVOT_TOL)[0]
+        for i in np.nonzero(basis >= lim)[0]:
+            nz = np.where(np.abs(T[i, :lim]) > PIVOT_TOL)[0]
             if nz.size:
                 _pivot(T, b, i, int(nz[0]))
                 basis[i] = nz[0]
-        allowed[art_cols] = False
-
-    z2 = np.zeros(width)
-    z2[pos] = sf.c
-    z2[neg] = -sf.c[free]
-    for i in range(m):
-        if z2[basis[i]] != 0.0:
-            z2 -= z2[basis[i]] * T[i]
-            z2[basis[i]] = 0.0
-    if run(z2, allowed) == np.inf:
-        return "unbounded", None, None
+                steps += 1
+    T, b = T[: m + 1], b[: m + 1]
+    if not run(T, b):
+        return "unbounded", None, None, steps
 
     x = np.zeros(width)
-    x[basis] = b
+    x[basis] = b[:m]
+    x[flipped] = ub[flipped] - x[flipped]
     values = x[pos] + offset
     values[free] -= x[neg]
     unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
     unit[slack_rows] = slack_cols
     unit[art_rows] = art_cols
+    z2 = T[m]
     duals = np.where(flip, z2[unit], -z2[unit])
-    return "optimal", values, duals[: len(sf.b)]
+    return "optimal", values, duals[: len(sf.b)], steps
 
 
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
@@ -348,11 +434,11 @@ class SimplexBackend:
 
     def solve(self, lp: LinearProgram) -> LpSolution:
         sf = _standard_form(lp)
-        status, x, duals = _simplex_core(sf, lp.name)
+        status, x, duals, iterations = _simplex_core(sf, lp.name)
         if status != "optimal":
-            return LpSolution(status, {}, float("nan"))
+            return LpSolution(status, {}, float("nan"), iterations=iterations)
         _check_solution(lp, sf, x)
-        return _optimal(lp, x, duals)
+        return _optimal(lp, x, duals, iterations)
 
 
 class ScipyBackend:
@@ -377,10 +463,11 @@ class ScipyBackend:
             bounds=np.column_stack((sf.lower, sf.upper)),
             method="highs",
         )
+        iterations = int(res.nit)
         if res.status == 2:
-            return LpSolution("infeasible", {}, float("nan"))
+            return LpSolution("infeasible", {}, float("nan"), iterations=iterations)
         if res.status == 3:
-            return LpSolution("unbounded", {}, float("nan"))
+            return LpSolution("unbounded", {}, float("nan"), iterations=iterations)
         if not res.success:
             raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
         _check_solution(lp, sf, res.x)
@@ -389,7 +476,7 @@ class ScipyBackend:
         duals = np.empty(len(sf.b))
         duals[ub] = -sf.relations[ub] * res.ineqlin.marginals
         duals[eq] = -res.eqlin.marginals
-        return _optimal(lp, res.x, duals)
+        return _optimal(lp, res.x, duals, iterations)
 
 
 class SolveSession:

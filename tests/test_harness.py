@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fairalloc.bench as bench
 from fairalloc.bench import (
     BENCH_CSV_HEADER,
     Scenario,
@@ -24,6 +25,7 @@ from fairalloc.model import (
     check_feasible,
     validate_problem,
 )
+from fairalloc.report import AllocatorReport
 
 
 def test_generator_is_deterministic_under_seed():
@@ -204,6 +206,16 @@ def test_invalid_problem_is_a_row_not_a_crash():
     assert [r.scenario for r in rows] == ["ok", "bad", "ok2"]
     assert rows[0].error is None and rows[2].error is None
     assert "invalid problem" in rows[1].error
+
+
+def test_infeasible_allocation_is_a_row_error(monkeypatch):
+    prob = Problem([Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"])])
+    over = AllocatorReport(Allocation({("d", "p"): 1.5}), 0, 1, {"converged": True})
+    monkeypatch.setitem(bench._RUNNERS, "gb", (lambda p, c, s: over, ()))
+    rows = run_benchmark([Scenario("over", prob, "gb"), Scenario("ok", prob, "exact")])
+    assert rows[0].error == "ValueError: infeasible allocation: capacity of L exceeded by 0.5"
+    assert rows[0].fairness_geomean is None
+    assert rows[1].error is None and rows[1].fairness_geomean == pytest.approx(1.0)
 
 
 def test_rows_independent_of_scenario_order():

@@ -140,23 +140,29 @@ def _random_lp(rng, trial):
     return lp
 
 
-def test_simplex_matches_reference_on_random_corpus():
-    """>= 50 optimal random LPs (<= 30 variables) against scipy HiGHS at
-    1e-7 relative; statuses must agree on every draw."""
-    rng = np.random.default_rng(11)
+def _optimal_lps_matching_reference(corpus, seed):
+    """Draw from `corpus` until 60 are optimal (at most 300 draws); statuses
+    must agree with scipy HiGHS on every draw and objectives within 1e-7
+    relative.  Returns the optimal LPs."""
+    rng = np.random.default_rng(seed)
     simp, ref = SimplexBackend(), ScipyBackend()
-    optimal = 0
+    optimal = []
     for trial in range(300):
-        if optimal >= 60:
+        if len(optimal) >= 60:
             break
-        lp = _random_lp(rng, trial)
+        lp = corpus(rng, trial)
         mine, theirs = simp.solve(lp), ref.solve(lp)
         assert mine.status == theirs.status, lp.name
         if mine.status == "optimal":
-            optimal += 1
+            optimal.append(lp)
             denom = max(1.0, abs(theirs.objective))
             assert abs(mine.objective - theirs.objective) / denom < 1e-7, lp.name
-    assert optimal >= 50
+    return optimal
+
+
+def test_simplex_matches_reference_on_random_corpus():
+    """>= 50 optimal random LPs (<= 30 variables) against scipy HiGHS."""
+    assert len(_optimal_lps_matching_reference(_random_lp, 11)) >= 50
 
 
 def _random_bounded_lp(rng, trial):
@@ -199,29 +205,93 @@ def _random_bounded_lp(rng, trial):
 
 def test_simplex_matches_reference_on_free_and_shifted_variables():
     """Free columns, free columns with an upper-bound row (negative ones
-    flip), and shifted lower bounds: statuses agree with scipy HiGHS on
-    every draw and objectives within 1e-7 relative on >= 50 optimal ones."""
-    rng = np.random.default_rng(29)
-    simp, ref = SimplexBackend(), ScipyBackend()
-    optimal = 0
+    flip), and shifted lower bounds, on >= 50 optimal LPs."""
+    optimal = _optimal_lps_matching_reference(_random_bounded_lp, 29)
+    assert len(optimal) >= 50
     seen = {"free": 0, "free+upper": 0, "shifted": 0}
-    for trial in range(300):
-        if optimal >= 60:
-            break
-        lp = _random_bounded_lp(rng, trial)
-        mine, theirs = simp.solve(lp), ref.solve(lp)
-        assert mine.status == theirs.status, lp.name
-        if mine.status == "optimal":
-            optimal += 1
-            denom = max(1.0, abs(theirs.objective))
-            assert abs(mine.objective - theirs.objective) / denom < 1e-7, lp.name
-            for v in lp.variables:
-                if v.lower is not None:
-                    seen["shifted"] += 1
-                else:
-                    seen["free" if v.upper is None else "free+upper"] += 1
-    assert optimal >= 50
+    for lp in optimal:
+        for v in lp.variables:
+            if v.lower is not None:
+                seen["shifted"] += 1
+            else:
+                seen["free" if v.upper is None else "free+upper"] += 1
     assert min(seen.values()) >= 50
+
+
+def _random_zero_rhs_lp(rng, trial):
+    """Allocation-shaped LPs whose rows mostly have b = 0: definitional "=="
+    rows F_k = sum_p q_kp f_kp, F_k = w_k rho_k and rho_k = sum_b y_kb, ">= 0"
+    floor rows rho_k - t >= 0, random ">= 0" and "== 0" rows (the crash
+    cannot always cover the latter), "<=" capacity rows, and nonnegative
+    columns with finite upper bounds (bin caps y_kb, some rates).  Every draw
+    is feasible (x = 0); some are unbounded."""
+    demands = int(rng.integers(1, 6))
+    resources = int(rng.integers(1, 5))
+    lp = LinearProgram(name=f"zero-rhs{trial}", sense="max" if rng.random() < 0.5 else "min")
+    lp.add_variable("t", lower=None if rng.random() < 0.3 else 0.0)
+    usage = [{} for _ in range(resources)]
+    for k in range(demands):
+        rates = {}
+        for p in range(int(rng.integers(1, 4))):
+            upper = None if rng.random() < 0.5 else float(rng.uniform(0.5, 4))
+            f = lp.add_variable(f"f{k}_{p}", 0.0, upper)
+            rates[f] = -float(rng.choice([1.0, 0.5, 2.0]))
+            for e in {int(rng.integers(resources))} | set(rng.choice(resources, 2).tolist()):
+                usage[e][f] = float(rng.choice([1.0, 0.5, 3.0]))
+        F, rho = lp.add_variable(f"F{k}"), lp.add_variable(f"rho{k}")
+        lp.add_constraint({F: 1.0, **rates}, "==", 0.0, name=f"total:{k}")
+        lp.add_constraint({F: 1.0, rho: -float(rng.choice([1.0, 2.0, 4.0]))}, "==", 0.0)
+        if rng.random() < 0.7:
+            lp.add_constraint({rho: 1.0, "t": -1.0}, ">=", 0.0, name=f"floor:{k}")
+        if rng.random() < 0.5:
+            bins = {rho: -1.0}
+            for b in range(int(rng.integers(1, 4))):
+                bins[lp.add_variable(f"y{k}_{b}", 0.0, float(rng.uniform(0.2, 2)))] = 1.0
+            lp.add_constraint(bins, "==", 0.0, name=f"bins:{k}")
+    for e, coeffs in enumerate(usage):
+        if coeffs:
+            lp.add_constraint(coeffs, "<=", float(rng.uniform(1, 5)), name=f"cap:{e}")
+    names = [v.name for v in lp.variables]
+    for relation in rng.choice([">=", "=="], size=int(rng.integers(0, 4))):
+        cols = rng.choice(len(names), size=min(len(names), 3), replace=False)
+        lp.add_constraint({names[j]: float(rng.normal()) for j in cols}, str(relation), 0.0)
+    lp.objective = {v: float(rng.normal()) for v in names if rng.random() < 0.6}
+    return lp
+
+
+def test_simplex_matches_reference_on_zero_rhs_rows():
+    """The crash start (zero-rhs "==" and ">=" rows) and bounded columns, on
+    >= 50 optimal LPs."""
+    optimal = _optimal_lps_matching_reference(_random_zero_rhs_lp, 41)
+    assert len(optimal) >= 50
+    relations = [(c.relation, c.rhs) for lp in optimal for c in lp.constraints]
+    assert relations.count(("==", 0.0)) >= 100 and relations.count((">=", 0.0)) >= 50
+    assert sum(v.upper is not None for lp in optimal for v in lp.variables) >= 50
+
+
+def _beale_cycling_lp():
+    """Beale's LP, on which the largest-coefficient rule with lowest-index
+    ties cycles through degenerate bases."""
+    lp = LinearProgram(name="beale", sense="min")
+    for j in (4, 5, 6, 7):
+        lp.add_variable(f"x{j}")
+    lp.add_constraint({"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, "<=", 0.0)
+    lp.add_constraint({"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, "<=", 0.0)
+    lp.add_constraint({"x6": 1.0}, "<=", 1.0)
+    lp.objective = {"x4": -0.75, "x5": 20.0, "x6": -0.5, "x7": 6.0}
+    return lp
+
+
+def test_blands_rule_breaks_the_degenerate_cycle(monkeypatch):
+    mine = SimplexBackend().solve(_beale_cycling_lp())
+    theirs = ScipyBackend().solve(_beale_cycling_lp())
+    assert mine.objective == pytest.approx(-1.25)
+    assert theirs.objective == pytest.approx(-1.25)
+    assert mine.values == pytest.approx(theirs.values)
+    # without the fallback the same LP never leaves its cycle
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(SimplexError, match="iteration cap"):
+        SimplexBackend().solve(_beale_cycling_lp())
 
 
 def _assert_optimal_duals(lp, sol, tol=1e-7):
@@ -244,7 +314,9 @@ def _assert_optimal_duals(lp, sol, tol=1e-7):
 
 
 @pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
-@pytest.mark.parametrize("corpus,seed", [(_random_lp, 11), (_random_bounded_lp, 29)])
+@pytest.mark.parametrize(
+    "corpus,seed", [(_random_lp, 11), (_random_bounded_lp, 29), (_random_zero_rhs_lp, 41)]
+)
 def test_duals_satisfy_strong_duality_and_complementary_slackness(backend, corpus, seed):
     rng = np.random.default_rng(seed)
     optimal = 0
@@ -286,7 +358,7 @@ def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, mes
     monkeypatch.setattr(
         lp_module,
         "_simplex_core",
-        lambda sf, name: ("optimal", np.array(point), np.zeros(len(sf.b))),
+        lambda sf, name: ("optimal", np.array(point), np.zeros(len(sf.b)), 0),
     )
     if message is None:
         assert SimplexBackend().solve(_guard_lp()).values == {"x": 2.0, "y": 1.0}
@@ -303,6 +375,7 @@ def test_scipy_backend_rejects_a_corrupt_optimal_point(monkeypatch):
         return SimpleNamespace(
             status=0,
             success=True,
+            nit=2,
             x=np.array([2.0, 1.1]),
             ineqlin=SimpleNamespace(marginals=np.zeros(2)),
             eqlin=SimpleNamespace(marginals=np.zeros(1)),
@@ -335,6 +408,23 @@ def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     session = SolveSession()
     report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
     assert session.count == report.iterations > 1
+
+
+def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
+    """Pivots plus bound flips per LP.  The crash start leaves these LPs no
+    artificials, and the bin caps are column bounds (6 of gb's 11 steps are
+    flips), so a change that brings back phase-1 work or bound rows fails
+    here.  Before both, gb took 18 pivots and exact 8."""
+    runs = {
+        "gb": lambda s: geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05), s),
+        "exact": lambda s: exact_sequential_max_min(two_link_example, s),
+    }
+    iterations = {}
+    for name, run in runs.items():
+        rec = _Recording()
+        run(SolveSession(rec))
+        iterations[name] = [sol.iterations for sol in rec.solutions]
+    assert iterations == {"gb": [11], "exact": [4]}
 
 
 # -- feasible-allocation fragment ----------------------------------------------
@@ -454,10 +544,12 @@ def test_capacity_rows_match_the_nested_loop_reference():
 class _Recording:
     def __init__(self):
         self.lps = []
+        self.solutions = []
 
     def solve(self, lp):
         self.lps.append(lp)
-        return SimplexBackend().solve(lp)
+        self.solutions.append(SimplexBackend().solve(lp))
+        return self.solutions[-1]
 
 
 def _rebuilt_exact(problem, solve):
