@@ -65,6 +65,7 @@ EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
 FREEZE_TOL = 1e-7
 DUAL_TOL = 1e-9  # a floor dual above this certifies that the demand is bottlenecked
 TIE_BREAK = 1e-4
+TIE_REL_TOL = 1e-9  # estimates or boundaries this close (relative) count as equal
 
 
 class AllocationError(RuntimeError):
@@ -557,7 +558,11 @@ def compute_equi_boundaries(
     aw_rates: Mapping[str, float], num_bins: int
 ) -> tuple[list[float], list[list[str]]]:
     """Split demands into contiguous equal-size groups by ascending estimated
-    rate (ties by demand id); boundary b is the largest rate in group b."""
+    rate; boundary b is the largest rate in group b.
+
+    Consecutive estimates within ``TIE_REL_TOL`` (relative) of each other are
+    ties and are ordered by demand id, so rounding noise in the estimate does
+    not decide the grouping."""
     if not aw_rates:
         raise ValueError("empty rates map")
     if num_bins < 1:
@@ -566,18 +571,26 @@ def compute_equi_boundaries(
         raise ValueError(
             f"num_bins={num_bins} exceeds the {len(aw_rates)} demands"
         )
-    order = sorted(aw_rates.items(), key=lambda kv: (kv[1], kv[0]))
+    ranked = sorted(aw_rates.items(), key=lambda kv: (kv[1], kv[0]))
+    order: list[tuple[str, float]] = []
+    tied: list[tuple[str, float]] = []
+    for kv in ranked:
+        if tied and kv[1] - tied[-1][1] > TIE_REL_TOL * abs(tied[-1][1]):
+            order += sorted(tied)
+            tied = []
+        tied.append(kv)
+    order += sorted(tied)
     size = math.ceil(len(order) / num_bins)
     groups: list[list[str]] = []
     boundaries: list[float] = []
     for start in range(0, len(order), size):
         chunk = order[start : start + size]
         groups.append([k for k, _ in chunk])
-        boundaries.append(chunk[-1][1])
+        boundaries.append(max(v for _, v in chunk))
     return boundaries, groups
 
 
-def merge_boundaries(boundaries: Sequence[float], rel_tol: float = 1e-9) -> list[float]:
+def merge_boundaries(boundaries: Sequence[float], rel_tol: float = TIE_REL_TOL) -> list[float]:
     """Collapse equal or non-positive boundaries so the result is strictly
     increasing (the degenerate-merge rule for the multi-bin variant)."""
     out: list[float] = []
@@ -626,11 +639,11 @@ def equi_depth_elastic(
 
     max_ratio = max(est_ratio.values(), default=0.0)
     slack: list[float] = []
-    for group in groups:
+    for bound, group in zip(est_bounds, groups):
         if cfg.slack is not None:
             slack.append(float(cfg.slack))
         else:
-            span = est_ratio[group[-1]] - est_ratio[group[0]]
+            span = bound - min(est_ratio[k] for k in group)
             slack.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
 
     lp = _ratio_fragment(problem, "equi-depth-elastic")

@@ -291,7 +291,12 @@ def test_06_bandwidth_bottleneck_theory():
 def _progressive_filling(prob: Problem, step: float = 1e-4) -> dict[str, float]:
     """Brute-force oracle: raise every unfrozen ratio by `step`, freeze the
     demands of any link that the next step would overload and any demand at
-    its volume.  Independent of the waterfilling implementation."""
+    its volume.  Independent of the waterfilling implementation.
+
+    Between two freeze events every unfrozen ratio takes the same steps, and
+    both events (an overloaded link, a volume reached) are monotone in the
+    number of steps taken, so the steps to the next event are found by
+    galloping, then bisecting, rather than one step at a time."""
     dm, pm = prob.demand_map(), prob.path_map()
     demands = [d.id for d in prob.demands]
     w = np.array([dm[k].weight for k in demands])
@@ -307,17 +312,32 @@ def _progressive_filling(prob: Problem, step: float = 1e-4) -> dict[str, float]:
 
     ratio = np.zeros(len(demands))
     frozen = np.zeros(len(demands), dtype=bool)
+
+    def advanced(n: int) -> np.ndarray:
+        return ratio + np.where(frozen, 0.0, n * step)
+
+    def overloaded(n: int) -> np.ndarray:
+        return usage_of @ np.minimum(advanced(n) * w, vol) > cap
+
+    def event(n: int) -> bool:
+        return bool(overloaded(n).any() or (~frozen & (advanced(n) * w >= vol)).any())
+
     while not frozen.all():
-        trial = ratio + np.where(frozen, 0.0, step)
-        rates = np.minimum(trial * w, vol)
-        overloaded = usage_of @ rates > cap
-        if overloaded.any():
-            hit = (usage_of[overloaded].sum(axis=0) > 0) & ~frozen
+        lo, hi = 0, 1  # no event after lo steps; find the first step with one
+        while not event(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if event(mid) else (mid, hi)
+        over = overloaded(hi)
+        if over.any():
+            ratio = advanced(lo)
+            hit = (usage_of[over].sum(axis=0) > 0) & ~frozen
             if not hit.any():
                 break
             frozen |= hit
             continue
-        ratio = trial
+        ratio = advanced(hi)
         frozen |= ratio * w >= vol
     return {k: float(min(ratio[j] * w[j], vol[j])) for j, k in enumerate(demands)}
 

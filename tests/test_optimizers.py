@@ -448,6 +448,21 @@ def test_boundaries_all_equal_rates_then_merge():
     assert merge_boundaries(bounds) == [1.0]
 
 
+def test_boundaries_order_rounding_ties_by_id():
+    # Two estimates one ulp apart are a tie: the id orders them, whichever of
+    # the two carries the rounding error, and each boundary is its group's
+    # largest estimate.
+    one, up = 1.0, float(np.nextafter(1.0, 2.0))
+    for rates in ({"a": up, "b": one, "c": 3.0}, {"a": one, "b": up, "c": 3.0}):
+        bounds, groups = compute_equi_boundaries(rates, 3)
+        assert groups == [["a"], ["b"], ["c"]]
+        assert bounds == [rates["a"], rates["b"], 3.0]
+    bounds, groups = compute_equi_boundaries({"a": up, "b": one, "c": one, "d": 2.0}, 2)
+    assert groups == [["a", "b"], ["c", "d"]]
+    assert bounds == [up, 2.0]
+    assert merge_boundaries(compute_equi_boundaries({"a": up, "b": one}, 2)[0]) == [up]
+
+
 def test_boundaries_six_demands_three_bins():
     rates = {f"d{i}": float(i) for i in range(6)}
     _, groups = compute_equi_boundaries(rates, 3)

@@ -142,6 +142,68 @@ def test_csr_waterfillers_match_the_dense_reference(case):
     np.testing.assert_allclose(approx_waterfill(m, caps), approx, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("inner", ["approx", "exact"])
+@settings(max_examples=60, deadline=None)
+@given(
+    case=subdemand_problems(),
+    max_iterations=st.integers(1, 6),
+    theta_tol=st.sampled_from([1e-6, 1e-2]),
+)
+def test_adaptive_waterfill_properties(inner, case, max_iterations, theta_tol):
+    prob, _ = case
+    rep = adaptive_waterfill(prob, max_iterations, inner, theta_tol)
+    # Capacities and volumes are at most 10 here, so 1e-9 admits rounding
+    # only.  The default tolerance, 1e-6 of the largest capacity, is 0 when
+    # every link has capacity 0, and a volume row may still round up an ulp.
+    assert check_feasible(prob, rep.allocation, tol=1e-9).feasible
+    final = rep.notes["final_theta"]
+    for d in prob.demands:
+        row = [final[(d.id, pid)] for pid in d.paths]
+        assert min(row) >= 0.0
+        assert sum(row) == pytest.approx(1.0, rel=0, abs=1e-9)
+    assert 1 <= rep.iterations <= max_iterations
+    last = rep.notes["theta_trace"][-1]["theta"]
+    change = max(abs(final[c] - last[c]) for c in final)
+    assert rep.converged == (change <= theta_tol)
+
+
+# -- the inner fixed point of the single pass, pinned by hand ----------------------
+
+
+def test_approx_row_drops_members_in_two_successive_rounds():
+    # Initial shares: LA 1/1, LB 4/2, L 10.5/4.  LA fixes A at 1; LB drops A
+    # and gives B the 3 left.  On L, zeta 2.625 drops A (1); the recomputed
+    # zeta 9.5/3 then drops B (3); C and D share the 6.5 left.
+    prob = Problem(
+        [Resource("LA", 1.0), Resource("LB", 4.0), Resource("L", 10.5)],
+        [
+            Path("pa", ["LA", "LB", "L"]),
+            Path("pb", ["LB", "L"]),
+            Path("pc", ["L"]),
+            Path("pd", ["L"]),
+        ],
+        [Demand("A", ["pa"]), Demand("B", ["pb"]), Demand("C", ["pc"]), Demand("D", ["pd"])],
+    )
+    m, caps = build_subdemands(prob, uniform_theta(prob))
+    want = [1.0, 3.0, 3.25, 3.25]
+    assert approx_waterfill(m, caps).tolist() == want
+    assert dense_approx_waterfill(*dense(m), caps).tolist() == want
+
+
+def test_approx_zero_capacity_link_fixes_its_members_at_zero():
+    # Z (c=0) has the smallest share and fixes E and F at 0.  On M, zeta 4/3
+    # drops E (0 < 4/3), and G (weight 2) takes all of M.
+    prob = Problem(
+        [Resource("M", 4.0), Resource("Z", 0.0)],
+        [Path("pe", ["Z", "M"]), Path("pf", ["Z"]), Path("pg", ["M"])],
+        [Demand("E", ["pe"]), Demand("F", ["pf"]), Demand("G", ["pg"], weight=2.0)],
+    )
+    m, caps = build_subdemands(prob, uniform_theta(prob))
+    want = [0.0, 0.0, 4.0]
+    assert approx_waterfill(m, caps).tolist() == want
+    assert dense_approx_waterfill(*dense(m), caps).tolist() == want
+
+
 def single_link(capacity, weights):
     resources = [Resource("L", capacity)]
     paths = [Path(f"p{i}", ["L"]) for i in range(len(weights))]
@@ -266,6 +328,13 @@ def test_theta_row_must_sum_to_one(two_link_example):
     theta = {("d1", "p1"): 0.7, ("d1", "p2"): 0.7, ("d2", "p3"): 1.0}
     with pytest.raises(ValueError, match="sum"):
         build_subdemands(two_link_example, theta)
+
+
+def test_column_on_no_resource_is_rejected_when_built():
+    # Unbounded, so the empty path gets no virtual edge either.
+    prob = Problem([Resource("L", 1.0)], [Path("p0", [])], [Demand("d0", ["p0"])])
+    with pytest.raises(ValueError, match="lies on no resource"):
+        build_subdemands(prob, uniform_theta(prob))
 
 
 def test_zero_weight_column_gets_zero_rate(two_link_example):
