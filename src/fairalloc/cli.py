@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 
 from . import bench
 from .generate import TRAFFIC_MODELS, TrafficSpec, generate_problem
-from .lp import LinearProgram, LpSolution, SimplexBackend, SolveSession, dump_lp
+from .lp import LinearProgram, LpSolution, SimplexBackend, SolveSession, write_lp_text
 from .model import validate_problem
 from .report import report_to_dict
 
@@ -32,7 +32,7 @@ class _DumpingBackend:
 
     def solve(self, lp: LinearProgram) -> LpSolution:
         self._n += 1
-        dump_lp(lp, str(self._dir / f"{self._n:04d}-{_slug(lp.name)}.lp"))
+        (self._dir / f"{self._n:04d}-{_slug(lp.name)}.lp").write_text(write_lp_text(lp))
         return self._inner.solve(lp)
 
 

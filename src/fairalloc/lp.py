@@ -2,11 +2,13 @@
 a pluggable backend seam, and the shared feasible-allocation constraint
 builder used by every optimization-based allocator.
 
-Every solve goes through one standard form: `_standard_form` validates a
-`LinearProgram` once and maps its names to dense arrays (`A`, relations,
-`b`, `c`, bounds) in variable and constraint order.  The built-in simplex,
-the scipy HiGHS backend and the solution check all work on those arrays.
-Both backends return optimal row duals in one sign convention.
+Every LP has one shape: nonnegative variables, each with an optional upper
+bound, linear rows, and an objective that is maximised.  Every solve goes
+through one standard form: `_standard_form` validates a `LinearProgram` once
+and maps its names to dense arrays (`A`, relations, `b`, `c`, upper bounds)
+in variable and constraint order.  The built-in simplex, the scipy HiGHS
+backend and the solution check all work on those arrays.  Both backends
+return optimal row duals in one sign convention.
 
 The built-in solver is a dense two-phase primal simplex: upper bounds stay
 column bounds (bounded-variable simplex), a crash start covers zero-rhs
@@ -37,9 +39,8 @@ __all__ = [
     "SolveSession",
     "build_feasible_alloc",
     "rate_var",
-    "total_var",
+    "ratio_var",
     "write_lp_text",
-    "dump_lp",
 ]
 
 PIVOT_TOL = 1e-9
@@ -47,9 +48,10 @@ PIVOT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Variable:
+    """A column x >= 0, at most `upper` unless that is None."""
+
     name: str
-    lower: float | None = 0.0  # None = -inf
-    upper: float | None = None  # None = +inf
+    upper: float | None = None
 
 
 @dataclass(frozen=True)
@@ -67,19 +69,16 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A named LP: variables with bounds, linear constraints, and a linear
-    objective.  Treated as immutable once handed to a solver."""
+    """A named LP: nonnegative variables, linear constraints, and a linear
+    objective to maximise.  Treated as immutable once handed to a solver."""
 
     name: str = "lp"
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[str, float] = field(default_factory=dict)
-    sense: str = "max"
 
-    def add_variable(
-        self, name: str, lower: float | None = 0.0, upper: float | None = None
-    ) -> str:
-        self.variables.append(Variable(name, lower, upper))
+    def add_variable(self, name: str, *, upper: float | None = None) -> str:
+        self.variables.append(Variable(name, upper))
         return name
 
     def add_constraint(
@@ -97,8 +96,8 @@ class LinearProgram:
         if len(known) != len(names):
             raise ValueError(f"{self.name}: duplicate variable names")
         for v in self.variables:
-            if v.lower is not None and v.upper is not None and v.lower > v.upper:
-                raise ValueError(f"{self.name}: {v.name} has lower > upper")
+            if v.upper is not None and v.upper < 0:
+                raise ValueError(f"{self.name}: {v.name} has a negative upper bound")
         for c in self.constraints:
             for var in c.coeffs:
                 if var not in known:
@@ -106,17 +105,15 @@ class LinearProgram:
         for var in self.objective:
             if var not in known:
                 raise ValueError(f"{self.name}: objective uses unknown {var!r}")
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"{self.name}: sense must be max or min")
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """When optimal, ``duals`` holds an optimal dual per constraint, in order:
-    d objective / d rhs in the LP's own sense (so >= 0 on a "<=" row of a max
-    LP, <= 0 on a ">=" row, and 0 on a slack row).  ``iterations`` is the
-    backend's work count: simplex pivots plus bound flips for the built-in
-    solver, HiGHS's iteration count for the scipy backend."""
+    d objective / d rhs (so >= 0 on a "<=" row, <= 0 on a ">=" row, and 0 on
+    a slack row).  ``iterations`` is the backend's work count: simplex pivots
+    plus bound flips for the built-in solver, HiGHS's iteration count for the
+    scipy backend."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: dict[str, float]
@@ -140,14 +137,13 @@ _RELATION_SIGN = {"<=": 1, "==": 0, ">=": -1}
 
 class _StandardForm(NamedTuple):
     """Dense arrays of a validated LP, rows in constraint order and columns
-    in variable order: `A x (relations) b`, `lower <= x <= upper`,
-    maximize `c x`."""
+    in variable order: `A x (relations) b`, `0 <= x <= upper`, maximize
+    `c x`."""
 
     A: np.ndarray
     relations: np.ndarray  # per row: 1 for "<=", 0 for "==", -1 for ">="
     b: np.ndarray
-    c: np.ndarray  # negated objective when the sense is "min"
-    lower: np.ndarray  # -inf where unbounded below
+    c: np.ndarray
     upper: np.ndarray  # +inf where unbounded above
 
 
@@ -162,15 +158,13 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     A[rows, [col[name] for con in cons for name in con.coeffs]] = [
         a for con in cons for a in con.coeffs.values()
     ]
-    sign = 1.0 if lp.sense == "max" else -1.0
     c = np.zeros(len(col))
-    c[[col[name] for name in lp.objective]] = [sign * a for a in lp.objective.values()]
+    c[[col[name] for name in lp.objective]] = list(lp.objective.values())
     return _StandardForm(
         A,
         np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int),
         np.array([con.rhs for con in cons], dtype=float),
         c,
-        np.array([-np.inf if v.lower is None else v.lower for v in lp.variables]),
         np.array([np.inf if v.upper is None else v.upper for v in lp.variables]),
     )
 
@@ -178,12 +172,9 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
 def _optimal(
     lp: LinearProgram, x: np.ndarray, duals: np.ndarray, iterations: int
 ) -> LpSolution:
-    # `duals` belong to the maximized standard form: negate them for "min"
     values = dict(zip((v.name for v in lp.variables), x.tolist()))
     obj = sum(a * values[n] for n, a in lp.objective.items())
-    sign = 1.0 if lp.sense == "max" else -1.0
-    duals = tuple((sign * duals).tolist())
-    return LpSolution("optimal", values, float(obj), duals, iterations)
+    return LpSolution("optimal", values, float(obj), tuple(duals.tolist()), iterations)
 
 
 # -- built-in solver ----------------------------------------------------------
@@ -235,19 +226,18 @@ def _simplex_core(
 ) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
     """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u`.
 
-    Finite lower bounds are shifted out and each free variable gets a
-    negative column right after its own.  A finite upper bound of a non-free
-    variable stays a column bound (bounded-variable simplex): a nonbasic
-    column sits at 0 or at its bound, kept as the complement u - x, so the
-    ratio test also stops a basic column at its bound, and an entering column
-    that reaches its own bound first flips there without a pivot.  Only free
-    variables' upper bounds become rows after the constraints.
+    A finite upper bound stays a column bound (bounded-variable simplex): a
+    nonbasic column sits at 0 or at its bound, kept as the complement u - x,
+    so the ratio test also stops a basic column at its bound, and an entering
+    column that reaches its own bound first flips there without a pivot.
 
     Crash start: a row with b < 0 is negated, and so is a ">=" row with
     b = 0, which then starts on its slack; "==" rows with b = 0 take
-    structural columns by `_crash`.  Only the rows left over start on
-    artificials, and phase 1 maximises minus their sum.  The phase-2
-    objective row rides along in phase 1, so no pricing-out pass is needed.
+    structural columns by `_crash`.  Rows are negated in the tableau and in
+    new arrays, never in `sf`, which the solution check reads afterwards.
+    Only the rows left over start on artificials, and phase 1 maximises minus
+    their sum.  The phase-2 objective row rides along in phase 1, so no
+    pricing-out pass is needed.
 
     Pricing is Dantzig's: the largest reduced cost enters.  After
     DEGENERATE_RUN consecutive degenerate steps Bland's rule (lowest index
@@ -258,26 +248,11 @@ def _simplex_core(
     when optimal, and the number of pivots plus bound flips.  The duals are
     read from the phase-2 reduced costs z = c - y^T A: a row's artificial (or
     a "<=" row's slack) column is e_i with cost 0 and is never complemented,
-    so z there is -y_i.  Negated rows' duals change sign back; upper-bound
-    rows' duals are dropped."""
-    n = len(sf.c)
-    free = np.isneginf(sf.lower)
-    offset = np.where(free, 0.0, sf.lower)
-    pos = np.arange(n) + np.cumsum(free) - free  # column of each variable
-    neg = pos[free] + 1
-    ncols = n + len(neg)
-
-    bounded = np.nonzero(np.isfinite(sf.upper) & free)[0]
-    S = np.vstack((sf.A, np.zeros((len(bounded), n))))
-    S[len(sf.b) + np.arange(len(bounded)), bounded] = 1.0
-    b = np.concatenate((sf.b, sf.upper[bounded]))
-    rel = np.concatenate((sf.relations, np.ones(len(bounded), dtype=int)))
-    if offset.any():
-        b = b - S @ offset
-    flip = (b < 0.0) | ((b == 0.0) & (rel == -1))
-    S[flip] *= -1.0
-    b[flip] *= -1.0
-    rel[flip] *= -1
+    so z there is -y_i.  Negated rows' duals change sign back."""
+    ncols = len(sf.c)
+    flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
+    b = np.where(flip, -sf.b, sf.b)
+    rel = np.where(flip, -sf.relations, sf.relations)
 
     m = len(b)
     slack_rows = np.nonzero(rel != 0)[0]
@@ -288,19 +263,18 @@ def _simplex_core(
     lim = ncols + n_slack  # columns that may enter: artificials never do
     width = lim + len(art_rows)
     ub = np.full(width, np.inf)
-    ub[pos[~free]] = (sf.upper - offset)[~free]
+    ub[:ncols] = sf.upper
     has_ub = bool(np.isfinite(ub).any())
     flipped = np.zeros(width, dtype=bool)  # column holds u - x
 
     # rows 0..m-1: constraints; m: phase-2 reduced costs (b[m] = -objective);
     # m+1: phase-1 reduced costs, dropped after phase 1
     T = np.zeros((m + 2, width))
-    T[:m, pos] = S
-    T[:m, neg] = -S[:, free]
+    T[:m, :ncols] = sf.A
+    T[:m][flip] *= -1.0
     T[slack_rows, slack_cols] = rel[slack_rows]
     T[art_rows, art_cols] = 1.0
-    T[m, pos] = sf.c
-    T[m, neg] = -sf.c[free]
+    T[m, :ncols] = sf.c
     b = np.concatenate((b, [0.0, 0.0]))
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
@@ -393,14 +367,12 @@ def _simplex_core(
     x = np.zeros(width)
     x[basis] = b[:m]
     x[flipped] = ub[flipped] - x[flipped]
-    values = x[pos] + offset
-    values[free] -= x[neg]
     unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
     unit[slack_rows] = slack_cols
     unit[art_rows] = art_cols
     z2 = T[m]
     duals = np.where(flip, z2[unit], -z2[unit])
-    return "optimal", values, duals[: len(sf.b)], steps
+    return "optimal", x[:ncols], duals, steps
 
 
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
@@ -408,11 +380,11 @@ def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None
     actually satisfy the bounds and the constraints."""
     scale = max(1.0, np.max(np.abs(sf.b), initial=0), np.max(np.abs(sf.A), initial=0))
     tol = 1e-6 * scale
-    out = np.nonzero((x < sf.lower - tol) | (x > sf.upper + tol))[0]
+    out = np.nonzero((x < -tol) | (x > sf.upper + tol))[0]
     if out.size:
         j = out[0]
         v = lp.variables[j]
-        side = f"below bound {v.lower}" if x[j] < sf.lower[j] else f"above bound {v.upper}"
+        side = "below bound 0.0" if x[j] < 0 else f"above bound {v.upper}"
         raise SimplexError(f"{lp.name}: {v.name}={x[j]} {side}")
     lhs = sf.A @ x
     gap = lhs - sf.b
@@ -460,7 +432,7 @@ class ScipyBackend:
             b_ub=sf.b[ub] * sf.relations[ub] if ub.any() else None,
             A_eq=sf.A[eq] if eq.any() else None,
             b_eq=sf.b[eq] if eq.any() else None,
-            bounds=np.column_stack((sf.lower, sf.upper)),
+            bounds=np.column_stack((np.zeros_like(sf.upper), sf.upper)),
             method="highs",
         )
         iterations = int(res.nit)
@@ -509,17 +481,18 @@ def rate_var(demand_id: str, path_id: str) -> str:
     return f"f:{demand_id}:{path_id}"
 
 
-def total_var(demand_id: str) -> str:
-    return f"F:{demand_id}"
+def ratio_var(demand_id: str) -> str:
+    return f"rho:{demand_id}"
 
 
 def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> LinearProgram:
     """Variables and constraints of a feasible allocation, no objective.
 
-    One rate variable per (demand, path) with lower bound 0, one total
-    variable per demand tied by `F_k = sum_p q_k^p f_k^p`, a volume row per
-    bounded demand (`sum_p f_k^p <= d_k`) and a capacity row per resource
-    (`sum r_k^e f_k^p <= c_e`).
+    Columns: one rate f_k^p per (demand, path), then one weighted ratio
+    rho_k per demand.  Rows: a volume row per bounded demand
+    (`sum_p f_k^p <= d_k`), a capacity row per used resource
+    (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
+    (`sum_p q_k^p f_k^p - w_k rho_k == 0`).
     """
     lp = LinearProgram(name=name)
     path_map = problem.path_map()
@@ -527,13 +500,7 @@ def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> Line
         for pid in d.paths:
             lp.add_variable(rate_var(d.id, pid))
     for d in problem.demands:
-        lp.add_variable(total_var(d.id))
-
-    for d in problem.demands:
-        coeffs = {total_var(d.id): 1.0}
-        for pid in d.paths:
-            coeffs[rate_var(d.id, pid)] = -d.utility_on(pid)
-        lp.add_constraint(coeffs, "==", 0.0, name=f"total:{d.id}")
+        lp.add_variable(ratio_var(d.id))
 
     for d in problem.demands:
         if d.bounded:
@@ -552,6 +519,11 @@ def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> Line
     for r in problem.resources:
         if r.id in usage:
             lp.add_constraint(usage[r.id], "<=", r.capacity, name=f"cap:{r.id}")
+
+    for d in problem.demands:
+        coeffs = {rate_var(d.id, pid): d.utility_on(pid) for pid in d.paths}
+        coeffs[ratio_var(d.id)] = -d.weight
+        lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
     return lp
 
 
@@ -592,7 +564,7 @@ def write_lp_text(lp: LinearProgram) -> str:
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
 
-    lines = [f"\\ {lp.name}", "Maximize" if lp.sense == "max" else "Minimize"]
+    lines = [f"\\ {lp.name}", "Maximize"]
     lines.append(f" obj: {expr(lp.objective)}")
     lines.append("Subject To")
     rel = {"<=": "<=", ">=": ">=", "==": "="}
@@ -601,20 +573,7 @@ def write_lp_text(lp: LinearProgram) -> str:
         lines.append(f" {cname}_{i}: {expr(c.coeffs)} {rel[c.relation]} {c.rhs:.17g}")
     lines.append("Bounds")
     for v in lp.variables:
-        ident = used[v.name]
-        if v.lower is None and v.upper is None:
-            lines.append(f" {ident} free")
-        elif v.lower is None:
-            lines.append(f" -inf <= {ident} <= {v.upper:.17g}")
-        elif v.upper is None:
-            if v.lower != 0.0:
-                lines.append(f" {ident} >= {v.lower:.17g}")
-        else:
-            lines.append(f" {v.lower:.17g} <= {ident} <= {v.upper:.17g}")
+        if v.upper is not None:
+            lines.append(f" 0 <= {used[v.name]} <= {v.upper:.17g}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def dump_lp(lp: LinearProgram, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(write_lp_text(lp))

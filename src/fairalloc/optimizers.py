@@ -1,7 +1,10 @@
 """Optimization-based max-min fair allocators.
 
-All of them operate on weighted ratios f_k / w_k and share the same
-feasible-allocation LP fragment:
+All of them operate on weighted ratios rho_k = F_k / w_k (F_k sums the
+utility-weighted path rates) and build every LP on one fragment,
+`build_feasible_alloc`: the path rates and one rho_k column per demand, tied
+to its rates by a ratio row.  Each allocator adds only its own columns and
+rows:
 
 * exact sequential: one LP a round maximizes the smallest unfrozen ratio;
   the demands its optimal duals certify as bottlenecked freeze there,
@@ -35,7 +38,7 @@ from .lp import (
     Variable,
     build_feasible_alloc,
     rate_var,
-    total_var,
+    ratio_var,
 )
 from .model import Allocation, Problem, total_allocation, validate_problem
 from .report import AllocatorReport
@@ -139,25 +142,6 @@ def _require_valid(problem: Problem) -> None:
         raise ValueError(f"invalid problem ({len(violations)} violations): {head}")
 
 
-def ratio_var(demand_id: str) -> str:
-    return f"rho:{demand_id}"
-
-
-def _ratio_fragment(problem: Problem, name: str) -> LinearProgram:
-    """Feasible-allocation fragment plus one ratio variable per demand tied
-    by F_k - w_k * rho_k = 0."""
-    lp = build_feasible_alloc(problem, name=name)
-    for d in problem.demands:
-        lp.add_variable(ratio_var(d.id))
-        lp.add_constraint(
-            {total_var(d.id): 1.0, ratio_var(d.id): -d.weight},
-            "==",
-            0.0,
-            name=f"ratio:{d.id}",
-        )
-    return lp
-
-
 def _tie(index: int, eta: float = TIE_BREAK) -> float:
     # Deterministic preference for earlier demands among otherwise-equal
     # optima; inert (rounds to 1.0) beyond ~50 demands.
@@ -202,7 +186,7 @@ def exact_sequential_max_min(
     session = session or SolveSession()
     start = session.count
     demands = [d.id for d in problem.demands]
-    base = _ratio_fragment(problem, "max-min")
+    base = build_feasible_alloc(problem, "max-min")
     floor_row = len(base.constraints)  # demand i's floor or freeze row: floor_row + i
     frozen: dict[str, float] = {}
     rounds = 0
@@ -263,7 +247,7 @@ def one_shot_exact(
     session = session or SolveSession()
     start = session.count
 
-    lp = _ratio_fragment(problem, "one-shot-exact")
+    lp = build_feasible_alloc(problem, "one-shot-exact")
     wires: list[str] = [ratio_var(d.id) for d in problem.demands]
     net: SortingNetwork = build_sorting_network(n)
     for ci, (i, j) in enumerate(net.comparators):
@@ -369,7 +353,7 @@ def swan_sequence(
     session = session or SolveSession()
     start = session.count
 
-    base = _ratio_fragment(problem, "capped-seq")
+    base = build_feasible_alloc(problem, "capped-seq")
     objective = _ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
@@ -448,14 +432,14 @@ def _binned(
     start = session.count
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
-    lp = _ratio_fragment(problem, notes["allocator"])
+    lp = build_feasible_alloc(problem, notes["allocator"])
     objective: dict[str, float] = {}
     for i, d in enumerate(problem.demands):
         k = d.id
         coeffs = {ratio_var(k): -1.0}
         for b, cap in enumerate(caps, start=1):
             y = f"y:{k}:{b}"
-            lp.add_variable(y, 0.0, cap)
+            lp.add_variable(y, upper=cap)
             coeffs[y] = 1.0
             objective[y] = epsilon ** (b - 1) * _tie(i)
         lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{k}")
@@ -626,6 +610,11 @@ def equi_depth_elastic(
     assigned to one bin whose boundary is an LP variable, with the group's
     ratios constrained to l_(b-1) <= rho_k <= l_b + s_b.  The slack absorbs
     estimate inaccuracies.  One LP regardless of bin count.
+
+    By design the slack can tilt a tied split: s_b is at least 1e-6 of the
+    largest estimate, and a lower group may end up to s_b above the next
+    group.  Two identical demands on one link of capacity 10 get 5 + s/2 and
+    5 - s/2 (5.0000025 and 4.9999975, with s = 5e-6).
     """
     _require_valid(problem)
     session = session or SolveSession()
@@ -646,7 +635,7 @@ def equi_depth_elastic(
             span = bound - min(est_ratio[k] for k in group)
             slack.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
 
-    lp = _ratio_fragment(problem, "equi-depth-elastic")
+    lp = build_feasible_alloc(problem, "equi-depth-elastic")
     for b in range(1, n_groups + 1):
         lp.add_variable(f"l:{b}")
     index_of = {d.id: i for i, d in enumerate(problem.demands)}

@@ -12,7 +12,6 @@ from fairalloc.lp import (
     SolveSession,
     build_feasible_alloc,
     rate_var,
-    total_var,
     write_lp_text,
 )
 from fairalloc.model import Demand, Path, Problem, Resource
@@ -69,28 +68,11 @@ def test_unbounded():
     assert SimplexBackend().solve(lp).status == "unbounded"
 
 
-def test_free_variable_and_upper_bound():
-    lp = LinearProgram(name="t")
-    lp.add_variable("x", lower=None)
-    lp.add_variable("y", lower=0.0, upper=2.0)
-    lp.add_constraint({"x": 1.0, "y": 1.0}, "==", 1.0)
-    lp.objective = {"x": -1.0, "y": 1.0}
-    sol = SimplexBackend().solve(lp)
-    assert sol.values == pytest.approx({"x": -1.0, "y": 2.0})
-
-
-def test_min_sense():
-    lp = LinearProgram(name="t", sense="min")
-    lp.add_variable("x", lower=1.0, upper=5.0)
-    lp.objective = {"x": 1.0}
-    assert SimplexBackend().solve(lp).objective == pytest.approx(1.0)
-
-
 def test_deterministic_resolve():
     rng = np.random.default_rng(3)
     lp = LinearProgram(name="det")
     for j in range(12):
-        lp.add_variable(f"x{j}", 0.0, 3.0)
+        lp.add_variable(f"x{j}", upper=3.0)
     for _ in range(9):
         lp.add_constraint(
             {f"x{j}": float(rng.normal()) for j in range(12)}, "<=", 2.0
@@ -103,9 +85,11 @@ def test_deterministic_resolve():
 
 def test_validation_errors():
     lp = LinearProgram(name="bad")
-    lp.add_variable("x", lower=2.0, upper=1.0)
-    with pytest.raises(ValueError, match="lower > upper"):
+    lp.add_variable("x", upper=-1.0)
+    with pytest.raises(ValueError, match="negative upper bound"):
         SimplexBackend().solve(lp)
+    with pytest.raises(TypeError):  # an upper bound is never positional
+        lp.add_variable("y", 0.0)
     lp2 = LinearProgram(name="bad2")
     lp2.add_variable("x")
     lp2.add_constraint({"nope": 1.0}, "<=", 1.0)
@@ -120,7 +104,7 @@ def _random_lp(rng, trial):
     x0 = np.zeros(n)
     for j in range(n):
         ub = None if rng.random() < 0.5 else float(rng.uniform(1, 5))
-        lp.add_variable(f"x{j}", 0.0, ub)
+        lp.add_variable(f"x{j}", upper=ub)
         x0[j] = rng.uniform(0, 1 if ub is None else ub)
     for _ in range(m):
         nz = int(rng.integers(1, min(n, 6) + 1))
@@ -165,88 +149,36 @@ def test_simplex_matches_reference_on_random_corpus():
     assert len(_optimal_lps_matching_reference(_random_lp, 11)) >= 50
 
 
-def _random_bounded_lp(rng, trial):
-    """Like _random_lp, but its variables are free, free with an upper bound
-    (possibly negative), or bounded below at a nonzero value (with or
-    without an upper bound), and the sense is max or min."""
-    n = int(rng.integers(2, 21))
-    m = int(rng.integers(1, 16))
-    sense = "max" if rng.random() < 0.5 else "min"
-    lp = LinearProgram(name=f"bounded{trial}", sense=sense)
-    x0 = np.zeros(n)
-    for j in range(n):
-        kind = int(rng.integers(0, 4))
-        if kind == 0:  # free
-            lower, upper = None, None
-            x0[j] = rng.uniform(-3, 3)
-        elif kind == 1:  # free with an upper bound
-            lower, upper = None, float(rng.uniform(-3, 3))
-            x0[j] = upper - rng.uniform(0, 2)
-        else:  # nonzero finite lower bound
-            lower = float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))
-            upper = None if kind == 2 else lower + float(rng.uniform(0.5, 4))
-            x0[j] = lower + rng.uniform(0, 2 if upper is None else upper - lower)
-        lp.add_variable(f"x{j}", lower, upper)
-    for _ in range(m):
-        nz = int(rng.integers(1, min(n, 6) + 1))
-        cols = rng.choice(n, size=nz, replace=False)
-        coeffs = {f"x{int(j)}": float(rng.normal()) for j in cols}
-        lhs0 = sum(a * x0[int(name[1:])] for name, a in coeffs.items())
-        draw = rng.random()
-        if draw < 0.4:
-            lp.add_constraint(coeffs, "<=", lhs0 + float(rng.uniform(0, 2)))
-        elif draw < 0.8:
-            lp.add_constraint(coeffs, ">=", lhs0 - float(rng.uniform(0, 2)))
-        else:
-            lp.add_constraint(coeffs, "==", lhs0)
-    lp.objective = {f"x{j}": float(rng.normal()) for j in range(n) if rng.random() < 0.8}
-    return lp
-
-
-def test_simplex_matches_reference_on_free_and_shifted_variables():
-    """Free columns, free columns with an upper-bound row (negative ones
-    flip), and shifted lower bounds, on >= 50 optimal LPs."""
-    optimal = _optimal_lps_matching_reference(_random_bounded_lp, 29)
-    assert len(optimal) >= 50
-    seen = {"free": 0, "free+upper": 0, "shifted": 0}
-    for lp in optimal:
-        for v in lp.variables:
-            if v.lower is not None:
-                seen["shifted"] += 1
-            else:
-                seen["free" if v.upper is None else "free+upper"] += 1
-    assert min(seen.values()) >= 50
-
-
 def _random_zero_rhs_lp(rng, trial):
     """Allocation-shaped LPs whose rows mostly have b = 0: definitional "=="
-    rows F_k = sum_p q_kp f_kp, F_k = w_k rho_k and rho_k = sum_b y_kb, ">= 0"
-    floor rows rho_k - t >= 0, random ">= 0" and "== 0" rows (the crash
-    cannot always cover the latter), "<=" capacity rows, and nonnegative
-    columns with finite upper bounds (bin caps y_kb, some rates).  Every draw
-    is feasible (x = 0); some are unbounded."""
+    rows sum_p q_kp f_kp = w_k rho_k (the fragment's ratio rows) and
+    rho_k = sum_b y_kb, ">= 0" floor rows rho_k - t >= 0, random ">= 0" and
+    "== 0" rows (the crash cannot always cover the latter), "<=" capacity
+    rows, and columns with finite upper bounds (bin caps y_kb, some rates).
+    Every draw is feasible (x = 0); some are unbounded."""
     demands = int(rng.integers(1, 6))
     resources = int(rng.integers(1, 5))
-    lp = LinearProgram(name=f"zero-rhs{trial}", sense="max" if rng.random() < 0.5 else "min")
-    lp.add_variable("t", lower=None if rng.random() < 0.3 else 0.0)
+    lp = LinearProgram(name=f"zero-rhs{trial}")
+    lp.add_variable("t")
     usage = [{} for _ in range(resources)]
     for k in range(demands):
         rates = {}
         for p in range(int(rng.integers(1, 4))):
             upper = None if rng.random() < 0.5 else float(rng.uniform(0.5, 4))
-            f = lp.add_variable(f"f{k}_{p}", 0.0, upper)
-            rates[f] = -float(rng.choice([1.0, 0.5, 2.0]))
+            f = lp.add_variable(f"f{k}_{p}", upper=upper)
+            rates[f] = float(rng.choice([1.0, 0.5, 2.0]))
             for e in {int(rng.integers(resources))} | set(rng.choice(resources, 2).tolist()):
                 usage[e][f] = float(rng.choice([1.0, 0.5, 3.0]))
-        F, rho = lp.add_variable(f"F{k}"), lp.add_variable(f"rho{k}")
-        lp.add_constraint({F: 1.0, **rates}, "==", 0.0, name=f"total:{k}")
-        lp.add_constraint({F: 1.0, rho: -float(rng.choice([1.0, 2.0, 4.0]))}, "==", 0.0)
+        rho = lp.add_variable(f"rho{k}")
+        lp.add_constraint(
+            {**rates, rho: -float(rng.choice([1.0, 2.0, 4.0]))}, "==", 0.0, name=f"ratio:{k}"
+        )
         if rng.random() < 0.7:
             lp.add_constraint({rho: 1.0, "t": -1.0}, ">=", 0.0, name=f"floor:{k}")
         if rng.random() < 0.5:
             bins = {rho: -1.0}
             for b in range(int(rng.integers(1, 4))):
-                bins[lp.add_variable(f"y{k}_{b}", 0.0, float(rng.uniform(0.2, 2)))] = 1.0
+                bins[lp.add_variable(f"y{k}_{b}", upper=float(rng.uniform(0.2, 2)))] = 1.0
             lp.add_constraint(bins, "==", 0.0, name=f"bins:{k}")
     for e, coeffs in enumerate(usage):
         if coeffs:
@@ -270,23 +202,24 @@ def test_simplex_matches_reference_on_zero_rhs_rows():
 
 
 def _beale_cycling_lp():
-    """Beale's LP, on which the largest-coefficient rule with lowest-index
-    ties cycles through degenerate bases."""
-    lp = LinearProgram(name="beale", sense="min")
+    """Beale's LP (a minimisation, here as the max of its negated objective),
+    on which the largest-coefficient rule with lowest-index ties cycles
+    through degenerate bases."""
+    lp = LinearProgram(name="beale")
     for j in (4, 5, 6, 7):
         lp.add_variable(f"x{j}")
     lp.add_constraint({"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, "<=", 0.0)
     lp.add_constraint({"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, "<=", 0.0)
     lp.add_constraint({"x6": 1.0}, "<=", 1.0)
-    lp.objective = {"x4": -0.75, "x5": 20.0, "x6": -0.5, "x7": 6.0}
+    lp.objective = {"x4": 0.75, "x5": -20.0, "x6": 0.5, "x7": -6.0}
     return lp
 
 
 def test_blands_rule_breaks_the_degenerate_cycle(monkeypatch):
     mine = SimplexBackend().solve(_beale_cycling_lp())
     theirs = ScipyBackend().solve(_beale_cycling_lp())
-    assert mine.objective == pytest.approx(-1.25)
-    assert theirs.objective == pytest.approx(-1.25)
+    assert mine.objective == pytest.approx(1.25)
+    assert theirs.objective == pytest.approx(1.25)
     assert mine.values == pytest.approx(theirs.values)
     # without the fallback the same LP never leaves its cycle
     monkeypatch.setattr(lp_module, "DEGENERATE_RUN", 10**9)
@@ -297,16 +230,16 @@ def test_blands_rule_breaks_the_degenerate_cycle(monkeypatch):
 def _assert_optimal_duals(lp, sol, tol=1e-7):
     """Row duals y (as d objective / d rhs) of an optimal solution: the right
     sign per relation, complementary slackness on rows and on bounded
-    columns, and strong duality, all in the maximized standard form."""
+    columns, and strong duality."""
     sf = lp_module._standard_form(lp)
     x = np.array([sol.values[v.name] for v in lp.variables])
-    y = (1.0 if lp.sense == "max" else -1.0) * np.array(sol.duals)
+    y = np.array(sol.duals)
     assert y.shape == sf.b.shape
     assert np.all(sf.relations * y >= -tol), lp.name  # "<=" rows y >= 0, ">=" y <= 0
     assert np.all(np.abs(y * (sf.A @ x - sf.b)) <= tol), lp.name
-    d = sf.c - sf.A.T @ y  # reduced costs: > 0 only at an upper, < 0 at a lower bound
+    d = sf.c - sf.A.T @ y  # reduced costs: > 0 only at an upper bound, < 0 only at 0
     tight = np.abs(d) > tol
-    bound = np.where(d > 0, sf.upper, sf.lower)[tight]
+    bound = np.where(d > 0, sf.upper, 0.0)[tight]
     assert np.all(np.isfinite(bound)), lp.name
     assert np.all(np.abs(d[tight] * (x[tight] - bound)) <= tol), lp.name
     dual_objective = y @ sf.b + d[tight] @ bound
@@ -315,7 +248,7 @@ def _assert_optimal_duals(lp, sol, tol=1e-7):
 
 @pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
 @pytest.mark.parametrize(
-    "corpus,seed", [(_random_lp, 11), (_random_bounded_lp, 29), (_random_zero_rhs_lp, 41)]
+    "corpus,seed", [(_random_lp, 11), (_random_zero_rhs_lp, 41)]
 )
 def test_duals_satisfy_strong_duality_and_complementary_slackness(backend, corpus, seed):
     rng = np.random.default_rng(seed)
@@ -333,8 +266,8 @@ def test_duals_satisfy_strong_duality_and_complementary_slackness(backend, corpu
 
 def _guard_lp():
     lp = LinearProgram(name="guard")
-    lp.add_variable("x", 0.0, 2.0)
-    lp.add_variable("y", lower=None, upper=1.5)
+    lp.add_variable("x", upper=2.0)
+    lp.add_variable("y", upper=1.5)
     lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 3.0, name="budget")
     lp.add_constraint({"x": 1.0, "y": -1.0}, ">=", -1.0, name="floor")
     lp.add_constraint({"y": 1.0}, "==", 1.0, name="pin")
@@ -435,17 +368,20 @@ def test_fragment_counts_single_demand():
         [Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
     )
     lp = build_feasible_alloc(prob)
-    assert len(lp.variables) == 2  # rate + total
-    assert len(lp.constraints) == 2  # total equality + capacity
-    assert all(v.lower == 0.0 for v in lp.variables)
+    assert [v.name for v in lp.variables] == ["f:d1:p1", "rho:d1"]  # rate + ratio
+    assert [c.name for c in lp.constraints] == ["cap:e1", "ratio:d1"]
+    assert all(v.upper is None for v in lp.variables)
 
 
 def test_fragment_counts_worked_example(two_link_example):
     lp = build_feasible_alloc(two_link_example)
-    assert len(lp.variables) == 5  # 3 path rates + 2 totals
+    assert len(lp.variables) == 5  # 3 path rates + 2 ratios
     caps = [c for c in lp.constraints if c.name.startswith("cap:")]
     assert len(caps) == 2
     assert all(a == 1.0 for c in caps for a in c.coeffs.values())
+    ratios = [c.name for c in lp.constraints if c.name.startswith("ratio:")]
+    assert ratios == ["ratio:d1", "ratio:d2"]
+    assert len(lp.constraints) == 4  # 2 capacity + 2 ratio rows, nothing else
 
 
 def test_fragment_consumption_scales_capacity_row():
@@ -489,7 +425,7 @@ def test_lp_text_dump_round_trips_structure():
     lp = build_feasible_alloc(
         Problem([Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])])
     )
-    lp.objective = {total_var("d1"): 1.0}
+    lp.objective = {ratio_var("d1"): 1.0}
     text = write_lp_text(lp)
     assert text.startswith("\\ feasible-alloc\nMaximize")
     assert "Subject To" in text and "End" in text
@@ -529,13 +465,60 @@ def test_capacity_rows_match_the_nested_loop_reference():
     for problem in problems:
         lp = build_feasible_alloc(problem)
         ref = build_feasible_alloc(problem)
-        ref.constraints = [
-            c for c in ref.constraints if not c.name.startswith("cap:")
-        ] + _nested_loop_capacity_rows(problem)
+        volume = [c for c in ref.constraints if c.name.startswith("volume:")]
+        ratio = [c for c in ref.constraints if c.name.startswith("ratio:")]
+        ref.constraints = volume + _nested_loop_capacity_rows(problem) + ratio
         assert write_lp_text(lp) == write_lp_text(ref)
-    caps = build_feasible_alloc(consuming).constraints[-3:]
+    rows = build_feasible_alloc(consuming).constraints
+    caps = [c for c in rows if c.name.startswith("cap:")]
     assert [c.name for c in caps] == ["cap:z", "cap:a", "cap:m"]
     assert list(caps[0].coeffs.items()) == [("f:late:q2", 0.5), ("f:early:q0", 1.0)]
+
+
+def _nested_loop_ratio_rows(problem):
+    # The reference build: every demand scans every path of the problem.
+    rows = []
+    for d in problem.demands:
+        coeffs = {}
+        for pid in d.paths:
+            for path in problem.paths:
+                if path.id == pid:
+                    coeffs[rate_var(d.id, pid)] = d.utility.get(pid, 1.0)
+        coeffs[ratio_var(d.id)] = -d.weight
+        rows.append(Constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}"))
+    return rows
+
+
+def test_ratio_rows_match_the_nested_loop_reference():
+    # utility q != 1 on some paths, weights 2 and 4, a bounded demand
+    weighted = Problem(
+        [Resource("L", 10.0), Resource("M", 4.0)],
+        [Path("pa", ["L"]), Path("pb1", ["L", "M"]), Path("pb2", ["M"])],
+        [
+            Demand("a", ["pa"], weight=2.0, utility={"pa": 3.0}),
+            Demand("b", ["pb1", "pb2"], volume=5.0, weight=4.0, utility={"pb2": 0.5}),
+        ],
+    )
+    for problem in [distinct_utility_instance(s) for s in range(5)] + [weighted]:
+        lp = build_feasible_alloc(problem)
+        ref = build_feasible_alloc(problem)
+        ref.constraints = [
+            c for c in ref.constraints if not c.name.startswith("ratio:")
+        ] + _nested_loop_ratio_rows(problem)
+        assert write_lp_text(lp) == write_lp_text(ref)
+    lp = build_feasible_alloc(weighted)
+    # columns: rates in (demand, path) order, then rho in demand order;
+    # rows: volume, capacity, then ratio rows
+    assert [v.name for v in lp.variables] == [
+        "f:a:pa", "f:b:pb1", "f:b:pb2", "rho:a", "rho:b"
+    ]
+    assert [c.name for c in lp.constraints] == [
+        "volume:b", "cap:L", "cap:M", "ratio:a", "ratio:b"
+    ]
+    assert [list(c.coeffs.items()) for c in lp.constraints[-2:]] == [
+        [("f:a:pa", 3.0), ("rho:a", -2.0)],
+        [("f:b:pb1", 1.0), ("f:b:pb2", 0.5), ("rho:b", -4.0)],
+    ]
 
 
 # -- one fragment per allocator call -------------------------------------------
@@ -558,7 +541,7 @@ def _rebuilt_exact(problem, solve):
     frozen, rounds, lps = {}, 0, []
     while len(frozen) < len(demands):
         rounds += 1
-        lp = opt._ratio_fragment(problem, f"max-min-round-{rounds}")
+        lp = build_feasible_alloc(problem, f"max-min-round-{rounds}")
         lp.add_variable("t")
         for k in demands:
             if k in frozen:
@@ -580,7 +563,7 @@ def _rebuilt_swan(problem, u, alpha, solve):
     frozen, prev, lps = {}, {}, []
     for b in range(1, default_num_bins(problem, u, alpha) + 1):
         cap = u * alpha ** (b - 1)
-        lp = opt._ratio_fragment(problem, f"capped-seq-{b}")
+        lp = build_feasible_alloc(problem, f"capped-seq-{b}")
         for d in problem.demands:
             k = d.id
             if k in frozen:
