@@ -5,7 +5,6 @@ paths between the endpoints of every demand.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -56,39 +55,60 @@ def sample_volumes(spec: TrafficSpec, count: int, rng=None) -> np.ndarray:
     raise ValueError(f"{spec.model} volumes are not sampled, they are derived")
 
 
-def _dijkstra(
+def _shortest_path(
     adj: dict[str, list[str]],
     src: str,
     dst: str,
     banned_nodes: set[str],
     banned_edges: set[tuple[str, str]],
 ) -> list[str] | None:
-    """Unit-weight shortest path, lexicographically smallest node sequence
-    among ties (the heap orders by (length, node sequence))."""
-    heap: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
-    seen: set[str] = set()
-    while heap:
-        dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return list(path)
-        if node in seen:
-            continue
-        seen.add(node)
-        for nxt in adj.get(node, []):
-            if nxt in seen or nxt in banned_nodes or (node, nxt) in banned_edges:
-                continue
-            heapq.heappush(heap, (dist + 1, path + (nxt,)))
+    """Unit-weight shortest path from src to dst, the smallest node sequence
+    among ties, or None; ``adj`` lists must be sorted.
+
+    A layered BFS: the best path to a node extends the best path to its
+    first-scanned predecessor.  Each layer is scanned in the order of its
+    nodes' best paths and each list in node order, so nodes are discovered
+    in the order of their best paths and the first scan to reach a node
+    fixes its predecessor.
+    """
+    if src == dst:
+        return [src]
+    pred: dict[str, str] = {src: src}
+    layer = [src]
+    while layer:
+        following = []
+        for u in layer:
+            for v in adj.get(u, ()):
+                if v in pred or v in banned_nodes or (u, v) in banned_edges:
+                    continue
+                pred[v] = u
+                if v == dst:
+                    path = [v]
+                    while v != src:
+                        v = pred[v]
+                        path.append(v)
+                    path.reverse()
+                    return path
+                following.append(v)
+        layer = following
     return None
 
 
 def k_shortest_paths(
     adj: dict[str, list[str]], src: str, dst: str, k: int
 ) -> list[list[str]]:
-    """Yen's loopless K-shortest paths over unit edge weights."""
+    """Yen's loopless K-shortest paths over unit edge weights.
+
+    Returns the first ``k`` (fewer if the graph has fewer) loopless src-dst
+    paths in (length, node sequence) order, node names compared as strings;
+    an empty list when dst is unreachable.  ``adj`` maps a node to the nodes
+    its out-edges reach (list both directions for an undirected edge), and
+    the result does not depend on the order of those lists.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    first = _dijkstra(adj, src, dst, set(), set())
+    adj = {u: sorted(vs) for u, vs in adj.items()}
+    first = _shortest_path(adj, src, dst, set(), set())
     if first is None:
         return []
     paths = [first]
@@ -102,7 +122,7 @@ def k_shortest_paths(
                 if p[: i + 1] == root and len(p) > i + 1:
                     banned_edges.add((p[i], p[i + 1]))
             banned_nodes = set(root[:-1])
-            spur = _dijkstra(adj, root[-1], dst, banned_nodes, banned_edges)
+            spur = _shortest_path(adj, root[-1], dst, banned_nodes, banned_edges)
             if spur is None:
                 continue
             cand = root[:-1] + spur
@@ -178,14 +198,10 @@ def generate_problem(
 
     paths: list[Path] = []
     demands: list[Demand] = []
-    route_cache: dict[tuple[str, str], list[list[str]]] = {}
     for (a, b), vol in zip(ordered_pairs, volumes):
         if vol <= 1e-9:
             continue
-        key = (a, b)
-        if key not in route_cache:
-            route_cache[key] = k_shortest_paths(adj, a, b, paths_per_pair)
-        routes = route_cache[key]
+        routes = k_shortest_paths(adj, a, b, paths_per_pair)
         if not routes:
             continue
         pids = []

@@ -233,8 +233,11 @@ def total_allocation(problem: Problem, alloc: Allocation) -> dict[str, float]:
 
 
 def default_feasibility_tol(problem: Problem) -> float:
-    """Capacities set the natural scale: 1e-6 of the largest capacity."""
-    return 1e-6 * problem.max_capacity()
+    """1e-6 of the problem's scale, the largest capacity or finite volume:
+    capacity rows and volume rows both round at that scale, so a volume row
+    keeps a positive tolerance when every capacity is 0."""
+    volumes = [d.volume for d in problem.demands if d.bounded and math.isfinite(d.volume)]
+    return 1e-6 * max([problem.max_capacity(), *volumes])
 
 
 @dataclass(frozen=True)

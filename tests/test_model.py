@@ -136,6 +136,16 @@ def test_default_tolerance_scales_with_capacity(two_link_example):
     assert default_feasibility_tol(two_link_example) == pytest.approx(1e-6)
 
 
+def test_default_tolerance_scales_with_volume_when_capacities_are_zero():
+    # The path holds no link (only its demand's virtual edge, once expanded),
+    # so the volume row is the only scale; its rate sum overshoots by an ulp.
+    prob = Problem([Resource("e1", 0.0)], [Path("p1", [])], [Demand("d1", ["p1"], volume=0.3)])
+    assert default_feasibility_tol(prob) == pytest.approx(3e-7)
+    res = check_feasible(prob, Allocation({("d1", "p1"): 0.1 + 0.2}))
+    assert res.volume_slack["d1"] < 0.0
+    assert res.feasible
+
+
 def test_consumption_scales_usage():
     prob = Problem(
         [Resource("e1", 1.0)],

@@ -153,9 +153,10 @@ def test_adaptive_waterfill_properties(inner, case, max_iterations, theta_tol):
     prob, _ = case
     rep = adaptive_waterfill(prob, max_iterations, inner, theta_tol)
     # Capacities and volumes are at most 10 here, so 1e-9 admits rounding
-    # only.  The default tolerance, 1e-6 of the largest capacity, is 0 when
-    # every link has capacity 0, and a volume row may still round up an ulp.
+    # only.  The default tolerance scales with volumes too: a volume row may
+    # round up an ulp when every link has capacity 0.
     assert check_feasible(prob, rep.allocation, tol=1e-9).feasible
+    assert check_feasible(prob, rep.allocation).feasible
     final = rep.notes["final_theta"]
     for d in prob.demands:
         row = [final[(d.id, pid)] for pid in d.paths]
