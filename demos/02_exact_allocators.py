@@ -20,7 +20,6 @@ from fairalloc import (
     exact_sequential_max_min,
     one_shot_exact,
     total_allocation,
-    write_lp_text,
     build_feasible_alloc,
 )
 
@@ -56,7 +55,9 @@ weighted = Problem(
 print("weighted totals:", total_allocation(
     weighted, exact_sequential_max_min(weighted).allocation))
 
-# Any LP in the pipeline can be exported in the text interchange format for
-# cross-checking against an external solver.
-print()
-print(write_lp_text(build_feasible_alloc(weighted)))
+# Every LP allocator builds on the same fragment: a rate column per
+# (demand, path) and a ratio column per demand, with volume, capacity and
+# ratio rows; each allocator adds only its own rows and columns.
+fragment = build_feasible_alloc(weighted)
+print("fragment:", len(fragment.constraints), "rows x", len(fragment.variables), "columns:",
+      [c.name for c in fragment.constraints])

@@ -30,7 +30,6 @@ from .lp import (
     SimplexError,
     SolveSession,
     build_feasible_alloc,
-    write_lp_text,
 )
 from .metrics import (
     MetricsReport,

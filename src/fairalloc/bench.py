@@ -5,6 +5,7 @@ runner that scores every scenario against the exact oracle.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import time
@@ -123,73 +124,51 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
     return AllocatorReport(alloc, 0, 1, notes)
 
 
-def _run_adaptive(problem: Problem, config: dict, session) -> AllocatorReport:
-    return adaptive_waterfill(
-        problem,
-        max_iterations=int(config.get("iterations", 10)),
-        inner=config.get("inner", "approx"),
-    )
+def _eb_bins(problem: Problem, bins: int | None) -> int:
+    """The equi-depth binners' bin count: ``bins``, else half the demands in 2..8."""
+    return int(bins) if bins is not None else max(2, min(8, len(problem.demands) // 2))
 
 
-def _run_gb(problem: Problem, config: dict, session) -> AllocatorReport:
-    cfg = suggest_bin_config(
-        problem,
-        alpha=float(config.get("alpha", 2.0)),
-        u=config.get("u"),
-        epsilon=config.get("epsilon"),
-        num_bins=config.get("bins"),
-    )
+def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
+    cfg = suggest_bin_config(problem, float(alpha), u, epsilon, bins)
     return geo_binner(problem, cfg, session)
 
 
-def _run_swan(problem: Problem, config: dict, session) -> AllocatorReport:
-    cfg = suggest_bin_config(
-        problem, alpha=float(config.get("alpha", 2.0)), u=config.get("u")
-    )
-    return swan_sequence(
-        problem,
-        u=cfg.u,
-        alpha=cfg.alpha,
-        max_bins=config.get("bins"),
-        session=session,
-    )
-
-
-def _run_eb_elastic(problem: Problem, config: dict, session) -> AllocatorReport:
-    cfg = EquiDepthConfig(
-        num_bins=int(config.get("bins", max(2, min(8, len(problem.demands) // 2)))),
-        epsilon=float(config.get("epsilon", 0.25)),
-        slack=config.get("slack"),
-        aw_iterations=int(config.get("iterations", 10)),
-    )
+def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
+    cfg = EquiDepthConfig(_eb_bins(problem, bins), float(epsilon), slack, int(iterations))
     return equi_depth_elastic(problem, cfg, session)
 
 
-def _run_eb_multibin(problem: Problem, config: dict, session) -> AllocatorReport:
-    boundaries = estimate_equi_boundaries(
-        problem,
-        int(config.get("bins", max(2, min(8, len(problem.demands) // 2)))),
-        int(config.get("iterations", 10)),
-    )
-    return equi_depth_multibin(
-        problem, boundaries, epsilon=float(config.get("epsilon", 0.25)), session=session
-    )
+def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
+    boundaries = estimate_equi_boundaries(problem, _eb_bins(problem, bins), int(iterations))
+    return equi_depth_multibin(problem, boundaries, float(epsilon), session)
 
 
-# allocator id -> (runner, the config keys it reads)
-_RUNNERS: dict[str, tuple[Callable[..., AllocatorReport], tuple[str, ...]]] = {
-    "exact": (lambda p, c, s: exact_sequential_max_min(p, s), ()),
-    "oneshot": (
-        lambda p, c, s: one_shot_exact(p, float(c.get("epsilon", 0.01)), s),
-        ("epsilon",),
+# allocator id -> runner(problem, session, **config); a runner's keyword
+# parameters after (problem, session) are the config keys it accepts, with
+# their defaults.  Values may come from JSON, hence the int()/float() casts.
+_RUNNERS: dict[str, Callable[..., AllocatorReport]] = {
+    "exact": lambda problem, session: exact_sequential_max_min(problem, session),
+    "oneshot": lambda problem, session, epsilon=0.01: one_shot_exact(
+        problem, float(epsilon), session
     ),
-    "swan": (_run_swan, ("alpha", "u", "bins")),
-    "gb": (_run_gb, ("alpha", "u", "epsilon", "bins")),
-    "eb-elastic": (_run_eb_elastic, ("bins", "epsilon", "slack", "iterations")),
-    "eb-multibin": (_run_eb_multibin, ("bins", "epsilon", "iterations")),
-    "waterfill": (lambda p, c, s: _run_waterfill(p, exact=True), ()),
-    "approx-waterfill": (lambda p, c, s: _run_waterfill(p, exact=False), ()),
-    "adaptive-waterfill": (_run_adaptive, ("iterations", "inner")),
+    "swan": lambda problem, session, alpha=2.0, u=None, bins=None: swan_sequence(
+        problem, u, float(alpha), bins, session
+    ),
+    "gb": _run_gb,
+    "eb-elastic": _run_eb_elastic,
+    "eb-multibin": _run_eb_multibin,
+    "waterfill": lambda problem, session: _run_waterfill(problem, exact=True),
+    "approx-waterfill": lambda problem, session: _run_waterfill(problem, exact=False),
+    "adaptive-waterfill": lambda problem, session, iterations=10, inner="approx": (
+        adaptive_waterfill(problem, int(iterations), inner)
+    ),
+}
+
+# Read once here, not per call: run_allocator is on the benchmark's timed path.
+_CONFIG_KEYS = {
+    allocator: tuple(inspect.signature(runner).parameters)[2:]
+    for allocator, runner in _RUNNERS.items()
 }
 
 ALLOCATOR_IDS = tuple(_RUNNERS)
@@ -208,7 +187,7 @@ def run_allocator(
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
         )
-    runner, keys = _RUNNERS[allocator]
+    keys = _CONFIG_KEYS[allocator]
     config = config or {}
     unused = sorted(set(config) - set(keys))
     if unused:
@@ -216,7 +195,7 @@ def run_allocator(
             f"{allocator} does not read config keys {unused}; it accepts "
             f"{list(keys) or 'none'}"
         )
-    return runner(problem, config, session or SolveSession())
+    return _RUNNERS[allocator](problem, session or SolveSession(), **config)
 
 
 # -- POP-style partitioning -------------------------------------------------------

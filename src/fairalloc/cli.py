@@ -13,31 +13,10 @@ from pathlib import Path as FsPath
 
 from . import bench
 from .generate import TRAFFIC_MODELS, TrafficSpec, generate_problem
-from .lp import LinearProgram, LpSolution, SimplexBackend, SolveSession, write_lp_text
 from .model import validate_problem
 from .report import report_to_dict
 
 __all__ = ["cli_main", "main"]
-
-
-class _DumpingBackend:
-    """Backend wrapper that writes every LP it solves to a directory in the
-    LP text interchange format (cross-checking hook, flag-gated)."""
-
-    def __init__(self, directory: str):
-        self._dir = FsPath(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._inner = SimplexBackend()
-        self._n = 0
-
-    def solve(self, lp: LinearProgram) -> LpSolution:
-        self._n += 1
-        (self._dir / f"{self._n:04d}-{_slug(lp.name)}.lp").write_text(write_lp_text(lp))
-        return self._inner.solve(lp)
-
-
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)[:60]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,10 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inner", choices=["exact", "approx"], help="adaptive waterfill inner loop"
     )
     p_solve.add_argument("--output", required=True, help="report JSON destination")
-    p_solve.add_argument(
-        "--dump-lp-dir",
-        help="also write every LP the allocator solves in LP text format",
-    )
 
     p_gen = sub.add_parser("gen", help="generate a random problem")
     p_gen.add_argument("--nodes", type=int, required=True)
@@ -91,13 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NOT_CONFIG = ("command", "input", "allocator", "output")
+
+
 def _solve_config(args: argparse.Namespace) -> dict:
-    config = {}
-    for key in ("alpha", "u", "epsilon", "bins", "iterations", "slack", "inner"):
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
-    return config
+    """Every other `solve` flag given is an allocator config key; run_allocator
+    rejects one the allocator does not read."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_CONFIG and value is not None
+    }
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -108,9 +87,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"invalid problem: {v}", file=sys.stderr)
         return 1
     config = _solve_config(args)
-    session = SolveSession(_DumpingBackend(args.dump_lp_dir)) if args.dump_lp_dir else None
     t0 = time.perf_counter()
-    report = bench.run_allocator(problem, args.allocator, config, session)
+    report = bench.run_allocator(problem, args.allocator, config)
     wall_ms = (time.perf_counter() - t0) * 1e3
     out = {
         "allocator": args.allocator,

@@ -19,7 +19,6 @@ deterministic: solving the same program twice yields bit-identical values.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Protocol
@@ -40,7 +39,6 @@ __all__ = [
     "build_feasible_alloc",
     "rate_var",
     "ratio_var",
-    "write_lp_text",
 ]
 
 PIVOT_TOL = 1e-9
@@ -525,55 +523,3 @@ def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> Line
         coeffs[ratio_var(d.id)] = -d.weight
         lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
     return lp
-
-
-# -- text interchange dump (flag-gated cross-checking aid) --------------------
-
-
-def _lp_ident(name: str, used: dict[str, str]) -> str:
-    if name in used:
-        return used[name]
-    base = re.sub(r"[^A-Za-z0-9_]", "_", name) or "v"
-    if base[0].isdigit():
-        base = "v_" + base
-    ident = base
-    k = 1
-    taken = set(used.values())
-    while ident in taken:
-        ident = f"{base}_{k}"
-        k += 1
-    used[name] = ident
-    return ident
-
-
-def write_lp_text(lp: LinearProgram) -> str:
-    """Render in CPLEX LP format so external solvers can cross-check."""
-    used: dict[str, str] = {}
-    for v in lp.variables:
-        _lp_ident(v.name, used)
-
-    def expr(coeffs: Mapping[str, float]) -> str:
-        parts = []
-        for name, a in coeffs.items():
-            if a == 0.0:
-                continue
-            op = "-" if a < 0 else "+"
-            parts.append(f"{op} {abs(a):.17g} {used[name]}")
-        if not parts:
-            return "0 " + used[lp.variables[0].name]
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
-
-    lines = [f"\\ {lp.name}", "Maximize"]
-    lines.append(f" obj: {expr(lp.objective)}")
-    lines.append("Subject To")
-    rel = {"<=": "<=", ">=": ">=", "==": "="}
-    for i, c in enumerate(lp.constraints):
-        cname = re.sub(r"[^A-Za-z0-9_]", "_", c.name) or f"c{i}"
-        lines.append(f" {cname}_{i}: {expr(c.coeffs)} {rel[c.relation]} {c.rhs:.17g}")
-    lines.append("Bounds")
-    for v in lp.variables:
-        if v.upper is not None:
-            lines.append(f" 0 <= {used[v.name]} <= {v.upper:.17g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -332,8 +332,8 @@ def _ratio_objective(
 
 def swan_sequence(
     problem: Problem,
-    u: float,
-    alpha: float,
+    u: float | None = None,
+    alpha: float = 2.0,
     max_bins: int | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
@@ -345,9 +345,12 @@ def swan_sequence(
     demand that ends an iteration strictly below its cap is frozen there for
     all later iterations.  Runs until every demand is frozen or the ladder
     covers the achievable range.  One LP per iteration.  Converged only if
-    every demand froze; otherwise the top cap truncated some.
+    every demand froze; otherwise the top cap truncated some.  u defaults as
+    in ``suggest_bin_config``, the ladder (``max_bins``) to ``default_num_bins``.
     """
     _require_valid(problem)
+    if u is None:
+        u = _suggest_u(problem)
     ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
     caps = _geometric(u, alpha, ladder)
     session = session or SolveSession()
@@ -507,6 +510,14 @@ def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float
     return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
 
 
+def _suggest_u(problem: Problem) -> float:
+    """Just under the smallest positive ratio of a one-pass waterfill
+    estimate (1e-3 of the largest capacity if no ratio is positive)."""
+    ratios, _ = _estimate_ratios(problem, 1)
+    positive = [r for r in ratios.values() if r > 1e-12]
+    return 0.9 * min(positive) if positive else 1e-3 * problem.max_capacity()
+
+
 def suggest_bin_config(
     problem: Problem,
     alpha: float = 2.0,
@@ -522,9 +533,7 @@ def suggest_bin_config(
     when the bin count requires it.
     """
     if u is None:
-        ratios, _ = _estimate_ratios(problem, 1)
-        positive = [r for r in ratios.values() if r > 1e-12]
-        u = 0.9 * min(positive) if positive else 1e-3 * problem.max_capacity()
+        u = _suggest_u(problem)
     if num_bins is None:
         num_bins = default_num_bins(problem, u, alpha)
     if epsilon is None:
@@ -574,14 +583,15 @@ def compute_equi_boundaries(
     return boundaries, groups
 
 
-def merge_boundaries(boundaries: Sequence[float], rel_tol: float = TIE_REL_TOL) -> list[float]:
-    """Collapse equal or non-positive boundaries so the result is strictly
-    increasing (the degenerate-merge rule for the multi-bin variant)."""
+def merge_boundaries(boundaries: Sequence[float]) -> list[float]:
+    """Collapse non-positive boundaries and those within ``TIE_REL_TOL``
+    (relative) of the previous one, so the result is strictly increasing
+    (the degenerate-merge rule for the multi-bin variant)."""
     out: list[float] = []
     for b in boundaries:
         if b <= 0:
             continue
-        if out and b <= out[-1] * (1 + rel_tol):
+        if out and b <= out[-1] * (1 + TIE_REL_TOL):
             continue
         out.append(b)
     return out

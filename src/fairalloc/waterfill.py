@@ -99,10 +99,20 @@ def build_subdemands(
     """Expand demands into single-path subdemand columns and capacities:
     the CSR incidence, built in one pass over the demands.
 
-    Raises ValueError when a demand's theta row does not sum to 1 within 1e-9
-    or contains negatives.  Unbounded demands get no virtual edge.
+    Raises ValueError when resource, path or demand ids repeat, or when a
+    demand's theta row does not sum to 1 within 1e-9 or contains negatives.
+    Unbounded demands get no virtual edge.
     """
     path_map = problem.path_map()
+    rows = [r.id for r in problem.resources]
+    row_idx = {rid: i for i, rid in enumerate(rows)}
+    for kind, unique, entities in (
+        ("resource", row_idx, problem.resources),
+        ("path", path_map, problem.paths),
+        ("demand", {d.id for d in problem.demands}, problem.demands),
+    ):
+        if len(unique) < len(entities):
+            raise ValueError(f"duplicate {kind} id: ids must be unique")
 
     col_theta: list[float] = []
     for d in problem.demands:
@@ -115,9 +125,7 @@ def build_subdemands(
             )
         col_theta += row
 
-    rows = [r.id for r in problem.resources]
     caps = [r.capacity for r in problem.resources]
-    row_idx = {rid: i for i, rid in enumerate(rows)}
     columns: list[tuple[str, str]] = []
     nz_col: list[int] = []
     nz_row: list[int] = []

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from fairalloc.bench import save_problem
-from fairalloc.cli import cli_main
+from fairalloc.bench import _CONFIG_KEYS, save_problem
+from fairalloc.cli import _build_parser, _solve_config, cli_main
+from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.model import Demand, Path, Problem, Resource
 
 
@@ -42,17 +43,29 @@ def test_solve_gb_defaults_u_and_echoes_it(worked_example_file, tmp_path):
     assert report["notes"]["alpha"] == 2.0
 
 
-def test_solve_dump_lp_flag_writes_interchange_files(worked_example_file, tmp_path):
+def test_solve_swan_at_a_fine_ladder(tmp_path):
+    prob = tmp_path / "gravity.json"
+    save_problem(prob, generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4))
     out = tmp_path / "report.json"
-    lpdir = tmp_path / "lps"
     code = cli_main(
-        ["solve", "--input", str(worked_example_file), "--allocator", "gb",
-         "--output", str(out), "--dump-lp-dir", str(lpdir)]
+        ["solve", "--input", str(prob), "--allocator", "swan", "--alpha", "1.05",
+         "--output", str(out)]
     )
     assert code == 0
-    dumps = sorted(lpdir.glob("*.lp"))
-    assert len(dumps) == 1  # the one-shot binner solves exactly one LP
-    assert "Maximize" in dumps[0].read_text()
+    report = json.loads(out.read_text())
+    assert report["config"] == {"alpha": 1.05}
+    assert report["converged"]
+
+
+def test_every_runner_parameter_is_a_solve_flag():
+    flags = ["--alpha", "2", "--u", "1", "--epsilon", "0.5", "--bins", "3",
+             "--iterations", "4", "--slack", "0.1", "--inner", "exact"]
+    args = _build_parser().parse_args(
+        ["solve", "--input", "x", "--allocator", "gb", "--output", "y", *flags]
+    )
+    forwarded = set(_solve_config(args))
+    assert forwarded == {f[2:] for f in flags[::2]}
+    assert forwarded == {key for keys in _CONFIG_KEYS.values() for key in keys}
 
 
 def test_solve_rejects_a_flag_its_allocator_does_not_read(

@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path as FsPath
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,7 @@ from fairalloc.model import (
     check_feasible,
     validate_problem,
 )
+from fairalloc.optimizers import swan_sequence
 from fairalloc.report import AllocatorReport
 
 
@@ -211,7 +216,7 @@ def test_invalid_problem_is_a_row_not_a_crash():
 def test_infeasible_allocation_is_a_row_error(monkeypatch):
     prob = Problem([Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"])])
     over = AllocatorReport(Allocation({("d", "p"): 1.5}), 0, 1, {"converged": True})
-    monkeypatch.setitem(bench._RUNNERS, "gb", (lambda p, c, s: over, ()))
+    monkeypatch.setitem(bench._RUNNERS, "gb", lambda problem, session: over)
     rows = run_benchmark([Scenario("over", prob, "gb"), Scenario("ok", prob, "exact")])
     assert rows[0].error == "ValueError: infeasible allocation: capacity of L exceeded by 0.5"
     assert rows[0].fairness_geomean is None
@@ -302,3 +307,81 @@ def test_waterfill_notes_that_it_is_not_exact_under_non_unit_utility():
     assert "utility" in rep.notes["inexact_reason"]
     # The allocation is unchanged: path rates are equalised, not totals.
     assert rep.allocation.rates == unit.allocation.rates
+
+
+def test_runner_signatures_are_the_config_schema():
+    # Keys in signature order: the rejection message above lists them so.
+    assert bench._CONFIG_KEYS == {
+        "exact": (),
+        "oneshot": ("epsilon",),
+        "swan": ("alpha", "u", "bins"),
+        "gb": ("alpha", "u", "epsilon", "bins"),
+        "eb-elastic": ("bins", "epsilon", "slack", "iterations"),
+        "eb-multibin": ("bins", "epsilon", "iterations"),
+        "waterfill": (),
+        "approx-waterfill": (),
+        "adaptive-waterfill": ("iterations", "inner"),
+    }
+
+
+def test_readme_config_table_matches_the_runner_signatures():
+    readme = (FsPath(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| allocator | config keys |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        allocator, keys = row.split("|")[1:3]
+        documented[allocator.strip().strip("`")] = re.findall(r"`([^`]+)`", keys)
+    expected = {}
+    for allocator, runner in bench._RUNNERS.items():
+        params = list(inspect.signature(runner).parameters.values())[2:]
+        expected[allocator] = [
+            p.name if p.default is None else f"{p.name}={p.default}" for p in params
+        ]
+    assert documented == expected
+
+
+def _gravity_5():
+    return generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)
+
+
+@pytest.mark.parametrize("config", [{"alpha": 1.05}, {"alpha": 1.05, "bins": 2}])
+def test_swan_runs_at_a_fine_ladder(config):
+    # swan has no epsilon, so a long ladder is no precision problem for it.
+    prob = _gravity_5()
+    rep = run_allocator(prob, "swan", config)
+    assert check_feasible(prob, rep.allocation).feasible
+    assert rep.lp_solves == rep.iterations <= rep.notes["ladder"]
+    if "bins" in config:
+        assert rep.notes["ladder"] == 2
+    else:
+        assert rep.notes["ladder"] > 40 and rep.converged
+
+
+def test_swan_runner_is_swan_sequence():
+    prob = _gravity_5()
+    rep = run_allocator(prob, "swan", {"alpha": 1.05})
+    direct = swan_sequence(prob, rep.notes["u"], 1.05)
+    assert rep.allocation == direct.allocation
+    assert rep.notes == direct.notes
+    fixed = run_allocator(prob, "swan", {"alpha": 1.5, "u": 0.25})
+    assert fixed.allocation == swan_sequence(prob, u=0.25, alpha=1.5).allocation
+    assert fixed.notes["u"] == 0.25
+
+
+@pytest.mark.parametrize("allocator", ["waterfill", "approx-waterfill", "adaptive-waterfill"])
+def test_waterfillers_reject_duplicate_ids(allocator):
+    # Two resources named "e": a merged view would put 5 on capacity 1.
+    dup_resource = Problem(
+        [Resource("e", 1.0), Resource("e", 5.0)],
+        [Path("p", ["e"])],
+        [Demand("a", ["p"]), Demand("b", ["p"])],
+    )
+    dup_path = Problem(
+        [Resource("e", 1.0)], [Path("p", ["e"]), Path("p", ["e"])], [Demand("a", ["p"])]
+    )
+    dup_demand = Problem(
+        [Resource("e", 1.0)], [Path("p", ["e"])], [Demand("a", ["p"]), Demand("a", ["p"])]
+    )
+    for kind, prob in [("resource", dup_resource), ("path", dup_path), ("demand", dup_demand)]:
+        with pytest.raises(ValueError, match=f"duplicate {kind} id"):
+            run_allocator(prob, allocator)
