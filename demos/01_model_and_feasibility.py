@@ -27,6 +27,14 @@ problem = Problem(
 
 print("violations:", validate_problem(problem))  # [] -> well formed
 
+# Ids are checked when a problem is built: a repeated id is refused outright.
+try:
+    Problem(
+        [Resource("e1", 1.0), Resource("e1", 5.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
+    )
+except ValueError as exc:
+    print("refused:", exc)  # duplicate resource id 'e1'
+
 # A valid (in fact max-min fair) allocation: d1 = 1/2 + 1/4, d2 = 3/4.
 alloc = Allocation({("d1", "p1"): 0.5, ("d1", "p2"): 0.25, ("d2", "p3"): 0.75})
 print("totals:", total_allocation(problem, alloc))

@@ -32,7 +32,7 @@ scenarios = [
     Scenario("gravity-x24", problem, "approx-waterfill"),
 ]
 
-rows = run_benchmark(scenarios, oracle="exact")
+rows = run_benchmark(scenarios)
 print(benchmark_csv(rows))
 
 # The one-shot allocator degrades to an error row once epsilon^(n-1) would

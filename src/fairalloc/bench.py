@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -296,33 +296,23 @@ def _infeasibility(check: FeasibilityCheck) -> str:
     return f"{what} exceeded by {-slack:.6g}"
 
 
-def run_benchmark(
-    scenarios: list[Scenario],
-    oracle: str | Mapping[str, Mapping[str, float]] = "exact",
-) -> list[BenchmarkRow]:
-    """Score scenarios against max-min fair reference rates.
+def run_benchmark(scenarios: list[Scenario]) -> list[BenchmarkRow]:
+    """Score scenarios against max-min fair reference rates from the
+    sequential LP oracle, solved once per distinct problem.
 
-    ``oracle`` is either the id "exact" (the sequential LP oracle, solved
-    once per distinct problem) or a mapping scenario label -> golden per-
-    demand rates.  Allocator and oracle failures (an invalid problem, say)
-    and allocations that fail ``check_feasible`` become row-level errors;
-    the run continues.
+    Allocator and oracle failures (an invalid problem, say) and allocations
+    that fail ``check_feasible`` become row-level errors; the run continues.
     """
-    if isinstance(oracle, str) and oracle != "exact":
-        raise ValueError("oracle must be 'exact' or a mapping of golden rates")
     golden_cache: dict[int, dict[str, float]] = {}
     rows: list[BenchmarkRow] = []
     for sc in scenarios:
         try:
-            if isinstance(oracle, Mapping):
-                golden = dict(oracle[sc.label])
-            else:
-                key = id(sc.problem)
-                if key not in golden_cache:
-                    golden_cache[key] = total_allocation(
-                        sc.problem, exact_sequential_max_min(sc.problem).allocation
-                    )
-                golden = golden_cache[key]
+            key = id(sc.problem)
+            if key not in golden_cache:
+                golden_cache[key] = total_allocation(
+                    sc.problem, exact_sequential_max_min(sc.problem).allocation
+                )
+            golden = golden_cache[key]
             t0 = time.perf_counter()
             report = run_allocator(sc.problem, sc.allocator, sc.config)
             wall_ms = (time.perf_counter() - t0) * 1e3

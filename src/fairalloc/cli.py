@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a scenario file against the oracle")
     p_bench.add_argument("--scenarios", required=True, help="scenario JSON file")
-    p_bench.add_argument("--oracle", default="exact", choices=["exact"])
     p_bench.add_argument("--output", required=True, help="CSV destination")
     p_bench.add_argument("--json", help="also write rows as JSON")
 
@@ -134,7 +133,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 config=entry.get("config", {}),
             )
         )
-    rows = bench.run_benchmark(scenarios, oracle=args.oracle)
+    rows = bench.run_benchmark(scenarios)
     FsPath(args.output).write_text(bench.benchmark_csv(rows))
     if args.json:
         FsPath(args.json).write_text(

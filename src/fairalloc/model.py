@@ -5,14 +5,20 @@ be allocated together, and demands request rate over one or more paths.  A
 demand may carry a weight (for weighted fairness), per-path utilities and
 per-resource consumption factors.  ``volume=None`` means the demand is
 unbounded (never encoded as a huge float).
+
+Ids are the model's identity: building a ``Problem`` raises ``ValueError``
+when a resource, path or demand id repeats or a demand lists a path twice,
+so every id-keyed view (maps, LP columns, allocation keys) is one-to-one.
+``validate_problem`` reports the remaining rules as data.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Resource",
@@ -95,6 +101,13 @@ class Demand:
         return self.volume is not None
 
 
+def _require_distinct(ids: Sequence[str], kind: str, where: str = "") -> None:
+    """Raise ValueError naming the first id of ``ids`` that repeats."""
+    if len(set(ids)) < len(ids):
+        repeated = next(i for i, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"duplicate {kind} id {repeated!r}{where}")
+
+
 @dataclass(frozen=True)
 class Problem:
     resources: tuple[Resource, ...]
@@ -110,6 +123,11 @@ class Problem:
         object.__setattr__(self, "resources", tuple(resources))
         object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "demands", tuple(demands))
+        _require_distinct([r.id for r in self.resources], "resource")
+        _require_distinct([p.id for p in self.paths], "path")
+        _require_distinct([d.id for d in self.demands], "demand")
+        for d in self.demands:
+            _require_distinct(d.paths, "path", f" in demand {d.id!r}")
 
     def resource_map(self) -> dict[str, Resource]:
         return {r.id: r for r in self.resources}
@@ -151,7 +169,8 @@ def validate_problem(problem: Problem) -> list[Violation]:
     """Check every model invariant; an empty list means the problem is valid.
 
     Violations are data, not exceptions: each names the offending entity and
-    the rule it breaks.
+    the rule it breaks.  Identity (distinct ids, each path once per demand)
+    is not among them: it is enforced when the ``Problem`` is built.
     """
     out: list[Violation] = []
 
@@ -165,22 +184,14 @@ def validate_problem(problem: Problem) -> list[Violation]:
     if not problem.demands:
         bad("problem", "nonempty", "needs at least one demand")
 
-    seen: set[str] = set()
     for r in problem.resources:
-        if r.id in seen:
-            bad(r.id, "unique-id", "duplicate resource id")
-        seen.add(r.id)
         if not (r.capacity >= 0.0):
             bad(r.id, "capacity-sign", f"capacity {r.capacity} must be >= 0")
         elif not math.isfinite(r.capacity):
             bad(r.id, "capacity-finite", "capacity must be finite")
 
     resource_ids = {r.id for r in problem.resources}
-    seen = set()
     for p in problem.paths:
-        if p.id in seen:
-            bad(p.id, "unique-id", "duplicate path id")
-        seen.add(p.id)
         if not p.resources:
             bad(p.id, "nonempty-path", "path has no resources")
         if len(set(p.resources)) != len(p.resources):
@@ -190,11 +201,7 @@ def validate_problem(problem: Problem) -> list[Violation]:
                 bad(p.id, "referential-integrity", f"unknown resource {rid!r}")
 
     path_map = {p.id: p for p in problem.paths}
-    seen = set()
     for d in problem.demands:
-        if d.id in seen:
-            bad(d.id, "unique-id", "duplicate demand id")
-        seen.add(d.id)
         if not (d.weight > 0.0) or not math.isfinite(d.weight):
             bad(d.id, "weight-positive", f"weight {d.weight} must be > 0")
         if d.volume is not None and (not (d.volume > 0.0) or not math.isfinite(d.volume)):

@@ -142,10 +142,10 @@ def _require_valid(problem: Problem) -> None:
         raise ValueError(f"invalid problem ({len(violations)} violations): {head}")
 
 
-def _tie(index: int, eta: float = TIE_BREAK) -> float:
+def _tie(index: int) -> float:
     # Deterministic preference for earlier demands among otherwise-equal
     # optima; inert (rounds to 1.0) beyond ~50 demands.
-    return 1.0 + eta * 2.0 ** (-index)
+    return 1.0 + TIE_BREAK * 2.0 ** (-index)
 
 
 def _solved(session: SolveSession, lp: LinearProgram):
@@ -315,19 +315,11 @@ def achievable_ratio_bound(problem: Problem) -> float:
 
 def default_num_bins(problem: Problem, u: float, alpha: float) -> int:
     """Enough geometric bins to cover ratios up to the achievable bound."""
+    _geometric(u, alpha, 1)  # rejects u <= 0 and alpha <= 1 before the log
     bound = achievable_ratio_bound(problem)
     if bound <= u:
         return 1
     return max(1, math.ceil(math.log(bound / u, alpha))) + 1
-
-
-def _ratio_objective(
-    problem: Problem, weight_of: Mapping[str, float], eta: float = TIE_BREAK
-) -> dict[str, float]:
-    return {
-        ratio_var(d.id): weight_of[d.id] * _tie(i, eta)
-        for i, d in enumerate(problem.demands)
-    }
 
 
 def swan_sequence(
@@ -357,7 +349,7 @@ def swan_sequence(
     start = session.count
 
     base = build_feasible_alloc(problem, "capped-seq")
-    objective = _ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
+    objective = {ratio_var(d.id): _tie(i) for i, d in enumerate(problem.demands)}
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
     iterations = 0

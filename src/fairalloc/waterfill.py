@@ -4,7 +4,9 @@ re-weights subdemands toward less congested paths each round.
 
 Multi-path demands are expanded into one subdemand per (demand, path); the
 subdemands of a bounded demand share a virtual edge whose capacity is the
-demand volume, so no demand can exceed what it asked for.
+demand volume, so no demand can exceed what it asked for.  ``Problem``
+refuses repeated ids when it is built, so each (demand, path) pair is one
+column and each resource one row.
 
 The expansion is compiled once per problem into a sparse incidence
 (``SubdemandMatrix``, CSR over rows).  The waterfillers compute link loads
@@ -99,20 +101,12 @@ def build_subdemands(
     """Expand demands into single-path subdemand columns and capacities:
     the CSR incidence, built in one pass over the demands.
 
-    Raises ValueError when resource, path or demand ids repeat, or when a
-    demand's theta row does not sum to 1 within 1e-9 or contains negatives.
-    Unbounded demands get no virtual edge.
+    Raises ValueError when a demand's theta row does not sum to 1 within
+    1e-9 or contains negatives.  Unbounded demands get no virtual edge.
     """
     path_map = problem.path_map()
     rows = [r.id for r in problem.resources]
     row_idx = {rid: i for i, rid in enumerate(rows)}
-    for kind, unique, entities in (
-        ("resource", row_idx, problem.resources),
-        ("path", path_map, problem.paths),
-        ("demand", {d.id for d in problem.demands}, problem.demands),
-    ):
-        if len(unique) < len(entities):
-            raise ValueError(f"duplicate {kind} id: ids must be unique")
 
     col_theta: list[float] = []
     for d in problem.demands:

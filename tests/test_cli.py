@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fairalloc.bench import _CONFIG_KEYS, save_problem
+from fairalloc.bench import _CONFIG_KEYS, load_problem, save_problem
 from fairalloc.cli import _build_parser, _solve_config, cli_main
 from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.model import Demand, Path, Problem, Resource
@@ -111,6 +111,34 @@ def test_solve_invalid_problem_fails_with_diagnostic(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_solve_refuses_repeated_ids_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "resources": [{"id": "e", "capacity": 1.0}, {"id": "e", "capacity": 5.0}],
+        "paths": [{"id": "p", "resources": ["e"]}],
+        "demands": [{"id": "a", "paths": ["p"]}, {"id": "b", "paths": ["p"]}],
+    }))
+    with pytest.raises(ValueError, match="dup.json: duplicate resource id 'e'"):
+        load_problem(path)
+    code = cli_main(
+        ["solve", "--input", str(path), "--allocator", "waterfill",
+         "--output", str(tmp_path / "x.json")]
+    )
+    assert code == 1
+    assert "dup.json: duplicate resource id 'e'" in capsys.readouterr().err
+
+
+def test_solve_alpha_1_fails_with_its_message(worked_example_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli_main(
+        ["solve", "--input", str(worked_example_file), "--allocator", "swan",
+         "--alpha", "1", "--output", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "alpha must be > 1" in capsys.readouterr().err
+
+
 def test_gen_then_solve_round_trip(tmp_path):
     prob_file = tmp_path / "gen.json"
     code = cli_main(
@@ -148,8 +176,7 @@ def test_bench_three_scenarios_to_csv(worked_example_file, tmp_path):
         ]
     }))
     out = tmp_path / "bench.csv"
-    code = cli_main(["bench", "--scenarios", str(scen), "--oracle", "exact",
-                     "--output", str(out)])
+    code = cli_main(["bench", "--scenarios", str(scen), "--output", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4

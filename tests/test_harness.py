@@ -370,18 +370,24 @@ def test_swan_runner_is_swan_sequence():
 
 @pytest.mark.parametrize("allocator", ["waterfill", "approx-waterfill", "adaptive-waterfill"])
 def test_waterfillers_reject_duplicate_ids(allocator):
-    # Two resources named "e": a merged view would put 5 on capacity 1.
-    dup_resource = Problem(
-        [Resource("e", 1.0), Resource("e", 5.0)],
-        [Path("p", ["e"])],
-        [Demand("a", ["p"]), Demand("b", ["p"])],
-    )
-    dup_path = Problem(
-        [Resource("e", 1.0)], [Path("p", ["e"]), Path("p", ["e"])], [Demand("a", ["p"])]
-    )
-    dup_demand = Problem(
-        [Resource("e", 1.0)], [Path("p", ["e"])], [Demand("a", ["p"]), Demand("a", ["p"])]
-    )
-    for kind, prob in [("resource", dup_resource), ("path", dup_path), ("demand", dup_demand)]:
+    # Two resources named "e": a merged view would put 5 on capacity 1. The
+    # problem is refused when built, so the allocator is never handed it.
+    cases = [
+        ("resource", [Resource("e", 1.0), Resource("e", 5.0)], [Path("p", ["e"])],
+         [Demand("a", ["p"]), Demand("b", ["p"])]),
+        ("path", [Resource("e", 1.0)], [Path("p", ["e"]), Path("p", ["e"])], [Demand("a", ["p"])]),
+        ("demand", [Resource("e", 1.0)], [Path("p", ["e"])], [Demand("a", ["p"]), Demand("a", ["p"])]),
+    ]
+    for kind, resources, paths, demands in cases:
         with pytest.raises(ValueError, match=f"duplicate {kind} id"):
-            run_allocator(prob, allocator)
+            run_allocator(Problem(resources, paths, demands), allocator)
+
+
+@pytest.mark.parametrize("allocator", ["swan", "gb"])
+@pytest.mark.parametrize(
+    "config,message",
+    [({"alpha": 1.0}, "alpha must be > 1"), ({"u": 0.0}, "u must be > 0"), ({"u": -1.0}, "u must be > 0")],
+)
+def test_ladder_inputs_are_checked_before_use(allocator, config, message):
+    with pytest.raises(ValueError, match=message):
+        run_allocator(_gravity_5(), allocator, config)

@@ -576,7 +576,7 @@ def _rebuilt_swan(problem, u, alpha, solve):
                 lp.add_constraint({ratio_var(k): 1.0}, "<=", cap)
                 if b > 1:
                     lp.add_constraint({ratio_var(k): 1.0}, ">=", prev[k])
-        lp.objective = opt._ratio_objective(problem, {d.id: 1.0 for d in problem.demands})
+        lp.objective = {ratio_var(d.id): opt._tie(i) for i, d in enumerate(problem.demands)}
         lps.append(lp)
         values = solve(lp).values
         for d in problem.demands:

@@ -45,23 +45,80 @@ def test_negative_capacity_is_flagged():
 
 
 def test_validation_catches_duplicates_and_bad_keys():
+    with pytest.raises(ValueError, match="duplicate resource id 'e1'"):
+        Problem(
+            [Resource("e1", 1.0), Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
+        )
+    with pytest.raises(ValueError, match="duplicate demand id 'd1'"):
+        Problem(
+            [Resource("e1", 1.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"]), Demand("d1", ["p1"])]
+        )
     prob = Problem(
-        [Resource("e1", 1.0), Resource("e1", 2.0)],
+        [Resource("e1", 1.0)],
         [Path("p1", ["e1", "e1"])],
         [
             Demand("d1", ["p1"], weight=-1.0, utility={"p2": 1.0}),
-            Demand("d1", ["p1"], volume=-3.0, consumption={"zz": 1.0}),
+            Demand("d2", ["p1"], volume=-3.0, consumption={"zz": 1.0}),
         ],
     )
     rules = {v.rule for v in validate_problem(prob)}
-    assert {
-        "unique-id",
+    assert rules == {
         "no-duplicate-resource",
         "weight-positive",
         "utility-keys",
         "volume-positive",
         "consumption-keys",
-    } <= rules
+    }
+
+
+def test_repeated_ids_are_refused_at_construction():
+    e = [Resource("e", 1.0)]
+    cases = [
+        # Merged by id, 2.5 + 2.5 on the capacity-1 "e" would check as feasible.
+        ("resource id 'e'", [Resource("e", 1.0), Resource("e", 5.0)], [Path("p", ["e"])],
+         [Demand("a", ["p"]), Demand("b", ["p"])]),
+        ("path id 'p'", e, [Path("p", ["e"]), Path("p", ["e"])], [Demand("a", ["p"])]),
+        ("demand id 'a'", e, [Path("p", ["e"])], [Demand("a", ["p"]), Demand("a", ["p"])]),
+        # a's two (a, p) columns would share one allocation key.
+        ("path id 'p' in demand 'a'", e, [Path("p", ["e"])],
+         [Demand("a", ["p", "p"]), Demand("b", ["p"])]),
+    ]
+    for what, resources, paths, demands in cases:
+        with pytest.raises(ValueError, match=f"^duplicate {what}$"):
+            Problem(resources, paths, demands)
+
+
+def _repeats(ids) -> bool:
+    return any(ids.count(i) > 1 for i in ids)
+
+
+@given(
+    resource_ids=st.lists(st.sampled_from("efg"), min_size=1, max_size=4),
+    path_ids=st.lists(st.sampled_from("pqr"), min_size=1, max_size=4),
+    demands=st.lists(
+        st.tuples(st.sampled_from("abc"), st.lists(st.sampled_from("pqr"), min_size=1, max_size=3)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_problem_raises_iff_an_id_repeats(resource_ids, path_ids, demands):
+    repeated = (
+        _repeats(resource_ids)
+        or _repeats(path_ids)
+        or _repeats([k for k, _ in demands])
+        or any(_repeats(pids) for _, pids in demands)
+    )
+    try:
+        prob = Problem(
+            [Resource(r, 1.0) for r in resource_ids],
+            [Path(p, resource_ids[:1]) for p in path_ids],
+            [Demand(k, pids) for k, pids in demands],
+        )
+    except ValueError as exc:
+        assert repeated and str(exc).startswith("duplicate ")
+    else:
+        assert not repeated
+        assert all(v.rule != "unique-id" for v in validate_problem(prob))
 
 
 def test_total_allocation_zero_case(two_link_example):
