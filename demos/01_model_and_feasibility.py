@@ -13,9 +13,10 @@ from fairalloc import (
     Problem,
     Resource,
     check_feasible,
-    expand_virtual_edges,
     problem_to_json,
     total_allocation,
+    build_subdemands,
+    uniform_theta,
     validate_problem,
 )
 
@@ -47,16 +48,16 @@ print("capacity slack per link:", check.capacity_slack)  # both links fully used
 greedy = Allocation({("d1", "p2"): 0.5, ("d2", "p3"): 0.75})
 print("overloaded e2 slack:", check_feasible(problem, greedy).capacity_slack["e2"])
 
-# Volume bounds can be materialized as links: a bounded demand gains a
-# private virtual edge whose capacity is its requested rate.
+# The waterfillers and the bottleneck check see a volume bound as a link: the
+# subdemand incidence gives each bounded demand a virtual row whose capacity
+# is its requested rate, after the resource rows.
 bounded = Problem(
     resources=[Resource("e1", 10.0)],
     paths=[Path("p1", ["e1"])],
     demands=[Demand("d1", ["p1"], volume=2.0)],
 )
-expanded = expand_virtual_edges(bounded)
-print("expanded resources:", [r.id for r in expanded.resources])
-print("expanded path:", expanded.paths[0].resources)
+matrix, capacities = build_subdemands(bounded, uniform_theta(bounded))
+print("incidence rows:", matrix.rows, "capacities:", capacities.tolist())
 
 # Problems serialize to a canonical JSON format (volume null = unbounded).
 print(problem_to_json(problem))

@@ -48,7 +48,6 @@ from .model import (
     Violation,
     check_feasible,
     default_feasibility_tol,
-    expand_virtual_edges,
     problem_from_json,
     problem_to_json,
     total_allocation,

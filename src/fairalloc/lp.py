@@ -476,7 +476,8 @@ class SolveSession:
 
 
 def rate_var(demand_id: str, path_id: str) -> str:
-    return f"f:{demand_id}:{path_id}"
+    """Column of f_k^p; the length prefix keeps it injective in (k, p)."""
+    return f"f:{len(demand_id)}:{demand_id}:{path_id}"
 
 
 def ratio_var(demand_id: str) -> str:

@@ -9,7 +9,9 @@ unbounded (never encoded as a huge float).
 Ids are the model's identity: building a ``Problem`` raises ``ValueError``
 when a resource, path or demand id repeats or a demand lists a path twice,
 so every id-keyed view (maps, LP columns, allocation keys) is one-to-one.
-``validate_problem`` reports the remaining rules as data.
+Rows and columns derived from several ids are keyed by index or by an
+injective name, never by ids joined with a separator.  ``validate_problem``
+reports the remaining rules as data.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
     "total_allocation",
     "check_feasible",
     "default_feasibility_tol",
-    "expand_virtual_edges",
-    "virtual_edge_id",
     "problem_to_dict",
     "problem_from_dict",
     "problem_to_json",
@@ -262,7 +262,8 @@ def check_feasible(
 
     Slacks are reported per constraint (negative slack = violated).  Volume
     compares the raw path-rate sum against the demand volume; capacity uses
-    consumption-scaled usage.
+    consumption-scaled usage.  It reads the problem directly, not the
+    waterfillers' subdemand incidence, so it stays an independent gate.
     """
     if tol is None:
         tol = default_feasibility_tol(problem)
@@ -293,70 +294,6 @@ def check_feasible(
         and all(s >= -tol for s in capacity_slack.values())
     )
     return FeasibilityCheck(ok, volume_slack, capacity_slack, negative)
-
-
-def virtual_edge_id(demand_id: str) -> str:
-    return f"{demand_id}::vol"
-
-
-def expanded_path_id(problem: Problem, demand_id: str, path_id: str) -> str:
-    """Id that expand_virtual_edges gives demand's path in the augmented
-    problem (unchanged for unbounded demands and sole-user paths)."""
-    demand = problem.demand_map()[demand_id]
-    if not demand.bounded:
-        return path_id
-    users = [d.id for d in problem.demands if path_id in d.paths]
-    return path_id if users == [demand_id] else f"{path_id}::{demand_id}"
-
-
-def expand_virtual_edges(problem: Problem) -> Problem:
-    """Materialize volume bounds as capacity: each bounded demand gains a
-    fresh resource with capacity equal to its volume, appended to every one
-    of its paths.
-
-    Paths shared with other demands are copied (id ``{path}::{demand}``) so
-    each bounded demand gets a private virtual edge; unbounded demands keep
-    their original paths.  Paths left unreferenced are dropped.  The input
-    problem is not modified.
-    """
-    users: dict[str, list[str]] = {p.id: [] for p in problem.paths}
-    for d in problem.demands:
-        for pid in d.paths:
-            users[pid].append(d.id)
-
-    resources = list(problem.resources)
-    paths: dict[str, Path] = {p.id: p for p in problem.paths}
-    new_demands: list[Demand] = []
-
-    for d in problem.demands:
-        if not d.bounded:
-            new_demands.append(d)
-            continue
-        vid = virtual_edge_id(d.id)
-        resources.append(Resource(vid, float(d.volume)))
-        new_pids: list[str] = []
-        utility = dict(d.utility)
-        for pid in d.paths:
-            base = paths[pid]
-            if users[pid] == [d.id]:
-                # sole user: extend the path in place
-                paths[pid] = Path(pid, (*base.resources, vid))
-                new_pids.append(pid)
-            else:
-                copy_id = f"{pid}::{d.id}"
-                paths[copy_id] = Path(copy_id, (*base.resources, vid))
-                new_pids.append(copy_id)
-                if pid in utility:
-                    utility[copy_id] = utility.pop(pid)
-        consumption = dict(d.consumption)
-        consumption[vid] = 1.0
-        new_demands.append(
-            Demand(d.id, new_pids, d.volume, d.weight, utility, consumption)
-        )
-
-    referenced = {pid for d in new_demands for pid in d.paths}
-    kept_paths = [p for p in paths.values() if p.id in referenced]
-    return Problem(resources, kept_paths, new_demands)
 
 
 # -- canonical JSON format ---------------------------------------------------

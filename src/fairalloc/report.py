@@ -23,10 +23,13 @@ class AllocatorReport:
 
 def _jsonable(value):
     if isinstance(value, dict):
-        return {
-            "/".join(k) if isinstance(k, tuple) else str(k): _jsonable(v)
-            for k, v in value.items()
-        }
+        out: dict = {}
+        for k, v in value.items():
+            if isinstance(k, tuple):  # (demand, path) nests, as rates do
+                out.setdefault(str(k[0]), {})[str(k[1])] = _jsonable(v)
+            else:
+                out[str(k)] = _jsonable(v)
+        return out
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if hasattr(value, "item"):  # numpy scalars
@@ -36,8 +39,9 @@ def _jsonable(value):
 
 def report_to_dict(problem: Problem, report: AllocatorReport) -> dict:
     """JSON-friendly view: rates nested by demand, utility totals, counters.
-    Tuple-keyed note entries become "demand/path" strings; the bulky theta
-    trace is omitted (export it with theta_trace_csv instead)."""
+    (demand, path)-keyed notes nest the same way, as {demand: {path: value}};
+    the bulky theta trace is omitted (export it with theta_trace_csv
+    instead)."""
     rates: dict[str, dict[str, float]] = {}
     for (k, p), rate in sorted(report.allocation.rates.items()):
         rates.setdefault(k, {})[p] = rate

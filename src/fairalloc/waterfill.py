@@ -12,7 +12,8 @@ The expansion is compiled once per problem into a sparse incidence
 (``SubdemandMatrix``, CSR over rows).  The waterfillers compute link loads
 with ``np.bincount``, which sums each row in column order; no dense rows x
 columns array is formed.  The adaptive waterfiller builds the incidence once
-and only rescales its weights between rounds.
+and only rescales its weights between rounds; the bottleneck check reads
+the same rows, so volumes become rows in this one place.
 
 The single pass walks each row's members as Python scalars, cut as list
 slices from one filtered pass over the nonzeros.  Most rows are short: a
@@ -31,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Allocation, Problem, total_allocation, virtual_edge_id
+from .model import Allocation, Problem, total_allocation
 from .report import AllocatorReport
 
 __all__ = [
@@ -52,6 +53,9 @@ THETA_CONVERGENCE = 1e-6
 class SubdemandMatrix:
     """Subdemand incidence in CSR form: resource rows first, then one
     virtual-edge row per bounded demand; one column per (demand, path).
+    ``rows`` are labels only (a virtual edge reads ``{demand}::vol``, which
+    may repeat a resource id): everything derived from the matrix is keyed
+    by row and column index.
 
     Row ``e`` owns the nonzeros ``indptr[e]:indptr[e + 1]``.  For each,
     ``indices`` holds the column (increasing within a row), ``row_of`` the
@@ -127,7 +131,7 @@ def build_subdemands(
     for d in problem.demands:
         if d.bounded:
             vrow = len(rows)
-            rows.append(virtual_edge_id(d.id))
+            rows.append(f"{d.id}::vol")
             caps.append(float(d.volume))
         for pid in d.paths:
             on_path = path_map[pid].resources
@@ -365,65 +369,42 @@ def is_bandwidth_bottlenecked(
 
     True iff every nonzero subdemand f_k^p has a saturated link l on its path
     (volume edges count as links; saturation within a 1e-6 relative margin)
-    where k's weighted ratio is at least every sharer's ratio minus ``tol``.
-    The witness of a failure is (demand, path, link, sharer); link/sharer are
-    None when the path has no saturated link at all.
+    where k's weighted ratio is at least every sharer's ratio minus ``tol``;
+    a demand with no rate at all must be blocked so on every path.  The
+    links are the rows of the subdemand incidence (its pattern only).
+
+    The witness of a failure is (demand, path, link, sharer) for the first
+    failing subdemand in (demand, path) order: its lowest-index saturated
+    row (resources in problem order, then the volume edge) and there the
+    demand of the highest-ratio live sharer (ties: earliest column); link
+    and sharer are None when no link on the path is saturated.
     """
-    path_map = problem.path_map()
-    demand_map = problem.demand_map()
-    max_cap = problem.max_capacity()
-    rate_eps = 1e-9 * max(1.0, max_cap)
+    matrix, caps = build_subdemands(problem, uniform_theta(problem))
+    rows, cols = matrix.row_of, matrix.indices
+    rate_eps = 1e-9 * max(1.0, problem.max_capacity())
+    totals = np.array(list(total_allocation(problem, alloc).values()))
+    ratio = totals[matrix.owner] / matrix.weight
+    rate = np.array([alloc.rate(k, p) for k, p in matrix.columns], dtype=float)
+    live = rate > rate_eps
+    starved = np.bincount(matrix.owner, rate, minlength=len(problem.demands)) <= rate_eps
+    checked = live | starved[matrix.owner]
 
-    usage: dict[str, float] = {r.id: 0.0 for r in problem.resources}
-    raw_total: dict[str, float] = {d.id: 0.0 for d in problem.demands}
-    on_link: dict[str, list[str]] = {r.id: [] for r in problem.resources}
-    for (k, p), rate in alloc.rates.items():
-        raw_total[k] += rate
-        if rate <= rate_eps:
-            continue
-        for rid in path_map[p].resources:
-            usage[rid] += demand_map[k].consumption_on(rid) * rate
-            on_link[rid].append(k)
-    capacities = {r.id: r.capacity for r in problem.resources}
-    for d in problem.demands:
-        if d.bounded:
-            vid = virtual_edge_id(d.id)
-            capacities[vid] = float(d.volume)
-            usage[vid] = raw_total[d.id]
-            on_link[vid] = [d.id]
+    usage = np.bincount(rows, matrix.consumption * rate[cols], minlength=len(caps))
+    saturated = (usage >= caps - 1e-6 * np.maximum(caps, 1e-12))[rows]
+    worst = np.zeros(len(caps))  # 0 on a row with no live sharer
+    np.maximum.at(worst, rows[live[cols]], ratio[cols[live[cols]]])
+    ok = saturated & (ratio[cols] >= worst[rows] - tol)
+    failing = np.flatnonzero(checked & (np.bincount(cols, ok, minlength=len(rate)) == 0))
+    if not failing.size:
+        return BottleneckCheck(True, None)
 
-    totals = total_allocation(problem, alloc)
-    ratio = {k: totals[k] / demand_map[k].weight for k in totals}
-
-    def saturated(rid: str) -> bool:
-        c = capacities[rid]
-        return usage.get(rid, 0.0) >= c - 1e-6 * max(c, 1e-12)
-
-    for d in problem.demands:
-        # A demand with no rate anywhere is bottlenecked only if every one of
-        # its paths is blocked by a saturated link; otherwise it could grow.
-        starved = raw_total[d.id] <= rate_eps
-        for pid in d.paths:
-            if not starved and alloc.rate(d.id, pid) <= rate_eps:
-                continue
-            candidates = list(path_map[pid].resources)
-            if d.bounded:
-                candidates.append(virtual_edge_id(d.id))
-            sat = [rid for rid in candidates if saturated(rid)]
-            if not sat:
-                return BottleneckCheck(False, (d.id, pid, None, None))
-            ok = False
-            first_bad: tuple[str, str] | None = None
-            for rid in sat:
-                sharers = on_link.get(rid, [])
-                worst = max((ratio[j] for j in sharers), default=0.0)
-                if ratio[d.id] >= worst - tol:
-                    ok = True
-                    break
-                if first_bad is None:
-                    bad_j = max(sharers, key=lambda j: ratio[j])
-                    first_bad = (rid, bad_j)
-            if not ok:
-                assert first_bad is not None
-                return BottleneckCheck(False, (d.id, pid, *first_bad))
-    return BottleneckCheck(True, None)
+    j = int(failing[0])
+    k, p = matrix.columns[j]
+    blocked = rows[(cols == j) & saturated]
+    if not blocked.size:
+        return BottleneckCheck(False, (k, p, None, None))
+    e = int(blocked[0])
+    sharers = cols[matrix.indptr[e] : matrix.indptr[e + 1]]
+    sharers = sharers[live[sharers]]
+    top = int(sharers[np.argmax(ratio[sharers])])
+    return BottleneckCheck(False, (k, p, matrix.rows[e], matrix.columns[top][0]))

@@ -367,7 +367,7 @@ def test_fragment_counts_single_demand():
         [Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
     )
     lp = build_feasible_alloc(prob)
-    assert [v.name for v in lp.variables] == ["f:d1:p1", "rho:d1"]  # rate + ratio
+    assert [v.name for v in lp.variables] == ["f:2:d1:p1", "rho:d1"]  # rate + ratio
     assert [c.name for c in lp.constraints] == ["cap:e1", "ratio:d1"]
     assert all(v.upper is None for v in lp.variables)
 
@@ -476,7 +476,7 @@ def test_capacity_rows_match_the_nested_loop_reference():
     rows = build_feasible_alloc(consuming).constraints
     caps = [c for c in rows if c.name.startswith("cap:")]
     assert [c.name for c in caps] == ["cap:z", "cap:a", "cap:m"]
-    assert list(caps[0].coeffs.items()) == [("f:late:q2", 0.5), ("f:early:q0", 1.0)]
+    assert list(caps[0].coeffs.items()) == [("f:4:late:q2", 0.5), ("f:5:early:q0", 1.0)]
 
 
 def _nested_loop_ratio_rows(problem):
@@ -514,14 +514,14 @@ def test_ratio_rows_match_the_nested_loop_reference():
     # columns: rates in (demand, path) order, then rho in demand order;
     # rows: volume, capacity, then ratio rows
     assert [v.name for v in lp.variables] == [
-        "f:a:pa", "f:b:pb1", "f:b:pb2", "rho:a", "rho:b"
+        "f:1:a:pa", "f:1:b:pb1", "f:1:b:pb2", "rho:a", "rho:b"
     ]
     assert [c.name for c in lp.constraints] == [
         "volume:b", "cap:L", "cap:M", "ratio:a", "ratio:b"
     ]
     assert [list(c.coeffs.items()) for c in lp.constraints[-2:]] == [
-        [("f:a:pa", 3.0), ("rho:a", -2.0)],
-        [("f:b:pb1", 1.0), ("f:b:pb2", 0.5), ("rho:b", -4.0)],
+        [("f:1:a:pa", 3.0), ("rho:a", -2.0)],
+        [("f:1:b:pb1", 1.0), ("f:1:b:pb2", 0.5), ("rho:b", -4.0)],
     ]
 
 

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import small_grid_instance
 
 from fairalloc.model import (
     Allocation,
@@ -11,14 +14,12 @@ from fairalloc.model import (
     Resource,
     check_feasible,
     default_feasibility_tol,
-    expand_virtual_edges,
-    expanded_path_id,
     problem_from_json,
     problem_to_json,
     total_allocation,
     validate_problem,
-    virtual_edge_id,
 )
+from fairalloc.waterfill import build_subdemands, uniform_theta
 
 
 def test_well_formed_problem_has_no_violations(two_link_example):
@@ -213,57 +214,29 @@ def test_consumption_scales_usage():
     assert check_feasible(prob, Allocation({("d1", "p1"): 0.4}), tol=1e-9).feasible
 
 
-# -- virtual edges -------------------------------------------------------------
+# -- volume rows -----------------------------------------------------------------
 
 
-def test_virtual_edge_extends_sole_path():
-    prob = Problem(
-        [Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"], volume=5.0)]
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_incidence_rows_match_the_feasibility_slacks(seed, data):
+    # The subdemand incidence is the one expansion of volumes into rows; its
+    # slack on each row must equal the slack that check_feasible reports
+    # from the problem itself.
+    prob = small_grid_instance(seed)
+    columns = [(d.id, pid) for d in prob.demands for pid in d.paths]
+    rates = data.draw(
+        st.lists(st.floats(0.0, 3.0), min_size=len(columns), max_size=len(columns))
     )
-    out = expand_virtual_edges(prob)
-    assert validate_problem(out) == []
-    path = out.path_map()["p1"]
-    assert len(path.resources) == 2
-    assert out.resource_map()[virtual_edge_id("d1")].capacity == 5.0
-
-
-def test_unbounded_demand_is_untouched(two_link_example):
-    assert expand_virtual_edges(two_link_example) == two_link_example
-
-
-def test_shared_path_gets_per_demand_copies():
-    prob = Problem(
-        [Resource("e1", 2.0)],
-        [Path("p1", ["e1"])],
-        [Demand("a", ["p1"], volume=1.0), Demand("b", ["p1"], volume=2.0)],
+    matrix, caps = build_subdemands(prob, uniform_theta(prob))
+    flow = np.array(rates)
+    slack = caps - np.bincount(
+        matrix.row_of, matrix.consumption * flow[matrix.indices], minlength=len(caps)
     )
-    out = expand_virtual_edges(prob)
-    assert validate_problem(out) == []
-    pa, pb = out.demand_map()["a"].paths[0], out.demand_map()["b"].paths[0]
-    assert pa != pb
-    assert virtual_edge_id("a") in out.path_map()[pa].resources
-    assert virtual_edge_id("b") in out.path_map()[pb].resources
-    assert virtual_edge_id("b") not in out.path_map()[pa].resources
-
-
-def test_expansion_preserves_feasibility_verdicts():
-    prob = Problem(
-        [Resource("e1", 2.0), Resource("e2", 3.0)],
-        [Path("p1", ["e1"]), Path("p2", ["e2"])],
-        [Demand("a", ["p1", "p2"], volume=1.5), Demand("b", ["p2"])],
-    )
-    out = expand_virtual_edges(prob)
-    for rates in (
-        {("a", "p1"): 0.5, ("a", "p2"): 0.5, ("b", "p2"): 1.0},
-        {("a", "p1"): 1.2, ("a", "p2"): 0.3, ("b", "p2"): 2.7},
-        {("a", "p1"): 0.0, ("a", "p2"): 0.0, ("b", "p2"): 0.0},
-    ):
-        mapped = {
-            (k, expanded_path_id(prob, k, p)): v for (k, p), v in rates.items()
-        }
-        before = check_feasible(prob, Allocation(rates), tol=0.0).feasible
-        after = check_feasible(out, Allocation(mapped), tol=0.0).feasible
-        assert before == after
+    check = check_feasible(prob, Allocation(dict(zip(columns, rates))))
+    # Resource rows in problem order, then one volume row per bounded demand.
+    expected = [*check.capacity_slack.values(), *check.volume_slack.values()]
+    assert slack.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 # -- JSON ----------------------------------------------------------------------

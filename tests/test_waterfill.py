@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 import fairalloc.waterfill as wf
 from fairalloc.bench import run_allocator
 from fairalloc.generate import TrafficSpec, generate_problem
-from fairalloc.model import Allocation, Demand, Path, Problem, Resource, check_feasible
+from fairalloc.model import (
+    Allocation,
+    Demand,
+    Path,
+    Problem,
+    Resource,
+    check_feasible,
+    total_allocation,
+)
 from fairalloc.waterfill import (
     adaptive_waterfill,
     approx_waterfill,
@@ -16,7 +24,7 @@ from fairalloc.waterfill import (
     uniform_theta,
 )
 
-from conftest import unit_qr_instance
+from conftest import small_grid_instance, unit_qr_instance
 
 
 def dense(m):
@@ -466,3 +474,48 @@ def test_volume_bound_counts_as_bottleneck():
     )
     alloc = Allocation({("d1", "p1"): 2.0})
     assert is_bandwidth_bottlenecked(prob, alloc, tol=1e-9).bottlenecked
+
+
+def _bottlenecked_by_loop(problem, alloc, tol):
+    """Reference: the per-link loop over (kind, id)-keyed dicts, returning
+    the verdict and the failing (demand, path, has a saturated link)."""
+    paths, demands = problem.path_map(), problem.demand_map()
+    rate_eps = 1e-9 * max(1.0, problem.max_capacity())
+    caps = {("r", r.id): r.capacity for r in problem.resources}
+    usage = dict.fromkeys(caps, 0.0)
+    sharers = {key: [] for key in caps}
+    raw = dict.fromkeys(demands, 0.0)
+    for (k, p), rate in alloc.rates.items():
+        raw[k] += rate
+        for rid in paths[p].resources:
+            usage["r", rid] += demands[k].consumption_on(rid) * rate
+            if rate > rate_eps:
+                sharers["r", rid].append(k)
+    for d in problem.demands:
+        if d.bounded:
+            caps["v", d.id], usage["v", d.id] = float(d.volume), raw[d.id]
+            sharers["v", d.id] = [d.id] if raw[d.id] > rate_eps else []
+    totals = total_allocation(problem, alloc)
+    ratio = {k: totals[k] / demands[k].weight for k in totals}
+    for d in problem.demands:
+        for pid in d.paths:
+            if raw[d.id] > rate_eps and alloc.rate(d.id, pid) <= rate_eps:
+                continue
+            links = [("r", rid) for rid in paths[pid].resources]
+            links += [("v", d.id)] if d.bounded else []
+            sat = [e for e in links if usage[e] >= caps[e] - 1e-6 * max(caps[e], 1e-12)]
+            worst = [max((ratio[j] for j in sharers[e]), default=0.0) for e in sat]
+            if not any(ratio[d.id] >= w - tol for w in worst):
+                return False, (d.id, pid, bool(sat))
+    return True, None
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_bottleneck_check_matches_the_per_link_loop(tol):
+    for seed in range(30):
+        prob = small_grid_instance(seed)
+        for allocator in ("exact", "swan", "gb", "approx-waterfill", "adaptive-waterfill"):
+            alloc = run_allocator(prob, allocator).allocation
+            check = is_bandwidth_bottlenecked(prob, alloc, tol=tol)
+            witness = check.witness and (*check.witness[:2], check.witness[2] is not None)
+            assert (check.bottlenecked, witness) == _bottlenecked_by_loop(prob, alloc, tol)
