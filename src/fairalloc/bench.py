@@ -5,6 +5,7 @@ runner that scores every scenario against the exact oracle.
 
 from __future__ import annotations
 
+import csv
 import inspect
 import io
 import json
@@ -347,6 +348,7 @@ def benchmark_csv(rows: list[BenchmarkRow]) -> str:
     """Fixed, versioned column order (BENCH_CSV_VERSION)."""
     buf = io.StringIO()
     buf.write(BENCH_CSV_HEADER + "\n")
+    out = csv.writer(buf, lineterminator="\n")  # quotes labels holding "," or '"'
     for r in rows:
         cells = [
             r.scenario,
@@ -358,5 +360,5 @@ def benchmark_csv(rows: list[BenchmarkRow]) -> str:
             "" if r.converged is None else str(r.converged).lower(),
             "" if r.wall_ms is None else f"{r.wall_ms:.3f}",
         ]
-        buf.write(",".join(cells) + "\n")
+        out.writerow(cells)
     return buf.getvalue()

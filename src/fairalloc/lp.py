@@ -2,13 +2,15 @@
 a pluggable backend seam, and the shared feasible-allocation constraint
 builder used by every optimization-based allocator.
 
-Every LP has one shape: nonnegative variables, each with an optional upper
-bound, linear rows, and an objective that is maximised.  Every solve goes
-through one standard form: `_standard_form` validates a `LinearProgram` once
-and maps its names to dense arrays (`A`, relations, `b`, `c`, upper bounds)
-in variable and constraint order.  The built-in simplex, the scipy HiGHS
-backend and the solution check all work on those arrays.  Both backends
-return optimal row duals in one sign convention.
+Every LP has one shape: nonnegative columns, each with an optional upper
+bound, linear rows, and an objective that is maximised.  A column is its
+index: `add_variable` returns it, and rows, the objective and a solution's
+values are keyed or ordered by it.  Every solve goes through one standard
+form: `_standard_form` validates a `LinearProgram` once and lays it out as
+dense arrays (`A`, relations, `b`, `c`, upper bounds) in column and
+constraint order.  The built-in simplex, the scipy HiGHS backend and the
+solution check all work on those arrays.  Both backends return optimal row
+duals in one sign convention.
 
 The built-in solver is a dense two-phase primal simplex: upper bounds stay
 column bounds (bounded-variable simplex), a crash start covers zero-rhs
@@ -28,7 +30,6 @@ import numpy as np
 from .model import Problem
 
 __all__ = [
-    "Variable",
     "Constraint",
     "LinearProgram",
     "LpSolution",
@@ -37,24 +38,18 @@ __all__ = [
     "ScipyBackend",
     "SolveSession",
     "build_feasible_alloc",
-    "rate_var",
-    "ratio_var",
+    "ratio_columns",
 ]
 
 PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Variable:
-    """A column x >= 0, at most `upper` unless that is None."""
-
-    name: str
-    upper: float | None = None
-
-
-@dataclass(frozen=True)
 class Constraint:
-    coeffs: Mapping[str, float]
+    """A row: column index -> coefficient, a relation and a right-hand side.
+    The name only labels the row in error messages."""
+
+    coeffs: Mapping[int, float]
     relation: str  # "<=", "==" or ">="
     rhs: float
     name: str = ""
@@ -67,21 +62,25 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A named LP: nonnegative variables, linear constraints, and a linear
-    objective to maximise.  Treated as immutable once handed to a solver."""
+    """A named LP: nonnegative columns, linear constraints, and a linear
+    objective (column index -> coefficient) to maximise.  ``variables`` holds
+    each column's upper bound (None: unbounded above).  Treated as immutable
+    once handed to a solver."""
 
     name: str = "lp"
-    variables: list[Variable] = field(default_factory=list)
+    variables: list[float | None] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
+    objective: dict[int, float] = field(default_factory=dict)
 
-    def add_variable(self, name: str, *, upper: float | None = None) -> str:
-        self.variables.append(Variable(name, upper))
-        return name
+    def add_variable(self, *, upper: float | None = None) -> int:
+        """Append a column x >= 0 (x <= upper unless that is None); returns
+        its index."""
+        self.variables.append(upper)
+        return len(self.variables) - 1
 
     def add_constraint(
         self,
-        coeffs: Mapping[str, float],
+        coeffs: Mapping[int, float],
         relation: str,
         rhs: float,
         name: str = "",
@@ -89,32 +88,32 @@ class LinearProgram:
         self.constraints.append(Constraint(coeffs, relation, rhs, name))
 
     def validate(self) -> None:
-        names = [v.name for v in self.variables]
-        known = set(names)
-        if len(known) != len(names):
-            raise ValueError(f"{self.name}: duplicate variable names")
-        for v in self.variables:
-            if v.upper is not None and v.upper < 0:
-                raise ValueError(f"{self.name}: {v.name} has a negative upper bound")
+        """Reject a negative upper bound and any key that is not a column,
+        an int in [0, n) (numpy would wrap -1 to the last column)."""
+        for j, upper in enumerate(self.variables):
+            if upper is not None and upper < 0:
+                raise ValueError(f"{self.name}: column {j} has a negative upper bound")
+        n = len(self.variables)
         for c in self.constraints:
-            for var in c.coeffs:
-                if var not in known:
-                    raise ValueError(f"{self.name}: constraint uses unknown {var!r}")
-        for var in self.objective:
-            if var not in known:
-                raise ValueError(f"{self.name}: objective uses unknown {var!r}")
+            for j in c.coeffs:
+                if type(j) is not int or not 0 <= j < n:
+                    raise ValueError(f"{self.name}: constraint uses unknown column {j!r}")
+        for j in self.objective:
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"{self.name}: objective uses unknown column {j!r}")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """When optimal, ``duals`` holds an optimal dual per constraint, in order:
+    """When optimal, ``values`` holds x per column, in column order (empty
+    otherwise), and ``duals`` an optimal dual per constraint, in order:
     d objective / d rhs (so >= 0 on a "<=" row, <= 0 on a ">=" row, and 0 on
     a slack row).  ``iterations`` is the backend's work count: simplex pivots
     plus bound flips for the built-in solver, HiGHS's iteration count for the
     scipy backend."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
-    values: dict[str, float]
+    values: list[float]
     objective: float
     duals: tuple[float, ...] = ()
     iterations: int = 0
@@ -135,7 +134,7 @@ _RELATION_SIGN = {"<=": 1, "==": 0, ">=": -1}
 
 class _StandardForm(NamedTuple):
     """Dense arrays of a validated LP, rows in constraint order and columns
-    in variable order: `A x (relations) b`, `0 <= x <= upper`, maximize
+    in column order: `A x (relations) b`, `0 <= x <= upper`, maximize
     `c x`."""
 
     A: np.ndarray
@@ -146,32 +145,30 @@ class _StandardForm(NamedTuple):
 
 
 def _standard_form(lp: LinearProgram) -> _StandardForm:
-    """Validate `lp` and translate it to arrays: the one place that maps
-    variable names to matrix columns."""
+    """Validate `lp` and translate it to arrays."""
     lp.validate()
-    col = {v.name: j for j, v in enumerate(lp.variables)}
     cons = lp.constraints
-    A = np.zeros((len(cons), len(col)))
+    A = np.zeros((len(cons), len(lp.variables)))
     rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    A[rows, [col[name] for con in cons for name in con.coeffs]] = [
+    A[rows, [j for con in cons for j in con.coeffs]] = [
         a for con in cons for a in con.coeffs.values()
     ]
-    c = np.zeros(len(col))
-    c[[col[name] for name in lp.objective]] = list(lp.objective.values())
+    c = np.zeros(len(lp.variables))
+    c[list(lp.objective)] = list(lp.objective.values())
     return _StandardForm(
         A,
         np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int),
         np.array([con.rhs for con in cons], dtype=float),
         c,
-        np.array([np.inf if v.upper is None else v.upper for v in lp.variables]),
+        np.array([np.inf if u is None else u for u in lp.variables]),
     )
 
 
 def _optimal(
     lp: LinearProgram, x: np.ndarray, duals: np.ndarray, iterations: int
 ) -> LpSolution:
-    values = dict(zip((v.name for v in lp.variables), x.tolist()))
-    obj = sum(a * values[n] for n, a in lp.objective.items())
+    values = x.tolist()
+    obj = sum(a * values[j] for j, a in lp.objective.items())
     return LpSolution("optimal", values, float(obj), tuple(duals.tolist()), iterations)
 
 
@@ -242,7 +239,7 @@ def _simplex_core(
     enters) takes over until a step makes progress.  Ties in the ratio test
     always go to the lowest basic index, so every choice is deterministic.
 
-    Returns the status, x in variable order and the duals y of `sf`'s rows
+    Returns the status, x in column order and the duals y of `sf`'s rows
     when optimal, and the number of pivots plus bound flips.  The duals are
     read from the phase-2 reduced costs z = c - y^T A: a row's artificial (or
     a "<=" row's slack) column is e_i with cost 0 and is never complemented,
@@ -381,9 +378,8 @@ def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None
     out = np.nonzero((x < -tol) | (x > sf.upper + tol))[0]
     if out.size:
         j = out[0]
-        v = lp.variables[j]
-        side = "below bound 0.0" if x[j] < 0 else f"above bound {v.upper}"
-        raise SimplexError(f"{lp.name}: {v.name}={x[j]} {side}")
+        side = "below bound 0.0" if x[j] < 0 else f"above bound {lp.variables[j]}"
+        raise SimplexError(f"{lp.name}: column {j} = {x[j]} {side}")
     lhs = sf.A @ x
     gap = lhs - sf.b
     ok = np.where(sf.relations == 0, np.abs(gap), sf.relations * gap) <= tol
@@ -406,7 +402,7 @@ class SimplexBackend:
         sf = _standard_form(lp)
         status, x, duals, iterations = _simplex_core(sf, lp.name)
         if status != "optimal":
-            return LpSolution(status, {}, float("nan"), iterations=iterations)
+            return LpSolution(status, [], float("nan"), iterations=iterations)
         _check_solution(lp, sf, x)
         return _optimal(lp, x, duals, iterations)
 
@@ -435,9 +431,9 @@ class ScipyBackend:
         )
         iterations = int(res.nit)
         if res.status == 2:
-            return LpSolution("infeasible", {}, float("nan"), iterations=iterations)
+            return LpSolution("infeasible", [], float("nan"), iterations=iterations)
         if res.status == 3:
-            return LpSolution("unbounded", {}, float("nan"), iterations=iterations)
+            return LpSolution("unbounded", [], float("nan"), iterations=iterations)
         if not res.success:
             raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
         _check_solution(lp, sf, res.x)
@@ -475,52 +471,43 @@ class SolveSession:
 # -- shared FeasibleAlloc fragment --------------------------------------------
 
 
-def rate_var(demand_id: str, path_id: str) -> str:
-    """Column of f_k^p; the length prefix keeps it injective in (k, p)."""
-    return f"f:{len(demand_id)}:{demand_id}:{path_id}"
-
-
-def ratio_var(demand_id: str) -> str:
-    return f"rho:{demand_id}"
+def ratio_columns(problem: Problem) -> range:
+    """Columns of rho_k in `build_feasible_alloc`, in demand order."""
+    start = sum(len(d.paths) for d in problem.demands)
+    return range(start, start + len(problem.demands))
 
 
 def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> LinearProgram:
     """Variables and constraints of a feasible allocation, no objective.
 
-    Columns: one rate f_k^p per (demand, path), then one weighted ratio
-    rho_k per demand.  Rows: a volume row per bounded demand
-    (`sum_p f_k^p <= d_k`), a capacity row per used resource
-    (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
+    Columns: one rate f_k^p per (demand, path) in problem order, then one
+    weighted ratio rho_k per demand (`ratio_columns`).  Rows: a volume row
+    per bounded demand (`sum_p f_k^p <= d_k`), a capacity row per used
+    resource (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
     (`sum_p q_k^p f_k^p - w_k rho_k == 0`).
     """
     lp = LinearProgram(name=name)
     path_map = problem.path_map()
-    for d in problem.demands:
-        for pid in d.paths:
-            lp.add_variable(rate_var(d.id, pid))
-    for d in problem.demands:
-        lp.add_variable(ratio_var(d.id))
+    rates = [[lp.add_variable() for _ in d.paths] for d in problem.demands]
+    rhos = [lp.add_variable() for _ in problem.demands]
 
-    for d in problem.demands:
+    for d, cols in zip(problem.demands, rates):
         if d.bounded:
             lp.add_constraint(
-                {rate_var(d.id, pid): 1.0 for pid in d.paths},
-                "<=",
-                float(d.volume),
-                name=f"volume:{d.id}",
+                dict.fromkeys(cols, 1.0), "<=", float(d.volume), name=f"volume:{d.id}"
             )
 
-    usage: dict[str, dict[str, float]] = {}  # resource -> rate var -> r_k^e
-    for d in problem.demands:
-        for pid in d.paths:
+    usage: dict[str, dict[int, float]] = {}  # resource -> rate column -> r_k^e
+    for d, cols in zip(problem.demands, rates):
+        for pid, j in zip(d.paths, cols):
             for rid in path_map[pid].resources:
-                usage.setdefault(rid, {})[rate_var(d.id, pid)] = d.consumption_on(rid)
+                usage.setdefault(rid, {})[j] = d.consumption_on(rid)
     for r in problem.resources:
         if r.id in usage:
             lp.add_constraint(usage[r.id], "<=", r.capacity, name=f"cap:{r.id}")
 
-    for d in problem.demands:
-        coeffs = {rate_var(d.id, pid): d.utility_on(pid) for pid in d.paths}
-        coeffs[ratio_var(d.id)] = -d.weight
+    for d, cols, rho in zip(problem.demands, rates, rhos):
+        coeffs = {j: d.utility_on(pid) for pid, j in zip(d.paths, cols)}
+        coeffs[rho] = -d.weight
         lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
     return lp

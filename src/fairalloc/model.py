@@ -8,9 +8,9 @@ unbounded (never encoded as a huge float).
 
 Ids are the model's identity: building a ``Problem`` raises ``ValueError``
 when a resource, path or demand id repeats or a demand lists a path twice,
-so every id-keyed view (maps, LP columns, allocation keys) is one-to-one.
-Rows and columns derived from several ids are keyed by index or by an
-injective name, never by ids joined with a separator.  ``validate_problem``
+so every id-keyed view (maps, allocation keys) is one-to-one.  Rows and
+columns derived from several ids (subdemands, LP columns) are keyed by
+index in problem order, never by ids joined with a separator.  ``validate_problem``
 reports the remaining rules as data.
 """
 

@@ -31,15 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .lp import (
-    Constraint,
-    LinearProgram,
-    SolveSession,
-    Variable,
-    build_feasible_alloc,
-    rate_var,
-    ratio_var,
-)
+from .lp import Constraint, LinearProgram, SolveSession, build_feasible_alloc, ratio_columns
 from .model import Allocation, Problem, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
@@ -61,7 +53,6 @@ __all__ = [
     "achievable_ratio_bound",
     "default_num_bins",
     "suggest_bin_config",
-    "ratio_var",
 ]
 
 EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
@@ -155,12 +146,10 @@ def _solved(session: SolveSession, lp: LinearProgram):
     return sol
 
 
-def _allocation_from(problem: Problem, values: Mapping[str, float]) -> Allocation:
-    rates = {}
-    for d in problem.demands:
-        for pid in d.paths:
-            rates[(d.id, pid)] = max(0.0, values[rate_var(d.id, pid)])
-    return Allocation(rates)
+def _allocation_from(problem: Problem, values: Sequence[float]) -> Allocation:
+    """The rates of `build_feasible_alloc`'s leading (demand, path) columns."""
+    keys = [(d.id, pid) for d in problem.demands for pid in d.paths]
+    return Allocation({key: max(0.0, x) for key, x in zip(keys, values)})
 
 
 # -- exact allocators ----------------------------------------------------------
@@ -187,24 +176,26 @@ def exact_sequential_max_min(
     start = session.count
     demands = [d.id for d in problem.demands]
     base = build_feasible_alloc(problem, "max-min")
+    rho = ratio_columns(problem)
+    t = base.add_variable()
     floor_row = len(base.constraints)  # demand i's floor or freeze row: floor_row + i
     frozen: dict[str, float] = {}
     rounds = 0
-    last_values: Mapping[str, float] = {}
+    last_values: list[float] = []
 
     while len(frozen) < len(demands):
         rounds += 1
         lp = LinearProgram(
             f"max-min-round-{rounds}",
-            base.variables + [Variable("t")],
+            base.variables,
             base.constraints
             + [
-                Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                Constraint({rho[i]: 1.0}, "==", frozen[k], name=f"freeze:{k}")
                 if k in frozen
-                else Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)
-                for k in demands
+                else Constraint({rho[i]: 1.0, t: -1.0}, ">=", 0.0)
+                for i, k in enumerate(demands)
             ],
-            {"t": 1.0},
+            {t: 1.0},
         )
         sol = _solved(session, lp)
         last_values = sol.values
@@ -213,7 +204,7 @@ def exact_sequential_max_min(
             raise AllocationError(
                 f"LP {lp.name!r}: floor duals sum to {sum(y.values()):.6g} < 1"
             )
-        t_i = sol.values["t"]
+        t_i = sol.values[t]
         for k, y_k in y.items():
             if y_k > DUAL_TOL:
                 frozen[k] = t_i
@@ -248,12 +239,10 @@ def one_shot_exact(
     start = session.count
 
     lp = build_feasible_alloc(problem, "one-shot-exact")
-    wires: list[str] = [ratio_var(d.id) for d in problem.demands]
+    wires = list(ratio_columns(problem))
     net: SortingNetwork = build_sorting_network(n)
-    for ci, (i, j) in enumerate(net.comparators):
-        lo, hi = f"lo:{ci}", f"hi:{ci}"
-        lp.add_variable(lo)
-        lp.add_variable(hi)
+    for i, j in net.comparators:
+        lo, hi = lp.add_variable(), lp.add_variable()
         lp.add_constraint({lo: 1.0, wires[i]: -1.0}, "<=", 0.0)
         lp.add_constraint({lo: 1.0, wires[j]: -1.0}, "<=", 0.0)
         lp.add_constraint(
@@ -261,14 +250,14 @@ def one_shot_exact(
         )
         wires[i], wires[j] = lo, hi
 
-    objective: dict[str, float] = {}
+    objective: dict[int, float] = {}
     for pos, wire in enumerate(wires):
         objective[wire] = objective.get(wire, 0.0) + epsilon**pos
     lp.objective = objective
     sol = _solved(session, lp)
 
     sorted_out = [sol.values[w] for w in wires]
-    ratios = sorted(sol.values[ratio_var(d.id)] for d in problem.demands)
+    ratios = sorted(sol.values[j] for j in ratio_columns(problem))
     scale = max(1.0, max(ratios, default=0.0))
     for a, b in zip(sorted_out, sorted_out[1:]):
         if a > b + 1e-6 * scale:
@@ -349,36 +338,35 @@ def swan_sequence(
     start = session.count
 
     base = build_feasible_alloc(problem, "capped-seq")
-    objective = {ratio_var(d.id): _tie(i) for i, d in enumerate(problem.demands)}
+    rho = ratio_columns(problem)
+    objective = {j: _tie(i) for i, j in enumerate(rho)}
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
     iterations = 0
-    last_values: Mapping[str, float] = {}
+    last_values: list[float] = []
 
     for b, cap in enumerate(caps, start=1):
         iterations = b
         rows: list[Constraint] = []
-        for d in problem.demands:
+        for d, j in zip(problem.demands, rho):
             k = d.id
             if k in frozen:
-                rows.append(
-                    Constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
-                )
+                rows.append(Constraint({j: 1.0}, "==", frozen[k], name=f"freeze:{k}"))
             else:
-                rows.append(Constraint({ratio_var(k): 1.0}, "<=", cap))
+                rows.append(Constraint({j: 1.0}, "<=", cap))
                 if b > 1:
-                    rows.append(Constraint({ratio_var(k): 1.0}, ">=", prev[k]))
+                    rows.append(Constraint({j: 1.0}, ">=", prev[k]))
         lp = LinearProgram(
-            f"capped-seq-{b}", list(base.variables), base.constraints + rows, objective
+            f"capped-seq-{b}", base.variables, base.constraints + rows, objective
         )
         sol = _solved(session, lp)
         last_values = sol.values
 
-        for d in problem.demands:
+        for d, j in zip(problem.demands, rho):
             k = d.id
             if k in frozen:
                 continue
-            r = sol.values[ratio_var(k)]
+            r = sol.values[j]
             prev[k] = r
             if r < cap - FREEZE_TOL * max(1.0, cap):
                 frozen[k] = r
@@ -428,24 +416,22 @@ def _binned(
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
     lp = build_feasible_alloc(problem, notes["allocator"])
-    objective: dict[str, float] = {}
-    for i, d in enumerate(problem.demands):
-        k = d.id
-        coeffs = {ratio_var(k): -1.0}
-        for b, cap in enumerate(caps, start=1):
-            y = f"y:{k}:{b}"
-            lp.add_variable(y, upper=cap)
-            coeffs[y] = 1.0
-            objective[y] = epsilon ** (b - 1) * _tie(i)
-        lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{k}")
+    objective: dict[int, float] = {}
+    bin_cols: list[list[int]] = []  # per demand, its y_kb columns
+    for i, (d, rho) in enumerate(zip(problem.demands, ratio_columns(problem))):
+        cols = [lp.add_variable(upper=cap) for cap in caps]
+        bin_cols.append(cols)
+        objective.update({y: epsilon**b * _tie(i) for b, y in enumerate(cols)})
+        coeffs = {rho: -1.0, **dict.fromkeys(cols, 1.0)}
+        lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{d.id}")
     lp.objective = objective
     sol = _solved(session, lp)
 
     top = boundaries[-1]
     bins: dict[str, list[float]] = {}
     truncated = False
-    for d in problem.demands:
-        left = max(0.0, sum(sol.values[f"y:{d.id}:{b}"] for b in range(1, len(caps) + 1)))
+    for d, cols in zip(problem.demands, bin_cols):
+        left = max(0.0, sum(sol.values[y] for y in cols))
         truncated |= left >= top - FREEZE_TOL * max(1.0, top)
         stack = []
         for cap in caps:
@@ -496,7 +482,9 @@ def geo_binner(
 
 def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
     """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
-    (F_k sums utility-weighted path rates), and its iteration count."""
+    (F_k sums utility-weighted path rates), and its iteration count.  The
+    problem is validated first: the waterfillers do not validate."""
+    _require_valid(problem)
     aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
     totals = total_allocation(problem, aw.allocation)
     return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
@@ -504,10 +492,11 @@ def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float
 
 def _suggest_u(problem: Problem) -> float:
     """Just under the smallest positive ratio of a one-pass waterfill
-    estimate (1e-3 of the largest capacity if no ratio is positive)."""
+    estimate; if no ratio is positive, 1e-3 of the largest capacity, or 1.0
+    when every capacity is 0."""
     ratios, _ = _estimate_ratios(problem, 1)
     positive = [r for r in ratios.values() if r > 1e-12]
-    return 0.9 * min(positive) if positive else 1e-3 * problem.max_capacity()
+    return 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
 
 
 def suggest_bin_config(
@@ -526,6 +515,8 @@ def suggest_bin_config(
     """
     if u is None:
         u = _suggest_u(problem)
+    else:  # the estimate validates; default_num_bins would divide by a zero weight
+        _require_valid(problem)
     if num_bins is None:
         num_bins = default_num_bins(problem, u, alpha)
     if epsilon is None:
@@ -618,7 +609,6 @@ def equi_depth_elastic(
     group.  Two identical demands on one link of capacity 10 get 5 + s/2 and
     5 - s/2 (5.0000025 and 4.9999975, with s = 5e-6).
     """
-    _require_valid(problem)
     session = session or SolveSession()
     start = session.count
 
@@ -638,19 +628,18 @@ def equi_depth_elastic(
             slack.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
 
     lp = build_feasible_alloc(problem, "equi-depth-elastic")
-    for b in range(1, n_groups + 1):
-        lp.add_variable(f"l:{b}")
+    bounds = [lp.add_variable() for _ in groups]  # l_b, the top of group b
+    rho = ratio_columns(problem)
     index_of = {d.id: i for i, d in enumerate(problem.demands)}
-    objective: dict[str, float] = {}
-    for b, group in enumerate(groups, start=1):
+    objective: dict[int, float] = {}
+    for b, group in enumerate(groups):
         for k in group:
-            if b > 1:
-                lp.add_constraint({ratio_var(k): 1.0, f"l:{b - 1}": -1.0}, ">=", 0.0)
-            if b < n_groups:
-                lp.add_constraint(
-                    {ratio_var(k): 1.0, f"l:{b}": -1.0}, "<=", slack[b - 1]
-                )
-            objective[ratio_var(k)] = cfg.epsilon ** (b - 1) * _tie(index_of[k])
+            i = index_of[k]
+            if b > 0:
+                lp.add_constraint({rho[i]: 1.0, bounds[b - 1]: -1.0}, ">=", 0.0)
+            if b < n_groups - 1:
+                lp.add_constraint({rho[i]: 1.0, bounds[b]: -1.0}, "<=", slack[b])
+            objective[rho[i]] = cfg.epsilon**b * _tie(i)
     lp.objective = objective
     sol = _solved(session, lp)
 
@@ -663,9 +652,7 @@ def equi_depth_elastic(
             "epsilon": cfg.epsilon,
             "groups": groups,
             "estimate_boundaries": est_bounds,
-            "solved_boundaries": [
-                sol.values[f"l:{b}"] for b in range(1, n_groups + 1)
-            ],
+            "solved_boundaries": [sol.values[j] for j in bounds],
             "slack": slack,
             "aw_iterations": aw_iterations,
             "converged": True,

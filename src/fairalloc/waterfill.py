@@ -25,6 +25,7 @@ row of a vectorised walk cost several times the arithmetic they replace.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from itertools import compress
@@ -348,11 +349,12 @@ def theta_trace_csv(report: AllocatorReport) -> str:
     if trace is None:
         raise ValueError("report has no theta trace")
     buf = io.StringIO()
-    buf.write("iteration,demand,path,theta,rate\n")
+    out = csv.writer(buf, lineterminator="\n")  # quotes ids holding "," or '"'
+    out.writerow(["iteration", "demand", "path", "theta", "rate"])
     for entry in trace:
         for (k, p), th in sorted(entry["theta"].items()):
             rate = entry["rates"].get((k, p), 0.0)
-            buf.write(f"{entry['iteration']},{k},{p},{th!r},{rate!r}\n")
+            out.writerow([entry["iteration"], k, p, repr(th), repr(rate)])
     return buf.getvalue()
 
 

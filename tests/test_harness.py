@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import re
 from pathlib import Path as FsPath
 
@@ -246,6 +248,16 @@ def test_csv_shape_and_header():
     assert lines[0] == BENCH_CSV_HEADER
     assert len(lines) == 4
     assert all(len(line.split(",")) == 8 for line in lines)
+
+
+def test_csv_quotes_scenario_labels_holding_commas_and_quotes():
+    prob = generate_problem(5, 6, TrafficSpec("uniform", 4.0, seed=9), 2)
+    labels = ["wan, small", 'the "big" one', "plain"]
+    rows = run_benchmark([Scenario(s, prob, "adaptive-waterfill") for s in labels])
+    parsed = list(csv.reader(io.StringIO(benchmark_csv(rows))))
+    assert parsed[0] == BENCH_CSV_HEADER.split(",")
+    assert all(len(row) == 8 for row in parsed)
+    assert sorted(row[0] for row in parsed[1:]) == sorted(labels)
 
 
 def test_unknown_allocator_is_rejected():

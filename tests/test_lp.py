@@ -11,7 +11,7 @@ from fairalloc.lp import (
     SimplexError,
     SolveSession,
     build_feasible_alloc,
-    rate_var,
+    ratio_columns,
 )
 from fairalloc.model import Demand, Path, Problem, Resource
 from fairalloc.optimizers import (
@@ -21,7 +21,6 @@ from fairalloc.optimizers import (
     default_num_bins,
     exact_sequential_max_min,
     geo_binner,
-    ratio_var,
     swan_sequence,
 )
 
@@ -30,40 +29,39 @@ from conftest import distinct_utility_instance, small_grid_instance
 
 def lp_max_x_le_3():
     lp = LinearProgram(name="t")
-    lp.add_variable("x")
-    lp.add_constraint({"x": 1.0}, "<=", 3.0)
-    lp.objective = {"x": 1.0}
+    x = lp.add_variable()
+    lp.add_constraint({x: 1.0}, "<=", 3.0)
+    lp.objective = {x: 1.0}
     return lp
 
 
 def test_single_bound():
     sol = SimplexBackend().solve(lp_max_x_le_3())
     assert sol.status == "optimal"
-    assert sol.values["x"] == pytest.approx(3.0)
+    assert sol.values == pytest.approx([3.0])
 
 
 def test_shared_budget():
     lp = LinearProgram(name="t")
-    lp.add_variable("x")
-    lp.add_variable("y")
-    lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0)
-    lp.objective = {"x": 1.0, "y": 1.0}
+    x, y = lp.add_variable(), lp.add_variable()
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
+    lp.objective = {x: 1.0, y: 1.0}
     assert SimplexBackend().solve(lp).objective == pytest.approx(1.0)
 
 
 def test_infeasible_pair():
     lp = LinearProgram(name="t")
-    lp.add_variable("x")
-    lp.add_constraint({"x": 1.0}, "<=", 0.0)
-    lp.add_constraint({"x": 1.0}, ">=", 1.0)
-    lp.objective = {"x": 1.0}
+    x = lp.add_variable()
+    lp.add_constraint({x: 1.0}, "<=", 0.0)
+    lp.add_constraint({x: 1.0}, ">=", 1.0)
+    lp.objective = {x: 1.0}
     assert SimplexBackend().solve(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram(name="t")
-    lp.add_variable("x")
-    lp.objective = {"x": 1.0}
+    x = lp.add_variable()
+    lp.objective = {x: 1.0}
     assert SimplexBackend().solve(lp).status == "unbounded"
 
 
@@ -71,12 +69,10 @@ def test_deterministic_resolve():
     rng = np.random.default_rng(3)
     lp = LinearProgram(name="det")
     for j in range(12):
-        lp.add_variable(f"x{j}", upper=3.0)
+        lp.add_variable(upper=3.0)
     for _ in range(9):
-        lp.add_constraint(
-            {f"x{j}": float(rng.normal()) for j in range(12)}, "<=", 2.0
-        )
-    lp.objective = {f"x{j}": float(rng.normal()) for j in range(12)}
+        lp.add_constraint({j: float(rng.normal()) for j in range(12)}, "<=", 2.0)
+    lp.objective = {j: float(rng.normal()) for j in range(12)}
     first = SimplexBackend().solve(lp)
     second = SimplexBackend().solve(lp)
     assert first.values == second.values  # bitwise identical
@@ -84,16 +80,33 @@ def test_deterministic_resolve():
 
 def test_validation_errors():
     lp = LinearProgram(name="bad")
-    lp.add_variable("x", upper=-1.0)
-    with pytest.raises(ValueError, match="negative upper bound"):
+    lp.add_variable(upper=-1.0)
+    with pytest.raises(ValueError, match="column 0 has a negative upper bound"):
         SimplexBackend().solve(lp)
     with pytest.raises(TypeError):  # an upper bound is never positional
-        lp.add_variable("y", 0.0)
+        lp.add_variable(0.0)
     lp2 = LinearProgram(name="bad2")
-    lp2.add_variable("x")
-    lp2.add_constraint({"nope": 1.0}, "<=", 1.0)
+    lp2.add_variable()
+    lp2.add_constraint({1: 1.0}, "<=", 1.0)
     with pytest.raises(ValueError, match="unknown"):
         SimplexBackend().solve(lp2)
+
+
+@pytest.mark.parametrize("key", [-1, 2, "x0", 0.0, np.int64(0)])
+@pytest.mark.parametrize("where", ["constraint", "objective"])
+def test_keys_must_be_column_indices(key, where):
+    # -1 would wrap to the last column in numpy, n is one past it, and
+    # anything but an int (a name, a float, a numpy integer) is not a column
+    lp = LinearProgram(name="keys")
+    x, y = lp.add_variable(), lp.add_variable()
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
+    lp.objective = {x: 1.0}
+    if where == "constraint":
+        lp.add_constraint({key: 1.0}, "<=", 1.0)
+    else:
+        lp.objective = {key: 1.0}  # a fresh dict: 0.0 would reuse the key 0
+    with pytest.raises(ValueError, match=f"{where} uses unknown column"):
+        SimplexBackend().solve(lp)
 
 
 def _random_lp(rng, trial):
@@ -103,13 +116,13 @@ def _random_lp(rng, trial):
     x0 = np.zeros(n)
     for j in range(n):
         ub = None if rng.random() < 0.5 else float(rng.uniform(1, 5))
-        lp.add_variable(f"x{j}", upper=ub)
+        lp.add_variable(upper=ub)
         x0[j] = rng.uniform(0, 1 if ub is None else ub)
     for _ in range(m):
         nz = int(rng.integers(1, min(n, 6) + 1))
         cols = rng.choice(n, size=nz, replace=False)
-        coeffs = {f"x{int(j)}": float(rng.normal()) for j in cols}
-        lhs0 = sum(a * x0[int(name[1:])] for name, a in coeffs.items())
+        coeffs = {int(j): float(rng.normal()) for j in cols}
+        lhs0 = sum(a * x0[j] for j, a in coeffs.items())
         draw = rng.random()
         if draw < 0.4:
             lp.add_constraint(coeffs, "<=", lhs0 + float(rng.uniform(0, 2)))
@@ -117,9 +130,7 @@ def _random_lp(rng, trial):
             lp.add_constraint(coeffs, ">=", lhs0 - float(rng.uniform(0, 2)))
         else:
             lp.add_constraint(coeffs, "==", lhs0)
-    lp.objective = {
-        f"x{j}": float(rng.normal()) for j in range(n) if rng.random() < 0.8
-    }
+    lp.objective = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.8}
     return lp
 
 
@@ -158,35 +169,35 @@ def _random_zero_rhs_lp(rng, trial):
     demands = int(rng.integers(1, 6))
     resources = int(rng.integers(1, 5))
     lp = LinearProgram(name=f"zero-rhs{trial}")
-    lp.add_variable("t")
+    t = lp.add_variable()
     usage = [{} for _ in range(resources)]
     for k in range(demands):
         rates = {}
         for p in range(int(rng.integers(1, 4))):
             upper = None if rng.random() < 0.5 else float(rng.uniform(0.5, 4))
-            f = lp.add_variable(f"f{k}_{p}", upper=upper)
+            f = lp.add_variable(upper=upper)
             rates[f] = float(rng.choice([1.0, 0.5, 2.0]))
             for e in {int(rng.integers(resources))} | set(rng.choice(resources, 2).tolist()):
                 usage[e][f] = float(rng.choice([1.0, 0.5, 3.0]))
-        rho = lp.add_variable(f"rho{k}")
+        rho = lp.add_variable()
         lp.add_constraint(
             {**rates, rho: -float(rng.choice([1.0, 2.0, 4.0]))}, "==", 0.0, name=f"ratio:{k}"
         )
         if rng.random() < 0.7:
-            lp.add_constraint({rho: 1.0, "t": -1.0}, ">=", 0.0, name=f"floor:{k}")
+            lp.add_constraint({rho: 1.0, t: -1.0}, ">=", 0.0, name=f"floor:{k}")
         if rng.random() < 0.5:
             bins = {rho: -1.0}
             for b in range(int(rng.integers(1, 4))):
-                bins[lp.add_variable(f"y{k}_{b}", upper=float(rng.uniform(0.2, 2)))] = 1.0
+                bins[lp.add_variable(upper=float(rng.uniform(0.2, 2)))] = 1.0
             lp.add_constraint(bins, "==", 0.0, name=f"bins:{k}")
     for e, coeffs in enumerate(usage):
         if coeffs:
             lp.add_constraint(coeffs, "<=", float(rng.uniform(1, 5)), name=f"cap:{e}")
-    names = [v.name for v in lp.variables]
+    n = len(lp.variables)
     for relation in rng.choice([">=", "=="], size=int(rng.integers(0, 4))):
-        cols = rng.choice(len(names), size=min(len(names), 3), replace=False)
-        lp.add_constraint({names[j]: float(rng.normal()) for j in cols}, str(relation), 0.0)
-    lp.objective = {v: float(rng.normal()) for v in names if rng.random() < 0.6}
+        cols = rng.choice(n, size=min(n, 3), replace=False)
+        lp.add_constraint({int(j): float(rng.normal()) for j in cols}, str(relation), 0.0)
+    lp.objective = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.6}
     return lp
 
 
@@ -197,7 +208,7 @@ def test_simplex_matches_reference_on_zero_rhs_rows():
     assert len(optimal) >= 50
     relations = [(c.relation, c.rhs) for lp in optimal for c in lp.constraints]
     assert relations.count(("==", 0.0)) >= 100 and relations.count((">=", 0.0)) >= 50
-    assert sum(v.upper is not None for lp in optimal for v in lp.variables) >= 50
+    assert sum(u is not None for lp in optimal for u in lp.variables) >= 50
 
 
 def _beale_cycling_lp():
@@ -205,12 +216,11 @@ def _beale_cycling_lp():
     on which the largest-coefficient rule with lowest-index ties cycles
     through degenerate bases."""
     lp = LinearProgram(name="beale")
-    for j in (4, 5, 6, 7):
-        lp.add_variable(f"x{j}")
-    lp.add_constraint({"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, "<=", 0.0)
-    lp.add_constraint({"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, "<=", 0.0)
-    lp.add_constraint({"x6": 1.0}, "<=", 1.0)
-    lp.objective = {"x4": 0.75, "x5": -20.0, "x6": 0.5, "x7": -6.0}
+    x4, x5, x6, x7 = (lp.add_variable() for _ in range(4))
+    lp.add_constraint({x4: 0.25, x5: -8.0, x6: -1.0, x7: 9.0}, "<=", 0.0)
+    lp.add_constraint({x4: 0.5, x5: -12.0, x6: -0.5, x7: 3.0}, "<=", 0.0)
+    lp.add_constraint({x6: 1.0}, "<=", 1.0)
+    lp.objective = {x4: 0.75, x5: -20.0, x6: 0.5, x7: -6.0}
     return lp
 
 
@@ -231,7 +241,7 @@ def _assert_optimal_duals(lp, sol, tol=1e-7):
     sign per relation, complementary slackness on rows and on bounded
     columns, and strong duality."""
     sf = lp_module._standard_form(lp)
-    x = np.array([sol.values[v.name] for v in lp.variables])
+    x = np.array(sol.values)
     y = np.array(sol.duals)
     assert y.shape == sf.b.shape
     assert np.all(sf.relations * y >= -tol), lp.name  # "<=" rows y >= 0, ">=" y <= 0
@@ -265,12 +275,12 @@ def test_duals_satisfy_strong_duality_and_complementary_slackness(backend, corpu
 
 def _guard_lp():
     lp = LinearProgram(name="guard")
-    lp.add_variable("x", upper=2.0)
-    lp.add_variable("y", upper=1.5)
-    lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 3.0, name="budget")
-    lp.add_constraint({"x": 1.0, "y": -1.0}, ">=", -1.0, name="floor")
-    lp.add_constraint({"y": 1.0}, "==", 1.0, name="pin")
-    lp.objective = {"x": 1.0}
+    x = lp.add_variable(upper=2.0)
+    y = lp.add_variable(upper=1.5)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0, name="budget")
+    lp.add_constraint({x: 1.0, y: -1.0}, ">=", -1.0, name="floor")
+    lp.add_constraint({y: 1.0}, "==", 1.0, name="pin")
+    lp.objective = {x: 1.0}
     return lp
 
 
@@ -281,9 +291,19 @@ def _guard_lp():
         ([2.0, 1.1], "budget violated"),
         ([0.0, 1.0 + 1e-3], "floor violated"),
         ([1.0, 0.9], "pin violated"),
-        ([2.1, 1.0], "x=2.1 above bound 2.0"),
-        ([-0.1, 1.0], "x=-0.1 below bound 0.0"),
-        ([1.0, 1.6], "y=1.6 above bound 1.5"),
+        # the ids name columns 0 and 1 as `_guard_lp` does: x and y
+        pytest.param(
+            [2.1, 1.0], "column 0 = 2.1 above bound 2.0",
+            id="point4-x=2.1 above bound 2.0",
+        ),
+        pytest.param(
+            [-0.1, 1.0], "column 0 = -0.1 below bound 0.0",
+            id="point5-x=-0.1 below bound 0.0",
+        ),
+        pytest.param(
+            [1.0, 1.6], "column 1 = 1.6 above bound 1.5",
+            id="point6-y=1.6 above bound 1.5",
+        ),
     ],
 )
 def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, message):
@@ -293,7 +313,7 @@ def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, mes
         lambda sf, name: ("optimal", np.array(point), np.zeros(len(sf.b)), 0),
     )
     if message is None:
-        assert SimplexBackend().solve(_guard_lp()).values == {"x": 2.0, "y": 1.0}
+        assert SimplexBackend().solve(_guard_lp()).values == [2.0, 1.0]
     else:
         with pytest.raises(SimplexError, match=message):
             SimplexBackend().solve(_guard_lp())
@@ -367,9 +387,10 @@ def test_fragment_counts_single_demand():
         [Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
     )
     lp = build_feasible_alloc(prob)
-    assert [v.name for v in lp.variables] == ["f:2:d1:p1", "rho:d1"]  # rate + ratio
+    assert lp.variables == [None, None]  # rate + ratio, unbounded above
+    assert ratio_columns(prob) == range(1, 2)
     assert [c.name for c in lp.constraints] == ["cap:e1", "ratio:d1"]
-    assert all(v.upper is None for v in lp.variables)
+    assert [c.coeffs for c in lp.constraints] == [{0: 1.0}, {0: 1.0, 1: -1.0}]
 
 
 def test_fragment_counts_worked_example(two_link_example):
@@ -391,14 +412,14 @@ def test_fragment_consumption_scales_capacity_row():
     )
     lp = build_feasible_alloc(prob)
     cap = next(c for c in lp.constraints if c.name == "cap:e1")
-    assert cap.coeffs[rate_var("d1", "p1")] == 2.0
+    assert cap.coeffs == {0: 2.0}
 
 
 def test_fragment_admits_zero_allocation(two_link_example):
     lp = build_feasible_alloc(two_link_example)
-    zero = {v.name: 0.0 for v in lp.variables}
+    zero = [0.0] * len(lp.variables)
     for c in lp.constraints:
-        lhs = sum(a * zero[n] for n, a in c.coeffs.items())
+        lhs = sum(a * zero[j] for j, a in c.coeffs.items())
         assert (
             lhs <= c.rhs
             if c.relation == "<="
@@ -429,7 +450,7 @@ def _structure(lp):
 
     return (
         lp.name,
-        [(v.name, num(v.upper)) for v in lp.variables],
+        [num(u) for u in lp.variables],
         [
             (c.name, c.relation, num(c.rhs), [(k, num(a)) for k, a in c.coeffs.items()])
             for c in lp.constraints
@@ -438,16 +459,23 @@ def _structure(lp):
     )
 
 
+def _rate_columns(problem):
+    # The reference layout: one rate column per (demand, path), in order.
+    pairs = [(d.id, pid) for d in problem.demands for pid in d.paths]
+    return {pair: j for j, pair in enumerate(pairs)}
+
+
 def _nested_loop_capacity_rows(problem):
     # The reference build: every resource scans every (demand, path).
     path_map = problem.path_map()
+    col = _rate_columns(problem)
     rows = []
     for r in problem.resources:
         coeffs = {}
         for d in problem.demands:
             for pid in d.paths:
                 if r.id in path_map[pid].resources:
-                    coeffs[rate_var(d.id, pid)] = d.consumption_on(r.id)
+                    coeffs[col[d.id, pid]] = d.consumption_on(r.id)
         if coeffs:
             rows.append(Constraint(coeffs, "<=", r.capacity, name=f"cap:{r.id}"))
     return rows
@@ -476,19 +504,22 @@ def test_capacity_rows_match_the_nested_loop_reference():
     rows = build_feasible_alloc(consuming).constraints
     caps = [c for c in rows if c.name.startswith("cap:")]
     assert [c.name for c in caps] == ["cap:z", "cap:a", "cap:m"]
-    assert list(caps[0].coeffs.items()) == [("f:4:late:q2", 0.5), ("f:5:early:q0", 1.0)]
+    # columns: late's q2 and q1, then early's q0
+    assert list(caps[0].coeffs.items()) == [(0, 0.5), (2, 1.0)]
 
 
 def _nested_loop_ratio_rows(problem):
-    # The reference build: every demand scans every path of the problem.
+    # The reference build: every demand scans every path of the problem; the
+    # ratio columns follow the rate columns.
+    col = _rate_columns(problem)
     rows = []
-    for d in problem.demands:
+    for i, d in enumerate(problem.demands):
         coeffs = {}
         for pid in d.paths:
             for path in problem.paths:
                 if path.id == pid:
-                    coeffs[rate_var(d.id, pid)] = d.utility.get(pid, 1.0)
-        coeffs[ratio_var(d.id)] = -d.weight
+                    coeffs[col[d.id, pid]] = d.utility.get(pid, 1.0)
+        coeffs[len(col) + i] = -d.weight
         rows.append(Constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}"))
     return rows
 
@@ -513,15 +544,14 @@ def test_ratio_rows_match_the_nested_loop_reference():
     lp = build_feasible_alloc(weighted)
     # columns: rates in (demand, path) order, then rho in demand order;
     # rows: volume, capacity, then ratio rows
-    assert [v.name for v in lp.variables] == [
-        "f:1:a:pa", "f:1:b:pb1", "f:1:b:pb2", "rho:a", "rho:b"
-    ]
+    assert len(lp.variables) == 5  # (a, pa), (b, pb1), (b, pb2), rho_a, rho_b
+    assert ratio_columns(weighted) == range(3, 5)
     assert [c.name for c in lp.constraints] == [
         "volume:b", "cap:L", "cap:M", "ratio:a", "ratio:b"
     ]
     assert [list(c.coeffs.items()) for c in lp.constraints[-2:]] == [
-        [("f:1:a:pa", 3.0), ("rho:a", -2.0)],
-        [("f:1:b:pb1", 1.0), ("f:1:b:pb2", 0.5), ("rho:b", -4.0)],
+        [(0, 3.0), (3, -2.0)],
+        [(1, 1.0), (2, 0.5), (4, -4.0)],
     ]
 
 
@@ -546,19 +576,19 @@ def _rebuilt_exact(problem, solve):
     while len(frozen) < len(demands):
         rounds += 1
         lp = build_feasible_alloc(problem, f"max-min-round-{rounds}")
-        lp.add_variable("t")
-        for k in demands:
+        t = lp.add_variable()
+        for k, rho in zip(demands, ratio_columns(problem)):
             if k in frozen:
-                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                lp.add_constraint({rho: 1.0}, "==", frozen[k], name=f"freeze:{k}")
             else:
-                lp.add_constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)
-        lp.objective = {"t": 1.0}
+                lp.add_constraint({rho: 1.0, t: -1.0}, ">=", 0.0)
+        lp.objective = {t: 1.0}
         lps.append(lp)
         sol = solve(lp)
         floor_duals = sol.duals[len(sol.duals) - len(demands) :]
         for k, y in zip(demands, floor_duals):
             if k not in frozen and -y > DUAL_TOL:
-                frozen[k] = sol.values["t"]
+                frozen[k] = sol.values[t]
     return lps
 
 
@@ -568,20 +598,21 @@ def _rebuilt_swan(problem, u, alpha, solve):
     for b in range(1, default_num_bins(problem, u, alpha) + 1):
         cap = u * alpha ** (b - 1)
         lp = build_feasible_alloc(problem, f"capped-seq-{b}")
-        for d in problem.demands:
+        rhos = ratio_columns(problem)
+        for d, rho in zip(problem.demands, rhos):
             k = d.id
             if k in frozen:
-                lp.add_constraint({ratio_var(k): 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                lp.add_constraint({rho: 1.0}, "==", frozen[k], name=f"freeze:{k}")
             else:
-                lp.add_constraint({ratio_var(k): 1.0}, "<=", cap)
+                lp.add_constraint({rho: 1.0}, "<=", cap)
                 if b > 1:
-                    lp.add_constraint({ratio_var(k): 1.0}, ">=", prev[k])
-        lp.objective = {ratio_var(d.id): opt._tie(i) for i, d in enumerate(problem.demands)}
+                    lp.add_constraint({rho: 1.0}, ">=", prev[k])
+        lp.objective = {rho: opt._tie(i) for i, rho in enumerate(rhos)}
         lps.append(lp)
         values = solve(lp).values
-        for d in problem.demands:
+        for d, rho in zip(problem.demands, rhos):
             if d.id not in frozen:
-                prev[d.id] = values[ratio_var(d.id)]
+                prev[d.id] = values[rho]
                 if prev[d.id] < cap - FREEZE_TOL * max(1.0, cap):
                     frozen[d.id] = prev[d.id]
         if len(frozen) == len(problem.demands):

@@ -11,7 +11,7 @@ from fairalloc.lp import (
     ScipyBackend,
     SimplexBackend,
     SolveSession,
-    Variable,
+    ratio_columns,
 )
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
@@ -25,7 +25,6 @@ from fairalloc.optimizers import (
     geo_binner,
     merge_boundaries,
     one_shot_exact,
-    ratio_var,
     suggest_bin_config,
     swan_sequence,
 )
@@ -80,6 +79,38 @@ def test_exact_rejects_invalid_problem():
         exact_sequential_max_min(bad)
 
 
+LP_ALLOCATORS = ["exact", "oneshot", "swan", "gb", "eb-elastic", "eb-multibin"]
+
+
+@pytest.mark.parametrize(
+    "allocator, u", [(a, None) for a in LP_ALLOCATORS] + [("swan", 1.0), ("gb", 1.0)]
+)
+def test_lp_allocators_validate_before_estimating(allocator, u):
+    # the default gb and eb-multibin paths run a waterfill estimate first, and
+    # the waterfillers do not validate; gb with u set sizes its ladder first
+    config = {} if u is None else {"u": u}
+    for bad in [
+        Problem([Resource("L", -1.0)], [Path("p", ["L"])], [Demand("d", ["p"])]),
+        Problem([Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"], weight=0.0)]),
+    ]:
+        with pytest.raises(ValueError, match="invalid problem"):
+            run_allocator(bad, allocator, config)
+
+
+@pytest.mark.parametrize("allocator", LP_ALLOCATORS)
+def test_all_zero_capacities_give_zero_rates(allocator):
+    # no ratio is positive and the largest capacity is 0, so swan and gb
+    # cannot take u from either
+    prob = Problem(
+        [Resource("e", 0.0)],
+        [Path("p", ["e"])],
+        [Demand("a", ["p"]), Demand("b", ["p"], volume=1.0)],
+    )
+    report = run_allocator(prob, allocator)
+    assert check_feasible(prob, report.allocation).feasible
+    assert total_allocation(prob, report.allocation) == {"a": 0.0, "b": 0.0}
+
+
 # -- per-demand probe reference: one probe LP per unfrozen demand, the oracle for
 # the dual-certified freezes ----------------------------------------------------
 
@@ -89,31 +120,32 @@ def per_demand_exact(problem):
     probes every unfrozen demand alone."""
     session = SolveSession(SimplexBackend())
     base = opt.build_feasible_alloc(problem, "max-min")
-    demands = [d.id for d in problem.demands]
+    demands = dict(zip((d.id for d in problem.demands), ratio_columns(problem)))
+    t = len(base.variables)  # the round LP's floor column
     frozen = {}
 
     def rows(floor):
         return base.constraints + [
-            Constraint({ratio_var(k): 1.0}, "==", frozen[k]) if k in frozen else floor(k)
-            for k in demands
+            Constraint({rho: 1.0}, "==", frozen[k]) if k in frozen else floor(rho)
+            for k, rho in demands.items()
         ]
 
     while len(frozen) < len(demands):
         sol = session.solve(
             LinearProgram(
                 "round",
-                base.variables + [Variable("t")],
-                rows(lambda k: Constraint({ratio_var(k): 1.0, "t": -1.0}, ">=", 0.0)),
-                {"t": 1.0},
+                base.variables + [None],
+                rows(lambda rho: Constraint({rho: 1.0, t: -1.0}, ">=", 0.0)),
+                {t: 1.0},
             )
         )
-        t_i, last = sol.values["t"], sol.values
-        probe_rows = rows(lambda k: Constraint({ratio_var(k): 1.0}, ">=", t_i))
+        t_i, last = sol.values[t], sol.values
+        probe_rows = rows(lambda rho: Constraint({rho: 1.0}, ">=", t_i))
         probes = {
             k: session.solve(
-                LinearProgram("probe", base.variables, probe_rows, {ratio_var(k): 1.0})
+                LinearProgram("probe", base.variables, probe_rows, {rho: 1.0})
             ).objective
-            for k in demands
+            for k, rho in demands.items()
             if k not in frozen
         }
         newly = [k for k, v in probes.items() if v <= t_i + opt.FREEZE_TOL]

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -435,6 +438,19 @@ def test_theta_trace_csv_shape(two_link_example):
     lines = text.strip().splitlines()
     assert lines[0] == "iteration,demand,path,theta,rate"
     assert len(lines) == 1 + 3 * 3  # three subdemands, three iterations
+
+
+def test_theta_trace_csv_quotes_ids_holding_commas_and_quotes():
+    prob = Problem(
+        [Resource("L", 2.0)],
+        [Path("c", ["L"]), Path('x,"y"', ["L"])],
+        [Demand("a,b", ["c"]), Demand("a", ['x,"y"'])],
+    )
+    rep = adaptive_waterfill(prob, max_iterations=2, inner="exact")
+    rows = list(csv.reader(io.StringIO(theta_trace_csv(rep))))
+    assert rows[0] == ["iteration", "demand", "path", "theta", "rate"]
+    assert all(len(row) == 5 for row in rows)
+    assert {(row[1], row[2]) for row in rows[1:]} == {("a,b", "c"), ("a", 'x,"y"')}
 
 
 # -- bandwidth bottleneck checker ---------------------------------------------------
