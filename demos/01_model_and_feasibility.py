@@ -16,7 +16,6 @@ from fairalloc import (
     problem_to_json,
     total_allocation,
     build_subdemands,
-    uniform_theta,
     validate_problem,
 )
 
@@ -56,8 +55,15 @@ bounded = Problem(
     paths=[Path("p1", ["e1"])],
     demands=[Demand("d1", ["p1"], volume=2.0)],
 )
-matrix, capacities = build_subdemands(bounded, uniform_theta(bounded))
+matrix, capacities = build_subdemands(bounded)  # each demand split evenly over its paths
 print("incidence rows:", matrix.rows, "capacities:", capacities.tolist())
+
+# The incidence is built from a valid problem only, so the waterfillers
+# refuse an invalid one with the same error as the LP allocators.
+try:
+    build_subdemands(Problem([Resource("e", -1.0)], [Path("p", ["e"])], [Demand("a", ["p"])]))
+except ValueError as exc:
+    print("refused:", exc)  # invalid problem (1 violations): e: capacity-sign: ...
 
 # Problems serialize to a canonical JSON format (volume null = unbounded).
 print(problem_to_json(problem))

@@ -29,11 +29,14 @@ problem = Problem(
 )
 
 report = adaptive_waterfill(problem, max_iterations=6, inner="exact")
+# The trace holds one row per iteration of theta and of rates, indexed by
+# subdemand column.
+trace = report.notes["theta_trace"]
+p1, p2 = trace["columns"].index(("d1", "p1")), trace["columns"].index(("d1", "p2"))
 print("t   theta_d1^p1        f_d1^p2            (as fractions)")
-for entry in report.notes["theta_trace"]:
-    th = entry["theta"][("d1", "p1")]
-    f12 = entry["rates"][("d1", "p2")]
-    print(f"{entry['iteration']}   {th:.12f}   {f12:.12f}   "
+for t, (theta, rates) in enumerate(zip(trace["theta"], trace["rates"]), 1):
+    th, f12 = float(theta[p1]), float(rates[p2])
+    print(f"{t}   {th:.12f}   {f12:.12f}   "
           f"theta={Fraction(th).limit_denominator(1000)}, "
           f"f={Fraction(f12).limit_denominator(1000)}")
 

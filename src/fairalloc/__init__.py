@@ -77,7 +77,6 @@ from .waterfill import (
     is_bandwidth_bottlenecked,
     single_path_waterfill,
     theta_trace_csv,
-    uniform_theta,
 )
 
 __version__ = "0.1.0"

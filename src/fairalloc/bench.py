@@ -46,7 +46,6 @@ from .waterfill import (
     approx_waterfill,
     build_subdemands,
     single_path_waterfill,
-    uniform_theta,
 )
 
 __all__ = [
@@ -111,7 +110,7 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
                 "several paths (use approx-waterfill or adaptive-waterfill)"
             )
     fill = single_path_waterfill if exact else approx_waterfill
-    matrix, caps = build_subdemands(problem, uniform_theta(problem))
+    matrix, caps = build_subdemands(problem)
     rates = fill(matrix, caps)
     alloc = Allocation({c: float(r) for c, r in zip(matrix.columns, rates)})
     name = "waterfill" if exact else "approx-waterfill"

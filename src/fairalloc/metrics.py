@@ -31,7 +31,6 @@ class MetricsReport:
     total_rate: float
     baseline_total: float
     vartheta: float
-    vartheta_rule: str = "1e-4 * max resource capacity"
 
     def to_dict(self) -> dict:
         return {
@@ -41,7 +40,6 @@ class MetricsReport:
             "total_rate": self.total_rate,
             "baseline_total": self.baseline_total,
             "vartheta": self.vartheta,
-            "vartheta_rule": self.vartheta_rule,
         }
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Violation",
     "FeasibilityCheck",
     "validate_problem",
+    "raise_if_invalid",
     "total_allocation",
     "check_feasible",
     "default_feasibility_tol",
@@ -225,6 +226,13 @@ def validate_problem(problem: Problem) -> list[Violation]:
             if not (r > 0.0):
                 bad(d.id, "consumption-positive", f"consumption {r} on {rid!r} must be > 0")
     return out
+
+
+def raise_if_invalid(violations: list[Violation]) -> None:
+    """Raise every allocator's ValueError for a problem with violations."""
+    if violations:
+        head = "; ".join(str(v) for v in violations[:3])
+        raise ValueError(f"invalid problem ({len(violations)} violations): {head}")
 
 
 def total_allocation(problem: Problem, alloc: Allocation) -> dict[str, float]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .lp import Constraint, LinearProgram, SolveSession, build_feasible_alloc, ratio_columns
-from .model import Allocation, Problem, total_allocation, validate_problem
+from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
 from .waterfill import adaptive_waterfill
@@ -127,10 +127,7 @@ class EquiDepthConfig:
 
 
 def _require_valid(problem: Problem) -> None:
-    violations = validate_problem(problem)
-    if violations:
-        head = "; ".join(str(v) for v in violations[:3])
-        raise ValueError(f"invalid problem ({len(violations)} violations): {head}")
+    raise_if_invalid(validate_problem(problem))
 
 
 def _tie(index: int) -> float:
@@ -483,8 +480,7 @@ def geo_binner(
 def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
     """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
     (F_k sums utility-weighted path rates), and its iteration count.  The
-    problem is validated first: the waterfillers do not validate."""
-    _require_valid(problem)
+    run validates the problem before it estimates."""
     aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
     totals = total_allocation(problem, aw.allocation)
     return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations

@@ -8,8 +8,9 @@ demand volume, so no demand can exceed what it asked for.  ``Problem``
 refuses repeated ids when it is built, so each (demand, path) pair is one
 column and each resource one row.
 
-The expansion is compiled once per problem into a sparse incidence
-(``SubdemandMatrix``, CSR over rows).  The waterfillers compute link loads
+The expansion is compiled once per validated problem into a sparse
+incidence (``SubdemandMatrix``, CSR over rows); theta, rates and the trace
+are arrays indexed by its columns.  The waterfillers compute link loads
 with ``np.bincount``, which sums each row in column order; no dense rows x
 columns array is formed.  The adaptive waterfiller builds the incidence once
 and only rescales its weights between rounds; the bottleneck check reads
@@ -29,11 +30,10 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping
 
 import numpy as np
 
-from .model import Allocation, Problem, total_allocation
+from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 
 __all__ = [
@@ -68,9 +68,8 @@ class SubdemandMatrix:
 
     The pattern depends only on the problem.  A new theta rescales ``gamma``
     in place (w_k * theta_k^p gathered by column), so one matrix serves
-    every round of the adaptive waterfiller.  A column with no consumption
-    on any row (a path with no resource and no virtual edge) is rejected at
-    construction, so the waterfillers never re-check the pattern.
+    every round of the adaptive waterfiller.  The problem is valid, so every
+    column has positive consumption on some row.
     """
 
     rows: tuple[str, ...]
@@ -83,46 +82,27 @@ class SubdemandMatrix:
     weight: np.ndarray
     owner: np.ndarray
 
-    def __post_init__(self):
-        n_cols = len(self.columns)
-        cons = np.bincount(self.indices, weights=self.consumption, minlength=n_cols)
-        if np.any(cons <= 0.0):
-            bad = int(np.argmin(cons))
-            raise ValueError(f"subdemand {self.columns[bad]} lies on no resource")
-
     def rescale(self, theta: np.ndarray) -> None:
         """Set gamma to w_k * theta_k^p for a per-column theta, in place."""
         np.take(self.weight * theta, self.indices, out=self.gamma)
 
 
-def uniform_theta(problem: Problem) -> dict[tuple[str, str], float]:
-    """Path weights theta_k^p that split every demand evenly over its paths."""
-    return {(d.id, pid): 1.0 / len(d.paths) for d in problem.demands for pid in d.paths}
+def _even_split(owner: np.ndarray) -> np.ndarray:
+    """theta_k^p = 1 / |P_k| per column: every demand split evenly over its paths."""
+    return 1.0 / np.bincount(owner)[owner]
 
 
-def build_subdemands(
-    problem: Problem, theta: Mapping[tuple[str, str], float]
-) -> tuple[SubdemandMatrix, np.ndarray]:
+def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
     """Expand demands into single-path subdemand columns and capacities:
-    the CSR incidence, built in one pass over the demands.
-
-    Raises ValueError when a demand's theta row does not sum to 1 within
-    1e-9 or contains negatives.  Unbounded demands get no virtual edge.
+    the CSR incidence, built in one pass over the demands, with each demand
+    split evenly over its paths (gamma = w_k / |P_k|; ``rescale`` sets
+    others).  Unbounded demands get no virtual edge.  An invalid problem
+    raises the allocators' "invalid problem (...)" ValueError.
     """
+    raise_if_invalid(validate_problem(problem))
     path_map = problem.path_map()
     rows = [r.id for r in problem.resources]
     row_idx = {rid: i for i, rid in enumerate(rows)}
-
-    col_theta: list[float] = []
-    for d in problem.demands:
-        row = [theta.get((d.id, pid), 0.0) for pid in d.paths]
-        if any(t < -1e-12 for t in row):
-            raise ValueError(f"negative path weight for demand {d.id!r}")
-        if abs(sum(row) - 1.0) > 1e-9:
-            raise ValueError(
-                f"path weights for demand {d.id!r} sum to {sum(row)}, expected 1"
-            )
-        col_theta += row
 
     caps = [r.capacity for r in problem.resources]
     columns: list[tuple[str, str]] = []
@@ -164,7 +144,7 @@ def build_subdemands(
         weight=np.repeat(weight, paths_per_demand),
         owner=np.repeat(np.arange(len(problem.demands)), paths_per_demand),
     )
-    matrix.rescale(np.array(col_theta, dtype=float))
+    matrix.rescale(_even_split(matrix.owner))
     return matrix, np.array(caps, dtype=float)
 
 
@@ -294,6 +274,9 @@ def adaptive_waterfill(
     error.  Demands with zero total rate keep their previous theta (the
     update is undefined there).  The subdemand incidence is built once; each
     round rescales its weights in place.
+
+    ``notes["theta_trace"]`` is ``{"columns": matrix.columns, "theta": T,
+    "rates": R}``, where row t - 1 of the 2-D arrays holds iteration t.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -301,23 +284,14 @@ def adaptive_waterfill(
         raise ValueError(f"unknown inner waterfiller {inner!r}")
     fill = single_path_waterfill if inner == "exact" else approx_waterfill
 
-    start = uniform_theta(problem)
-    matrix, caps = build_subdemands(problem, start)
-    columns = matrix.columns
-    theta = np.array([start[c] for c in columns])
-    trace: list[dict] = []
-    converged = False
-    rates: dict[tuple[str, str], float] = {}
-    iterations = 0
-
-    for t in range(1, max_iterations + 1):
-        iterations = t
+    matrix, caps = build_subdemands(problem)
+    theta = _even_split(matrix.owner)
+    thetas, flows = [], []
+    for _ in range(max_iterations):
         matrix.rescale(theta)
         flow = fill(matrix, caps)
-        rates = dict(zip(columns, flow.tolist()))
-        trace.append(
-            {"iteration": t, "theta": dict(zip(columns, theta.tolist())), "rates": rates}
-        )
+        thetas.append(theta)
+        flows.append(flow)
 
         # Each demand's total, summed in column order, gathered back by column.
         totals = np.bincount(matrix.owner, flow, minlength=len(problem.demands))[matrix.owner]
@@ -326,35 +300,36 @@ def adaptive_waterfill(
         delta = float(np.max(np.abs(new_theta - theta)))
         theta = new_theta
         if delta <= theta_tol:
-            converged = True
             break
 
-    allocation = Allocation(rates)
+    columns = matrix.columns
     return AllocatorReport(
-        allocation,
+        Allocation(dict(zip(columns, flow.tolist()))),
         lp_solves=0,
-        iterations=iterations,
+        iterations=len(flows),
         notes={
             "allocator": f"adaptive-waterfill/{inner}",
-            "converged": converged,
-            "theta_trace": trace,
+            "converged": delta <= theta_tol,
+            "theta_trace": dict(columns=columns, theta=np.array(thetas), rates=np.array(flows)),
             "final_theta": dict(zip(columns, theta.tolist())),
         },
     )
 
 
 def theta_trace_csv(report: AllocatorReport) -> str:
-    """Render the adaptive waterfiller's trace as iteration x subdemand CSV."""
+    """Render the adaptive waterfiller's trace as iteration x subdemand CSV,
+    sorted by (demand id, path id) within an iteration; values are reprs."""
     trace = report.notes.get("theta_trace")
     if trace is None:
         raise ValueError("report has no theta trace")
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")  # quotes ids holding "," or '"'
     out.writerow(["iteration", "demand", "path", "theta", "rate"])
-    for entry in trace:
-        for (k, p), th in sorted(entry["theta"].items()):
-            rate = entry["rates"].get((k, p), 0.0)
-            out.writerow([entry["iteration"], k, p, repr(th), repr(rate)])
+    columns = trace["columns"]
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    for t, (theta, rates) in enumerate(zip(trace["theta"].tolist(), trace["rates"].tolist()), 1):
+        for j in order:
+            out.writerow([t, *columns[j], repr(theta[j]), repr(rates[j])])
     return buf.getvalue()
 
 
@@ -381,7 +356,7 @@ def is_bandwidth_bottlenecked(
     demand of the highest-ratio live sharer (ties: earliest column); link
     and sharer are None when no link on the path is saturated.
     """
-    matrix, caps = build_subdemands(problem, uniform_theta(problem))
+    matrix, caps = build_subdemands(problem)
     rows, cols = matrix.row_of, matrix.indices
     rate_eps = 1e-9 * max(1.0, problem.max_capacity())
     totals = np.array(list(total_allocation(problem, alloc).values()))

@@ -23,7 +23,7 @@ from fairalloc.model import (
     total_allocation,
 )
 from fairalloc.optimizers import BinConfig
-from fairalloc.waterfill import build_subdemands, single_path_waterfill, uniform_theta
+from fairalloc.waterfill import build_subdemands, single_path_waterfill
 
 from conftest import small_grid_instance, distinct_utility_instance, unit_qr_instance
 
@@ -97,14 +97,11 @@ def test_01_adaptive_waterfill_reproduces_worked_example_traces():
 
     six = fa.adaptive_waterfill(prob, max_iterations=6, inner="exact")
     trace = six.notes["theta_trace"]
-    assert len(trace) == 6
-    for t, entry in enumerate(trace):
-        assert entry["theta"][("d1", "p1")] == pytest.approx(
-            float(want_theta[t]), abs=1e-9
-        )
-        assert entry["rates"][("d1", "p2")] == pytest.approx(
-            float(want_f12[t]), abs=1e-9
-        )
+    p1, p2 = trace["columns"].index(("d1", "p1")), trace["columns"].index(("d1", "p2"))
+    assert len(trace["theta"]) == len(trace["rates"]) == 6
+    for t in range(6):
+        assert trace["theta"][t, p1] == pytest.approx(float(want_theta[t]), abs=1e-9)
+        assert trace["rates"][t, p2] == pytest.approx(float(want_f12[t]), abs=1e-9)
 
     twenty = fa.adaptive_waterfill(prob, max_iterations=20, inner="exact")
     rates = twenty.allocation.rates
@@ -262,11 +259,12 @@ def test_06_bandwidth_bottleneck_theory():
         totals: dict[str, float] = {}
         for (k, _), r in rates.items():
             totals[k] = totals.get(k, 0.0) + r
-        theta = uniform_theta(prob)
-        for (k, p), r in rates.items():
-            if totals[k] > 0:
-                theta[(k, p)] = r / totals[k]
-        matrix, caps = build_subdemands(prob, theta)
+        n_paths = {d.id: len(d.paths) for d in prob.demands}
+        matrix, caps = build_subdemands(prob)
+        matrix.rescale(np.array([
+            rates[k, p] / totals[k] if totals[k] > 0 else 1.0 / n_paths[k]
+            for k, p in matrix.columns
+        ]))
         redone = single_path_waterfill(matrix, caps)
         drift = max(
             abs(redone[i] - rates[matrix.columns[i]]) for i in range(len(redone))
@@ -348,7 +346,7 @@ def test_07_single_path_waterfill_matches_progressive_filling():
     worst = 0.0
     for seed in range(100):
         prob = unit_qr_instance(seed + 500, multi=False)
-        matrix, caps = build_subdemands(prob, uniform_theta(prob))
+        matrix, caps = build_subdemands(prob)
         rates = single_path_waterfill(matrix, caps)
         got = {matrix.columns[i][0]: float(rates[i]) for i in range(len(rates))}
         want = _progressive_filling(prob)

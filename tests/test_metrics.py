@@ -105,3 +105,8 @@ def test_compare_rates_report_serializes(two_link_example):
     rep = compare_rates(two_link_example, {"d1": 0.75, "d2": 0.5}, {"d1": 0.75, "d2": 0.75})
     data = rep.to_dict()
     assert data["fairness_geomean"] == pytest.approx(math.sqrt(1.0 * (0.5 / 0.75)))
+    # No description of how vartheta was chosen: the caller may pass any.
+    assert set(data) == {
+        "per_demand_q", "fairness_geomean", "efficiency_ratio", "total_rate",
+        "baseline_total", "vartheta",
+    }

@@ -19,7 +19,7 @@ from fairalloc.model import (
     total_allocation,
     validate_problem,
 )
-from fairalloc.waterfill import build_subdemands, uniform_theta
+from fairalloc.waterfill import build_subdemands
 
 
 def test_well_formed_problem_has_no_violations(two_link_example):
@@ -228,7 +228,7 @@ def test_incidence_rows_match_the_feasibility_slacks(seed, data):
     rates = data.draw(
         st.lists(st.floats(0.0, 3.0), min_size=len(columns), max_size=len(columns))
     )
-    matrix, caps = build_subdemands(prob, uniform_theta(prob))
+    matrix, caps = build_subdemands(prob)
     flow = np.array(rates)
     slack = caps - np.bincount(
         matrix.row_of, matrix.consumption * flow[matrix.indices], minlength=len(caps)

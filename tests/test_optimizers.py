@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fairalloc.optimizers as opt
-from fairalloc.bench import run_allocator
+from fairalloc.bench import ALLOCATOR_IDS, run_allocator
 from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.lp import (
     Constraint,
@@ -83,15 +83,21 @@ LP_ALLOCATORS = ["exact", "oneshot", "swan", "gb", "eb-elastic", "eb-multibin"]
 
 
 @pytest.mark.parametrize(
-    "allocator, u", [(a, None) for a in LP_ALLOCATORS] + [("swan", 1.0), ("gb", 1.0)]
+    "allocator, u", [(a, None) for a in ALLOCATOR_IDS] + [("swan", 1.0), ("gb", 1.0)]
 )
 def test_lp_allocators_validate_before_estimating(allocator, u):
-    # the default gb and eb-multibin paths run a waterfill estimate first, and
-    # the waterfillers do not validate; gb with u set sizes its ladder first
+    # Every allocator refuses an invalid problem: the waterfillers and the
+    # estimates of swan, gb and the eb binners through build_subdemands; gb
+    # with u set sizes its ladder first.  On a bounded demand whose only path
+    # is empty, the waterfillers would fill the volume edge alone.
     config = {} if u is None else {"u": u}
     for bad in [
         Problem([Resource("L", -1.0)], [Path("p", ["L"])], [Demand("d", ["p"])]),
         Problem([Resource("L", 1.0)], [Path("p", ["L"])], [Demand("d", ["p"], weight=0.0)]),
+        Problem(
+            [Resource("e", -1.0)], [Path("p", ["e"])], [Demand("a", ["p"]), Demand("b", ["p"])]
+        ),
+        Problem([Resource("L", 1.0)], [Path("p", [])], [Demand("d", ["p"], volume=1.0)]),
     ]:
         with pytest.raises(ValueError, match="invalid problem"):
             run_allocator(bad, allocator, config)

@@ -24,7 +24,6 @@ from fairalloc.waterfill import (
     is_bandwidth_bottlenecked,
     single_path_waterfill,
     theta_trace_csv,
-    uniform_theta,
 )
 
 from conftest import small_grid_instance, unit_qr_instance
@@ -120,14 +119,12 @@ def subdemand_problems(draw):
     links = [f"L{i}" for i in range(n_links)]
     capacity = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
     resources = [Resource(l, draw(capacity)) for l in links]
-    paths, demands, theta = [], [], {}
+    paths, demands, theta = [], [], []
     for k in range(draw(st.integers(1, 6))):
         volume = draw(st.one_of(st.none(), st.floats(0.1, 8.0)))
-        # A bounded demand's path may hold only its virtual edge.
-        min_len = 0 if volume is not None else 1
         pids, consumption = [], {}
         for i in range(draw(st.integers(1, 3))):
-            on_path = st.lists(st.sampled_from(links), min_size=min_len, max_size=3, unique=True)
+            on_path = st.lists(st.sampled_from(links), min_size=1, max_size=3, unique=True)
             edges = draw(on_path)
             pid = f"d{k}p{i}"
             paths.append(Path(pid, edges))
@@ -136,16 +133,17 @@ def subdemand_problems(draw):
                 consumption[rid] = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
         weight = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
         demands.append(Demand(f"d{k}", pids, volume, weight, consumption=consumption))
-        split = draw(st.sampled_from(SPLITS[len(pids)]))
-        theta.update(zip(((f"d{k}", p) for p in pids), split))
-    return Problem(resources, paths, demands), theta
+        theta += draw(st.sampled_from(SPLITS[len(pids)]))
+    # Columns are (demand, path) in problem order, so theta is in column order.
+    return Problem(resources, paths, demands), np.array(theta)
 
 
 @settings(max_examples=150, deadline=None)
 @given(subdemand_problems())
 def test_csr_waterfillers_match_the_dense_reference(case):
     prob, theta = case
-    m, caps = build_subdemands(prob, theta)
+    m, caps = build_subdemands(prob)
+    m.rescale(theta)
     gamma, cons = dense(m)
     exact = dense_single_path_waterfill(gamma, cons, caps)
     np.testing.assert_allclose(single_path_waterfill(m, caps), exact, rtol=0, atol=1e-12)
@@ -174,7 +172,9 @@ def test_adaptive_waterfill_properties(inner, case, max_iterations, theta_tol):
         assert min(row) >= 0.0
         assert sum(row) == pytest.approx(1.0, rel=0, abs=1e-9)
     assert 1 <= rep.iterations <= max_iterations
-    last = rep.notes["theta_trace"][-1]["theta"]
+    trace = rep.notes["theta_trace"]
+    assert len(trace["theta"]) == len(trace["rates"]) == rep.iterations
+    last = dict(zip(trace["columns"], trace["theta"][-1].tolist()))
     change = max(abs(final[c] - last[c]) for c in final)
     assert rep.converged == (change <= theta_tol)
 
@@ -196,7 +196,7 @@ def test_approx_row_drops_members_in_two_successive_rounds():
         ],
         [Demand("A", ["pa"]), Demand("B", ["pb"]), Demand("C", ["pc"]), Demand("D", ["pd"])],
     )
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     want = [1.0, 3.0, 3.25, 3.25]
     assert approx_waterfill(m, caps).tolist() == want
     assert dense_approx_waterfill(*dense(m), caps).tolist() == want
@@ -210,7 +210,7 @@ def test_approx_zero_capacity_link_fixes_its_members_at_zero():
         [Path("pe", ["Z", "M"]), Path("pf", ["Z"]), Path("pg", ["M"])],
         [Demand("E", ["pe"]), Demand("F", ["pf"]), Demand("G", ["pg"], weight=2.0)],
     )
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     want = [0.0, 0.0, 4.0]
     assert approx_waterfill(m, caps).tolist() == want
     assert dense_approx_waterfill(*dense(m), caps).tolist() == want
@@ -234,27 +234,27 @@ def chain_instance():
 
 def test_single_link_even_split():
     prob = single_link(10.0, [1.0, 1.0])
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert single_path_waterfill(m, caps) == pytest.approx([5.0, 5.0])
 
 
 def test_single_link_weighted_split():
     prob = single_link(9.0, [2.0, 1.0])
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert single_path_waterfill(m, caps) == pytest.approx([6.0, 3.0])
 
 
 def test_chain_bottlenecks():
     # progressive filling by hand: L1 saturates at 1 each, dC takes the rest
     prob = chain_instance()
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert single_path_waterfill(m, caps) == pytest.approx([1.0, 1.0, 9.0])
 
 
 def test_waterfill_saturates_volume_or_a_link():
     for seed in range(25):
         prob = unit_qr_instance(seed, multi=False)
-        m, caps = build_subdemands(prob, uniform_theta(prob))
+        m, caps = build_subdemands(prob)
         rates = single_path_waterfill(m, caps)
         _, cons = dense(m)
         usage = (cons * rates).sum(axis=1)
@@ -268,20 +268,20 @@ def test_waterfill_saturates_volume_or_a_link():
 
 def test_approx_single_link_is_exact():
     prob = single_link(10.0, [1.0, 1.0])
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert approx_waterfill(m, caps) == pytest.approx([5.0, 5.0])
 
 
 def test_approx_matches_exact_on_chain():
     prob = chain_instance()
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert approx_waterfill(m, caps) == pytest.approx([1.0, 1.0, 9.0])
 
 
 def test_approx_never_exceeds_capacity():
     for seed in range(25):
         prob = unit_qr_instance(seed)
-        m, caps = build_subdemands(prob, uniform_theta(prob))
+        m, caps = build_subdemands(prob)
         rates = approx_waterfill(m, caps)
         usage = (dense(m)[1] * rates).sum(axis=1)
         assert (usage <= caps + 1e-9 * np.maximum(1.0, caps)).all()
@@ -292,7 +292,7 @@ def test_approx_agreement_flagged_on_stable_order():
     total = 0
     for seed in range(30):
         prob = unit_qr_instance(seed, multi=False)
-        m, caps = build_subdemands(prob, uniform_theta(prob))
+        m, caps = build_subdemands(prob)
         exact = single_path_waterfill(m, caps)
         approx = approx_waterfill(m, caps)
         total += 1
@@ -306,13 +306,13 @@ def test_approx_agreement_flagged_on_stable_order():
 
 def test_single_path_theta_is_one():
     prob = single_link(1.0, [1.0])
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     assert m.columns == (("d0", "p0"),)
     assert dense(m)[0][0, 0] == 1.0
 
 
 def test_worked_example_gamma(two_link_example):
-    m, caps = build_subdemands(two_link_example, uniform_theta(two_link_example))
+    m, caps = build_subdemands(two_link_example)
     rows = {rid: i for i, rid in enumerate(m.rows)}
     cols = {c: i for i, c in enumerate(m.columns)}
     gamma, _ = dense(m)
@@ -328,7 +328,7 @@ def test_bounded_demand_shares_virtual_edge():
         [Path("p1", ["e1"]), Path("p2", ["e2"])],
         [Demand("d1", ["p1", "p2"], volume=5.0)],
     )
-    m, caps = build_subdemands(prob, uniform_theta(prob))
+    m, caps = build_subdemands(prob)
     v = m.rows.index("d1::vol")
     assert caps[v] == 5.0
     assert (dense(m)[1][v] == 1.0).all()
@@ -336,22 +336,17 @@ def test_bounded_demand_shares_virtual_edge():
     assert rates.sum() == pytest.approx(5.0)  # volume is the bottleneck
 
 
-def test_theta_row_must_sum_to_one(two_link_example):
-    theta = {("d1", "p1"): 0.7, ("d1", "p2"): 0.7, ("d2", "p3"): 1.0}
-    with pytest.raises(ValueError, match="sum"):
-        build_subdemands(two_link_example, theta)
-
-
 def test_column_on_no_resource_is_rejected_when_built():
-    # Unbounded, so the empty path gets no virtual edge either.
+    # Unbounded, so the empty path gets no virtual edge either; the model
+    # rejects an empty path (nonempty-path).
     prob = Problem([Resource("L", 1.0)], [Path("p0", [])], [Demand("d0", ["p0"])])
-    with pytest.raises(ValueError, match="lies on no resource"):
-        build_subdemands(prob, uniform_theta(prob))
+    with pytest.raises(ValueError, match="invalid problem"):
+        build_subdemands(prob)
 
 
 def test_zero_weight_column_gets_zero_rate(two_link_example):
-    theta = {("d1", "p1"): 1.0, ("d1", "p2"): 0.0, ("d2", "p3"): 1.0}
-    m, caps = build_subdemands(two_link_example, theta)
+    m, caps = build_subdemands(two_link_example)
+    m.rescale(np.array([1.0, 0.0, 1.0]))  # columns (d1, p1), (d1, p2), (d2, p3)
     rates = single_path_waterfill(m, caps)
     assert rates[m.columns.index(("d1", "p2"))] == 0.0
 
@@ -399,17 +394,23 @@ def test_adaptive_builds_the_incidence_once(monkeypatch, two_link_example):
 
 
 def test_adaptive_matches_a_rebuild_per_iteration():
-    # The pre-CSR update: rebuild from the theta dict every round and
-    # renormalise each demand's rates in column order.
+    # The pre-CSR update: rebuild the incidence every round, weight it by a
+    # (demand, path)-keyed theta dict, and renormalise each demand's rates in
+    # column order.
     for seed in range(20):
         prob = unit_qr_instance(seed)
         rep = adaptive_waterfill(prob, max_iterations=6)
-        theta = uniform_theta(prob)
-        for entry in rep.notes["theta_trace"]:
-            assert entry["theta"] == theta
-            m, caps = build_subdemands(prob, theta)
+        trace = rep.notes["theta_trace"]
+        assert len(trace["theta"]) == len(trace["rates"]) == rep.iterations
+        theta = {(d.id, p): 1.0 / len(d.paths) for d in prob.demands for p in d.paths}
+        for got_theta, got_rates in zip(trace["theta"].tolist(), trace["rates"].tolist()):
+            m, caps = build_subdemands(prob)
+            assert trace["columns"] == m.columns
+            want_theta = [theta[c] for c in m.columns]
+            assert got_theta == want_theta
+            m.rescale(np.array(want_theta))
             rates = dict(zip(m.columns, approx_waterfill(m, caps).tolist()))
-            assert entry["rates"] == rates
+            assert got_rates == list(rates.values())
             totals = {}
             for (k, _), r in rates.items():
                 totals[k] = totals.get(k, 0.0) + r
@@ -432,12 +433,33 @@ def test_waterfillers_are_feasible_at_870_demands(wan_870, allocator):
     assert check_feasible(wan_870, rep.allocation).feasible
 
 
+WORKED_EXAMPLE_TRACE_CSV = """\
+iteration,demand,path,theta,rate
+1,d1,p1,0.5,0.5
+1,d1,p2,0.5,0.3333333333333333
+1,d2,p3,1.0,0.6666666666666666
+2,d1,p1,0.6000000000000001,0.5
+2,d1,p2,0.4,0.28571428571428575
+2,d2,p3,1.0,0.7142857142857143
+3,d1,p1,0.6363636363636362,0.49999999999999994
+3,d1,p2,0.36363636363636365,0.26666666666666666
+3,d2,p3,1.0,0.7333333333333333
+"""
+
+
 def test_theta_trace_csv_shape(two_link_example):
+    # Three iterations x three subdemands, pinned to the byte: rows sort by
+    # (demand id, path id) whatever the problem's order, and values print as
+    # reprs of Python floats.
     rep = adaptive_waterfill(two_link_example, max_iterations=3, inner="exact")
-    text = theta_trace_csv(rep)
-    lines = text.strip().splitlines()
-    assert lines[0] == "iteration,demand,path,theta,rate"
-    assert len(lines) == 1 + 3 * 3  # three subdemands, three iterations
+    assert theta_trace_csv(rep) == WORKED_EXAMPLE_TRACE_CSV
+    reordered = Problem(
+        two_link_example.resources,
+        list(reversed(two_link_example.paths)),
+        [Demand("d2", ["p3"]), Demand("d1", ["p2", "p1"])],
+    )
+    rep = adaptive_waterfill(reordered, max_iterations=3, inner="exact")
+    assert theta_trace_csv(rep) == WORKED_EXAMPLE_TRACE_CSV
 
 
 def test_theta_trace_csv_quotes_ids_holding_commas_and_quotes():
