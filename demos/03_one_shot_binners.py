@@ -9,9 +9,7 @@ the single solve reproduces the sequence's allocation.
 """
 
 from fairalloc import (
-    BinConfig,
     Demand,
-    EquiDepthConfig,
     Path,
     Problem,
     Resource,
@@ -29,13 +27,16 @@ problem = Problem(
     demands=[Demand("d1", ["p1", "p2"]), Demand("d2", ["p3"])],
 )
 
-u, alpha = 1 / 16, 2.0
+# One geometric ladder u * alpha^b drives both: the sequence caps its
+# iterations by it, the binner bins by it.
+ladder = suggest_bin_config(problem, alpha=2.0, u=1 / 16, num_bins=6)
+print("ladder:", ladder)
 
-sw = swan_sequence(problem, u=u, alpha=alpha)
+sw = swan_sequence(problem, u=1 / 16, alpha=2.0, max_bins=6)
 print("capped sequence:", total_allocation(problem, sw.allocation),
       f"({sw.lp_solves} LP solves)")
 
-gb = geo_binner(problem, BinConfig(u=u, alpha=alpha, num_bins=6, epsilon=0.05))
+gb = geo_binner(problem, ladder, epsilon=0.05)
 print("geometric binner:", total_allocation(problem, gb.allocation),
       f"({gb.lp_solves} LP solve)")
 for k, bins in gb.notes["bins"].items():
@@ -49,11 +50,12 @@ print("exact oracle:    ", star)
 # The equi-depth binner spreads demands uniformly over bins (boundaries come
 # from a quick waterfill estimate and are solved as LP variables).  On this
 # instance it recovers the exact allocation.
-eb = equi_depth_elastic(problem, EquiDepthConfig(num_bins=2, epsilon=0.25))
+eb = equi_depth_elastic(problem, num_bins=2, epsilon=0.25)
 print("equi-depth:      ", total_allocation(problem, eb.allocation),
       f"({eb.lp_solves} LP solve)")
 
-# suggest_bin_config picks u from a waterfill estimate, covers the
-# achievable range, and keeps epsilon above the double-precision guard.
-cfg = suggest_bin_config(problem, alpha=2.0)
-print("suggested config:", cfg)
+# By default suggest_bin_config picks u from a waterfill estimate and
+# covers the achievable range; geo_binner then picks the smallest epsilon
+# that keeps the top bin's weight above the double-precision guard.
+default = geo_binner(problem, suggest_bin_config(problem, alpha=2.0))
+print("default ladder:", default.notes["boundaries"], "epsilon:", default.notes["epsilon"])

@@ -55,8 +55,6 @@ from .model import (
 )
 from .optimizers import (
     AllocationError,
-    BinConfig,
-    EquiDepthConfig,
     compute_equi_boundaries,
     equi_depth_elastic,
     equi_depth_multibin,

@@ -30,7 +30,7 @@ from .model import (
     total_allocation,
 )
 from .optimizers import (
-    EquiDepthConfig,
+    default_epsilon,
     equi_depth_elastic,
     equi_depth_multibin,
     estimate_equi_boundaries,
@@ -124,23 +124,19 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
     return AllocatorReport(alloc, 0, 1, notes)
 
 
-def _eb_bins(problem: Problem, bins: int | None) -> int:
-    """The equi-depth binners' bin count: ``bins``, else half the demands in 2..8."""
-    return int(bins) if bins is not None else max(2, min(8, len(problem.demands) // 2))
-
-
 def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
-    cfg = suggest_bin_config(problem, float(alpha), u, epsilon, bins)
-    return geo_binner(problem, cfg, session)
+    boundaries = suggest_bin_config(problem, float(alpha), u, bins)
+    if epsilon is None and bins is not None:  # an asked-for ladder is weighed whole or refused
+        epsilon = default_epsilon(bins)
+    return geo_binner(problem, boundaries, epsilon, session)
 
 
 def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
-    cfg = EquiDepthConfig(_eb_bins(problem, bins), float(epsilon), slack, int(iterations))
-    return equi_depth_elastic(problem, cfg, session)
+    return equi_depth_elastic(problem, bins, float(epsilon), slack, int(iterations), session)
 
 
 def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
-    boundaries = estimate_equi_boundaries(problem, _eb_bins(problem, bins), int(iterations))
+    boundaries = estimate_equi_boundaries(problem, bins, int(iterations))
     return equi_depth_multibin(problem, boundaries, float(epsilon), session)
 
 

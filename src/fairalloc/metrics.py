@@ -74,8 +74,8 @@ def efficiency(f: Mapping[str, float], baseline: Mapping[str, float]) -> float:
 
 def default_vartheta(problem: Problem) -> float:
     """0.01% of the largest resource capacity (the metric must not vanish on
-    the largest-scale rates)."""
-    return 1e-4 * problem.max_capacity()
+    the largest-scale rates), or 1e-4 when every capacity is 0."""
+    return 1e-4 * problem.max_capacity() or 1e-4
 
 
 def compare_rates(

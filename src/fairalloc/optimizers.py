@@ -11,11 +11,12 @@ rows:
   repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
   network and maximizes a geometrically weighted sum of the sorted outputs;
-* capped sequence (SWAN-style);
+* capped sequence (SWAN-style): one LP per rung of the geometric boundary
+  ladder that ``suggest_bin_config`` builds;
 * binned LP: per-bin rate variables with geometrically decaying objective
-  weights, solved once; the geometric binner caps the bins with a
-  geometric ladder, the equi-depth multi-bin variant with boundaries from
-  an adaptive-waterfill estimate;
+  weights, solved once over a boundary ladder; the geometric binner bins by
+  the capped sequence's ladder, the equi-depth multi-bin variant by
+  boundaries from an adaptive-waterfill estimate;
 * equi-depth elastic binner: boundaries taken from that estimate and
   solved as LP variables.
 
@@ -28,7 +29,6 @@ returned point is always an optimum of the unperturbed objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .lp import Constraint, LinearProgram, SolveSession, build_feasible_alloc, ratio_columns
@@ -38,8 +38,6 @@ from .sortnet import SortingNetwork, build_sorting_network
 from .waterfill import adaptive_waterfill
 
 __all__ = [
-    "BinConfig",
-    "EquiDepthConfig",
     "AllocationError",
     "exact_sequential_max_min",
     "one_shot_exact",
@@ -51,11 +49,13 @@ __all__ = [
     "equi_depth_elastic",
     "equi_depth_multibin",
     "achievable_ratio_bound",
-    "default_num_bins",
     "suggest_bin_config",
+    "default_epsilon",
 ]
 
 EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
+# The most objective levels the guard admits at the largest default epsilon, 0.5.
+MAX_DEFAULT_LEVELS = 1 + int(math.log(EPSILON_GUARD) / math.log(0.5))
 FREEZE_TOL = 1e-7
 DUAL_TOL = 1e-9  # a floor dual above this certifies that the demand is bottlenecked
 TIE_BREAK = 1e-4
@@ -80,50 +80,11 @@ def _check_levels(
         )
 
 
-def _geometric(u: float, alpha: float, num_bins: int) -> list[float]:
-    """The geometric boundary ladder u * alpha^b for b < num_bins."""
-    if not u > 0:
-        raise ValueError("u must be > 0")
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-    return [u * alpha**b for b in range(num_bins)]
-
-
-@dataclass(frozen=True)
-class BinConfig:
-    """Geometric bin ladder: bin b ends at the boundary u * alpha^b."""
-
-    u: float
-    alpha: float
-    num_bins: int
-    epsilon: float
-
-    def __post_init__(self):
-        _geometric(self.u, self.alpha, self.num_bins)
-        _check_levels(self.epsilon, self.num_bins)
-
-    @property
-    def boundaries(self) -> list[float]:
-        return _geometric(self.u, self.alpha, self.num_bins)
-
-
-@dataclass(frozen=True)
-class EquiDepthConfig:
-    num_bins: int
-    epsilon: float = 0.25
-    slack: float | None = None  # None = 5% of bin span
-    aw_iterations: int = 10
-
-    def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
-        _check_levels(self.epsilon, self.num_bins)
-        if self.aw_iterations < 1:
-            raise ValueError("aw_iterations must be >= 1")
-        if self.slack is not None and self.slack < 0:
-            raise ValueError("slack must be nonnegative")
+def default_epsilon(levels: int) -> float:
+    """1e-6, lifted (up to 0.5) until epsilon^(levels-1) clears the guard."""
+    if levels <= 1:
+        return 1e-6
+    return min(0.5, max(1e-6, (EPSILON_GUARD * 1.01) ** (1.0 / (levels - 1))))
 
 
 def _require_valid(problem: Problem) -> None:
@@ -299,13 +260,45 @@ def achievable_ratio_bound(problem: Problem) -> float:
     return bound
 
 
-def default_num_bins(problem: Problem, u: float, alpha: float) -> int:
-    """Enough geometric bins to cover ratios up to the achievable bound."""
-    _geometric(u, alpha, 1)  # rejects u <= 0 and alpha <= 1 before the log
-    bound = achievable_ratio_bound(problem)
-    if bound <= u:
-        return 1
-    return max(1, math.ceil(math.log(bound / u, alpha))) + 1
+def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
+    """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
+    (F_k sums utility-weighted path rates), and its iteration count.  The
+    run validates the problem before it estimates."""
+    aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
+    totals = total_allocation(problem, aw.allocation)
+    return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
+
+
+def suggest_bin_config(
+    problem: Problem,
+    alpha: float = 2.0,
+    u: float | None = None,
+    num_bins: int | None = None,
+) -> list[float]:
+    """The geometric boundary ladder u * alpha^b for b < num_bins: the caps of
+    ``swan_sequence`` and the bins of ``geo_binner``.
+
+    u defaults to just under the smallest positive ratio of a one-pass
+    waterfill estimate (1e-3 of the largest capacity if no ratio is
+    positive, 1.0 if every capacity is 0); num_bins to enough rungs to cover
+    ``achievable_ratio_bound`` from u.
+    """
+    if u is None:  # the estimate validates the problem
+        ratios, _ = _estimate_ratios(problem, 1)
+        positive = [r for r in ratios.values() if r > 1e-12]
+        u = 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
+    else:  # the bound below would divide by a zero weight
+        _require_valid(problem)
+    if not u > 0:
+        raise ValueError("u must be > 0")
+    if not alpha > 1:
+        raise ValueError("alpha must be > 1")
+    if num_bins is None:
+        bound = achievable_ratio_bound(problem)
+        num_bins = 1 if bound <= u else max(1, math.ceil(math.log(bound / u, alpha))) + 1
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+    return [u * alpha**b for b in range(num_bins)]
 
 
 def swan_sequence(
@@ -319,21 +312,15 @@ def swan_sequence(
     per-demand rate caps.
 
     Iteration b maximizes the ratio sum subject to rho_k <= u * alpha^(b-1),
-    the b-th boundary of the geometric ladder (``BinConfig.boundaries``); a
-    demand that ends an iteration strictly below its cap is frozen there for
-    all later iterations.  Runs until every demand is frozen or the ladder
-    covers the achievable range.  One LP per iteration.  Converged only if
-    every demand froze; otherwise the top cap truncated some.  u defaults as
-    in ``suggest_bin_config``, the ladder (``max_bins``) to ``default_num_bins``.
+    the b-th boundary of ``suggest_bin_config(problem, alpha, u, max_bins)``;
+    a demand that ends an iteration strictly below its cap is frozen there
+    for all later iterations.  Runs until every demand is frozen or the
+    ladder is exhausted.  One LP per iteration.  Converged only if every
+    demand froze; otherwise the top cap truncated some.
     """
-    _require_valid(problem)
-    if u is None:
-        u = _suggest_u(problem)
-    ladder = max_bins if max_bins is not None else default_num_bins(problem, u, alpha)
-    caps = _geometric(u, alpha, ladder)
+    caps = suggest_bin_config(problem, alpha, u, max_bins)
     session = session or SolveSession()
     start = session.count
-
     base = build_feasible_alloc(problem, "capped-seq")
     rho = ratio_columns(problem)
     objective = {j: _tie(i) for i, j in enumerate(rho)}
@@ -376,9 +363,9 @@ def swan_sequence(
         iterations=iterations,
         notes={
             "allocator": "swan-sequence",
-            "u": u,
+            "u": caps[0],
             "alpha": alpha,
-            "ladder": ladder,
+            "ladder": len(caps),
             "converged": len(frozen) == len(problem.demands),
         },
     )
@@ -389,13 +376,13 @@ def _binned(
     boundaries: Sequence[float],
     epsilon: float,
     session: SolveSession | None,
-    notes: dict,
+    allocator: str,
 ) -> AllocatorReport:
     """The one-shot binned LP over a boundary ladder l_1 < ... < l_B.
 
     Bin b holds y_kb in [0, l_b - l_(b-1)] (l_0 = 0), the bins sum to rho_k,
-    and the objective is sum_k sum_b epsilon^(b-1) y_kb.  One LP, named by
-    ``notes["allocator"]``.  LP optima are unique in objective value but not
+    and the objective is sum_k sum_b epsilon^(b-1) y_kb.  One LP, named
+    ``allocator``.  LP optima are unique in objective value but not
     in the individual bins, so each demand's total is restacked into its
     lowest bins first (``bins`` note); that keeps the total, hence
     feasibility and objective value.  A demand that fills the whole ladder
@@ -412,7 +399,7 @@ def _binned(
     start = session.count
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
-    lp = build_feasible_alloc(problem, notes["allocator"])
+    lp = build_feasible_alloc(problem, allocator)
     objective: dict[int, float] = {}
     bin_cols: list[list[int]] = []  # per demand, its y_kb columns
     for i, (d, rho) in enumerate(zip(problem.demands, ratio_columns(problem))):
@@ -438,7 +425,14 @@ def _binned(
         stack[-1] += left  # beyond the ladder: spill into the top bin
         bins[d.id] = stack
 
-    notes = {**notes, "bin_caps": caps, "bins": bins, "converged": not truncated}
+    notes = {
+        "allocator": allocator,
+        "epsilon": epsilon,
+        "boundaries": list(boundaries),
+        "bin_caps": caps,
+        "bins": bins,
+        "converged": not truncated,
+    }
     if truncated:
         notes["coverage"] = (
             "a demand fills the whole bin ladder; its allocation may be truncated"
@@ -453,10 +447,12 @@ def _binned(
 
 def geo_binner(
     problem: Problem,
-    cfg: BinConfig,
+    boundaries: Sequence[float],
+    epsilon: float | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """One-shot geometric binner: the binned LP over ``cfg.boundaries``.
+    """One-shot geometric binner: the binned LP over a geometric ladder, as
+    ``suggest_bin_config`` builds it.
 
     The decaying weights make every optimum fill a demand's lower bins before
     the higher ones.  Over the capped sequence's ladder this reproduces
@@ -466,61 +462,16 @@ def geo_binner(
     sequence, it reports ``converged=False`` (and a ``coverage`` note) when
     some demand fills the whole ladder, since the top boundary may have
     truncated it.
+
+    epsilon defaults to ``default_epsilon`` of the ladder's length.  A ladder
+    longer than the guard admits even at epsilon 0.5 keeps its lowest
+    ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches the top of those is
+    flagged as above.  An explicit epsilon that breaks the guard raises.
     """
-    notes = {
-        "allocator": "geo-binner",
-        "u": cfg.u,
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "num_bins": cfg.num_bins,
-    }
-    return _binned(problem, cfg.boundaries, cfg.epsilon, session, notes)
-
-
-def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
-    """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
-    (F_k sums utility-weighted path rates), and its iteration count.  The
-    run validates the problem before it estimates."""
-    aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
-    totals = total_allocation(problem, aw.allocation)
-    return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
-
-
-def _suggest_u(problem: Problem) -> float:
-    """Just under the smallest positive ratio of a one-pass waterfill
-    estimate; if no ratio is positive, 1e-3 of the largest capacity, or 1.0
-    when every capacity is 0."""
-    ratios, _ = _estimate_ratios(problem, 1)
-    positive = [r for r in ratios.values() if r > 1e-12]
-    return 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
-
-
-def suggest_bin_config(
-    problem: Problem,
-    alpha: float = 2.0,
-    u: float | None = None,
-    epsilon: float | None = None,
-    num_bins: int | None = None,
-) -> BinConfig:
-    """Fill unspecified binner parameters from the problem.
-
-    u defaults to just under the smallest positive ratio a quick waterfill
-    estimate produces; num_bins covers the achievable range from there;
-    epsilon defaults to 1e-6 but is lifted to the precision-guard boundary
-    when the bin count requires it.
-    """
-    if u is None:
-        u = _suggest_u(problem)
-    else:  # the estimate validates; default_num_bins would divide by a zero weight
-        _require_valid(problem)
-    if num_bins is None:
-        num_bins = default_num_bins(problem, u, alpha)
     if epsilon is None:
-        epsilon = 1e-6
-        if num_bins > 1:
-            floor = (EPSILON_GUARD * 1.01) ** (1.0 / (num_bins - 1))
-            epsilon = min(0.5, max(epsilon, floor))
-    return BinConfig(u=u, alpha=alpha, num_bins=num_bins, epsilon=epsilon)
+        boundaries = boundaries[:MAX_DEFAULT_LEVELS]
+        epsilon = default_epsilon(len(boundaries))
+    return _binned(problem, boundaries, epsilon, session, "geo-binner")
 
 
 # -- equi-depth binners ---------------------------------------------------------
@@ -576,13 +527,20 @@ def merge_boundaries(boundaries: Sequence[float]) -> list[float]:
     return out
 
 
+def _equi_depth_bins(problem: Problem, num_bins: int | None) -> int:
+    """The equi-depth binners' bin count: ``num_bins``, else half the demands
+    clamped to 2..8."""
+    return max(2, min(8, len(problem.demands) // 2)) if num_bins is None else int(num_bins)
+
+
 def estimate_equi_boundaries(
-    problem: Problem, num_bins: int, aw_iterations: int = 10
+    problem: Problem, num_bins: int | None = None, aw_iterations: int = 10
 ) -> list[float]:
     """Multi-bin boundary ladder from an adaptive-waterfill estimate: the
     equi-depth boundaries of the estimated ratios, merged to be strictly
     increasing (one bin at the largest estimate, or 1.0, if none is
     positive)."""
+    num_bins = _equi_depth_bins(problem, num_bins)
     est, _ = _estimate_ratios(problem, aw_iterations)
     bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
     return merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
@@ -590,38 +548,47 @@ def estimate_equi_boundaries(
 
 def equi_depth_elastic(
     problem: Problem,
-    cfg: EquiDepthConfig,
+    num_bins: int | None = None,
+    epsilon: float = 0.25,
+    slack: float | None = None,
+    aw_iterations: int = 10,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Equi-depth binner with elastic boundaries.
 
-    An adaptive-waterfill run orders the demands; each equal-size group is
-    assigned to one bin whose boundary is an LP variable, with the group's
-    ratios constrained to l_(b-1) <= rho_k <= l_b + s_b.  The slack absorbs
-    estimate inaccuracies.  One LP regardless of bin count.
+    An adaptive-waterfill run of ``aw_iterations`` rounds orders the
+    demands; each of ``num_bins`` equal-size groups is assigned to one bin
+    whose boundary is an LP variable, with the group's ratios constrained to
+    l_(b-1) <= rho_k <= l_b + s_b.  The slack absorbs estimate inaccuracies.
+    One LP regardless of bin count.
 
-    By design the slack can tilt a tied split: s_b is at least 1e-6 of the
-    largest estimate, and a lower group may end up to s_b above the next
-    group.  Two identical demands on one link of capacity 10 get 5 + s/2 and
-    5 - s/2 (5.0000025 and 4.9999975, with s = 5e-6).
+    By design the slack can tilt a tied split: s_b (``slack``, by default
+    5% of the group's estimate span) is at least 1e-6 of the largest
+    estimate, and a lower group may end up to s_b above the next group.  Two
+    identical demands on one link of capacity 10 get 5 + s/2 and 5 - s/2
+    (5.0000025 and 4.9999975, with s = 5e-6).
     """
+    num_bins = _equi_depth_bins(problem, num_bins)
+    _check_levels(epsilon, num_bins)
+    if slack is not None and slack < 0:
+        raise ValueError("slack must be nonnegative")
     session = session or SolveSession()
     start = session.count
 
-    est_ratio, aw_iterations = _estimate_ratios(problem, cfg.aw_iterations)
-
-    num_bins = min(cfg.num_bins, len(problem.demands))
-    est_bounds, groups = compute_equi_boundaries(est_ratio, num_bins)
+    est_ratio, rounds = _estimate_ratios(problem, aw_iterations)
+    est_bounds, groups = compute_equi_boundaries(
+        est_ratio, min(num_bins, len(problem.demands))
+    )
     n_groups = len(groups)
 
     max_ratio = max(est_ratio.values(), default=0.0)
-    slack: list[float] = []
+    slacks: list[float] = []
     for bound, group in zip(est_bounds, groups):
-        if cfg.slack is not None:
-            slack.append(float(cfg.slack))
+        if slack is not None:
+            slacks.append(float(slack))
         else:
             span = bound - min(est_ratio[k] for k in group)
-            slack.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
+            slacks.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
 
     lp = build_feasible_alloc(problem, "equi-depth-elastic")
     bounds = [lp.add_variable() for _ in groups]  # l_b, the top of group b
@@ -634,8 +601,8 @@ def equi_depth_elastic(
             if b > 0:
                 lp.add_constraint({rho[i]: 1.0, bounds[b - 1]: -1.0}, ">=", 0.0)
             if b < n_groups - 1:
-                lp.add_constraint({rho[i]: 1.0, bounds[b]: -1.0}, "<=", slack[b])
-            objective[rho[i]] = cfg.epsilon**b * _tie(i)
+                lp.add_constraint({rho[i]: 1.0, bounds[b]: -1.0}, "<=", slacks[b])
+            objective[rho[i]] = epsilon**b * _tie(i)
     lp.objective = objective
     sol = _solved(session, lp)
 
@@ -645,12 +612,12 @@ def equi_depth_elastic(
         iterations=1,
         notes={
             "allocator": "equi-depth-elastic",
-            "epsilon": cfg.epsilon,
+            "epsilon": epsilon,
             "groups": groups,
             "estimate_boundaries": est_bounds,
             "solved_boundaries": [sol.values[j] for j in bounds],
-            "slack": slack,
-            "aw_iterations": aw_iterations,
+            "slack": slacks,
+            "aw_iterations": rounds,
             "converged": True,
         },
     )
@@ -666,5 +633,4 @@ def equi_depth_multibin(
     one.  A demand is capped at the top boundary (with ``boundaries`` from
     ``estimate_equi_boundaries``, the largest estimate), and a demand that
     reaches it is flagged like a truncated geometric binner."""
-    notes = {"allocator": "equi-depth-multibin", "epsilon": epsilon, "boundaries": list(boundaries)}
-    return _binned(problem, boundaries, epsilon, session, notes)
+    return _binned(problem, boundaries, epsilon, session, "equi-depth-multibin")

@@ -22,7 +22,6 @@ from fairalloc.model import (
     check_feasible,
     total_allocation,
 )
-from fairalloc.optimizers import BinConfig
 from fairalloc.waterfill import build_subdemands, single_path_waterfill
 
 from conftest import small_grid_instance, distinct_utility_instance, unit_qr_instance
@@ -69,12 +68,12 @@ def gb_runs(narrow_corpus):
         delta = 1e-6 * total_cap
         entry = {"prob": prob, "star": star, "u": u, "delta": delta, "gb": {}}
         entry["gb"]["delta-rule"] = fa.geo_binner(
-            prob, BinConfig(u=u, alpha=2.0, num_bins=2, epsilon=delta / total_cap)
+            prob, fa.suggest_bin_config(prob, 2.0, u, 2), epsilon=delta / total_cap
         )
         for alpha in (1.5, 2.0, 4.0):
             bins = max(2, math.ceil(math.log(ratios[-1] * 1.05 / u, alpha)) + 1)
             entry["gb"][alpha] = fa.geo_binner(
-                prob, BinConfig(u=u, alpha=alpha, num_bins=bins, epsilon=0.1)
+                prob, fa.suggest_bin_config(prob, alpha, u, bins), epsilon=0.1
             )
         runs.append(entry)
     return runs

@@ -39,8 +39,9 @@ def test_solve_gb_defaults_u_and_echoes_it(worked_example_file, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["lp_solves"] == 1
-    assert report["notes"]["u"] > 0  # defaulted and echoed
-    assert report["notes"]["alpha"] == 2.0
+    ladder = report["notes"]["boundaries"]
+    assert ladder[0] > 0  # u, defaulted and echoed
+    assert ladder[1] == 2.0 * ladder[0]  # alpha
 
 
 def test_solve_swan_at_a_fine_ladder(tmp_path):

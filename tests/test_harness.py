@@ -9,6 +9,7 @@ import pytest
 
 import fairalloc.bench as bench
 from fairalloc.bench import (
+    ALLOCATOR_IDS,
     BENCH_CSV_HEADER,
     Scenario,
     benchmark_csv,
@@ -167,6 +168,19 @@ def test_exact_scores_one_against_itself():
     assert rows[0].fairness_geomean == pytest.approx(1.0)
     assert rows[0].efficiency == pytest.approx(1.0)
     assert rows[0].error is None
+
+
+def test_all_zero_capacities_score_every_allocator_one():
+    # Every rate is 0; the fairness clamp must still be positive.
+    prob = Problem(
+        [Resource("e", 0.0)],
+        [Path("p", ["e"])],
+        [Demand("a", ["p"]), Demand("b", ["p"], volume=1.0)],
+    )
+    rows = run_benchmark([Scenario(a, prob, a) for a in ALLOCATOR_IDS])
+    for row in rows:
+        assert row.error is None, row
+        assert row.fairness_geomean == 1.0 and row.efficiency == 1.0
 
 
 def test_gb_single_solve_and_swan_one_per_bin_on_same_instance():

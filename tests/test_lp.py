@@ -17,10 +17,9 @@ from fairalloc.model import Demand, Path, Problem, Resource
 from fairalloc.optimizers import (
     DUAL_TOL,
     FREEZE_TOL,
-    BinConfig,
-    default_num_bins,
     exact_sequential_max_min,
     geo_binner,
+    suggest_bin_config,
     swan_sequence,
 )
 
@@ -355,7 +354,7 @@ def test_session_counts_each_solve():
 
 def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     session = SolveSession()
-    geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05), session)
+    geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05, session)
     assert session.count == 1
     session = SolveSession()
     report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
@@ -368,7 +367,7 @@ def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
     flips), so a change that brings back phase-1 work or bound rows fails
     here.  Before both, gb took 18 pivots and exact 8."""
     runs = {
-        "gb": lambda s: geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05), s),
+        "gb": lambda s: geo_binner(two_link_example, [1 / 16 * 2.0**b for b in range(6)], 0.05, s),
         "exact": lambda s: exact_sequential_max_min(two_link_example, s),
     }
     iterations = {}
@@ -595,8 +594,7 @@ def _rebuilt_exact(problem, solve):
 def _rebuilt_swan(problem, u, alpha, solve):
     """The capped sequence's LPs with a fresh fragment per LP."""
     frozen, prev, lps = {}, {}, []
-    for b in range(1, default_num_bins(problem, u, alpha) + 1):
-        cap = u * alpha ** (b - 1)
+    for b, cap in enumerate(suggest_bin_config(problem, alpha, u), start=1):
         lp = build_feasible_alloc(problem, f"capped-seq-{b}")
         rhos = ratio_columns(problem)
         for d, rho in zip(problem.demands, rhos):

@@ -87,6 +87,8 @@ def test_default_vartheta_scales_with_max_capacity():
         [Demand("d1", ["p1"])],
     )
     assert default_vartheta(prob100) == pytest.approx(0.01)
+    idle = Problem([Resource("e1", 0.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])])
+    assert default_vartheta(idle) == 1e-4  # as if the largest capacity were 1
 
 
 def test_default_vartheta_ignores_resource_count():

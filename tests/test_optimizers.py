@@ -15,10 +15,9 @@ from fairalloc.lp import (
 )
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
-    BinConfig,
-    EquiDepthConfig,
+    EPSILON_GUARD,
+    MAX_DEFAULT_LEVELS,
     compute_equi_boundaries,
-    default_num_bins,
     equi_depth_elastic,
     equi_depth_multibin,
     exact_sequential_max_min,
@@ -365,28 +364,34 @@ def test_swan_reports_unconverged_when_the_ladder_runs_out():
 # -- geometric binner ------------------------------------------------------------
 
 
-def test_bin_config_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        BinConfig(1.0, 1.0, 2, 0.1)
-    with pytest.raises(ValueError, match="epsilon"):
-        BinConfig(1.0, 2.0, 2, 1.5)
+def test_ladder_and_epsilon_validation():
+    prob = single_link(1.0, [(None, 1.0)])
+    with pytest.raises(ValueError, match="u must be > 0"):
+        suggest_bin_config(prob, u=0.0)
+    with pytest.raises(ValueError, match="alpha must be > 1"):
+        suggest_bin_config(prob, alpha=1.0, u=1.0)
+    with pytest.raises(ValueError, match="num_bins must be >= 1"):
+        suggest_bin_config(prob, u=1.0, num_bins=0)
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        geo_binner(prob, [1.0, 2.0], epsilon=1.5)
     with pytest.raises(ValueError, match="guard"):
-        BinConfig(1.0, 2.0, 8, 1e-6)  # 1e-42 underflows
-    cfg = BinConfig(1.0, 2.0, 3, 1e-6)  # exactly at the guard boundary
-    assert cfg.boundaries == [1.0, 2.0, 4.0]
+        geo_binner(prob, suggest_bin_config(prob, u=1.0, num_bins=8), epsilon=1e-6)  # 1e-42
+    ladder = suggest_bin_config(prob, u=1.0, num_bins=3)
+    assert ladder == [1.0, 2.0, 4.0]
+    assert geo_binner(prob, ladder, epsilon=1e-6).converged  # exactly at the guard boundary
 
 
 def test_single_demand_saturates_first_bin_exactly():
     prob = single_link(1.0, [(None, 1.0)])
-    rep = geo_binner(prob, BinConfig(u=1.0, alpha=2.0, num_bins=4, epsilon=0.1))
+    rep = geo_binner(prob, [1.0, 2.0, 4.0, 8.0], epsilon=0.1)
     bins = rep.notes["bins"]["d0"]
     assert bins[0] == pytest.approx(1.0)
     assert all(b == pytest.approx(0.0, abs=1e-9) for b in bins[1:])
 
 
 def test_geo_binner_matches_swan_on_worked_example(two_link_example):
-    cfg = BinConfig(u=1 / 16, alpha=2.0, num_bins=6, epsilon=0.05)
-    gb = geo_binner(two_link_example, cfg)
+    ladder = suggest_bin_config(two_link_example, alpha=2.0, u=1 / 16, num_bins=6)
+    gb = geo_binner(two_link_example, ladder, epsilon=0.05)
     sw = swan_sequence(two_link_example, u=1 / 16, alpha=2.0, max_bins=6)
     tg = total_allocation(two_link_example, gb.allocation)
     ts = total_allocation(two_link_example, sw.allocation)
@@ -396,8 +401,8 @@ def test_geo_binner_matches_swan_on_worked_example(two_link_example):
 
 
 def test_geo_binner_bin_prefix_property(two_link_example):
-    cfg = BinConfig(u=1 / 16, alpha=2.0, num_bins=6, epsilon=0.05)
-    rep = geo_binner(two_link_example, cfg)
+    ladder = suggest_bin_config(two_link_example, alpha=2.0, u=1 / 16, num_bins=6)
+    rep = geo_binner(two_link_example, ladder, epsilon=0.05)
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
@@ -407,7 +412,7 @@ def test_geo_binner_bin_prefix_property(two_link_example):
 
 
 def test_geo_binner_allocation_is_feasible(two_link_example):
-    rep = geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05))
+    rep = geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05)
     assert check_feasible(two_link_example, rep.allocation).feasible
 
 
@@ -463,10 +468,46 @@ def test_geo_binner_converges_on_a_wan_problem():
 
 def test_suggest_bin_config_covers_range_and_respects_guard():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    cfg = suggest_bin_config(prob, alpha=2.0)
-    assert cfg.u > 0
-    assert cfg.epsilon ** (cfg.num_bins - 1) >= 1e-12
-    assert cfg.num_bins == default_num_bins(prob, cfg.u, 2.0)
+    ladder = suggest_bin_config(prob, alpha=2.0)
+    assert ladder[0] > 0
+    assert ladder[-2] < opt.achievable_ratio_bound(prob) <= ladder[-1]
+    rep = geo_binner(prob, ladder)
+    assert rep.notes["epsilon"] ** (len(ladder) - 1) >= EPSILON_GUARD
+
+
+def test_swan_and_gb_share_the_default_ladder():
+    prob = generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)
+    sw, gb = run_allocator(prob, "swan"), run_allocator(prob, "gb")
+    caps = [sw.notes["u"] * sw.notes["alpha"] ** b for b in range(sw.notes["ladder"])]
+    assert len(caps) > 2
+    assert caps == gb.notes["boundaries"] == suggest_bin_config(prob)
+
+
+def test_gb_default_keeps_the_rungs_the_guard_admits_on_a_wide_span():
+    # u is just under 1e-6 and the bound is 1e6: the ladder needs 42 rungs,
+    # more than epsilon 0.5 can weigh above the guard.
+    prob = Problem(
+        [Resource("L", 1e6)],
+        [Path("p0", ["L"]), Path("p1", ["L"])],
+        [Demand("small", ["p0"], volume=1e-6), Demand("big", ["p1"])],
+    )
+    ladder = suggest_bin_config(prob)
+    assert len(ladder) > MAX_DEFAULT_LEVELS
+    assert 0.5 ** (MAX_DEFAULT_LEVELS - 1) >= EPSILON_GUARD > 0.5**MAX_DEFAULT_LEVELS
+    rep = run_allocator(prob, "gb")
+    assert rep.notes["boundaries"] == ladder[:MAX_DEFAULT_LEVELS]
+    assert rep.notes["epsilon"] ** (MAX_DEFAULT_LEVELS - 1) >= EPSILON_GUARD
+    assert check_feasible(prob, rep.allocation).feasible
+    totals = total_allocation(prob, rep.allocation)
+    assert totals["small"] == pytest.approx(1e-6)
+    assert totals["big"] == pytest.approx(ladder[MAX_DEFAULT_LEVELS - 1])
+    assert not rep.converged
+    assert "coverage" in rep.notes
+    assert run_allocator(prob, "swan").converged  # swan has no epsilon to guard
+    with pytest.raises(ValueError, match="guard"):  # an asked-for ladder is not cut
+        run_allocator(prob, "gb", {"bins": len(ladder)})
+    with pytest.raises(ValueError, match="guard"):
+        geo_binner(prob, ladder, epsilon=0.5)
 
 
 # -- equi-depth binners ------------------------------------------------------------
@@ -516,7 +557,7 @@ def test_boundaries_validation():
 
 def test_elastic_single_bin_maximizes_ratio_sum():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, EquiDepthConfig(num_bins=1, epsilon=0.25))
+    rep = equi_depth_elastic(prob, num_bins=1, epsilon=0.25)
     totals = total_allocation(prob, rep.allocation)
     assert sum(totals.values()) == pytest.approx(10.0)
     assert rep.lp_solves == 1
@@ -526,7 +567,7 @@ def test_elastic_symmetric_split_is_fair():
     # One demand per group; the slack floor (1e-6 x the largest estimate, 5)
     # lets the lower group's ratio reach l_1 + s, so the split is off by s/2.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, EquiDepthConfig(num_bins=2, epsilon=0.25))
+    rep = equi_depth_elastic(prob, num_bins=2, epsilon=0.25)
     totals = total_allocation(prob, rep.allocation)
     slack = rep.notes["slack"][0]
     assert slack == pytest.approx(5e-6)
@@ -537,24 +578,37 @@ def test_elastic_symmetric_split_is_fair():
 
 def test_elastic_slack_is_one_float_for_every_bin():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0), (None, 2.0), (None, 2.0)])
-    rep = equi_depth_elastic(prob, EquiDepthConfig(num_bins=2, slack=0.3))
+    rep = equi_depth_elastic(prob, num_bins=2, slack=0.3)
     assert rep.notes["slack"] == [0.3, 0.3]
     with pytest.raises(ValueError, match="nonnegative"):
-        EquiDepthConfig(num_bins=2, slack=-0.1)
+        equi_depth_elastic(prob, num_bins=2, slack=-0.1)
 
 
-def test_equi_depth_config_rejects_an_underflowing_epsilon():
+def test_elastic_checks_its_parameters():
+    prob = single_link(10.0, [(None, 1.0)] * 8)
     with pytest.raises(ValueError, match="guard"):
-        EquiDepthConfig(num_bins=8, epsilon=1e-3)  # 1e-21 underflows
-    assert EquiDepthConfig(num_bins=4, epsilon=1e-3).epsilon == 1e-3  # 1e-9 is fine
+        equi_depth_elastic(prob, num_bins=8, epsilon=1e-3)  # 1e-21 underflows
+    assert equi_depth_elastic(prob, num_bins=4, epsilon=1e-3).notes["epsilon"] == 1e-3  # 1e-9
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        equi_depth_elastic(prob, epsilon=1.0)
+    with pytest.raises(ValueError, match="num_bins must be >= 1"):
+        equi_depth_elastic(prob, num_bins=0)
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        equi_depth_elastic(prob, aw_iterations=0)
+
+
+def test_equi_depth_bin_count_defaults_to_half_the_demands_in_2_to_8():
+    for n, bins in ((2, 2), (6, 3), (40, 8)):
+        prob = single_link(10.0, [(None, 1.0)] * n)
+        assert len(equi_depth_elastic(prob).notes["groups"]) == bins
 
 
 def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_example):
     star = total_allocation(
         two_link_example, exact_sequential_max_min(two_link_example).allocation
     )
-    eb = equi_depth_elastic(two_link_example, EquiDepthConfig(num_bins=2, epsilon=0.25))
-    gb = geo_binner(two_link_example, BinConfig(1 / 16, 2.0, 6, 0.05))
+    eb = equi_depth_elastic(two_link_example, num_bins=2, epsilon=0.25)
+    gb = geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05)
     q_eb = compare_rates(
         two_link_example, total_allocation(two_link_example, eb.allocation), star
     ).fairness_geomean
@@ -565,10 +619,9 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
 
 
 def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
-    u, alpha, nb = 1 / 16, 2.0, 6
-    boundaries = [u * alpha**b for b in range(nb)]
+    boundaries = [1 / 16 * 2.0**b for b in range(6)]
     mb = equi_depth_multibin(two_link_example, boundaries, epsilon=0.05)
-    gb = geo_binner(two_link_example, BinConfig(u, alpha, nb, 0.05))
+    gb = geo_binner(two_link_example, boundaries, epsilon=0.05)
     tm = total_allocation(two_link_example, mb.allocation)
     tg = total_allocation(two_link_example, gb.allocation)
     for k in tm:
@@ -622,7 +675,7 @@ def test_all_optimizer_allocations_are_feasible():
             exact_sequential_max_min(prob),
             swan_sequence(prob, 0.3, 2.0),
             geo_binner(prob, suggest_bin_config(prob, alpha=2.0)),
-            equi_depth_elastic(prob, EquiDepthConfig(num_bins=2)),
+            equi_depth_elastic(prob, num_bins=2),
         ]
         for rep in reports:
             assert check_feasible(prob, rep.allocation).feasible
