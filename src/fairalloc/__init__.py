@@ -29,7 +29,6 @@ from .lp import (
     SimplexBackend,
     SimplexError,
     SolveSession,
-    build_feasible_alloc,
 )
 from .metrics import (
     MetricsReport,
@@ -55,6 +54,7 @@ from .model import (
 )
 from .optimizers import (
     AllocationError,
+    build_feasible_alloc,
     compute_equi_boundaries,
     equi_depth_elastic,
     equi_depth_multibin,

@@ -40,7 +40,7 @@ from .optimizers import (
     suggest_bin_config,
     swan_sequence,
 )
-from .report import AllocatorReport
+from .report import AllocatorReport, _jsonable
 from .waterfill import (
     adaptive_waterfill,
     approx_waterfill,
@@ -82,9 +82,7 @@ def save_problem(path: str | FsPath, problem: Problem) -> None:
 
 
 def save_allocation(path: str | FsPath, alloc: Allocation) -> None:
-    nested: dict[str, dict[str, float]] = {}
-    for (k, p), rate in sorted(alloc.rates.items()):
-        nested.setdefault(k, {})[p] = rate
+    nested = _jsonable(dict(sorted(alloc.rates.items())))
     FsPath(path).write_text(json.dumps({"rates": nested}, indent=2) + "\n")
 
 

@@ -1,6 +1,6 @@
-"""Backend-neutral linear programs, a deterministic dense simplex solver,
-a pluggable backend seam, and the shared feasible-allocation constraint
-builder used by every optimization-based allocator.
+"""Backend-neutral linear programs, a deterministic dense simplex solver and
+a pluggable backend seam.  The module knows nothing of the allocation
+model: the allocators (``optimizers``) turn a problem into LP rows.
 
 Every LP has one shape: nonnegative columns, each with an optional upper
 bound, linear rows, and an objective that is maximised.  A column is its
@@ -27,8 +27,6 @@ from typing import Mapping, NamedTuple, Protocol
 
 import numpy as np
 
-from .model import Problem
-
 __all__ = [
     "Constraint",
     "LinearProgram",
@@ -37,8 +35,6 @@ __all__ = [
     "SimplexBackend",
     "ScipyBackend",
     "SolveSession",
-    "build_feasible_alloc",
-    "ratio_columns",
 ]
 
 PIVOT_TOL = 1e-9
@@ -466,48 +462,3 @@ class SolveSession:
     @property
     def count(self) -> int:
         return self._count
-
-
-# -- shared FeasibleAlloc fragment --------------------------------------------
-
-
-def ratio_columns(problem: Problem) -> range:
-    """Columns of rho_k in `build_feasible_alloc`, in demand order."""
-    start = sum(len(d.paths) for d in problem.demands)
-    return range(start, start + len(problem.demands))
-
-
-def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> LinearProgram:
-    """Variables and constraints of a feasible allocation, no objective.
-
-    Columns: one rate f_k^p per (demand, path) in problem order, then one
-    weighted ratio rho_k per demand (`ratio_columns`).  Rows: a volume row
-    per bounded demand (`sum_p f_k^p <= d_k`), a capacity row per used
-    resource (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
-    (`sum_p q_k^p f_k^p - w_k rho_k == 0`).
-    """
-    lp = LinearProgram(name=name)
-    path_map = problem.path_map()
-    rates = [[lp.add_variable() for _ in d.paths] for d in problem.demands]
-    rhos = [lp.add_variable() for _ in problem.demands]
-
-    for d, cols in zip(problem.demands, rates):
-        if d.bounded:
-            lp.add_constraint(
-                dict.fromkeys(cols, 1.0), "<=", float(d.volume), name=f"volume:{d.id}"
-            )
-
-    usage: dict[str, dict[int, float]] = {}  # resource -> rate column -> r_k^e
-    for d, cols in zip(problem.demands, rates):
-        for pid, j in zip(d.paths, cols):
-            for rid in path_map[pid].resources:
-                usage.setdefault(rid, {})[j] = d.consumption_on(rid)
-    for r in problem.resources:
-        if r.id in usage:
-            lp.add_constraint(usage[r.id], "<=", r.capacity, name=f"cap:{r.id}")
-
-    for d, cols, rho in zip(problem.demands, rates, rhos):
-        coeffs = {j: d.utility_on(pid) for pid, j in zip(d.paths, cols)}
-        coeffs[rho] = -d.weight
-        lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
-    return lp

@@ -9,7 +9,7 @@ Efficiency is the plain total-rate ratio against a baseline allocator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .model import Problem
@@ -33,14 +33,7 @@ class MetricsReport:
     vartheta: float
 
     def to_dict(self) -> dict:
-        return {
-            "per_demand_q": self.per_demand_q,
-            "fairness_geomean": self.fairness_geomean,
-            "efficiency_ratio": self.efficiency_ratio,
-            "total_rate": self.total_rate,
-            "baseline_total": self.baseline_total,
-            "vartheta": self.vartheta,
-        }
+        return asdict(self)
 
 
 def q_fairness(

@@ -3,8 +3,10 @@
 All of them operate on weighted ratios rho_k = F_k / w_k (F_k sums the
 utility-weighted path rates) and build every LP on one fragment,
 `build_feasible_alloc`: the path rates and one rho_k column per demand, tied
-to its rates by a ratio row.  Each allocator adds only its own columns and
-rows:
+to its rates by a ratio row.  Its volume and capacity rows are cut from the
+subdemand incidence that the waterfillers read (`build_subdemands`), so a
+problem becomes rows, and is validated, in that one place.  Each allocator
+adds only its own columns and rows:
 
 * exact sequential: one LP a round maximizes the smallest unfrozen ratio;
   the demands its optimal duals certify as bottlenecked freeze there,
@@ -31,14 +33,16 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .lp import Constraint, LinearProgram, SolveSession, build_feasible_alloc, ratio_columns
+from .lp import Constraint, LinearProgram, SolveSession
 from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
-from .waterfill import adaptive_waterfill
+from .waterfill import adaptive_waterfill, build_subdemands
 
 __all__ = [
     "AllocationError",
+    "build_feasible_alloc",
+    "ratio_columns",
     "exact_sequential_max_min",
     "one_shot_exact",
     "swan_sequence",
@@ -87,10 +91,6 @@ def default_epsilon(levels: int) -> float:
     return min(0.5, max(1e-6, (EPSILON_GUARD * 1.01) ** (1.0 / (levels - 1))))
 
 
-def _require_valid(problem: Problem) -> None:
-    raise_if_invalid(validate_problem(problem))
-
-
 def _tie(index: int) -> float:
     # Deterministic preference for earlier demands among otherwise-equal
     # optima; inert (rounds to 1.0) beyond ~50 demands.
@@ -102,6 +102,49 @@ def _solved(session: SolveSession, lp: LinearProgram):
     if sol.status != "optimal":
         raise AllocationError(f"LP {lp.name!r} is {sol.status}")
     return sol
+
+
+# -- the shared feasible-allocation fragment -------------------------------------
+
+
+def ratio_columns(problem: Problem) -> range:
+    """Columns of rho_k in `build_feasible_alloc`, in demand order."""
+    start = sum(len(d.paths) for d in problem.demands)
+    return range(start, start + len(problem.demands))
+
+
+def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> LinearProgram:
+    """Variables and constraints of a feasible allocation, no objective.
+
+    Columns: one rate f_k^p per (demand, path) in problem order, then one
+    weighted ratio rho_k per demand (`ratio_columns`).  Rows: a volume row
+    per bounded demand (`sum_p f_k^p <= d_k`), a capacity row per used
+    resource (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
+    (`sum_p q_k^p f_k^p - w_k rho_k == 0`).  The volume and capacity rows
+    are the virtual-edge and resource rows of `build_subdemands`'s
+    incidence, whose columns are the rate columns; building it validates
+    the problem.
+    """
+    matrix, caps = build_subdemands(problem)
+    ptr, cols = matrix.indptr.tolist(), matrix.indices.tolist()
+    cons, caps = matrix.consumption.tolist(), caps.tolist()
+    rho = ratio_columns(problem)
+    lp = LinearProgram(name, [None] * rho.stop)
+    labels = [f"cap:{r.id}" for r in problem.resources]
+    labels += [f"volume:{d.id}" for d in problem.demands if d.bounded]
+    n = len(problem.resources)
+    for e in [*range(n, len(labels)), *range(n)]:  # virtual edges, then resources
+        s, t = ptr[e], ptr[e + 1]
+        if s < t:
+            lp.add_constraint(dict(zip(cols[s:t], cons[s:t])), "<=", caps[e], name=labels[e])
+
+    first = 0  # the demand's first rate column
+    for d, j in zip(problem.demands, rho):
+        coeffs = {first + i: d.utility_on(pid) for i, pid in enumerate(d.paths)}
+        coeffs[j] = -d.weight
+        lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
+        first += len(d.paths)
+    return lp
 
 
 def _allocation_from(problem: Problem, values: Sequence[float]) -> Allocation:
@@ -129,7 +172,6 @@ def exact_sequential_max_min(
     that is bottlenecked but whose dual happens to be 0 (degeneracy) stays
     unfrozen and freezes at the same t in a later round.
     """
-    _require_valid(problem)
     session = session or SolveSession()
     start = session.count
     demands = [d.id for d in problem.demands]
@@ -190,7 +232,6 @@ def one_shot_exact(
     outputs, which both drives every lo to min(x, y) at the optimum and makes
     the sorted vector lexicographically maximal.
     """
-    _require_valid(problem)
     n = len(problem.demands)
     _check_levels(epsilon, n, f"for n={n} demands, use the geometric binner instead")
     session = session or SolveSession()
@@ -288,7 +329,7 @@ def suggest_bin_config(
         positive = [r for r in ratios.values() if r > 1e-12]
         u = 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
     else:  # the bound below would divide by a zero weight
-        _require_valid(problem)
+        raise_if_invalid(validate_problem(problem))
     if not u > 0:
         raise ValueError("u must be > 0")
     if not alpha > 1:
@@ -297,7 +338,7 @@ def suggest_bin_config(
         bound = achievable_ratio_bound(problem)
         num_bins = 1 if bound <= u else max(1, math.ceil(math.log(bound / u, alpha))) + 1
     if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+        raise ValueError("bins must be >= 1")
     return [u * alpha**b for b in range(num_bins)]
 
 
@@ -389,7 +430,6 @@ def _binned(
     may have been truncated by its top boundary: the report then says
     ``converged=False`` and carries a ``coverage`` note.
     """
-    _require_valid(problem)
     if not boundaries:
         raise ValueError("need at least one boundary")
     if boundaries[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
@@ -489,7 +529,7 @@ def compute_equi_boundaries(
     if not aw_rates:
         raise ValueError("empty rates map")
     if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+        raise ValueError("bins must be >= 1")
     if num_bins > len(aw_rates):
         raise ValueError(
             f"num_bins={num_bins} exceeds the {len(aw_rates)} demands"

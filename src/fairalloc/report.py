@@ -42,11 +42,8 @@ def report_to_dict(problem: Problem, report: AllocatorReport) -> dict:
     (demand, path)-keyed notes nest the same way, as {demand: {path: value}};
     the bulky theta trace is omitted (export it with theta_trace_csv
     instead)."""
-    rates: dict[str, dict[str, float]] = {}
-    for (k, p), rate in sorted(report.allocation.rates.items()):
-        rates.setdefault(k, {})[p] = rate
     return {
-        "rates": rates,
+        "rates": _jsonable(dict(sorted(report.allocation.rates.items()))),
         "totals": total_allocation(problem, report.allocation),
         "lp_solves": report.lp_solves,
         "iterations": report.iterations,

@@ -13,8 +13,9 @@ incidence (``SubdemandMatrix``, CSR over rows); theta, rates and the trace
 are arrays indexed by its columns.  The waterfillers compute link loads
 with ``np.bincount``, which sums each row in column order; no dense rows x
 columns array is formed.  The adaptive waterfiller builds the incidence once
-and only rescales its weights between rounds; the bottleneck check reads
-the same rows, so volumes become rows in this one place.
+and only rescales its weights between rounds.  The bottleneck check and
+the LP allocators' fragment (``optimizers.build_feasible_alloc``) read the
+same rows, so a problem becomes rows, and is validated, in this one place.
 
 The single pass walks each row's members as Python scalars, cut as list
 slices from one filtered pass over the nonzeros.  Most rows are short: a
@@ -279,7 +280,7 @@ def adaptive_waterfill(
     "rates": R}``, where row t - 1 of the 2-D arrays holds iteration t.
     """
     if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+        raise ValueError("iterations must be >= 1")
     if inner not in ("exact", "approx"):
         raise ValueError(f"unknown inner waterfiller {inner!r}")
     fill = single_path_waterfill if inner == "exact" else approx_waterfill

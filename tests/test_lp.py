@@ -10,15 +10,15 @@ from fairalloc.lp import (
     SimplexBackend,
     SimplexError,
     SolveSession,
-    build_feasible_alloc,
-    ratio_columns,
 )
 from fairalloc.model import Demand, Path, Problem, Resource
 from fairalloc.optimizers import (
     DUAL_TOL,
     FREEZE_TOL,
+    build_feasible_alloc,
     exact_sequential_max_min,
     geo_binner,
+    ratio_columns,
     suggest_bin_config,
     swan_sequence,
 )
@@ -438,6 +438,18 @@ def test_fragment_volume_row_only_for_bounded():
     vols = [c for c in lp.constraints if c.name.startswith("volume:")]
     assert [c.name for c in vols] == ["volume:a"]
     assert vols[0].rhs == 1.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Problem([Resource("e1", -1.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]),
+        Problem([Resource("e1", 1.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"], weight=0.0)]),
+    ],
+)
+def test_fragment_rejects_an_invalid_problem(bad):
+    with pytest.raises(ValueError, match=r"^invalid problem \("):
+        build_feasible_alloc(bad)
 
 
 def _structure(lp):

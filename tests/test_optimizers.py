@@ -11,7 +11,6 @@ from fairalloc.lp import (
     ScipyBackend,
     SimplexBackend,
     SolveSession,
-    ratio_columns,
 )
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
@@ -24,6 +23,7 @@ from fairalloc.optimizers import (
     geo_binner,
     merge_boundaries,
     one_shot_exact,
+    ratio_columns,
     suggest_bin_config,
     swan_sequence,
 )
@@ -85,10 +85,13 @@ LP_ALLOCATORS = ["exact", "oneshot", "swan", "gb", "eb-elastic", "eb-multibin"]
     "allocator, u", [(a, None) for a in ALLOCATOR_IDS] + [("swan", 1.0), ("gb", 1.0)]
 )
 def test_lp_allocators_validate_before_estimating(allocator, u):
-    # Every allocator refuses an invalid problem: the waterfillers and the
-    # estimates of swan, gb and the eb binners through build_subdemands; gb
-    # with u set sizes its ladder first.  On a bounded demand whose only path
-    # is empty, the waterfillers would fill the volume edge alone.
+    # Every allocator refuses an invalid problem where it compiles it into
+    # the subdemand incidence (build_subdemands): the waterfillers directly,
+    # exact and oneshot in the LP fragment, swan, gb and the eb binners in
+    # their estimate.  swan and gb with u set check first, since the ratio
+    # bound that sizes their ladder divides by weights.  On a bounded demand
+    # whose only path is empty, the waterfillers would fill the volume edge
+    # alone.
     config = {} if u is None else {"u": u}
     for bad in [
         Problem([Resource("L", -1.0)], [Path("p", ["L"])], [Demand("d", ["p"])]),
@@ -100,6 +103,19 @@ def test_lp_allocators_validate_before_estimating(allocator, u):
     ]:
         with pytest.raises(ValueError, match="invalid problem"):
             run_allocator(bad, allocator, config)
+
+
+@pytest.mark.parametrize(
+    "allocator, key",
+    [(a, "iterations") for a in ("adaptive-waterfill", "eb-elastic", "eb-multibin")]
+    + [(a, "bins") for a in ("swan", "gb", "eb-elastic", "eb-multibin")],
+)
+def test_an_out_of_range_config_value_is_named_by_its_key(allocator, key):
+    # The config key is also the `solve` flag; the message names it, not the
+    # parameter of the function that checks it.
+    with pytest.raises(ValueError) as err:
+        run_allocator(single_link(1.0, [(None, 1.0), (2.0, 1.0)]), allocator, {key: 0})
+    assert str(err.value).startswith(f"{key} must be >= 1")
 
 
 @pytest.mark.parametrize("allocator", LP_ALLOCATORS)
@@ -370,7 +386,7 @@ def test_ladder_and_epsilon_validation():
         suggest_bin_config(prob, u=0.0)
     with pytest.raises(ValueError, match="alpha must be > 1"):
         suggest_bin_config(prob, alpha=1.0, u=1.0)
-    with pytest.raises(ValueError, match="num_bins must be >= 1"):
+    with pytest.raises(ValueError, match="^bins must be >= 1"):
         suggest_bin_config(prob, u=1.0, num_bins=0)
     with pytest.raises(ValueError, match="epsilon must be in"):
         geo_binner(prob, [1.0, 2.0], epsilon=1.5)
@@ -591,9 +607,9 @@ def test_elastic_checks_its_parameters():
     assert equi_depth_elastic(prob, num_bins=4, epsilon=1e-3).notes["epsilon"] == 1e-3  # 1e-9
     with pytest.raises(ValueError, match="epsilon must be in"):
         equi_depth_elastic(prob, epsilon=1.0)
-    with pytest.raises(ValueError, match="num_bins must be >= 1"):
+    with pytest.raises(ValueError, match="^bins must be >= 1"):
         equi_depth_elastic(prob, num_bins=0)
-    with pytest.raises(ValueError, match="iterations must be >= 1"):
+    with pytest.raises(ValueError, match="^iterations must be >= 1"):
         equi_depth_elastic(prob, aw_iterations=0)
 
 
