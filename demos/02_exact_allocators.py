@@ -56,8 +56,9 @@ print("weighted totals:", total_allocation(
     weighted, exact_sequential_max_min(weighted).allocation))
 
 # Every LP allocator builds on the same fragment: a rate column per
-# (demand, path) and a ratio column per demand, with volume, capacity and
-# ratio rows; each allocator adds only its own rows and columns.
-fragment = build_feasible_alloc(weighted)
+# (demand, path) with volume and capacity rows, plus each demand's ratio
+# F_k / w_k as a linear form over its rate columns; each allocator adds only
+# its own rows and columns, written over those forms.
+fragment, forms = build_feasible_alloc(weighted)
 print("fragment:", len(fragment.constraints), "rows x", len(fragment.variables), "columns:",
-      [c.name for c in fragment.constraints])
+      [c.name for c in fragment.constraints], "ratio forms:", forms)

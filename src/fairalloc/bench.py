@@ -30,16 +30,19 @@ from .model import (
     total_allocation,
 )
 from .optimizers import (
-    default_epsilon,
+    _eb_multibin,
+    _gb,
     equi_depth_elastic,
-    equi_depth_multibin,
-    estimate_equi_boundaries,
     exact_sequential_max_min,
-    geo_binner,
     one_shot_exact,
-    suggest_bin_config,
     swan_sequence,
 )
+
+# gb and eb-multibin run as one call each (`_gb`, `_eb_multibin`), so that the
+# problem is compiled once for the estimate and the LP; their public parts
+# stay importable from here, where tools that wrap the allocators'
+# functions (perfbench/trace.py) look them up.
+from .optimizers import equi_depth_multibin, geo_binner, suggest_bin_config  # noqa: F401
 from .report import AllocatorReport, _jsonable
 from .waterfill import (
     adaptive_waterfill,
@@ -123,10 +126,7 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
 
 
 def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
-    boundaries = suggest_bin_config(problem, float(alpha), u, bins)
-    if epsilon is None and bins is not None:  # an asked-for ladder is weighed whole or refused
-        epsilon = default_epsilon(bins)
-    return geo_binner(problem, boundaries, epsilon, session)
+    return _gb(problem, float(alpha), u, epsilon, bins, session)
 
 
 def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
@@ -134,8 +134,7 @@ def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, itera
 
 
 def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
-    boundaries = estimate_equi_boundaries(problem, bins, int(iterations))
-    return equi_depth_multibin(problem, boundaries, float(epsilon), session)
+    return _eb_multibin(problem, bins, float(epsilon), int(iterations), session)
 
 
 # allocator id -> runner(problem, session, **config); a runner's keyword

@@ -6,21 +6,25 @@ Every LP has one shape: nonnegative columns, each with an optional upper
 bound, linear rows, and an objective that is maximised.  A column is its
 index: `add_variable` returns it, and rows, the objective and a solution's
 values are keyed or ordered by it.  Every solve goes through one standard
-form: `_standard_form` validates a `LinearProgram` once and lays it out as
-dense arrays (`A`, relations, `b`, `c`, upper bounds) in column and
-constraint order.  The built-in simplex, the scipy HiGHS backend and the
-solution check all work on those arrays.  Both backends return optimal row
-duals in one sign convention.
+form: `_standard_form` validates a `LinearProgram` once (column keys, upper
+bounds, and finite coefficients, right-hand sides and objective) and lays
+it out as dense arrays (`A`, relations, `b`, `c`, upper bounds) in column
+and constraint order.  The built-in simplex, the scipy HiGHS backend and
+the solution check all work on those arrays.  Both backends return optimal
+row duals in one sign convention.
 
-The built-in solver is a dense two-phase primal simplex: upper bounds stay
-column bounds (bounded-variable simplex), a crash start covers zero-rhs
-rows without artificials, and the largest reduced cost enters, with Bland's
-rule as the anti-cycling fallback after a run of degenerate pivots.  It is
-deterministic: solving the same program twice yields bit-identical values.
+The built-in solver is a dense two-phase primal simplex on one tableau
+whose last column is b, so a pivot or a bound flip is one operation on
+whole rows: upper bounds stay column bounds (bounded-variable simplex), a
+crash start covers zero-rhs rows without artificials, and the largest
+reduced cost enters, with Bland's rule as the anti-cycling fallback after a
+run of degenerate pivots.  It is deterministic: solving the same program
+twice yields bit-identical values.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Protocol
@@ -84,19 +88,35 @@ class LinearProgram:
         self.constraints.append(Constraint(coeffs, relation, rhs, name))
 
     def validate(self) -> None:
-        """Reject a negative upper bound and any key that is not a column,
-        an int in [0, n) (numpy would wrap -1 to the last column)."""
+        """Reject an upper bound that is negative or NaN, any key that is not
+        a column, an int in [0, n) (numpy would wrap -1 to the last column),
+        and a coefficient, right-hand side or objective entry that is not
+        finite (a NaN fails every comparison the simplex makes, so it would
+        come back as a wrong status, not an error)."""
         for j, upper in enumerate(self.variables):
-            if upper is not None and upper < 0:
-                raise ValueError(f"{self.name}: column {j} has a negative upper bound")
+            if upper is not None and not upper >= 0:
+                what = "a negative" if upper < 0 else "a NaN"
+                raise ValueError(f"{self.name}: column {j} has {what} upper bound")
         n = len(self.variables)
+        total = 0.0  # finite when every entry is, unless it overflows
         for c in self.constraints:
             for j in c.coeffs:
                 if type(j) is not int or not 0 <= j < n:
                     raise ValueError(f"{self.name}: constraint uses unknown column {j!r}")
+            total += c.rhs + sum(c.coeffs.values())
         for j in self.objective:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"{self.name}: objective uses unknown column {j!r}")
+        total += sum(self.objective.values())
+        if not math.isfinite(total):
+            for i, c in enumerate(self.constraints):
+                if not all(map(math.isfinite, [c.rhs, *c.coeffs.values()])):
+                    raise ValueError(
+                        f"{self.name}: constraint {c.name or i} has a non-finite "
+                        f"coefficient or right-hand side"
+                    )
+            if not all(map(math.isfinite, self.objective.values())):
+                raise ValueError(f"{self.name}: objective has a non-finite coefficient")
 
 
 @dataclass(frozen=True)
@@ -173,17 +193,14 @@ def _optimal(
 DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
-def _pivot(T: np.ndarray, b: np.ndarray, r: int, j: int) -> None:
+def _pivot(T: np.ndarray, r: int, j: int) -> None:
     """Make T[r, j] a unit pivot and eliminate column j from the other rows
-    (only the rows with a nonzero there change)."""
-    piv = T[r, j]
-    T[r] /= piv
-    b[r] /= piv
-    rows = np.nonzero(T[:, j])[0]
+    (only the rows with a nonzero there change).  The right-hand side is T's
+    last column, so it is eliminated along with the rest of each row."""
+    T[r] /= T[r, j]
+    rows = T[:, j].nonzero()[0]
     rows = rows[rows != r]
-    f = T[rows, j]
-    T[rows] -= f[:, None] * T[r]
-    b[rows] -= f * b[r]
+    T[rows] -= T[rows, j][:, None] * T[r]
 
 
 def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> None:
@@ -191,7 +208,8 @@ def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> No
     pivots.  Each pass picks, for each remaining row, its largest entry among
     the columns that are nonzero in no other remaining row: that block is
     diagonal, so one elimination pivots it, and b, zero on those rows, does
-    not change.  Rows that find no such column keep their artificials."""
+    not change (`T` holds the tableau without b).  Rows that find no such
+    column keep their artificials."""
     left = rows
     while left.size:
         sub = T[left, :ncols]
@@ -217,10 +235,14 @@ def _simplex_core(
 ) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
     """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u`.
 
+    The tableau's last column is b, so a pivot or a bound flip is one
+    operation on whole rows.
+
     A finite upper bound stays a column bound (bounded-variable simplex): a
     nonbasic column sits at 0 or at its bound, kept as the complement u - x,
     so the ratio test also stops a basic column at its bound, and an entering
     column that reaches its own bound first flips there without a pivot.
+    Each row's basic upper bound is kept in an array that follows the basis.
 
     Crash start: a row with b < 0 is negated, and so is a ">=" row with
     b = 0, which then starts on its slack; "==" rows with b = 0 take
@@ -242,10 +264,9 @@ def _simplex_core(
     so z there is -y_i.  Negated rows' duals change sign back."""
     ncols = len(sf.c)
     flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
-    b = np.where(flip, -sf.b, sf.b)
     rel = np.where(flip, -sf.relations, sf.relations)
 
-    m = len(b)
+    m = len(sf.b)
     slack_rows = np.nonzero(rel != 0)[0]
     art_rows = np.nonzero(rel != 1)[0]
     n_slack = len(slack_rows)
@@ -258,34 +279,40 @@ def _simplex_core(
     has_ub = bool(np.isfinite(ub).any())
     flipped = np.zeros(width, dtype=bool)  # column holds u - x
 
-    # rows 0..m-1: constraints; m: phase-2 reduced costs (b[m] = -objective);
-    # m+1: phase-1 reduced costs, dropped after phase 1
-    T = np.zeros((m + 2, width))
+    # rows 0..m-1: constraints; m: phase-2 reduced costs; m+1: phase-1
+    # reduced costs, dropped after phase 1.  Columns 0..width-1: structural,
+    # slack and artificial columns; the last: b (-objective in row m).
+    T = np.zeros((m + 2, width + 1))
     T[:m, :ncols] = sf.A
+    T[:m, width] = sf.b
     T[:m][flip] *= -1.0
     T[slack_rows, slack_cols] = rel[slack_rows]
     T[art_rows, art_cols] = 1.0
     T[m, :ncols] = sf.c
-    b = np.concatenate((b, [0.0, 0.0]))
+    b = T[:, width]
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols  # a ">=" row starts on its artificial
-    _crash(T, basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
+    _crash(T[:, :width], basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
     # phase 1 maximises minus the leftover artificials, priced out on the basis
     left = np.nonzero(basis >= lim)[0]
-    T[m + 1] = T[left].sum(axis=0)
+    T[m + 1, :width] = T[left, :width].sum(axis=0)
     T[m + 1, basis[left]] = 0.0
     b[m + 1] = b[left].sum()
+    ub_basic = ub[basis]
     max_iter = max(5000, 200 * (m + width))
     steps = 0
+    # ratio-test buffers, one entry per row
+    down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    room, mag, ratio = np.empty(m), np.empty(m), np.empty(m)
 
-    def run(T: np.ndarray, b: np.ndarray) -> bool:
+    def run(T: np.ndarray) -> bool:
         """Pivot on the tableau whose last row holds the reduced costs until
         it is optimal (True) or unbounded (False); raises on the iteration
         cap."""
         nonlocal steps
         z = T[-1, :lim]
-        bm = b[:m]
+        bm = T[:m, width]
         # Optimality tolerance sits well below the smallest epsilon-weighted
         # objective level the allocators rely on (>= 1e-10) but well above
         # float noise, and scales with the objective magnitude.
@@ -293,7 +320,7 @@ def _simplex_core(
         degenerate = 0
         for _ in range(max_iter):
             if degenerate < DEGENERATE_RUN:
-                j = int(np.argmax(z))
+                j = int(z.argmax())
                 if z[j] <= tol_opt:
                     return True
             else:
@@ -301,35 +328,41 @@ def _simplex_core(
                 if cand.size == 0:
                     return True
                 j = int(cand[0])
+            # A row that cannot limit the step keeps ratio inf: a row with
+            # col <= PIVOT_TOL and no finite bound to reach.
             col = T[:m, j]
+            ratio.fill(np.inf)
+            np.greater(col, PIVOT_TOL, out=down)
             if has_ub:
-                ubB = ub[basis]
-                down = col > PIVOT_TOL
-                rows = np.flatnonzero(down | ((col < -PIVOT_TOL) & (ubB < np.inf)))
-                room = np.where(down[rows], bm[rows], ubB[rows] - bm[rows])
-                ratios = np.maximum(room, 0.0) / np.abs(col[rows])
+                np.less(col, -PIVOT_TOL, out=up)
+                np.subtract(ub_basic, bm, out=room)  # col < 0: room up to the bound
+                np.copyto(room, bm, where=down)  # col > 0: room down to 0
+                np.maximum(room, 0.0, out=room)
+                np.abs(col, out=mag)
+                np.logical_or(down, up, out=up)
+                np.divide(room, mag, out=ratio, where=up)
             else:
-                rows = np.flatnonzero(col > PIVOT_TOL)
-                ratios = bm[rows] / col[rows]
-            step = float(np.min(ratios)) if rows.size else np.inf
+                np.divide(bm, col, out=ratio, where=down)
+            step = float(ratio.min(initial=np.inf))
             if ub[j] <= step and ub[j] < np.inf:  # the entering column reaches its bound
                 step = ub[j]
-                b -= step * T[:, j]
+                T[:, width] -= step * T[:, j]
                 T[:, j] *= -1.0
                 flipped[j] = not flipped[j]
-            elif not rows.size:
+            elif step == np.inf:
                 return False
             else:
-                near = rows[ratios <= step + 1e-12 * max(1.0, abs(step))]
-                r = int(near[np.argmin(basis[near])])
+                near = (ratio <= step + 1e-12 * max(1.0, abs(step))).nonzero()[0]
+                r = int(near[basis[near].argmin()])
                 if col[r] < 0.0:  # the basic column leaves at its bound
                     k = basis[r]
                     T[r] *= -1.0
                     T[r, k] = 1.0
-                    b[r] = ub[k] - b[r]
+                    T[r, width] += ub[k]  # b[r] = u_k - b[r]
                     flipped[k] = not flipped[k]
-                _pivot(T, b, r, j)
+                _pivot(T, r, j)
                 basis[r] = j
+                ub_basic[r] = ub[j]
             steps += 1
             bm[(bm < 0.0) & (bm > -1e-11)] = 0.0
             degenerate = 0 if step > 1e-12 else degenerate + 1
@@ -338,7 +371,7 @@ def _simplex_core(
         )
 
     if left.size:
-        run(T, b)
+        run(T)
         if b[m + 1] > 1e-7 * max(1.0, float(np.max(b[:m]))):
             return "infeasible", None, None, steps
         # Drive leftover artificials out of the basis where possible.  Any
@@ -348,11 +381,12 @@ def _simplex_core(
         for i in np.nonzero(basis >= lim)[0]:
             nz = np.where(np.abs(T[i, :lim]) > PIVOT_TOL)[0]
             if nz.size:
-                _pivot(T, b, i, int(nz[0]))
+                _pivot(T, i, int(nz[0]))
                 basis[i] = nz[0]
+                ub_basic[i] = ub[nz[0]]
                 steps += 1
-    T, b = T[: m + 1], b[: m + 1]
-    if not run(T, b):
+    T = T[: m + 1]
+    if not run(T):
         return "unbounded", None, None, steps
 
     x = np.zeros(width)
@@ -361,7 +395,7 @@ def _simplex_core(
     unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
     unit[slack_rows] = slack_cols
     unit[art_rows] = art_cols
-    z2 = T[m]
+    z2 = T[m, :width]
     duals = np.where(flip, z2[unit], -z2[unit])
     return "optimal", x[:ncols], duals, steps
 

@@ -2,11 +2,14 @@
 
 All of them operate on weighted ratios rho_k = F_k / w_k (F_k sums the
 utility-weighted path rates) and build every LP on one fragment,
-`build_feasible_alloc`: the path rates and one rho_k column per demand, tied
-to its rates by a ratio row.  Its volume and capacity rows are cut from the
-subdemand incidence that the waterfillers read (`build_subdemands`), so a
-problem becomes rows, and is validated, in that one place.  Each allocator
-adds only its own columns and rows:
+`build_feasible_alloc`: a column per path rate, with volume and capacity
+rows cut from the subdemand incidence that the waterfillers read
+(`build_subdemands`), so a problem becomes rows, and is validated, in that
+one place.  The fragment has no ratio column: it returns each rho_k as a
+linear form over k's rate columns ({f_k^p: q_k^p / w_k}); a ratio is read
+back as form . x.  The capped sequence and the binners, which also run a
+waterfill estimate, compile the problem once for both.  Each allocator adds
+only its own columns and rows, written over the forms:
 
 * exact sequential: one LP a round maximizes the smallest unfrozen ratio;
   the demands its optimal duals certify as bottlenecked freeze there,
@@ -33,16 +36,22 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .lp import Constraint, LinearProgram, SolveSession
 from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
-from .waterfill import adaptive_waterfill, build_subdemands
+from .waterfill import SubdemandMatrix, _adaptive, build_subdemands
+
+# The estimates run `_adaptive` on the compiled problem the LP also reads;
+# tools that wrap the allocators' functions (perfbench/trace.py) still look
+# the public entry point up here.
+from .waterfill import adaptive_waterfill  # noqa: F401
 
 __all__ = [
     "AllocationError",
     "build_feasible_alloc",
-    "ratio_columns",
     "exact_sequential_max_min",
     "one_shot_exact",
     "swan_sequence",
@@ -107,29 +116,38 @@ def _solved(session: SolveSession, lp: LinearProgram):
 # -- the shared feasible-allocation fragment -------------------------------------
 
 
-def ratio_columns(problem: Problem) -> range:
-    """Columns of rho_k in `build_feasible_alloc`, in demand order."""
-    start = sum(len(d.paths) for d in problem.demands)
-    return range(start, start + len(problem.demands))
+# build_subdemands' result: the incidence and the row capacities.
+Compiled = tuple[SubdemandMatrix, np.ndarray]
+Form = dict[int, float]  # a linear form over LP columns: column -> coefficient
 
 
-def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> LinearProgram:
-    """Variables and constraints of a feasible allocation, no objective.
+def build_feasible_alloc(
+    problem: Problem, name: str = "feasible-alloc"
+) -> tuple[LinearProgram, list[Form]]:
+    """Variables and constraints of a feasible allocation, no objective, and
+    each demand's weighted ratio as a linear form over them.
 
-    Columns: one rate f_k^p per (demand, path) in problem order, then one
-    weighted ratio rho_k per demand (`ratio_columns`).  Rows: a volume row
-    per bounded demand (`sum_p f_k^p <= d_k`), a capacity row per used
-    resource (`sum r_k^e f_k^p <= c_e`), then a ratio row per demand
-    (`sum_p q_k^p f_k^p - w_k rho_k == 0`).  The volume and capacity rows
-    are the virtual-edge and resource rows of `build_subdemands`'s
-    incidence, whose columns are the rate columns; building it validates
-    the problem.
+    Columns: one rate f_k^p per (demand, path) in problem order.  Rows: a
+    volume row per bounded demand (`sum_p f_k^p <= d_k`), then a capacity
+    row per used resource (`sum r_k^e f_k^p <= c_e`): the virtual-edge and
+    resource rows of `build_subdemands`'s incidence, whose columns are the
+    rate columns; building it validates the problem.  Demand k's form is
+    `{f_k^p: q_k^p / w_k}`, so its ratio rho_k = F_k / w_k is form . x; the
+    allocators write their rows and objectives over the forms.
     """
-    matrix, caps = build_subdemands(problem)
+    return _fragment(problem, build_subdemands(problem), name)
+
+
+def _fragment(
+    problem: Problem, compiled: Compiled, name: str
+) -> tuple[LinearProgram, list[Form]]:
+    """`build_feasible_alloc` on the problem's `build_subdemands` result.  It
+    reads only the incidence's pattern and consumption, never ``gamma``, which
+    an estimate on the same matrix overwrites."""
+    matrix, caps = compiled
     ptr, cols = matrix.indptr.tolist(), matrix.indices.tolist()
     cons, caps = matrix.consumption.tolist(), caps.tolist()
-    rho = ratio_columns(problem)
-    lp = LinearProgram(name, [None] * rho.stop)
+    lp = LinearProgram(name, [None] * len(matrix.columns))
     labels = [f"cap:{r.id}" for r in problem.resources]
     labels += [f"volume:{d.id}" for d in problem.demands if d.bounded]
     n = len(problem.resources)
@@ -138,13 +156,21 @@ def build_feasible_alloc(problem: Problem, name: str = "feasible-alloc") -> Line
         if s < t:
             lp.add_constraint(dict(zip(cols[s:t], cons[s:t])), "<=", caps[e], name=labels[e])
 
+    forms = []
     first = 0  # the demand's first rate column
-    for d, j in zip(problem.demands, rho):
-        coeffs = {first + i: d.utility_on(pid) for i, pid in enumerate(d.paths)}
-        coeffs[j] = -d.weight
-        lp.add_constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}")
+    for d in problem.demands:
+        forms.append({first + i: d.utility_on(pid) / d.weight for i, pid in enumerate(d.paths)})
         first += len(d.paths)
-    return lp
+    return lp, forms
+
+
+def _value(form: Form, values: Sequence[float]) -> float:
+    """form . x for a solution's values."""
+    return sum(a * values[j] for j, a in form.items())
+
+
+def _minus(form: Form) -> Form:
+    return {j: -a for j, a in form.items()}
 
 
 def _allocation_from(problem: Problem, values: Sequence[float]) -> Allocation:
@@ -162,21 +188,21 @@ def exact_sequential_max_min(
     """Weighted max-min fairness by the classic LP sequence, one LP a round.
 
     Round i maximizes a common floor t_i over the unfrozen ratios: maximize
-    t subject to rho_k - t >= 0 for each unfrozen k, the frozen ratios held
-    fixed.  Its optimal duals say which demands are bottlenecked (the dual
-    saturation test of Danna, Mandal & Singh, INFOCOM 2012).  Write y_k >= 0
-    for the dual of k's floor row.  By complementary slackness, y_k > 0
-    means rho_k = t_i in every optimum, so k freezes at t_i.  Dual
-    feasibility on t's column gives sum_k y_k >= 1, so every round freezes
-    at least one demand, and lp_solves = rounds <= len(demands).  A demand
-    that is bottlenecked but whose dual happens to be 0 (degeneracy) stays
-    unfrozen and freezes at the same t in a later round.
+    t subject to rho_k - t >= 0 for each unfrozen k (rho_k is k's form over
+    the rate columns), the frozen ratios held fixed.  Its optimal duals say
+    which demands are bottlenecked (the dual saturation test of Danna,
+    Mandal & Singh, INFOCOM 2012).  Write y_k >= 0 for the dual of k's floor
+    row.  By complementary slackness, y_k > 0 means rho_k = t_i in every
+    optimum, so k freezes at t_i.  Dual feasibility on t's column gives
+    sum_k y_k >= 1, so every round freezes at least one demand, and
+    lp_solves = rounds <= len(demands).  A demand that is bottlenecked but
+    whose dual happens to be 0 (degeneracy) stays unfrozen and freezes at
+    the same t in a later round.
     """
     session = session or SolveSession()
     start = session.count
     demands = [d.id for d in problem.demands]
-    base = build_feasible_alloc(problem, "max-min")
-    rho = ratio_columns(problem)
+    base, forms = build_feasible_alloc(problem, "max-min")
     t = base.add_variable()
     floor_row = len(base.constraints)  # demand i's floor or freeze row: floor_row + i
     frozen: dict[str, float] = {}
@@ -190,10 +216,10 @@ def exact_sequential_max_min(
             base.variables,
             base.constraints
             + [
-                Constraint({rho[i]: 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                Constraint(form, "==", frozen[k], name=f"freeze:{k}")
                 if k in frozen
-                else Constraint({rho[i]: 1.0, t: -1.0}, ">=", 0.0)
-                for i, k in enumerate(demands)
+                else Constraint({**form, t: -1.0}, ">=", 0.0)
+                for k, form in zip(demands, forms)
             ],
             {t: 1.0},
         )
@@ -226,8 +252,9 @@ def one_shot_exact(
 ) -> AllocatorReport:
     """Single-LP exact max-min fairness.
 
-    A comparator network sorts the ratio variables inside the LP (each
-    comparator contributes lo <= x, lo <= y, hi = x + y - lo); the objective
+    A comparator network sorts the ratios inside the LP (each comparator
+    contributes lo <= x, lo <= y, hi = x + y - lo, where a wire is a demand's
+    form until a comparator replaces it by its lo or hi column); the objective
     sum_i epsilon^(i-1) t_i puts strictly more weight on smaller sorted
     outputs, which both drives every lo to min(x, y) at the optimum and makes
     the sorted vector lexicographically maximal.
@@ -237,26 +264,26 @@ def one_shot_exact(
     session = session or SolveSession()
     start = session.count
 
-    lp = build_feasible_alloc(problem, "one-shot-exact")
-    wires = list(ratio_columns(problem))
+    lp, forms = build_feasible_alloc(problem, "one-shot-exact")
+    wires = list(forms)
     net: SortingNetwork = build_sorting_network(n)
     for i, j in net.comparators:
         lo, hi = lp.add_variable(), lp.add_variable()
-        lp.add_constraint({lo: 1.0, wires[i]: -1.0}, "<=", 0.0)
-        lp.add_constraint({lo: 1.0, wires[j]: -1.0}, "<=", 0.0)
-        lp.add_constraint(
-            {hi: 1.0, lo: 1.0, wires[i]: -1.0, wires[j]: -1.0}, "==", 0.0
-        )
-        wires[i], wires[j] = lo, hi
+        x, y = _minus(wires[i]), _minus(wires[j])
+        lp.add_constraint({lo: 1.0, **x}, "<=", 0.0)
+        lp.add_constraint({lo: 1.0, **y}, "<=", 0.0)
+        lp.add_constraint({hi: 1.0, lo: 1.0, **x, **y}, "==", 0.0)
+        wires[i], wires[j] = {lo: 1.0}, {hi: 1.0}
 
     objective: dict[int, float] = {}
     for pos, wire in enumerate(wires):
-        objective[wire] = objective.get(wire, 0.0) + epsilon**pos
+        for col, a in wire.items():
+            objective[col] = objective.get(col, 0.0) + epsilon**pos * a
     lp.objective = objective
     sol = _solved(session, lp)
 
-    sorted_out = [sol.values[w] for w in wires]
-    ratios = sorted(sol.values[j] for j in ratio_columns(problem))
+    sorted_out = [_value(w, sol.values) for w in wires]
+    ratios = sorted(_value(form, sol.values) for form in forms)
     scale = max(1.0, max(ratios, default=0.0))
     for a, b in zip(sorted_out, sorted_out[1:]):
         if a > b + 1e-6 * scale:
@@ -301,13 +328,24 @@ def achievable_ratio_bound(problem: Problem) -> float:
     return bound
 
 
-def _estimate_ratios(problem: Problem, iterations: int) -> tuple[dict[str, float], int]:
-    """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run
-    (F_k sums utility-weighted path rates), and its iteration count.  The
-    run validates the problem before it estimates."""
-    aw = adaptive_waterfill(problem, max_iterations=iterations, inner="approx")
+def _estimate_ratios(
+    problem: Problem, compiled: Compiled, iterations: int
+) -> tuple[dict[str, float], int]:
+    """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run on
+    the problem's `build_subdemands` result (F_k sums utility-weighted path
+    rates), and its iteration count."""
+    aw = _adaptive(problem, compiled, iterations)
     totals = total_allocation(problem, aw.allocation)
     return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
+
+
+def _default_u(problem: Problem, compiled: Compiled) -> float:
+    """Just under the smallest positive ratio of a one-pass waterfill
+    estimate (1e-3 of the largest capacity if no ratio is positive, 1.0 if
+    every capacity is 0)."""
+    ratios, _ = _estimate_ratios(problem, compiled, 1)
+    positive = [r for r in ratios.values() if r > 1e-12]
+    return 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
 
 
 def suggest_bin_config(
@@ -324,12 +362,15 @@ def suggest_bin_config(
     positive, 1.0 if every capacity is 0); num_bins to enough rungs to cover
     ``achievable_ratio_bound`` from u.
     """
-    if u is None:  # the estimate validates the problem
-        ratios, _ = _estimate_ratios(problem, 1)
-        positive = [r for r in ratios.values() if r > 1e-12]
-        u = 0.9 * min(positive) if positive else (1e-3 * problem.max_capacity() or 1.0)
+    if u is None:  # compiling for the estimate validates the problem
+        u = _default_u(problem, build_subdemands(problem))
     else:  # the bound below would divide by a zero weight
         raise_if_invalid(validate_problem(problem))
+    return _geo_ladder(problem, u, alpha, num_bins)
+
+
+def _geo_ladder(problem: Problem, u: float, alpha: float, num_bins: int | None) -> list[float]:
+    """`suggest_bin_config` for a given u, on a validated problem."""
     if not u > 0:
         raise ValueError("u must be > 0")
     if not alpha > 1:
@@ -359,12 +400,13 @@ def swan_sequence(
     ladder is exhausted.  One LP per iteration.  Converged only if every
     demand froze; otherwise the top cap truncated some.
     """
-    caps = suggest_bin_config(problem, alpha, u, max_bins)
+    compiled = build_subdemands(problem)
+    u = _default_u(problem, compiled) if u is None else u
+    caps = _geo_ladder(problem, u, alpha, max_bins)
     session = session or SolveSession()
     start = session.count
-    base = build_feasible_alloc(problem, "capped-seq")
-    rho = ratio_columns(problem)
-    objective = {j: _tie(i) for i, j in enumerate(rho)}
+    base, forms = _fragment(problem, compiled, "capped-seq")
+    objective = {j: _tie(i) * a for i, form in enumerate(forms) for j, a in form.items()}
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
     iterations = 0
@@ -373,25 +415,25 @@ def swan_sequence(
     for b, cap in enumerate(caps, start=1):
         iterations = b
         rows: list[Constraint] = []
-        for d, j in zip(problem.demands, rho):
+        for d, form in zip(problem.demands, forms):
             k = d.id
             if k in frozen:
-                rows.append(Constraint({j: 1.0}, "==", frozen[k], name=f"freeze:{k}"))
+                rows.append(Constraint(form, "==", frozen[k], name=f"freeze:{k}"))
             else:
-                rows.append(Constraint({j: 1.0}, "<=", cap))
+                rows.append(Constraint(form, "<=", cap))
                 if b > 1:
-                    rows.append(Constraint({j: 1.0}, ">=", prev[k]))
+                    rows.append(Constraint(form, ">=", prev[k]))
         lp = LinearProgram(
             f"capped-seq-{b}", base.variables, base.constraints + rows, objective
         )
         sol = _solved(session, lp)
         last_values = sol.values
 
-        for d, j in zip(problem.demands, rho):
+        for d, form in zip(problem.demands, forms):
             k = d.id
             if k in frozen:
                 continue
-            r = sol.values[j]
+            r = _value(form, sol.values)
             prev[k] = r
             if r < cap - FREEZE_TOL * max(1.0, cap):
                 frozen[k] = r
@@ -414,6 +456,7 @@ def swan_sequence(
 
 def _binned(
     problem: Problem,
+    compiled: Compiled,
     boundaries: Sequence[float],
     epsilon: float,
     session: SolveSession | None,
@@ -421,14 +464,15 @@ def _binned(
 ) -> AllocatorReport:
     """The one-shot binned LP over a boundary ladder l_1 < ... < l_B.
 
-    Bin b holds y_kb in [0, l_b - l_(b-1)] (l_0 = 0), the bins sum to rho_k,
-    and the objective is sum_k sum_b epsilon^(b-1) y_kb.  One LP, named
-    ``allocator``.  LP optima are unique in objective value but not
-    in the individual bins, so each demand's total is restacked into its
-    lowest bins first (``bins`` note); that keeps the total, hence
-    feasibility and objective value.  A demand that fills the whole ladder
-    may have been truncated by its top boundary: the report then says
-    ``converged=False`` and carries a ``coverage`` note.
+    Bin b holds y_kb in [0, l_b - l_(b-1)] (l_0 = 0), the bins sum to rho_k
+    (a row `sum_b y_kb - form_k = 0`), and the objective is
+    sum_k sum_b epsilon^(b-1) y_kb.  One LP, named ``allocator``.  LP optima
+    are unique in objective value but not in the individual bins, so each
+    demand's total is restacked into its lowest bins first (``bins`` note);
+    that keeps the total, hence feasibility and objective value.  A demand
+    that fills the whole ladder may have been truncated by its top boundary:
+    the report then says ``converged=False`` and carries a ``coverage``
+    note.
     """
     if not boundaries:
         raise ValueError("need at least one boundary")
@@ -439,14 +483,14 @@ def _binned(
     start = session.count
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
-    lp = build_feasible_alloc(problem, allocator)
+    lp, forms = _fragment(problem, compiled, allocator)
     objective: dict[int, float] = {}
     bin_cols: list[list[int]] = []  # per demand, its y_kb columns
-    for i, (d, rho) in enumerate(zip(problem.demands, ratio_columns(problem))):
+    for i, (d, form) in enumerate(zip(problem.demands, forms)):
         cols = [lp.add_variable(upper=cap) for cap in caps]
         bin_cols.append(cols)
         objective.update({y: epsilon**b * _tie(i) for b, y in enumerate(cols)})
-        coeffs = {rho: -1.0, **dict.fromkeys(cols, 1.0)}
+        coeffs = {**_minus(form), **dict.fromkeys(cols, 1.0)}
         lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{d.id}")
     lp.objective = objective
     sol = _solved(session, lp)
@@ -508,10 +552,41 @@ def geo_binner(
     ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches the top of those is
     flagged as above.  An explicit epsilon that breaks the guard raises.
     """
+    return _geo_binner(problem, build_subdemands(problem), boundaries, epsilon, session)
+
+
+def _geo_binner(
+    problem: Problem,
+    compiled: Compiled,
+    boundaries: Sequence[float],
+    epsilon: float | None,
+    session: SolveSession | None,
+) -> AllocatorReport:
+    """`geo_binner` on the problem's `build_subdemands` result."""
     if epsilon is None:
         boundaries = boundaries[:MAX_DEFAULT_LEVELS]
         epsilon = default_epsilon(len(boundaries))
-    return _binned(problem, boundaries, epsilon, session, "geo-binner")
+    return _binned(problem, compiled, boundaries, epsilon, session, "geo-binner")
+
+
+def _gb(
+    problem: Problem,
+    alpha: float,
+    u: float | None,
+    epsilon: float | None,
+    bins: int | None,
+    session: SolveSession | None,
+) -> AllocatorReport:
+    """``geo_binner`` over ``suggest_bin_config(problem, alpha, u, bins)``,
+    with the problem compiled once for the estimate and the LP.  An asked-for
+    ladder (``bins`` set) is weighed whole or refused: epsilon then defaults
+    to ``default_epsilon(bins)``."""
+    compiled = build_subdemands(problem)
+    u = _default_u(problem, compiled) if u is None else u
+    boundaries = _geo_ladder(problem, u, alpha, bins)
+    if epsilon is None and bins is not None:
+        epsilon = default_epsilon(bins)
+    return _geo_binner(problem, compiled, boundaries, epsilon, session)
 
 
 # -- equi-depth binners ---------------------------------------------------------
@@ -580,8 +655,15 @@ def estimate_equi_boundaries(
     equi-depth boundaries of the estimated ratios, merged to be strictly
     increasing (one bin at the largest estimate, or 1.0, if none is
     positive)."""
+    return _equi_ladder(problem, build_subdemands(problem), num_bins, aw_iterations)
+
+
+def _equi_ladder(
+    problem: Problem, compiled: Compiled, num_bins: int | None, aw_iterations: int
+) -> list[float]:
+    """`estimate_equi_boundaries` on the problem's `build_subdemands` result."""
     num_bins = _equi_depth_bins(problem, num_bins)
-    est, _ = _estimate_ratios(problem, aw_iterations)
+    est, _ = _estimate_ratios(problem, compiled, aw_iterations)
     bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
     return merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
 
@@ -615,7 +697,8 @@ def equi_depth_elastic(
     session = session or SolveSession()
     start = session.count
 
-    est_ratio, rounds = _estimate_ratios(problem, aw_iterations)
+    compiled = build_subdemands(problem)
+    est_ratio, rounds = _estimate_ratios(problem, compiled, aw_iterations)
     est_bounds, groups = compute_equi_boundaries(
         est_ratio, min(num_bins, len(problem.demands))
     )
@@ -630,19 +713,20 @@ def equi_depth_elastic(
             span = bound - min(est_ratio[k] for k in group)
             slacks.append(max(0.05 * span, 1e-6 * max(max_ratio, 1e-9)))
 
-    lp = build_feasible_alloc(problem, "equi-depth-elastic")
+    lp, forms = _fragment(problem, compiled, "equi-depth-elastic")
     bounds = [lp.add_variable() for _ in groups]  # l_b, the top of group b
-    rho = ratio_columns(problem)
     index_of = {d.id: i for i, d in enumerate(problem.demands)}
     objective: dict[int, float] = {}
     for b, group in enumerate(groups):
         for k in group:
             i = index_of[k]
+            form = forms[i]
             if b > 0:
-                lp.add_constraint({rho[i]: 1.0, bounds[b - 1]: -1.0}, ">=", 0.0)
+                lp.add_constraint({**form, bounds[b - 1]: -1.0}, ">=", 0.0)
             if b < n_groups - 1:
-                lp.add_constraint({rho[i]: 1.0, bounds[b]: -1.0}, "<=", slacks[b])
-            objective[rho[i]] = epsilon**b * _tie(i)
+                lp.add_constraint({**form, bounds[b]: -1.0}, "<=", slacks[b])
+            level = epsilon**b * _tie(i)
+            objective.update({j: level * a for j, a in form.items()})
     lp.objective = objective
     sol = _solved(session, lp)
 
@@ -673,4 +757,20 @@ def equi_depth_multibin(
     one.  A demand is capped at the top boundary (with ``boundaries`` from
     ``estimate_equi_boundaries``, the largest estimate), and a demand that
     reaches it is flagged like a truncated geometric binner."""
-    return _binned(problem, boundaries, epsilon, session, "equi-depth-multibin")
+    compiled = build_subdemands(problem)
+    return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")
+
+
+def _eb_multibin(
+    problem: Problem,
+    num_bins: int | None,
+    epsilon: float,
+    aw_iterations: int,
+    session: SolveSession | None,
+) -> AllocatorReport:
+    """``equi_depth_multibin`` over ``estimate_equi_boundaries(problem,
+    num_bins, aw_iterations)``, with the problem compiled once for the
+    estimate and the LP."""
+    compiled = build_subdemands(problem)
+    boundaries = _equi_ladder(problem, compiled, num_bins, aw_iterations)
+    return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")

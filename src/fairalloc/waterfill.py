@@ -279,13 +279,25 @@ def adaptive_waterfill(
     ``notes["theta_trace"]`` is ``{"columns": matrix.columns, "theta": T,
     "rates": R}``, where row t - 1 of the 2-D arrays holds iteration t.
     """
+    return _adaptive(problem, build_subdemands(problem), max_iterations, inner, theta_tol)
+
+
+def _adaptive(
+    problem: Problem,
+    compiled: tuple[SubdemandMatrix, np.ndarray],
+    max_iterations: int,
+    inner: str = "approx",
+    theta_tol: float = THETA_CONVERGENCE,
+) -> AllocatorReport:
+    """`adaptive_waterfill` on the problem's `build_subdemands` result,
+    whose ``gamma`` it overwrites."""
     if max_iterations < 1:
         raise ValueError("iterations must be >= 1")
     if inner not in ("exact", "approx"):
         raise ValueError(f"unknown inner waterfiller {inner!r}")
     fill = single_path_waterfill if inner == "exact" else approx_waterfill
 
-    matrix, caps = build_subdemands(problem)
+    matrix, caps = compiled
     theta = _even_split(matrix.owner)
     thetas, flows = [], []
     for _ in range(max_iterations):

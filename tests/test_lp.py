@@ -18,7 +18,6 @@ from fairalloc.optimizers import (
     build_feasible_alloc,
     exact_sequential_max_min,
     geo_binner,
-    ratio_columns,
     suggest_bin_config,
     swan_sequence,
 )
@@ -91,6 +90,43 @@ def test_validation_errors():
         SimplexBackend().solve(lp2)
 
 
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        ("upper", float("nan"), "column 0 has a NaN upper bound"),
+        ("upper", -float("inf"), "column 0 has a negative upper bound"),
+        ("coefficient", float("nan"), "constraint budget has a non-finite"),
+        ("coefficient", float("inf"), "constraint budget has a non-finite"),
+        ("coefficient", -float("inf"), "constraint budget has a non-finite"),
+        ("rhs", float("nan"), "constraint budget has a non-finite"),
+        ("rhs", float("inf"), "constraint budget has a non-finite"),
+        ("objective", float("nan"), "objective has a non-finite coefficient"),
+        ("objective", -float("inf"), "objective has a non-finite coefficient"),
+    ],
+)
+@pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
+def test_non_finite_input_is_rejected_naming_the_lp(part, value, message, backend):
+    # Unchecked, a NaN comes back as a status, not an error (a NaN upper
+    # bound as "optimal" here, as "unbounded" on a one-column LP): every
+    # comparison with NaN is false.
+    lp = LinearProgram(name="nonfinite")
+    x = lp.add_variable(upper=value if part == "upper" else None)
+    y = lp.add_variable(upper=2.0)
+    coeffs = {x: value if part == "coefficient" else 1.0, y: 1.0}
+    lp.add_constraint(coeffs, "<=", value if part == "rhs" else 3.0, name="budget")
+    lp.objective = {x: value if part == "objective" else 1.0, y: 1.0}
+    with pytest.raises(ValueError, match=f"^nonfinite: {message}"):
+        backend().solve(lp)
+
+
+def test_huge_finite_coefficients_are_accepted():
+    # their sum overflows to inf; each one is finite
+    lp = LinearProgram(name="huge")
+    x, y = lp.add_variable(upper=1.0), lp.add_variable(upper=1.0)
+    lp.add_constraint({x: 1e308, y: 1e308}, "<=", 1e308)
+    lp.validate()
+
+
 @pytest.mark.parametrize("key", [-1, 2, "x0", 0.0, np.int64(0)])
 @pytest.mark.parametrize("where", ["constraint", "objective"])
 def test_keys_must_be_column_indices(key, where):
@@ -160,7 +196,7 @@ def test_simplex_matches_reference_on_random_corpus():
 
 def _random_zero_rhs_lp(rng, trial):
     """Allocation-shaped LPs whose rows mostly have b = 0: definitional "=="
-    rows sum_p q_kp f_kp = w_k rho_k (the fragment's ratio rows) and
+    rows sum_p q_kp f_kp = w_k rho_k (a ratio column per demand) and
     rho_k = sum_b y_kb, ">= 0" floor rows rho_k - t >= 0, random ">= 0" and
     "== 0" rows (the crash cannot always cover the latter), "<=" capacity
     rows, and columns with finite upper bounds (bin caps y_kb, some rates).
@@ -385,22 +421,21 @@ def test_fragment_counts_single_demand():
     prob = Problem(
         [Resource("e1", 2.0)], [Path("p1", ["e1"])], [Demand("d1", ["p1"])]
     )
-    lp = build_feasible_alloc(prob)
-    assert lp.variables == [None, None]  # rate + ratio, unbounded above
-    assert ratio_columns(prob) == range(1, 2)
-    assert [c.name for c in lp.constraints] == ["cap:e1", "ratio:d1"]
-    assert [c.coeffs for c in lp.constraints] == [{0: 1.0}, {0: 1.0, 1: -1.0}]
+    lp, forms = build_feasible_alloc(prob)
+    assert lp.variables == [None]  # the rate, unbounded above; no ratio column
+    assert forms == [{0: 1.0}]
+    assert [c.name for c in lp.constraints] == ["cap:e1"]
+    assert [c.coeffs for c in lp.constraints] == [{0: 1.0}]
 
 
 def test_fragment_counts_worked_example(two_link_example):
-    lp = build_feasible_alloc(two_link_example)
-    assert len(lp.variables) == 5  # 3 path rates + 2 ratios
+    lp, forms = build_feasible_alloc(two_link_example)
+    assert len(lp.variables) == 3  # 3 path rates, nothing else
     caps = [c for c in lp.constraints if c.name.startswith("cap:")]
     assert len(caps) == 2
     assert all(a == 1.0 for c in caps for a in c.coeffs.values())
-    ratios = [c.name for c in lp.constraints if c.name.startswith("ratio:")]
-    assert ratios == ["ratio:d1", "ratio:d2"]
-    assert len(lp.constraints) == 4  # 2 capacity + 2 ratio rows, nothing else
+    assert len(lp.constraints) == 2  # 2 capacity rows, nothing else
+    assert [sorted(f) for f in forms] == [[0, 1], [2]]  # d1 on p1 and p2, d2 on p3
 
 
 def test_fragment_consumption_scales_capacity_row():
@@ -409,13 +444,13 @@ def test_fragment_consumption_scales_capacity_row():
         [Path("p1", ["e1"])],
         [Demand("d1", ["p1"], consumption={"e1": 2.0})],
     )
-    lp = build_feasible_alloc(prob)
+    lp, _ = build_feasible_alloc(prob)
     cap = next(c for c in lp.constraints if c.name == "cap:e1")
     assert cap.coeffs == {0: 2.0}
 
 
 def test_fragment_admits_zero_allocation(two_link_example):
-    lp = build_feasible_alloc(two_link_example)
+    lp, _ = build_feasible_alloc(two_link_example)
     zero = [0.0] * len(lp.variables)
     for c in lp.constraints:
         lhs = sum(a * zero[j] for j, a in c.coeffs.items())
@@ -434,7 +469,7 @@ def test_fragment_volume_row_only_for_bounded():
         [Path("p1", ["e1"]), Path("p2", ["e1"])],
         [Demand("a", ["p1"], volume=1.0), Demand("b", ["p2"])],
     )
-    lp = build_feasible_alloc(prob)
+    lp, _ = build_feasible_alloc(prob)
     vols = [c for c in lp.constraints if c.name.startswith("volume:")]
     assert [c.name for c in vols] == ["volume:a"]
     assert vols[0].rhs == 1.0
@@ -506,36 +541,33 @@ def test_capacity_rows_match_the_nested_loop_reference():
     problems = [small_grid_instance(s) for s in range(20)]
     problems += [distinct_utility_instance(s) for s in range(5)] + [consuming]
     for problem in problems:
-        lp = build_feasible_alloc(problem)
-        ref = build_feasible_alloc(problem)
+        lp, _ = build_feasible_alloc(problem)
+        ref, _ = build_feasible_alloc(problem)
         volume = [c for c in ref.constraints if c.name.startswith("volume:")]
-        ratio = [c for c in ref.constraints if c.name.startswith("ratio:")]
-        ref.constraints = volume + _nested_loop_capacity_rows(problem) + ratio
+        ref.constraints = volume + _nested_loop_capacity_rows(problem)
         assert _structure(lp) == _structure(ref)
-    rows = build_feasible_alloc(consuming).constraints
+    rows = build_feasible_alloc(consuming)[0].constraints
     caps = [c for c in rows if c.name.startswith("cap:")]
     assert [c.name for c in caps] == ["cap:z", "cap:a", "cap:m"]
     # columns: late's q2 and q1, then early's q0
     assert list(caps[0].coeffs.items()) == [(0, 0.5), (2, 1.0)]
 
 
-def _nested_loop_ratio_rows(problem):
-    # The reference build: every demand scans every path of the problem; the
-    # ratio columns follow the rate columns.
+def _nested_loop_ratio_forms(problem):
+    # The reference build: every demand scans every path of the problem.
     col = _rate_columns(problem)
-    rows = []
-    for i, d in enumerate(problem.demands):
-        coeffs = {}
+    forms = []
+    for d in problem.demands:
+        form = {}
         for pid in d.paths:
             for path in problem.paths:
                 if path.id == pid:
-                    coeffs[col[d.id, pid]] = d.utility.get(pid, 1.0)
-        coeffs[len(col) + i] = -d.weight
-        rows.append(Constraint(coeffs, "==", 0.0, name=f"ratio:{d.id}"))
-    return rows
+                    form[col[d.id, pid]] = d.utility.get(pid, 1.0) / d.weight
+        forms.append(form)
+    return forms
 
 
-def test_ratio_rows_match_the_nested_loop_reference():
+def test_ratio_forms_match_the_nested_loop_reference():
     # utility q != 1 on some paths, weights 2 and 4, a bounded demand
     weighted = Problem(
         [Resource("L", 10.0), Resource("M", 4.0)],
@@ -545,25 +577,19 @@ def test_ratio_rows_match_the_nested_loop_reference():
             Demand("b", ["pb1", "pb2"], volume=5.0, weight=4.0, utility={"pb2": 0.5}),
         ],
     )
+
+    def exact(forms):  # keys in order, coefficients by float.hex
+        return [[(j, float(a).hex()) for j, a in f.items()] for f in forms]
+
     for problem in [distinct_utility_instance(s) for s in range(5)] + [weighted]:
-        lp = build_feasible_alloc(problem)
-        ref = build_feasible_alloc(problem)
-        ref.constraints = [
-            c for c in ref.constraints if not c.name.startswith("ratio:")
-        ] + _nested_loop_ratio_rows(problem)
-        assert _structure(lp) == _structure(ref)
-    lp = build_feasible_alloc(weighted)
-    # columns: rates in (demand, path) order, then rho in demand order;
-    # rows: volume, capacity, then ratio rows
-    assert len(lp.variables) == 5  # (a, pa), (b, pb1), (b, pb2), rho_a, rho_b
-    assert ratio_columns(weighted) == range(3, 5)
-    assert [c.name for c in lp.constraints] == [
-        "volume:b", "cap:L", "cap:M", "ratio:a", "ratio:b"
-    ]
-    assert [list(c.coeffs.items()) for c in lp.constraints[-2:]] == [
-        [(0, 3.0), (3, -2.0)],
-        [(1, 1.0), (2, 0.5), (4, -4.0)],
-    ]
+        _, forms = build_feasible_alloc(problem)
+        assert exact(forms) == exact(_nested_loop_ratio_forms(problem))
+    lp, forms = build_feasible_alloc(weighted)
+    # columns: rates in (demand, path) order and nothing else; rows: volume,
+    # then capacity; no ratio row or column
+    assert len(lp.variables) == 3  # (a, pa), (b, pb1), (b, pb2)
+    assert [c.name for c in lp.constraints] == ["volume:b", "cap:L", "cap:M"]
+    assert [list(f.items()) for f in forms] == [[(0, 1.5)], [(1, 0.25), (2, 0.125)]]
 
 
 # -- one fragment per allocator call -------------------------------------------
@@ -586,13 +612,13 @@ def _rebuilt_exact(problem, solve):
     frozen, rounds, lps = {}, 0, []
     while len(frozen) < len(demands):
         rounds += 1
-        lp = build_feasible_alloc(problem, f"max-min-round-{rounds}")
+        lp, forms = build_feasible_alloc(problem, f"max-min-round-{rounds}")
         t = lp.add_variable()
-        for k, rho in zip(demands, ratio_columns(problem)):
+        for k, form in zip(demands, forms):
             if k in frozen:
-                lp.add_constraint({rho: 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
             else:
-                lp.add_constraint({rho: 1.0, t: -1.0}, ">=", 0.0)
+                lp.add_constraint({**form, t: -1.0}, ">=", 0.0)
         lp.objective = {t: 1.0}
         lps.append(lp)
         sol = solve(lp)
@@ -607,22 +633,23 @@ def _rebuilt_swan(problem, u, alpha, solve):
     """The capped sequence's LPs with a fresh fragment per LP."""
     frozen, prev, lps = {}, {}, []
     for b, cap in enumerate(suggest_bin_config(problem, alpha, u), start=1):
-        lp = build_feasible_alloc(problem, f"capped-seq-{b}")
-        rhos = ratio_columns(problem)
-        for d, rho in zip(problem.demands, rhos):
+        lp, forms = build_feasible_alloc(problem, f"capped-seq-{b}")
+        for d, form in zip(problem.demands, forms):
             k = d.id
             if k in frozen:
-                lp.add_constraint({rho: 1.0}, "==", frozen[k], name=f"freeze:{k}")
+                lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
             else:
-                lp.add_constraint({rho: 1.0}, "<=", cap)
+                lp.add_constraint(form, "<=", cap)
                 if b > 1:
-                    lp.add_constraint({rho: 1.0}, ">=", prev[k])
-        lp.objective = {rho: opt._tie(i) for i, rho in enumerate(rhos)}
+                    lp.add_constraint(form, ">=", prev[k])
+        lp.objective = {
+            j: opt._tie(i) * a for i, form in enumerate(forms) for j, a in form.items()
+        }
         lps.append(lp)
         values = solve(lp).values
-        for d, rho in zip(problem.demands, rhos):
+        for d, form in zip(problem.demands, forms):
             if d.id not in frozen:
-                prev[d.id] = values[rho]
+                prev[d.id] = sum(a * values[j] for j, a in form.items())
                 if prev[d.id] < cap - FREEZE_TOL * max(1.0, cap):
                     frozen[d.id] = prev[d.id]
         if len(frozen) == len(problem.demands):
@@ -634,7 +661,9 @@ def _rebuilt_swan(problem, u, alpha, solve):
 def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
     monkeypatch, allocator
 ):
-    build = opt.build_feasible_alloc
+    # `_fragment` builds the rows of `build_feasible_alloc` (exact) and of
+    # swan's compiled problem
+    build = opt._fragment
     longest = 0
     for problem in [small_grid_instance(s) for s in range(6)] + [distinct_utility_instance(1)]:
         calls = []
@@ -643,14 +672,14 @@ def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(opt, "build_feasible_alloc", counted)
+        monkeypatch.setattr(opt, "_fragment", counted)
         rec = _Recording()
         if allocator == "exact":
             exact_sequential_max_min(problem, SolveSession(rec))
         else:
             swan_sequence(problem, 0.1, 2.0, session=SolveSession(rec))
         assert len(calls) == 1
-        monkeypatch.setattr(opt, "build_feasible_alloc", build)
+        monkeypatch.setattr(opt, "_fragment", build)
         solve = SimplexBackend().solve
         ref = (
             _rebuilt_exact(problem, solve)

@@ -23,7 +23,6 @@ from fairalloc.optimizers import (
     geo_binner,
     merge_boundaries,
     one_shot_exact,
-    ratio_columns,
     suggest_bin_config,
     swan_sequence,
 )
@@ -106,6 +105,37 @@ def test_lp_allocators_validate_before_estimating(allocator, u):
 
 
 @pytest.mark.parametrize(
+    "allocator, config",
+    [(a, {}) for a in ALLOCATOR_IDS] + [("swan", {"u": 0.5}), ("gb", {"u": 0.5})],
+)
+def test_each_allocator_call_compiles_and_validates_the_problem_once(
+    monkeypatch, allocator, config
+):
+    # swan, gb and the eb binners hand one compiled incidence to their
+    # waterfill estimate and to their LP fragment.  Every module that looks
+    # either function up gets a counting wrapper around its own binding.
+    import fairalloc.bench as bench
+    import fairalloc.waterfill as wf
+
+    calls = {"build_subdemands": 0, "validate_problem": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (bench, opt, wf):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    report = run_allocator(single_link(10.0, [(None, 1.0), (2.0, 2.0)]), allocator, config)
+    assert report.allocation.rates
+    assert calls == {"build_subdemands": 1, "validate_problem": 1}
+
+
+@pytest.mark.parametrize(
     "allocator, key",
     [(a, "iterations") for a in ("adaptive-waterfill", "eb-elastic", "eb-multibin")]
     + [(a, "bins") for a in ("swan", "gb", "eb-elastic", "eb-multibin")],
@@ -140,14 +170,14 @@ def per_demand_exact(problem):
     """Frozen ratios and totals of the LP sequence that, after each round,
     probes every unfrozen demand alone."""
     session = SolveSession(SimplexBackend())
-    base = opt.build_feasible_alloc(problem, "max-min")
-    demands = dict(zip((d.id for d in problem.demands), ratio_columns(problem)))
+    base, forms = opt.build_feasible_alloc(problem, "max-min")
+    demands = dict(zip((d.id for d in problem.demands), forms))
     t = len(base.variables)  # the round LP's floor column
     frozen = {}
 
     def rows(floor):
         return base.constraints + [
-            Constraint({rho: 1.0}, "==", frozen[k]) if k in frozen else floor(rho)
+            Constraint(rho, "==", frozen[k]) if k in frozen else floor(rho)
             for k, rho in demands.items()
         ]
 
@@ -156,16 +186,14 @@ def per_demand_exact(problem):
             LinearProgram(
                 "round",
                 base.variables + [None],
-                rows(lambda rho: Constraint({rho: 1.0, t: -1.0}, ">=", 0.0)),
+                rows(lambda rho: Constraint({**rho, t: -1.0}, ">=", 0.0)),
                 {t: 1.0},
             )
         )
         t_i, last = sol.values[t], sol.values
-        probe_rows = rows(lambda rho: Constraint({rho: 1.0}, ">=", t_i))
+        probe_rows = rows(lambda rho: Constraint(rho, ">=", t_i))
         probes = {
-            k: session.solve(
-                LinearProgram("probe", base.variables, probe_rows, {rho: 1.0})
-            ).objective
+            k: session.solve(LinearProgram("probe", base.variables, probe_rows, rho)).objective
             for k, rho in demands.items()
             if k not in frozen
         }
