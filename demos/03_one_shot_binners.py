@@ -28,7 +28,7 @@ problem = Problem(
 )
 
 # One geometric ladder u * alpha^b drives both: the sequence caps its
-# iterations by it, the binner bins by it.
+# iterations by it, the binner bins by it.  Both take (u, alpha, max_bins).
 ladder = suggest_bin_config(problem, alpha=2.0, u=1 / 16, num_bins=6)
 print("ladder:", ladder)
 
@@ -36,7 +36,7 @@ sw = swan_sequence(problem, u=1 / 16, alpha=2.0, max_bins=6)
 print("capped sequence:", total_allocation(problem, sw.allocation),
       f"({sw.lp_solves} LP solves)")
 
-gb = geo_binner(problem, ladder, epsilon=0.05)
+gb = geo_binner(problem, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
 print("geometric binner:", total_allocation(problem, gb.allocation),
       f"({gb.lp_solves} LP solve)")
 for k, bins in gb.notes["bins"].items():
@@ -54,8 +54,8 @@ eb = equi_depth_elastic(problem, num_bins=2, epsilon=0.25)
 print("equi-depth:      ", total_allocation(problem, eb.allocation),
       f"({eb.lp_solves} LP solve)")
 
-# By default suggest_bin_config picks u from a waterfill estimate and
-# covers the achievable range; geo_binner then picks the smallest epsilon
-# that keeps the top bin's weight above the double-precision guard.
-default = geo_binner(problem, suggest_bin_config(problem, alpha=2.0))
+# By default the ladder takes u from a waterfill estimate and covers the
+# achievable range; geo_binner then picks the smallest epsilon that keeps
+# the top bin's weight above the double-precision guard.
+default = geo_binner(problem, alpha=2.0)
 print("default ladder:", default.notes["boundaries"], "epsilon:", default.notes["epsilon"])

@@ -11,6 +11,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path as FsPath
 from typing import Callable
 
@@ -30,19 +31,14 @@ from .model import (
     total_allocation,
 )
 from .optimizers import (
-    _eb_multibin,
-    _gb,
     equi_depth_elastic,
+    equi_depth_multibin,
     exact_sequential_max_min,
+    geo_binner,
     one_shot_exact,
     swan_sequence,
 )
-
-# gb and eb-multibin run as one call each (`_gb`, `_eb_multibin`), so that the
-# problem is compiled once for the estimate and the LP; their public parts
-# stay importable from here, where tools that wrap the allocators'
-# functions (perfbench/trace.py) look them up.
-from .optimizers import equi_depth_multibin, geo_binner, suggest_bin_config  # noqa: F401
+from .optimizers import suggest_bin_config  # noqa: F401  (unused; a perfbench/trace.py target)
 from .report import AllocatorReport, _jsonable
 from .waterfill import (
     adaptive_waterfill,
@@ -126,20 +122,23 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
 
 
 def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
-    return _gb(problem, float(alpha), u, epsilon, bins, session)
+    return geo_binner(problem, u, float(alpha), bins, epsilon, session)
 
 
 def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
-    return equi_depth_elastic(problem, bins, float(epsilon), slack, int(iterations), session)
+    return equi_depth_elastic(problem, bins, float(epsilon), slack, iterations, session)
 
 
 def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
-    return _eb_multibin(problem, bins, float(epsilon), int(iterations), session)
+    return equi_depth_multibin(problem, bins, float(epsilon), iterations, session)
 
 
 # allocator id -> runner(problem, session, **config); a runner's keyword
 # parameters after (problem, session) are the config keys it accepts, with
-# their defaults.  Values may come from JSON, hence the int()/float() casts.
+# their defaults.  A runner calls one public function by its name in this
+# module, looked up at call time, so a wrapper bound to that name sees every
+# call.  Values may come from JSON, hence the float() casts, and the count
+# keys are checked in run_allocator.
 _RUNNERS: dict[str, Callable[..., AllocatorReport]] = {
     "exact": lambda problem, session: exact_sequential_max_min(problem, session),
     "oneshot": lambda problem, session, epsilon=0.01: one_shot_exact(
@@ -154,7 +153,7 @@ _RUNNERS: dict[str, Callable[..., AllocatorReport]] = {
     "waterfill": lambda problem, session: _run_waterfill(problem, exact=True),
     "approx-waterfill": lambda problem, session: _run_waterfill(problem, exact=False),
     "adaptive-waterfill": lambda problem, session, iterations=10, inner="approx": (
-        adaptive_waterfill(problem, int(iterations), inner)
+        adaptive_waterfill(problem, iterations, inner)
     ),
 }
 
@@ -163,8 +162,18 @@ _CONFIG_KEYS = {
     allocator: tuple(inspect.signature(runner).parameters)[2:]
     for allocator, runner in _RUNNERS.items()
 }
-
 ALLOCATOR_IDS = tuple(_RUNNERS)
+_COUNT_KEYS = ("bins", "iterations")
+
+
+def _count(key: str, value) -> int:
+    """A count from a config: an integer (a Python or numpy one), or a float
+    without a fraction (JSON may write 2 as 2.0)."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def run_allocator(
@@ -175,7 +184,8 @@ def run_allocator(
 ) -> AllocatorReport:
     """Run a registered allocator; its LPs go through ``session`` (a fresh
     built-in-simplex session by default).  A config key the allocator does
-    not read is an error, so no key is reported as applied when it was not."""
+    not read is an error, so no key is reported as applied when it was not;
+    so is a ``bins`` or ``iterations`` value that is not a whole number."""
     if allocator not in _RUNNERS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
@@ -188,6 +198,7 @@ def run_allocator(
             f"{allocator} does not read config keys {unused}; it accepts "
             f"{list(keys) or 'none'}"
         )
+    config = {k: _count(k, v) if k in _COUNT_KEYS else v for k, v in config.items()}
     return _RUNNERS[allocator](problem, session or SolveSession(), **config)
 
 

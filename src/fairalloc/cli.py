@@ -115,13 +115,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _field(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec_path = FsPath(args.scenarios)
     data = json.loads(spec_path.read_text())
     scenarios = []
     problems: dict[str, object] = {}
-    for i, entry in enumerate(data["scenarios"]):
-        ppath = entry["problem"]
+    for i, entry in enumerate(_field(data, "scenarios", str(spec_path))):
+        ppath = _field(entry, "problem", f"{spec_path} scenario {i}")
         resolved = str((spec_path.parent / ppath).resolve())
         if resolved not in problems:
             problems[resolved] = bench.load_problem(resolved)
@@ -129,7 +135,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             bench.Scenario(
                 label=entry.get("label", f"scenario-{i}"),
                 problem=problems[resolved],
-                allocator=entry["allocator"],
+                allocator=_field(entry, "allocator", f"{spec_path} scenario {i}"),
                 config=entry.get("config", {}),
             )
         )

@@ -7,9 +7,10 @@ rows cut from the subdemand incidence that the waterfillers read
 (`build_subdemands`), so a problem becomes rows, and is validated, in that
 one place.  The fragment has no ratio column: it returns each rho_k as a
 linear form over k's rate columns ({f_k^p: q_k^p / w_k}); a ratio is read
-back as form . x.  The capped sequence and the binners, which also run a
-waterfill estimate, compile the problem once for both.  Each allocator adds
-only its own columns and rows, written over the forms:
+back as form . x.  Each allocator is one function that takes its own
+parameters; the capped sequence and the binners, which also run a waterfill
+estimate, compile the problem once for both.  Each adds only its own columns
+and rows, written over the forms:
 
 * exact sequential: one LP a round maximizes the smallest unfrozen ratio;
   the demands its optimal duals certify as bottlenecked freeze there,
@@ -44,9 +45,7 @@ from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
 from .waterfill import SubdemandMatrix, _adaptive, build_subdemands
 
-# The estimates run `_adaptive` on the compiled problem the LP also reads;
-# tools that wrap the allocators' functions (perfbench/trace.py) still look
-# the public entry point up here.
+# Unused here (the estimates run `_adaptive`); perfbench/trace.py wraps it by this name.
 from .waterfill import adaptive_waterfill  # noqa: F401
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "geo_binner",
     "compute_equi_boundaries",
     "merge_boundaries",
-    "estimate_equi_boundaries",
     "equi_depth_elastic",
     "equi_depth_multibin",
     "achievable_ratio_bound",
@@ -531,62 +529,38 @@ def _binned(
 
 def geo_binner(
     problem: Problem,
-    boundaries: Sequence[float],
+    u: float | None = None,
+    alpha: float = 2.0,
+    max_bins: int | None = None,
     epsilon: float | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """One-shot geometric binner: the binned LP over a geometric ladder, as
-    ``suggest_bin_config`` builds it.
+    """One-shot geometric binner: the binned LP over the capped sequence's
+    ladder, ``suggest_bin_config(problem, alpha, u, max_bins)``, with the
+    problem compiled once for the estimate of u and the LP.
 
     The decaying weights make every optimum fill a demand's lower bins before
-    the higher ones.  Over the capped sequence's ladder this reproduces
-    ``swan_sequence``'s allocation without iterating, provided epsilon is
-    small enough that no trade of lower-bin rate for higher-bin rate pays
-    (the delta rule); at a larger epsilon the two can differ.  Like the
-    sequence, it reports ``converged=False`` (and a ``coverage`` note) when
-    some demand fills the whole ladder, since the top boundary may have
-    truncated it.
+    the higher ones.  Over the same ladder this reproduces ``swan_sequence``'s
+    allocation without iterating, provided epsilon is small enough that no
+    trade of lower-bin rate for higher-bin rate pays (the delta rule); at a
+    larger epsilon the two can differ.  Like the sequence, it reports
+    ``converged=False`` (and a ``coverage`` note) when some demand fills the
+    whole ladder, since the top boundary may have truncated it.
 
-    epsilon defaults to ``default_epsilon`` of the ladder's length.  A ladder
-    longer than the guard admits even at epsilon 0.5 keeps its lowest
-    ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches the top of those is
-    flagged as above.  An explicit epsilon that breaks the guard raises.
+    epsilon defaults to ``default_epsilon`` of the ladder's length.  A default
+    ladder (``max_bins`` None) longer than the guard admits even at epsilon
+    0.5 keeps its lowest ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches
+    the top of those is flagged as above.  An asked-for ladder is weighed
+    whole, and an epsilon that breaks the guard raises.
     """
-    return _geo_binner(problem, build_subdemands(problem), boundaries, epsilon, session)
-
-
-def _geo_binner(
-    problem: Problem,
-    compiled: Compiled,
-    boundaries: Sequence[float],
-    epsilon: float | None,
-    session: SolveSession | None,
-) -> AllocatorReport:
-    """`geo_binner` on the problem's `build_subdemands` result."""
-    if epsilon is None:
-        boundaries = boundaries[:MAX_DEFAULT_LEVELS]
-        epsilon = default_epsilon(len(boundaries))
-    return _binned(problem, compiled, boundaries, epsilon, session, "geo-binner")
-
-
-def _gb(
-    problem: Problem,
-    alpha: float,
-    u: float | None,
-    epsilon: float | None,
-    bins: int | None,
-    session: SolveSession | None,
-) -> AllocatorReport:
-    """``geo_binner`` over ``suggest_bin_config(problem, alpha, u, bins)``,
-    with the problem compiled once for the estimate and the LP.  An asked-for
-    ladder (``bins`` set) is weighed whole or refused: epsilon then defaults
-    to ``default_epsilon(bins)``."""
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
-    boundaries = _geo_ladder(problem, u, alpha, bins)
-    if epsilon is None and bins is not None:
-        epsilon = default_epsilon(bins)
-    return _geo_binner(problem, compiled, boundaries, epsilon, session)
+    boundaries = _geo_ladder(problem, u, alpha, max_bins)
+    if epsilon is None:
+        if max_bins is None:
+            boundaries = boundaries[:MAX_DEFAULT_LEVELS]
+        epsilon = default_epsilon(len(boundaries))
+    return _binned(problem, compiled, boundaries, epsilon, session, "geo-binner")
 
 
 # -- equi-depth binners ---------------------------------------------------------
@@ -645,27 +619,7 @@ def merge_boundaries(boundaries: Sequence[float]) -> list[float]:
 def _equi_depth_bins(problem: Problem, num_bins: int | None) -> int:
     """The equi-depth binners' bin count: ``num_bins``, else half the demands
     clamped to 2..8."""
-    return max(2, min(8, len(problem.demands) // 2)) if num_bins is None else int(num_bins)
-
-
-def estimate_equi_boundaries(
-    problem: Problem, num_bins: int | None = None, aw_iterations: int = 10
-) -> list[float]:
-    """Multi-bin boundary ladder from an adaptive-waterfill estimate: the
-    equi-depth boundaries of the estimated ratios, merged to be strictly
-    increasing (one bin at the largest estimate, or 1.0, if none is
-    positive)."""
-    return _equi_ladder(problem, build_subdemands(problem), num_bins, aw_iterations)
-
-
-def _equi_ladder(
-    problem: Problem, compiled: Compiled, num_bins: int | None, aw_iterations: int
-) -> list[float]:
-    """`estimate_equi_boundaries` on the problem's `build_subdemands` result."""
-    num_bins = _equi_depth_bins(problem, num_bins)
-    est, _ = _estimate_ratios(problem, compiled, aw_iterations)
-    bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
-    return merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
+    return max(2, min(8, len(problem.demands) // 2)) if num_bins is None else num_bins
 
 
 def equi_depth_elastic(
@@ -691,7 +645,6 @@ def equi_depth_elastic(
     (5.0000025 and 4.9999975, with s = 5e-6).
     """
     num_bins = _equi_depth_bins(problem, num_bins)
-    _check_levels(epsilon, num_bins)
     if slack is not None and slack < 0:
         raise ValueError("slack must be nonnegative")
     session = session or SolveSession()
@@ -703,6 +656,7 @@ def equi_depth_elastic(
         est_ratio, min(num_bins, len(problem.demands))
     )
     n_groups = len(groups)
+    _check_levels(epsilon, n_groups)  # one level per group built, not per bin asked for
 
     max_ratio = max(est_ratio.values(), default=0.0)
     slacks: list[float] = []
@@ -749,28 +703,25 @@ def equi_depth_elastic(
 
 def equi_depth_multibin(
     problem: Problem,
-    boundaries: Sequence[float],
-    epsilon: float,
+    num_bins: int | None = None,
+    epsilon: float = 0.25,
+    aw_iterations: int = 10,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
-    """The binned LP over the supplied boundary ladder instead of a geometric
-    one.  A demand is capped at the top boundary (with ``boundaries`` from
-    ``estimate_equi_boundaries``, the largest estimate), and a demand that
-    reaches it is flagged like a truncated geometric binner."""
-    compiled = build_subdemands(problem)
-    return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")
+    """Equi-depth multi-bin binner: the binned LP over a ladder from an
+    adaptive-waterfill estimate of ``aw_iterations`` rounds, with the problem
+    compiled once for the estimate and the LP.
 
-
-def _eb_multibin(
-    problem: Problem,
-    num_bins: int | None,
-    epsilon: float,
-    aw_iterations: int,
-    session: SolveSession | None,
-) -> AllocatorReport:
-    """``equi_depth_multibin`` over ``estimate_equi_boundaries(problem,
-    num_bins, aw_iterations)``, with the problem compiled once for the
-    estimate and the LP."""
+    The ladder is the equi-depth boundaries of the estimated ratios (the
+    ``num_bins`` groups of ``equi_depth_elastic``), merged to be strictly
+    increasing; it is one bin at the largest estimate, or 1.0, if no estimate
+    is positive.  A demand is capped at the top boundary, the largest
+    estimate, and a demand that reaches it is flagged like a truncated
+    geometric binner.
+    """
     compiled = build_subdemands(problem)
-    boundaries = _equi_ladder(problem, compiled, num_bins, aw_iterations)
+    num_bins = _equi_depth_bins(problem, num_bins)
+    est, _ = _estimate_ratios(problem, compiled, aw_iterations)
+    bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
+    boundaries = merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
     return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")

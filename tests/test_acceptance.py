@@ -67,14 +67,10 @@ def gb_runs(narrow_corpus):
         total_cap = sum(r.capacity for r in prob.resources)
         delta = 1e-6 * total_cap
         entry = {"prob": prob, "star": star, "u": u, "delta": delta, "gb": {}}
-        entry["gb"]["delta-rule"] = fa.geo_binner(
-            prob, fa.suggest_bin_config(prob, 2.0, u, 2), epsilon=delta / total_cap
-        )
+        entry["gb"]["delta-rule"] = fa.geo_binner(prob, u, 2.0, 2, epsilon=delta / total_cap)
         for alpha in (1.5, 2.0, 4.0):
             bins = max(2, math.ceil(math.log(ratios[-1] * 1.05 / u, alpha)) + 1)
-            entry["gb"][alpha] = fa.geo_binner(
-                prob, fa.suggest_bin_config(prob, alpha, u, bins), epsilon=0.1
-            )
+            entry["gb"][alpha] = fa.geo_binner(prob, u, alpha, bins, epsilon=0.1)
         runs.append(entry)
     return runs
 
@@ -216,18 +212,9 @@ def test_05_bin_prefix_property_has_zero_violations(gb_runs):
         for rep in entry["gb"].values():
             violations += _prefix_violations(rep)
             runs += 1
-        aw = fa.adaptive_waterfill(prob, max_iterations=10)
-        dm = prob.demand_map()
-        totals = {d.id: 0.0 for d in prob.demands}
-        for (k, pid), r in aw.allocation.rates.items():
-            totals[k] += dm[k].utility_on(pid) * r
-        est = {k: totals[k] / dm[k].weight for k in totals}
-        bounds, _ = fa.compute_equi_boundaries(est, min(3, len(est)))
-        merged = fa.merge_boundaries(bounds)
-        if merged:
-            mb = fa.equi_depth_multibin(prob, merged, epsilon=0.25)
-            violations += _prefix_violations(mb)
-            runs += 1
+        mb = fa.equi_depth_multibin(prob, num_bins=3, epsilon=0.25, aw_iterations=10)
+        violations += _prefix_violations(mb)
+        runs += 1
     assert violations == 0
     print(f"\nACCEPTANCE 5 PASS: 0 bin-prefix violations across {runs} "
           f"binner runs on the 50-instance corpus")

@@ -184,6 +184,29 @@ def test_bench_three_scenarios_to_csv(worked_example_file, tmp_path):
     assert lines[0].startswith("scenario,allocator,fairness_geomean")
 
 
+@pytest.mark.parametrize(
+    "spec, after_path",
+    [
+        ({"runs": []}, ": missing field 'scenarios'"),
+        ({"scenarios": [{"allocator": "exact"}]}, " scenario 0: missing field 'problem'"),
+        (
+            {"scenarios": [{"problem": "worked.json", "allocator": "exact"}, {"problem": "worked.json"}]},
+            " scenario 1: missing field 'allocator'",
+        ),
+    ],
+    ids=["scenarios", "problem", "allocator"],
+)
+def test_bench_names_the_file_and_the_missing_field(
+    worked_example_file, tmp_path, capsys, spec, after_path
+):
+    scen = tmp_path / "scenarios.json"
+    scen.write_text(json.dumps(spec))
+    out = tmp_path / "bench.csv"
+    assert cli_main(["bench", "--scenarios", str(scen), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {scen}{after_path}\n"
+    assert not out.exists()
+
+
 def test_partition_writes_k_files(worked_example_file, tmp_path):
     outdir = tmp_path / "parts"
     code = cli_main(

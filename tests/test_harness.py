@@ -32,7 +32,12 @@ from fairalloc.model import (
     check_feasible,
     validate_problem,
 )
-from fairalloc.optimizers import swan_sequence
+from fairalloc.optimizers import (
+    equi_depth_elastic,
+    equi_depth_multibin,
+    geo_binner,
+    swan_sequence,
+)
 from fairalloc.report import AllocatorReport
 
 
@@ -383,15 +388,67 @@ def test_swan_runs_at_a_fine_ladder(config):
         assert rep.notes["ladder"] > 40 and rep.converged
 
 
-def test_swan_runner_is_swan_sequence():
+RUNNER_CASES = [
+    ("swan", {"alpha": 1.05}, lambda p: swan_sequence(p, alpha=1.05)),
+    ("swan", {"alpha": 1.5, "u": 0.25}, lambda p: swan_sequence(p, u=0.25, alpha=1.5)),
+    ("gb", {}, lambda p: geo_binner(p)),
+    ("gb", {"alpha": 1.5, "bins": 4}, lambda p: geo_binner(p, alpha=1.5, max_bins=4)),
+    ("gb", {"u": 0.25, "epsilon": 0.1}, lambda p: geo_binner(p, u=0.25, epsilon=0.1)),
+    ("eb-elastic", {}, lambda p: equi_depth_elastic(p)),
+    (
+        "eb-elastic",
+        {"bins": 3, "epsilon": 0.1, "slack": 0.01, "iterations": 4},
+        lambda p: equi_depth_elastic(p, num_bins=3, epsilon=0.1, slack=0.01, aw_iterations=4),
+    ),
+    ("eb-multibin", {}, lambda p: equi_depth_multibin(p)),
+    (
+        "eb-multibin",
+        {"bins": 3, "epsilon": 0.1, "iterations": 4},
+        lambda p: equi_depth_multibin(p, num_bins=3, epsilon=0.1, aw_iterations=4),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "allocator, config, direct",
+    RUNNER_CASES,
+    ids=["-".join([allocator, *config]) for allocator, config, _ in RUNNER_CASES],
+)
+def test_each_runner_is_its_public_function(allocator, config, direct):
     prob = _gravity_5()
-    rep = run_allocator(prob, "swan", {"alpha": 1.05})
-    direct = swan_sequence(prob, rep.notes["u"], 1.05)
-    assert rep.allocation == direct.allocation
-    assert rep.notes == direct.notes
-    fixed = run_allocator(prob, "swan", {"alpha": 1.5, "u": 0.25})
-    assert fixed.allocation == swan_sequence(prob, u=0.25, alpha=1.5).allocation
-    assert fixed.notes["u"] == 0.25
+    rep, want = run_allocator(prob, allocator, config), direct(prob)
+    assert rep.allocation == want.allocation
+    assert (rep.lp_solves, rep.iterations, rep.notes) == (want.lp_solves, want.iterations, want.notes)
+
+
+@pytest.mark.parametrize(
+    "allocator, name",
+    [
+        ("exact", "exact_sequential_max_min"),
+        ("oneshot", "one_shot_exact"),
+        ("swan", "swan_sequence"),
+        ("gb", "geo_binner"),
+        ("eb-elastic", "equi_depth_elastic"),
+        ("eb-multibin", "equi_depth_multibin"),
+        ("adaptive-waterfill", "adaptive_waterfill"),
+    ],
+)
+def test_a_runner_calls_the_function_bound_in_bench_at_call_time(
+    monkeypatch, two_link_example, allocator, name
+):
+    # A wrapper bound to the name in fairalloc.bench (as a tracer installs
+    # one) sees the allocator's call.
+    original = getattr(bench, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, name, wrapper)
+    rep = run_allocator(two_link_example, allocator)
+    assert calls == [name]
+    assert rep.allocation.rates
 
 
 @pytest.mark.parametrize("allocator", ["waterfill", "approx-waterfill", "adaptive-waterfill"])

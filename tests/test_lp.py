@@ -390,7 +390,7 @@ def test_session_counts_each_solve():
 
 def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     session = SolveSession()
-    geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05, session)
+    geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05, session)
     assert session.count == 1
     session = SolveSession()
     report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
@@ -403,7 +403,7 @@ def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
     flips), so a change that brings back phase-1 work or bound rows fails
     here.  Before both, gb took 18 pivots and exact 8."""
     runs = {
-        "gb": lambda s: geo_binner(two_link_example, [1 / 16 * 2.0**b for b in range(6)], 0.05, s),
+        "gb": lambda s: geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05, s),
         "exact": lambda s: exact_sequential_max_min(two_link_example, s),
     }
     iterations = {}

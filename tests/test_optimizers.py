@@ -27,6 +27,8 @@ from fairalloc.optimizers import (
     swan_sequence,
 )
 from fairalloc.metrics import compare_rates
+from fairalloc.report import report_to_dict
+from fairalloc.waterfill import build_subdemands
 
 from conftest import distinct_utility_instance, small_grid_instance, unit_qr_instance
 
@@ -135,17 +137,30 @@ def test_each_allocator_call_compiles_and_validates_the_problem_once(
     assert calls == {"build_subdemands": 1, "validate_problem": 1}
 
 
-@pytest.mark.parametrize(
-    "allocator, key",
-    [(a, "iterations") for a in ("adaptive-waterfill", "eb-elastic", "eb-multibin")]
-    + [(a, "bins") for a in ("swan", "gb", "eb-elastic", "eb-multibin")],
-)
+COUNT_KEYS = [(a, "iterations") for a in ("adaptive-waterfill", "eb-elastic", "eb-multibin")] + [
+    (a, "bins") for a in ("swan", "gb", "eb-elastic", "eb-multibin")
+]
+
+
+@pytest.mark.parametrize("allocator, key", COUNT_KEYS)
 def test_an_out_of_range_config_value_is_named_by_its_key(allocator, key):
     # The config key is also the `solve` flag; the message names it, not the
     # parameter of the function that checks it.
     with pytest.raises(ValueError) as err:
         run_allocator(single_link(1.0, [(None, 1.0), (2.0, 1.0)]), allocator, {key: 0})
     assert str(err.value).startswith(f"{key} must be >= 1")
+
+
+@pytest.mark.parametrize("allocator, key", COUNT_KEYS)
+def test_a_count_config_value_is_an_integer_or_an_integral_float(allocator, key):
+    # JSON may write the count 2 as 2.0; 2.5 is no count, and is not rounded.
+    prob = single_link(1.0, [(None, 1.0), (2.0, 1.0)])
+    want = report_to_dict(prob, run_allocator(prob, allocator, {key: 2}))
+    for same in (2.0, np.int64(2)):
+        assert report_to_dict(prob, run_allocator(prob, allocator, {key: same})) == want
+    with pytest.raises(ValueError) as err:
+        run_allocator(prob, allocator, {key: 2.5})
+    assert str(err.value).startswith(f"{key} must be an integer")
 
 
 @pytest.mark.parametrize("allocator", LP_ALLOCATORS)
@@ -417,25 +432,23 @@ def test_ladder_and_epsilon_validation():
     with pytest.raises(ValueError, match="^bins must be >= 1"):
         suggest_bin_config(prob, u=1.0, num_bins=0)
     with pytest.raises(ValueError, match="epsilon must be in"):
-        geo_binner(prob, [1.0, 2.0], epsilon=1.5)
+        geo_binner(prob, u=1.0, max_bins=2, epsilon=1.5)
     with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, suggest_bin_config(prob, u=1.0, num_bins=8), epsilon=1e-6)  # 1e-42
-    ladder = suggest_bin_config(prob, u=1.0, num_bins=3)
-    assert ladder == [1.0, 2.0, 4.0]
-    assert geo_binner(prob, ladder, epsilon=1e-6).converged  # exactly at the guard boundary
+        geo_binner(prob, u=1.0, max_bins=8, epsilon=1e-6)  # 1e-42
+    assert suggest_bin_config(prob, u=1.0, num_bins=3) == [1.0, 2.0, 4.0]
+    assert geo_binner(prob, u=1.0, max_bins=3, epsilon=1e-6).converged  # exactly at the guard
 
 
 def test_single_demand_saturates_first_bin_exactly():
     prob = single_link(1.0, [(None, 1.0)])
-    rep = geo_binner(prob, [1.0, 2.0, 4.0, 8.0], epsilon=0.1)
+    rep = geo_binner(prob, u=1.0, max_bins=4, epsilon=0.1)
     bins = rep.notes["bins"]["d0"]
     assert bins[0] == pytest.approx(1.0)
     assert all(b == pytest.approx(0.0, abs=1e-9) for b in bins[1:])
 
 
 def test_geo_binner_matches_swan_on_worked_example(two_link_example):
-    ladder = suggest_bin_config(two_link_example, alpha=2.0, u=1 / 16, num_bins=6)
-    gb = geo_binner(two_link_example, ladder, epsilon=0.05)
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
     sw = swan_sequence(two_link_example, u=1 / 16, alpha=2.0, max_bins=6)
     tg = total_allocation(two_link_example, gb.allocation)
     ts = total_allocation(two_link_example, sw.allocation)
@@ -445,8 +458,7 @@ def test_geo_binner_matches_swan_on_worked_example(two_link_example):
 
 
 def test_geo_binner_bin_prefix_property(two_link_example):
-    ladder = suggest_bin_config(two_link_example, alpha=2.0, u=1 / 16, num_bins=6)
-    rep = geo_binner(two_link_example, ladder, epsilon=0.05)
+    rep = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
@@ -456,7 +468,7 @@ def test_geo_binner_bin_prefix_property(two_link_example):
 
 
 def test_geo_binner_allocation_is_feasible(two_link_example):
-    rep = geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05)
+    rep = geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05)
     assert check_feasible(two_link_example, rep.allocation).feasible
 
 
@@ -515,7 +527,8 @@ def test_suggest_bin_config_covers_range_and_respects_guard():
     ladder = suggest_bin_config(prob, alpha=2.0)
     assert ladder[0] > 0
     assert ladder[-2] < opt.achievable_ratio_bound(prob) <= ladder[-1]
-    rep = geo_binner(prob, ladder)
+    rep = geo_binner(prob, alpha=2.0)
+    assert rep.notes["boundaries"] == ladder
     assert rep.notes["epsilon"] ** (len(ladder) - 1) >= EPSILON_GUARD
 
 
@@ -551,7 +564,7 @@ def test_gb_default_keeps_the_rungs_the_guard_admits_on_a_wide_span():
     with pytest.raises(ValueError, match="guard"):  # an asked-for ladder is not cut
         run_allocator(prob, "gb", {"bins": len(ladder)})
     with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, ladder, epsilon=0.5)
+        geo_binner(prob, max_bins=len(ladder), epsilon=0.5)
 
 
 # -- equi-depth binners ------------------------------------------------------------
@@ -641,6 +654,17 @@ def test_elastic_checks_its_parameters():
         equi_depth_elastic(prob, aw_iterations=0)
 
 
+def test_elastic_checks_the_guard_against_the_groups_it_builds():
+    # 30 bins asked of 3 demands build 3 groups, so the smallest objective
+    # weight is 0.25^2, not the 0.25^29 that the guard refuses.
+    prob = single_link(10.0, [(None, 1.0), (4.0, 1.0), (2.0, 2.0)])
+    many = run_allocator(prob, "eb-elastic", {"bins": 30})
+    three = run_allocator(prob, "eb-elastic", {"bins": 3})
+    assert len(three.notes["groups"]) == 3
+    assert many.allocation == three.allocation
+    assert many.notes == three.notes
+
+
 def test_equi_depth_bin_count_defaults_to_half_the_demands_in_2_to_8():
     for n, bins in ((2, 2), (6, 3), (40, 8)):
         prob = single_link(10.0, [(None, 1.0)] * n)
@@ -652,7 +676,7 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
         two_link_example, exact_sequential_max_min(two_link_example).allocation
     )
     eb = equi_depth_elastic(two_link_example, num_bins=2, epsilon=0.25)
-    gb = geo_binner(two_link_example, suggest_bin_config(two_link_example, 2.0, 1 / 16, 6), 0.05)
+    gb = geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05)
     q_eb = compare_rates(
         two_link_example, total_allocation(two_link_example, eb.allocation), star
     ).fairness_geomean
@@ -662,10 +686,16 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
     assert q_eb >= q_gb - 1e-9
 
 
+def binned(prob, boundaries, epsilon):
+    """The binned LP that gb and eb-multibin solve, over a given ladder."""
+    return opt._binned(
+        prob, build_subdemands(prob), boundaries, epsilon, None, "equi-depth-multibin"
+    )
+
+
 def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
-    boundaries = [1 / 16 * 2.0**b for b in range(6)]
-    mb = equi_depth_multibin(two_link_example, boundaries, epsilon=0.05)
-    gb = geo_binner(two_link_example, boundaries, epsilon=0.05)
+    mb = binned(two_link_example, [1 / 16 * 2.0**b for b in range(6)], epsilon=0.05)
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
     tm = total_allocation(two_link_example, mb.allocation)
     tg = total_allocation(two_link_example, gb.allocation)
     for k in tm:
@@ -674,21 +704,21 @@ def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
 
 def test_multibin_single_boundary_caps_rate():
     prob = single_link(3.0, [(5.0, 1.0)])
-    rep = equi_depth_multibin(prob, [3.0], epsilon=0.25)
+    rep = binned(prob, [3.0], epsilon=0.25)
     assert total_allocation(prob, rep.allocation)["d0"] == pytest.approx(3.0)
     prob2 = single_link(3.0, [(2.0, 1.0)])
-    rep2 = equi_depth_multibin(prob2, [3.0], epsilon=0.25)
+    rep2 = binned(prob2, [3.0], epsilon=0.25)
     assert total_allocation(prob2, rep2.allocation)["d0"] == pytest.approx(2.0)
 
 
 def test_multibin_reports_truncation_at_its_top_boundary():
     # Both demands could get 5, but the top boundary stops them at 3.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_multibin(prob, [1.0, 3.0], epsilon=0.25)
+    rep = binned(prob, [1.0, 3.0], epsilon=0.25)
     assert total_allocation(prob, rep.allocation) == pytest.approx({"d0": 3.0, "d1": 3.0})
     assert not rep.converged
     assert "coverage" in rep.notes
-    roomy = equi_depth_multibin(prob, [1.0, 5.0, 10.0], epsilon=0.25)
+    roomy = binned(prob, [1.0, 5.0, 10.0], epsilon=0.25)
     assert total_allocation(prob, roomy.allocation) == pytest.approx({"d0": 5.0, "d1": 5.0})
     assert roomy.converged
     assert "coverage" not in roomy.notes
@@ -696,14 +726,16 @@ def test_multibin_reports_truncation_at_its_top_boundary():
 
 def test_multibin_rejects_bad_boundaries(two_link_example):
     with pytest.raises(ValueError, match="increasing"):
-        equi_depth_multibin(two_link_example, [1.0, 1.0], epsilon=0.25)
+        binned(two_link_example, [1.0, 1.0], epsilon=0.25)
     with pytest.raises(ValueError, match="increasing"):
-        equi_depth_multibin(two_link_example, [2.0, 1.0], epsilon=0.25)
+        binned(two_link_example, [2.0, 1.0], epsilon=0.25)
+    with pytest.raises(ValueError, match="increasing"):  # 1e300 * 1e10 overflows to inf
+        geo_binner(two_link_example, u=1e300, alpha=1e10, max_bins=3, epsilon=0.25)
 
 
 def test_multibin_bin_prefix_on_random_instance():
     prob = distinct_utility_instance(4)
-    rep = equi_depth_multibin(prob, [0.3, 0.6, 1.2], epsilon=0.25)
+    rep = binned(prob, [0.3, 0.6, 1.2], epsilon=0.25)
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
@@ -718,8 +750,9 @@ def test_all_optimizer_allocations_are_feasible():
         reports = [
             exact_sequential_max_min(prob),
             swan_sequence(prob, 0.3, 2.0),
-            geo_binner(prob, suggest_bin_config(prob, alpha=2.0)),
+            geo_binner(prob, alpha=2.0),
             equi_depth_elastic(prob, num_bins=2),
+            equi_depth_multibin(prob, num_bins=2),
         ]
         for rep in reports:
             assert check_feasible(prob, rep.allocation).feasible
