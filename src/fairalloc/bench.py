@@ -11,7 +11,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path as FsPath
 from typing import Callable
 
@@ -122,30 +122,27 @@ def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
 
 
 def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
-    return geo_binner(problem, u, float(alpha), bins, epsilon, session)
+    return geo_binner(problem, u, alpha, bins, epsilon, session)
 
 
 def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
-    return equi_depth_elastic(problem, bins, float(epsilon), slack, iterations, session)
+    return equi_depth_elastic(problem, bins, epsilon, slack, iterations, session)
 
 
 def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
-    return equi_depth_multibin(problem, bins, float(epsilon), iterations, session)
+    return equi_depth_multibin(problem, bins, epsilon, iterations, session)
 
 
 # allocator id -> runner(problem, session, **config); a runner's keyword
 # parameters after (problem, session) are the config keys it accepts, with
 # their defaults.  A runner calls one public function by its name in this
 # module, looked up at call time, so a wrapper bound to that name sees every
-# call.  Values may come from JSON, hence the float() casts, and the count
-# keys are checked in run_allocator.
+# call.  Values may come from JSON; run_allocator checks and converts them.
 _RUNNERS: dict[str, Callable[..., AllocatorReport]] = {
     "exact": lambda problem, session: exact_sequential_max_min(problem, session),
-    "oneshot": lambda problem, session, epsilon=0.01: one_shot_exact(
-        problem, float(epsilon), session
-    ),
+    "oneshot": lambda problem, session, epsilon=0.01: one_shot_exact(problem, epsilon, session),
     "swan": lambda problem, session, alpha=2.0, u=None, bins=None: swan_sequence(
-        problem, u, float(alpha), bins, session
+        problem, u, alpha, bins, session
     ),
     "gb": _run_gb,
     "eb-elastic": _run_eb_elastic,
@@ -164,6 +161,7 @@ _CONFIG_KEYS = {
 }
 ALLOCATOR_IDS = tuple(_RUNNERS)
 _COUNT_KEYS = ("bins", "iterations")
+_REAL_KEYS = ("alpha", "epsilon", "u", "slack")
 
 
 def _count(key: str, value) -> int:
@@ -176,6 +174,14 @@ def _count(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _real(key: str, value) -> float:
+    """A real number from a config (a Python or numpy one); not a string, a
+    bool or None."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 def run_allocator(
     problem: Problem,
     allocator: str,
@@ -185,7 +191,9 @@ def run_allocator(
     """Run a registered allocator; its LPs go through ``session`` (a fresh
     built-in-simplex session by default).  A config key the allocator does
     not read is an error, so no key is reported as applied when it was not;
-    so is a ``bins`` or ``iterations`` value that is not a whole number."""
+    so is a ``bins`` or ``iterations`` value that is not a whole number, and
+    an ``alpha``, ``epsilon``, ``u`` or ``slack`` value that is not a real
+    number."""
     if allocator not in _RUNNERS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
@@ -198,7 +206,10 @@ def run_allocator(
             f"{allocator} does not read config keys {unused}; it accepts "
             f"{list(keys) or 'none'}"
         )
-    config = {k: _count(k, v) if k in _COUNT_KEYS else v for k, v in config.items()}
+    config = {
+        k: _count(k, v) if k in _COUNT_KEYS else _real(k, v) if k in _REAL_KEYS else v
+        for k, v in config.items()
+    }
     return _RUNNERS[allocator](problem, session or SolveSession(), **config)
 
 

@@ -16,7 +16,8 @@ and rows, written over the forms:
   the demands its optimal duals certify as bottlenecked freeze there,
   repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
-  network and maximizes a geometrically weighted sum of the sorted outputs;
+  network (a min column per comparator, its max output a form) and
+  maximizes a geometrically weighted sum of the sorted outputs;
 * capped sequence (SWAN-style): one LP per rung of the geometric boundary
   ladder that ``suggest_bin_config`` builds;
 * binned LP: per-bin rate variables with geometrically decaying objective
@@ -250,12 +251,16 @@ def one_shot_exact(
 ) -> AllocatorReport:
     """Single-LP exact max-min fairness.
 
-    A comparator network sorts the ratios inside the LP (each comparator
-    contributes lo <= x, lo <= y, hi = x + y - lo, where a wire is a demand's
-    form until a comparator replaces it by its lo or hi column); the objective
-    sum_i epsilon^(i-1) t_i puts strictly more weight on smaller sorted
-    outputs, which both drives every lo to min(x, y) at the optimum and makes
-    the sorted vector lexicographically maximal.
+    A comparator network sorts the ratios inside the LP.  Every wire is a
+    linear form, a demand's form to start with.  A comparator on wires x and
+    y adds one column lo with the rows lo <= x and lo <= y; its min output is
+    lo and its max output the form x + y - lo (where a comparator's min and
+    max outputs meet again, its lo cancels and is dropped).  So the LP has
+    only "<=" rows with a zero or positive right-hand side, and its
+    all-slack start is feasible.  The objective sum_i epsilon^(i-1) t_i puts
+    strictly more weight on smaller sorted outputs, which both drives every
+    lo to min(x, y) at the optimum and makes the sorted vector
+    lexicographically maximal.
     """
     n = len(problem.demands)
     _check_levels(epsilon, n, f"for n={n} demands, use the geometric binner instead")
@@ -266,12 +271,17 @@ def one_shot_exact(
     wires = list(forms)
     net: SortingNetwork = build_sorting_network(n)
     for i, j in net.comparators:
-        lo, hi = lp.add_variable(), lp.add_variable()
-        x, y = _minus(wires[i]), _minus(wires[j])
-        lp.add_constraint({lo: 1.0, **x}, "<=", 0.0)
-        lp.add_constraint({lo: 1.0, **y}, "<=", 0.0)
-        lp.add_constraint({hi: 1.0, lo: 1.0, **x, **y}, "==", 0.0)
-        wires[i], wires[j] = {lo: 1.0}, {hi: 1.0}
+        x, y = wires[i], wires[j]
+        lo = lp.add_variable()
+        lp.add_constraint({lo: 1.0, **_minus(x)}, "<=", 0.0)
+        lp.add_constraint({lo: 1.0, **_minus(y)}, "<=", 0.0)
+        hi = dict(x)
+        for col, a in y.items():
+            hi[col] = hi.get(col, 0.0) + a
+            if hi[col] == 0.0:
+                del hi[col]
+        hi[lo] = -1.0
+        wires[i], wires[j] = {lo: 1.0}, hi
 
     objective: dict[int, float] = {}
     for pos, wire in enumerate(wires):
@@ -368,17 +378,30 @@ def suggest_bin_config(
 
 
 def _geo_ladder(problem: Problem, u: float, alpha: float, num_bins: int | None) -> list[float]:
-    """`suggest_bin_config` for a given u, on a validated problem."""
+    """`suggest_bin_config` for a given u, on a validated problem.  Every
+    rung, the top one u * alpha^(num_bins-1) included, must be finite."""
     if not u > 0:
         raise ValueError("u must be > 0")
     if not alpha > 1:
         raise ValueError("alpha must be > 1")
+    for key, value in (("u", u), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
     if num_bins is None:
         bound = achievable_ratio_bound(problem)
         num_bins = 1 if bound <= u else max(1, math.ceil(math.log(bound / u, alpha))) + 1
     if num_bins < 1:
         raise ValueError("bins must be >= 1")
-    return [u * alpha**b for b in range(num_bins)]
+    try:
+        ladder = [u * alpha**b for b in range(num_bins)]
+    except OverflowError:  # alpha^b itself overflows
+        ladder = [math.inf]
+    if not math.isfinite(ladder[-1]):
+        raise ValueError(
+            f"u * alpha^{num_bins - 1} overflows (u={u:g}, alpha={alpha:g}); "
+            "the top rung must be finite, so lower u, alpha or bins"
+        )
+    return ladder
 
 
 def swan_sequence(
@@ -645,6 +668,8 @@ def equi_depth_elastic(
     (5.0000025 and 4.9999975, with s = 5e-6).
     """
     num_bins = _equi_depth_bins(problem, num_bins)
+    if slack is not None and not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     if slack is not None and slack < 0:
         raise ValueError("slack must be nonnegative")
     session = session or SolveSession()

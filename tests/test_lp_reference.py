@@ -38,10 +38,10 @@ class _Recording:
         return self.solutions[-1]
 
 
-def _run(problem, allocator):
+def _run(problem, allocator, config=None):
     """The allocator's report and the LPs it solved, with their solutions."""
     rec = _Recording()
-    return run_allocator(problem, allocator, session=SolveSession(rec)), rec
+    return run_allocator(problem, allocator, config, session=SolveSession(rec)), rec
 
 
 def _problems():
@@ -135,6 +135,8 @@ def _ratio_column_exact(problem):
 
 
 def _ratio_column_oneshot(problem, epsilon):
+    """The sorting network with a lo and a hi column per comparator, tied by
+    a row `hi + lo - x - y = 0`."""
     lp, wires = _ratio_column_fragment(problem, "one-shot-exact")
     wires = list(wires)
     for i, j in build_sorting_network(len(wires)).comparators:
@@ -222,7 +224,7 @@ def _own_columns(problem, allocator, notes):
     if allocator == "exact":
         return 1  # the floor t
     if allocator == "oneshot":
-        return 2 * notes["comparators"]  # lo and hi per comparator
+        return notes["comparators"]  # lo per comparator
     if allocator == "swan":
         return 0
     if allocator == "eb-elastic":
@@ -249,3 +251,41 @@ def test_form_lps_match_the_ratio_column_lps(allocator):
             got_totals = total_allocation(problem, report.allocation)
             for k in want:
                 assert abs(got_totals[k] - want[k]) <= 1e-9 * max(1.0, abs(want[k])), k
+
+
+def test_oneshot_lp_starts_feasible_with_one_column_and_two_rows_per_comparator():
+    # A comparator's max output is the form x + y - lo, so every row is "<="
+    # with a right-hand side >= 0 and the all-slack start is feasible.
+    for problem in _problems():
+        report, rec = _run(problem, "oneshot")
+        (lp,) = rec.lps
+        fragment, _ = build_feasible_alloc(problem)
+        comparators = report.notes["comparators"]
+        assert len(lp.variables) == len(fragment.variables) + comparators
+        assert len(lp.constraints) == len(fragment.constraints) + 2 * comparators
+        assert all(c.relation == "<=" and c.rhs >= 0.0 for c in lp.constraints)
+        assert all(a != 0.0 for c in lp.constraints for a in c.coeffs.values())
+        assert all(a != 0.0 for a in lp.objective.values())
+
+
+def test_oneshot_matches_the_ratio_column_lp_where_lo_columns_cancel():
+    problem = generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)  # D = 20
+    report, rec = _run(problem, "oneshot", {"epsilon": 0.25})
+    (lp,) = rec.lps
+    # The comparator rows' nonzeros if no lo column ever cancelled: a row is
+    # lo and a wire, and a max output holds both wires and lo.
+    sizes = [len(d.paths) for d in problem.demands]
+    uncancelled = 0
+    for i, j in build_sorting_network(len(sizes)).comparators:
+        uncancelled += sizes[i] + sizes[j] + 2
+        sizes[i], sizes[j] = 1, sizes[i] + sizes[j] + 1
+    fragment, _ = build_feasible_alloc(problem)
+    rows = lp.constraints[len(fragment.constraints) :]
+    assert sum(len(c.coeffs) for c in rows) < uncancelled
+
+    (objective,), values = _ratio_column_oneshot(problem, 0.25)
+    assert abs(rec.solutions[0].objective - objective) <= 1e-9 * max(1.0, abs(objective))
+    want = total_allocation(problem, _allocation_from(problem, values))
+    got = total_allocation(problem, report.allocation)
+    for k in want:
+        assert abs(got[k] - want[k]) <= 1e-9 * max(1.0, abs(want[k])), k

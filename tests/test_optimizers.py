@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,60 @@ def test_a_count_config_value_is_an_integer_or_an_integral_float(allocator, key)
     with pytest.raises(ValueError) as err:
         run_allocator(prob, allocator, {key: 2.5})
     assert str(err.value).startswith(f"{key} must be an integer")
+
+
+REAL_KEYS = [
+    ("oneshot", "epsilon"),
+    ("swan", "alpha"),
+    ("swan", "u"),
+    ("gb", "alpha"),
+    ("gb", "u"),
+    ("gb", "epsilon"),
+    ("eb-elastic", "epsilon"),
+    ("eb-elastic", "slack"),
+    ("eb-multibin", "epsilon"),
+]
+
+
+@pytest.mark.parametrize("allocator, key", REAL_KEYS)
+def test_a_real_config_value_is_a_number(allocator, key):
+    # JSON may write 2.0 as 2; a string, a bool or null is no number and is
+    # neither parsed nor passed on.
+    prob = single_link(1.0, [(None, 1.0), (2.0, 1.0)])
+    value, same = (0.5, [np.float64(0.5)]) if key == "epsilon" else (2.0, [2, np.int64(2)])
+    want = report_to_dict(prob, run_allocator(prob, allocator, {key: value}))
+    for v in same:
+        assert report_to_dict(prob, run_allocator(prob, allocator, {key: v})) == want
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError) as err:
+            run_allocator(prob, allocator, {key: bad})
+        assert str(err.value).startswith(f"{key} must be a number, got {bad!r}")
+
+
+NON_FINITE = [
+    (a, config, message)
+    for a in ("swan", "gb")
+    for config, message in [
+        ({"u": math.inf}, "u must be finite"),
+        ({"alpha": math.inf}, "alpha must be finite"),
+        ({"u": 1e308, "alpha": 10.0, "bins": 2}, "u * alpha^1 overflows"),
+        ({"alpha": 1e10, "bins": 40}, "u * alpha^39 overflows"),  # alpha^39 alone overflows
+    ]
+] + [("eb-elastic", {"slack": v}, "slack must be finite") for v in (math.inf, math.nan)]
+
+
+@pytest.mark.parametrize(
+    "allocator, config, message",
+    NON_FINITE,
+    ids=[f"{a}-" + ",".join(f"{k}={v:g}" for k, v in c.items()) for a, c, _ in NON_FINITE],
+)
+def test_a_non_finite_ladder_or_slack_is_refused_by_name(allocator, config, message):
+    # Unchecked, swan fails in LP validation naming a constraint, gb runs an
+    # infinite rung and reports converged, and eb-elastic fails in LP
+    # validation: none of them names the parameter.
+    prob = generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_allocator(prob, allocator, config)
 
 
 @pytest.mark.parametrize("allocator", LP_ALLOCATORS)
@@ -729,7 +786,7 @@ def test_multibin_rejects_bad_boundaries(two_link_example):
         binned(two_link_example, [1.0, 1.0], epsilon=0.25)
     with pytest.raises(ValueError, match="increasing"):
         binned(two_link_example, [2.0, 1.0], epsilon=0.25)
-    with pytest.raises(ValueError, match="increasing"):  # 1e300 * 1e10 overflows to inf
+    with pytest.raises(ValueError, match="overflows"):  # 1e300 * 1e10^2 is inf
         geo_binner(two_link_example, u=1e300, alpha=1e10, max_bins=3, epsilon=0.25)
 
 
