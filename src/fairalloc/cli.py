@@ -115,7 +115,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _field(obj: dict, key: str, where: str):
+def _field(obj: object, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"{where}: missing field {key!r}")
     return obj[key]
@@ -123,10 +125,16 @@ def _field(obj: dict, key: str, where: str):
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec_path = FsPath(args.scenarios)
-    data = json.loads(spec_path.read_text())
+    try:
+        data = json.loads(spec_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{spec_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    entries = _field(data, "scenarios", str(spec_path))
+    if not isinstance(entries, list):
+        raise ValueError(f"{spec_path}: 'scenarios' must be a list, got {type(entries).__name__}")
     scenarios = []
     problems: dict[str, object] = {}
-    for i, entry in enumerate(_field(data, "scenarios", str(spec_path))):
+    for i, entry in enumerate(entries):
         ppath = _field(entry, "problem", f"{spec_path} scenario {i}")
         resolved = str((spec_path.parent / ppath).resolve())
         if resolved not in problems:

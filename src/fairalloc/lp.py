@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
+OPT_TOL = 1e-12  # a reduced cost <= OPT_TOL * max(1, max|z|) counts as zero
 
 
 @dataclass(frozen=True)
@@ -306,6 +307,7 @@ def _simplex_core(
     down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     room, mag, ratio = np.empty(m), np.empty(m), np.empty(m)
 
+    @np.errstate(over="ignore")  # an inf ratio: no limit; _check_solution catches a bad pivot
     def run(T: np.ndarray) -> bool:
         """Pivot on the tableau whose last row holds the reduced costs until
         it is optimal (True) or unbounded (False); raises on the iteration
@@ -313,10 +315,10 @@ def _simplex_core(
         nonlocal steps
         z = T[-1, :lim]
         bm = T[:m, width]
-        # Optimality tolerance sits well below the smallest epsilon-weighted
-        # objective level the allocators rely on (>= 1e-10) but well above
-        # float noise, and scales with the objective magnitude.
-        tol_opt = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+        # Scales with the largest reduced cost, well above float noise, but is
+        # not below every level an allocator sets: `gb`'s default epsilon puts
+        # its last bin at 1.01e-12, which counts as zero once max|z| >= 1.01.
+        tol_opt = OPT_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0)))
         degenerate = 0
         for _ in range(max_iter):
             if degenerate < DEGENERATE_RUN:

@@ -26,11 +26,6 @@ and rows, written over the forms:
   boundaries from an adaptive-waterfill estimate;
 * equi-depth elastic binner: boundaries taken from that estimate and
   solved as LP variables.
-
-Ratio objectives carry a deterministic per-demand tie-break factor
-(1 + eta * 2^-i, demand order) so that degenerate optima are resolved the
-same way across allocators; eta is far below every bin-weight gap, so the
-returned point is always an optimum of the unperturbed objective.
 """
 
 from __future__ import annotations
@@ -70,7 +65,6 @@ EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
 MAX_DEFAULT_LEVELS = 1 + int(math.log(EPSILON_GUARD) / math.log(0.5))
 FREEZE_TOL = 1e-7
 DUAL_TOL = 1e-9  # a floor dual above this certifies that the demand is bottlenecked
-TIE_BREAK = 1e-4
 TIE_REL_TOL = 1e-9  # estimates or boundaries this close (relative) count as equal
 
 
@@ -97,12 +91,6 @@ def default_epsilon(levels: int) -> float:
     if levels <= 1:
         return 1e-6
     return min(0.5, max(1e-6, (EPSILON_GUARD * 1.01) ** (1.0 / (levels - 1))))
-
-
-def _tie(index: int) -> float:
-    # Deterministic preference for earlier demands among otherwise-equal
-    # optima; inert (rounds to 1.0) beyond ~50 demands.
-    return 1.0 + TIE_BREAK * 2.0 ** (-index)
 
 
 def _solved(session: SolveSession, lp: LinearProgram):
@@ -427,7 +415,7 @@ def swan_sequence(
     session = session or SolveSession()
     start = session.count
     base, forms = _fragment(problem, compiled, "capped-seq")
-    objective = {j: _tie(i) * a for i, form in enumerate(forms) for j, a in form.items()}
+    objective = {j: a for form in forms for j, a in form.items()}
     frozen: dict[str, float] = {}
     prev: dict[str, float] = {}
     iterations = 0
@@ -507,10 +495,10 @@ def _binned(
     lp, forms = _fragment(problem, compiled, allocator)
     objective: dict[int, float] = {}
     bin_cols: list[list[int]] = []  # per demand, its y_kb columns
-    for i, (d, form) in enumerate(zip(problem.demands, forms)):
+    for d, form in zip(problem.demands, forms):
         cols = [lp.add_variable(upper=cap) for cap in caps]
         bin_cols.append(cols)
-        objective.update({y: epsilon**b * _tie(i) for b, y in enumerate(cols)})
+        objective.update({y: epsilon**b for b, y in enumerate(cols)})
         coeffs = {**_minus(form), **dict.fromkeys(cols, 1.0)}
         lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{d.id}")
     lp.objective = objective
@@ -698,14 +686,12 @@ def equi_depth_elastic(
     objective: dict[int, float] = {}
     for b, group in enumerate(groups):
         for k in group:
-            i = index_of[k]
-            form = forms[i]
+            form = forms[index_of[k]]
             if b > 0:
                 lp.add_constraint({**form, bounds[b - 1]: -1.0}, ">=", 0.0)
             if b < n_groups - 1:
                 lp.add_constraint({**form, bounds[b]: -1.0}, "<=", slacks[b])
-            level = epsilon**b * _tie(i)
-            objective.update({j: level * a for j, a in form.items()})
+            objective.update({j: epsilon**b * a for j, a in form.items()})
     lp.objective = objective
     sol = _solved(session, lp)
 

@@ -121,9 +121,7 @@ def _simplex_core(
         nonlocal steps
         z = T[-1, :lim]
         bm = b[:m]
-        # Optimality tolerance sits well below the smallest epsilon-weighted
-        # objective level the allocators rely on (>= 1e-10) but well above
-        # float noise, and scales with the objective magnitude.
+        # The optimality tolerance of `fairalloc.lp` (`OPT_TOL`).
         tol_opt = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
         degenerate = 0
         for _ in range(max_iter):

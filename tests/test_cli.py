@@ -193,14 +193,18 @@ def test_bench_three_scenarios_to_csv(worked_example_file, tmp_path):
             {"scenarios": [{"problem": "worked.json", "allocator": "exact"}, {"problem": "worked.json"}]},
             " scenario 1: missing field 'allocator'",
         ),
+        ("{broken", ": invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+        ([{"scenarios": []}], ": expected an object, got list"),
+        ({"scenarios": 5}, ": 'scenarios' must be a list, got int"),
+        ({"scenarios": [5]}, " scenario 0: expected an object, got int"),
     ],
-    ids=["scenarios", "problem", "allocator"],
+    ids=["scenarios", "problem", "allocator", "json", "top-level", "scenarios-list", "entry"],
 )
 def test_bench_names_the_file_and_the_missing_field(
     worked_example_file, tmp_path, capsys, spec, after_path
 ):
     scen = tmp_path / "scenarios.json"
-    scen.write_text(json.dumps(spec))
+    scen.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     out = tmp_path / "bench.csv"
     assert cli_main(["bench", "--scenarios", str(scen), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {scen}{after_path}\n"

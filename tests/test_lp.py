@@ -642,9 +642,7 @@ def _rebuilt_swan(problem, u, alpha, solve):
                 lp.add_constraint(form, "<=", cap)
                 if b > 1:
                     lp.add_constraint(form, ">=", prev[k])
-        lp.objective = {
-            j: opt._tie(i) * a for i, form in enumerate(forms) for j, a in form.items()
-        }
+        lp.objective = {j: a for form in forms for j, a in form.items()}
         lps.append(lp)
         values = solve(lp).values
         for d, form in zip(problem.demands, forms):

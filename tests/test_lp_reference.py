@@ -18,7 +18,7 @@ from fairalloc.bench import run_allocator
 from fairalloc.generate import TrafficSpec, generate_problem
 from fairalloc.lp import Constraint, LinearProgram, SimplexBackend, SolveSession
 from fairalloc.model import total_allocation
-from fairalloc.optimizers import DUAL_TOL, FREEZE_TOL, _allocation_from, _tie, build_feasible_alloc
+from fairalloc.optimizers import DUAL_TOL, FREEZE_TOL, _allocation_from, build_feasible_alloc
 from fairalloc.sortnet import build_sorting_network
 
 from conftest import distinct_utility_instance, small_grid_instance
@@ -152,7 +152,7 @@ def _ratio_column_oneshot(problem, epsilon):
 
 def _ratio_column_swan(problem, caps):
     base, rho = _ratio_column_fragment(problem, "capped-seq")
-    objective = {r: _tie(i) for i, r in enumerate(rho)}
+    objective = dict.fromkeys(rho, 1.0)
     frozen, prev, objectives = {}, {}, []
     for b, cap in enumerate(caps, start=1):
         rows = []
@@ -180,9 +180,9 @@ def _ratio_column_swan(problem, caps):
 def _ratio_column_binned(problem, notes):
     lp, rho = _ratio_column_fragment(problem, notes["allocator"])
     objective = {}
-    for i, r in enumerate(rho):
+    for r in rho:
         cols = [lp.add_variable(upper=cap) for cap in notes["bin_caps"]]
-        objective.update({y: notes["epsilon"] ** b * _tie(i) for b, y in enumerate(cols)})
+        objective.update({y: notes["epsilon"] ** b for b, y in enumerate(cols)})
         lp.add_constraint({r: -1.0, **dict.fromkeys(cols, 1.0)}, "==", 0.0)
     lp.objective = objective
     sol = SimplexBackend().solve(lp)
@@ -201,7 +201,7 @@ def _ratio_column_elastic(problem, notes):
                 lp.add_constraint({rho[i]: 1.0, bounds[b - 1]: -1.0}, ">=", 0.0)
             if b < len(groups) - 1:
                 lp.add_constraint({rho[i]: 1.0, bounds[b]: -1.0}, "<=", slack[b])
-            lp.objective[rho[i]] = epsilon**b * _tie(i)
+            lp.objective[rho[i]] = epsilon**b
     sol = SimplexBackend().solve(lp)
     return [sol.objective], sol.values
 
@@ -289,3 +289,64 @@ def test_oneshot_matches_the_ratio_column_lp_where_lo_columns_cancel():
     got = total_allocation(problem, report.allocation)
     for k in want:
         assert abs(got[k] - want[k]) <= 1e-9 * max(1.0, abs(want[k])), k
+
+
+# -- objectives: each allocator's stated objective, no per-demand factor ----------
+
+
+def test_swan_and_the_binners_weigh_only_their_levels():
+    # swan maximises the ratio sum; a gb or eb-multibin bin column at level b
+    # weighs epsilon^b; an eb-elastic demand in group b weighs epsilon^b on
+    # its ratio form, epsilon^b * q / w per rate column.
+    for problem in [small_grid_instance(s) for s in range(4)]:
+        _, forms = build_feasible_alloc(problem)
+        rates = sum(len(d.paths) for d in problem.demands)
+        _, rec = _run(problem, "swan")
+        want = {j: a for form in forms for j, a in form.items()}
+        assert all(lp.objective == want for lp in rec.lps)
+        for allocator in ("gb", "eb-multibin"):
+            report, rec = _run(problem, allocator)
+            (lp,) = rec.lps
+            epsilon = report.notes["epsilon"]
+            levels = {}
+            for c in lp.constraints:
+                if c.name.startswith("bins:"):
+                    cols = sorted(j for j in c.coeffs if j >= rates)
+                    levels.update({y: epsilon**b for b, y in enumerate(cols)})
+            assert len(levels) == len(problem.demands) * len(report.notes["bin_caps"])
+            assert lp.objective == levels, allocator
+        report, rec = _run(problem, "eb-elastic")
+        (lp,) = rec.lps
+        epsilon = report.notes["epsilon"]
+        index_of = {d.id: i for i, d in enumerate(problem.demands)}
+        want = {
+            j: epsilon**b * a
+            for b, group in enumerate(report.notes["groups"])
+            for k in group
+            for j, a in forms[index_of[k]].items()
+        }
+        assert lp.objective == want
+
+
+def test_swan_and_the_binners_do_not_move_with_the_optimality_tolerance(monkeypatch):
+    # A tighter optimality tolerance returns the same totals on these D = 20
+    # problems: no answer rests on a reduced cost between the two tolerances.
+    problems = [
+        generate_problem(5, 7, TrafficSpec(traffic, 8.0, seed), 4)
+        for traffic in ("gravity", "uniform")
+        for seed in range(8)
+    ]
+
+    def totals():
+        return [
+            total_allocation(p, run_allocator(p, a).allocation)
+            for p in problems
+            for a in ("gb", "swan", "eb-elastic")
+        ]
+
+    want = totals()
+    monkeypatch.setattr(lp_module, "OPT_TOL", 1e-15)
+    for got, ref in zip(totals(), want):
+        for k in ref:
+            assert abs(got[k] - ref[k]) <= 1e-9 * max(1.0, abs(ref[k])), k
+

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ def test_a_non_finite_ladder_or_slack_is_refused_by_name(allocator, config, mess
         run_allocator(prob, allocator, config)
 
 
+def test_a_ratio_that_overflows_leaks_no_warning():
+    # The ladder [1e308] bounds each bin column near the float maximum, so the
+    # simplex's ratio test divides 1e308 by a coefficient below 1: inf, which
+    # only means that row sets no limit.
+    prob = generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_allocator(prob, "gb", {"u": 1e308, "alpha": 10})
+    assert report.notes["converged"]
+    assert check_feasible(prob, report.allocation).feasible
+
+
 @pytest.mark.parametrize("allocator", LP_ALLOCATORS)
 def test_all_zero_capacities_give_zero_rates(allocator):
     # no ratio is positive and the largest capacity is 0, so swan and gb
@@ -435,8 +448,9 @@ def test_one_shot_sorted_outputs_are_sorted(two_link_example):
 
 def test_swan_symmetric_link_resolves_ties_deterministically():
     # Vertex solutions of the per-iteration LPs cannot yield the interior
-    # (5, 5) split; the deterministic tie-break hands the slack of the last
-    # unfair bin to the earlier demand.  Fairness stays within alpha = 2.
+    # (5, 5) split; among equal reduced costs the built-in simplex enters the
+    # lowest-index column, so the slack of the last unfair bin goes to the
+    # earlier demand.  Fairness stays within alpha = 2.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
     rep = swan_sequence(prob, u=1.0, alpha=2.0)
     totals = total_allocation(prob, rep.allocation)
