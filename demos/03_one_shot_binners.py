@@ -28,15 +28,15 @@ problem = Problem(
 )
 
 # One geometric ladder u * alpha^b drives both: the sequence caps its
-# iterations by it, the binner bins by it.  Both take (u, alpha, max_bins).
-ladder = suggest_bin_config(problem, alpha=2.0, u=1 / 16, num_bins=6)
+# iterations by it, the binner bins by it.  Both take (u, alpha, bins).
+ladder = suggest_bin_config(problem, alpha=2.0, u=1 / 16, bins=6)
 print("ladder:", ladder)
 
-sw = swan_sequence(problem, u=1 / 16, alpha=2.0, max_bins=6)
+sw = swan_sequence(problem, u=1 / 16, alpha=2.0, bins=6)
 print("capped sequence:", total_allocation(problem, sw.allocation),
       f"({sw.lp_solves} LP solves)")
 
-gb = geo_binner(problem, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
+gb = geo_binner(problem, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
 print("geometric binner:", total_allocation(problem, gb.allocation),
       f"({gb.lp_solves} LP solve)")
 for k, bins in gb.notes["bins"].items():
@@ -50,7 +50,7 @@ print("exact oracle:    ", star)
 # The equi-depth binner spreads demands uniformly over bins (boundaries come
 # from a quick waterfill estimate and are solved as LP variables).  On this
 # instance it recovers the exact allocation.
-eb = equi_depth_elastic(problem, num_bins=2, epsilon=0.25)
+eb = equi_depth_elastic(problem, bins=2, epsilon=0.25)
 print("equi-depth:      ", total_allocation(problem, eb.allocation),
       f"({eb.lp_solves} LP solve)")
 

@@ -28,7 +28,7 @@ problem = Problem(
     demands=[Demand("d1", ["p1", "p2"]), Demand("d2", ["p3"])],
 )
 
-report = adaptive_waterfill(problem, max_iterations=6, inner="exact")
+report = adaptive_waterfill(problem, iterations=6, inner="exact")
 # The trace holds one row per iteration of theta and of rates, indexed by
 # subdemand column.
 trace = report.notes["theta_trace"]
@@ -40,7 +40,7 @@ for t, (theta, rates) in enumerate(zip(trace["theta"], trace["rates"]), 1):
           f"theta={Fraction(th).limit_denominator(1000)}, "
           f"f={Fraction(f12).limit_denominator(1000)}")
 
-longer = adaptive_waterfill(problem, max_iterations=20, inner="exact")
+longer = adaptive_waterfill(problem, iterations=20, inner="exact")
 print("\nconverged:", longer.converged, "after", longer.iterations, "iterations")
 print("rates:", {k: round(v, 6) for k, v in longer.allocation.rates.items()})
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path as FsPath
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -86,80 +86,74 @@ def save_allocation(path: str | FsPath, alloc: Allocation) -> None:
 
 
 def load_allocation(path: str | FsPath) -> Allocation:
-    data = json.loads(FsPath(path).read_text())
-    rates = {
-        (k, p): float(r)
-        for k, per_path in data["rates"].items()
-        for p, r in per_path.items()
-    }
+    """Read a ``save_allocation`` file; other content is a ValueError naming it."""
+    try:
+        data = json.loads(FsPath(path).read_text())
+        rates = {
+            (k, p): float(r)
+            for k, per_path in data["rates"].items()
+            for p, r in per_path.items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not an allocation file ({type(exc).__name__}: {exc})") from exc
     return Allocation(rates)
 
 
 # -- named allocators -------------------------------------------------------------
 
 
-def _run_waterfill(problem: Problem, exact: bool) -> AllocatorReport:
-    if exact:
-        multi = [d.id for d in problem.demands if len(d.paths) > 1]
-        if multi:
-            raise ValueError(
-                f"waterfill handles single-path demands only; {multi[:3]} have "
-                "several paths (use approx-waterfill or adaptive-waterfill)"
-            )
-    fill = single_path_waterfill if exact else approx_waterfill
+def _fill(problem: Problem, fill: Callable, name: str) -> AllocatorReport:
     matrix, caps = build_subdemands(problem)
     rates = fill(matrix, caps)
     alloc = Allocation({c: float(r) for c, r in zip(matrix.columns, rates)})
-    name = "waterfill" if exact else "approx-waterfill"
-    notes = {"allocator": name, "converged": True}
-    if exact and any(q != 1.0 for d in problem.demands for q in d.utility.values()):
-        notes["exact"] = False
-        notes["inexact_reason"] = (
+    return AllocatorReport(alloc, 0, 1, {"allocator": name, "converged": True})
+
+
+def _run_waterfill(problem: Problem) -> AllocatorReport:
+    multi = [d.id for d in problem.demands if len(d.paths) > 1]
+    if multi:
+        raise ValueError(
+            f"waterfill handles single-path demands only; {multi[:3]} have "
+            "several paths (use approx-waterfill or adaptive-waterfill)"
+        )
+    report = _fill(problem, single_path_waterfill, "waterfill")
+    if any(q != 1.0 for d in problem.demands for q in d.utility.values()):
+        report.notes["exact"] = False
+        report.notes["inexact_reason"] = (
             "utility != 1: waterfilling equalises weighted path rates f_k/w_k, "
             "not utility-weighted totals F_k/w_k"
         )
-    return AllocatorReport(alloc, 0, 1, notes)
+    return report
 
 
-def _run_gb(problem, session, alpha=2.0, u=None, epsilon=None, bins=None):
-    return geo_binner(problem, u, alpha, bins, epsilon, session)
+def _run_approx_waterfill(problem: Problem) -> AllocatorReport:
+    return _fill(problem, approx_waterfill, "approx-waterfill")
 
 
-def _run_eb_elastic(problem, session, bins=None, epsilon=0.25, slack=None, iterations=10):
-    return equi_depth_elastic(problem, bins, epsilon, slack, iterations, session)
-
-
-def _run_eb_multibin(problem, session, bins=None, epsilon=0.25, iterations=10):
-    return equi_depth_multibin(problem, bins, epsilon, iterations, session)
-
-
-# allocator id -> runner(problem, session, **config); a runner's keyword
-# parameters after (problem, session) are the config keys it accepts, with
-# their defaults.  A runner calls one public function by its name in this
-# module, looked up at call time, so a wrapper bound to that name sees every
-# call.  Values may come from JSON; run_allocator checks and converts them.
-_RUNNERS: dict[str, Callable[..., AllocatorReport]] = {
-    "exact": lambda problem, session: exact_sequential_max_min(problem, session),
-    "oneshot": lambda problem, session, epsilon=0.01: one_shot_exact(problem, epsilon, session),
-    "swan": lambda problem, session, alpha=2.0, u=None, bins=None: swan_sequence(
-        problem, u, alpha, bins, session
-    ),
-    "gb": _run_gb,
-    "eb-elastic": _run_eb_elastic,
-    "eb-multibin": _run_eb_multibin,
-    "waterfill": lambda problem, session: _run_waterfill(problem, exact=True),
-    "approx-waterfill": lambda problem, session: _run_waterfill(problem, exact=False),
-    "adaptive-waterfill": lambda problem, session, iterations=10, inner="approx": (
-        adaptive_waterfill(problem, iterations, inner)
-    ),
+# allocator id -> the name of its function in this module, looked up per call,
+# so a wrapper bound to that name (as a tracer installs one) sees every call.
+# The function's parameters other than problem, session and theta_tol (a test
+# knob of adaptive_waterfill) are the config keys, with their defaults.
+_ALLOCATORS = {
+    "exact": "exact_sequential_max_min",
+    "oneshot": "one_shot_exact",
+    "swan": "swan_sequence",
+    "gb": "geo_binner",
+    "eb-elastic": "equi_depth_elastic",
+    "eb-multibin": "equi_depth_multibin",
+    "waterfill": "_run_waterfill",
+    "approx-waterfill": "_run_approx_waterfill",
+    "adaptive-waterfill": "adaptive_waterfill",
 }
-
+ALLOCATOR_IDS = tuple(_ALLOCATORS)
 # Read once here, not per call: run_allocator is on the benchmark's timed path.
-_CONFIG_KEYS = {
-    allocator: tuple(inspect.signature(runner).parameters)[2:]
-    for allocator, runner in _RUNNERS.items()
+_PARAMETERS = {
+    a: tuple(inspect.signature(globals()[f]).parameters) for a, f in _ALLOCATORS.items()
 }
-ALLOCATOR_IDS = tuple(_RUNNERS)
+_CONFIG_KEYS = {
+    a: tuple(p for p in ps if p not in ("problem", "session", "theta_tol"))
+    for a, ps in _PARAMETERS.items()
+}
 _COUNT_KEYS = ("bins", "iterations")
 _REAL_KEYS = ("alpha", "epsilon", "u", "slack")
 
@@ -185,32 +179,36 @@ def _real(key: str, value) -> float:
 def run_allocator(
     problem: Problem,
     allocator: str,
-    config: dict | None = None,
+    config: Mapping | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Run a registered allocator; its LPs go through ``session`` (a fresh
-    built-in-simplex session by default).  A config key the allocator does
-    not read is an error, so no key is reported as applied when it was not;
-    so is a ``bins`` or ``iterations`` value that is not a whole number, and
-    an ``alpha``, ``epsilon``, ``u`` or ``slack`` value that is not a real
-    number."""
-    if allocator not in _RUNNERS:
+    built-in-simplex session by default).  A config that is not a mapping
+    is an error, and so is a key the allocator does not read, so no key is
+    reported as applied when it was not; so is a ``bins`` or ``iterations``
+    value that is not a whole number, and an ``alpha``, ``epsilon``, ``u``
+    or ``slack`` value that is not a real number."""
+    if allocator not in _ALLOCATORS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"
         )
+    config = {} if config is None else config
+    if not isinstance(config, Mapping):
+        raise ValueError(f"{allocator} config must be a mapping, got {config!r}")
     keys = _CONFIG_KEYS[allocator]
-    config = config or {}
     unused = sorted(set(config) - set(keys))
     if unused:
         raise ValueError(
             f"{allocator} does not read config keys {unused}; it accepts "
             f"{list(keys) or 'none'}"
         )
-    config = {
+    kwargs = {
         k: _count(k, v) if k in _COUNT_KEYS else _real(k, v) if k in _REAL_KEYS else v
         for k, v in config.items()
     }
-    return _RUNNERS[allocator](problem, session or SolveSession(), **config)
+    if "session" in _PARAMETERS[allocator]:
+        kwargs["session"] = session
+    return globals()[_ALLOCATORS[allocator]](problem, **kwargs)
 
 
 # -- POP-style partitioning -------------------------------------------------------
@@ -278,7 +276,7 @@ class Scenario:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.allocator not in _RUNNERS:
+        if self.allocator not in _ALLOCATORS:
             raise ValueError(f"scenario {self.label!r}: unknown allocator {self.allocator!r}")
 
 

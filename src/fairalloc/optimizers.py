@@ -39,7 +39,7 @@ from .lp import Constraint, LinearProgram, SolveSession
 from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
-from .waterfill import SubdemandMatrix, _adaptive, build_subdemands
+from .waterfill import THETA_CONVERGENCE, SubdemandMatrix, _adaptive, build_subdemands
 
 # Unused here (the estimates run `_adaptive`); perfbench/trace.py wraps it by this name.
 from .waterfill import adaptive_waterfill  # noqa: F401
@@ -235,7 +235,7 @@ def exact_sequential_max_min(
 
 
 def one_shot_exact(
-    problem: Problem, epsilon: float, session: SolveSession | None = None
+    problem: Problem, epsilon: float = 0.01, session: SolveSession | None = None
 ) -> AllocatorReport:
     """Single-LP exact max-min fairness.
 
@@ -330,7 +330,7 @@ def _estimate_ratios(
     """Weighted ratios F_k / w_k of an approximate adaptive-waterfill run on
     the problem's `build_subdemands` result (F_k sums utility-weighted path
     rates), and its iteration count."""
-    aw = _adaptive(problem, compiled, iterations)
+    aw = _adaptive(problem, compiled, iterations, "approx", THETA_CONVERGENCE)
     totals = total_allocation(problem, aw.allocation)
     return {d.id: totals[d.id] / d.weight for d in problem.demands}, aw.iterations
 
@@ -348,26 +348,26 @@ def suggest_bin_config(
     problem: Problem,
     alpha: float = 2.0,
     u: float | None = None,
-    num_bins: int | None = None,
+    bins: int | None = None,
 ) -> list[float]:
-    """The geometric boundary ladder u * alpha^b for b < num_bins: the caps of
+    """The geometric boundary ladder u * alpha^b for b < bins: the caps of
     ``swan_sequence`` and the bins of ``geo_binner``.
 
     u defaults to just under the smallest positive ratio of a one-pass
     waterfill estimate (1e-3 of the largest capacity if no ratio is
-    positive, 1.0 if every capacity is 0); num_bins to enough rungs to cover
+    positive, 1.0 if every capacity is 0); bins to enough rungs to cover
     ``achievable_ratio_bound`` from u.
     """
     if u is None:  # compiling for the estimate validates the problem
         u = _default_u(problem, build_subdemands(problem))
     else:  # the bound below would divide by a zero weight
         raise_if_invalid(validate_problem(problem))
-    return _geo_ladder(problem, u, alpha, num_bins)
+    return _geo_ladder(problem, u, alpha, bins)
 
 
-def _geo_ladder(problem: Problem, u: float, alpha: float, num_bins: int | None) -> list[float]:
+def _geo_ladder(problem: Problem, u: float, alpha: float, bins: int | None) -> list[float]:
     """`suggest_bin_config` for a given u, on a validated problem.  Every
-    rung, the top one u * alpha^(num_bins-1) included, must be finite."""
+    rung, the top one u * alpha^(bins-1) included, must be finite."""
     if not u > 0:
         raise ValueError("u must be > 0")
     if not alpha > 1:
@@ -375,18 +375,18 @@ def _geo_ladder(problem: Problem, u: float, alpha: float, num_bins: int | None) 
     for key, value in (("u", u), ("alpha", alpha)):
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
-    if num_bins is None:
+    if bins is None:
         bound = achievable_ratio_bound(problem)
-        num_bins = 1 if bound <= u else max(1, math.ceil(math.log(bound / u, alpha))) + 1
-    if num_bins < 1:
+        bins = 1 if bound <= u else max(1, math.ceil(math.log(bound / u, alpha))) + 1
+    if bins < 1:
         raise ValueError("bins must be >= 1")
     try:
-        ladder = [u * alpha**b for b in range(num_bins)]
+        ladder = [u * alpha**b for b in range(bins)]
     except OverflowError:  # alpha^b itself overflows
         ladder = [math.inf]
     if not math.isfinite(ladder[-1]):
         raise ValueError(
-            f"u * alpha^{num_bins - 1} overflows (u={u:g}, alpha={alpha:g}); "
+            f"u * alpha^{bins - 1} overflows (u={u:g}, alpha={alpha:g}); "
             "the top rung must be finite, so lower u, alpha or bins"
         )
     return ladder
@@ -396,14 +396,14 @@ def swan_sequence(
     problem: Problem,
     u: float | None = None,
     alpha: float = 2.0,
-    max_bins: int | None = None,
+    bins: int | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Iterative approximate max-min fairness with geometrically growing
     per-demand rate caps.
 
     Iteration b maximizes the ratio sum subject to rho_k <= u * alpha^(b-1),
-    the b-th boundary of ``suggest_bin_config(problem, alpha, u, max_bins)``;
+    the b-th boundary of ``suggest_bin_config(problem, alpha, u, bins)``;
     a demand that ends an iteration strictly below its cap is frozen there
     for all later iterations.  Runs until every demand is frozen or the
     ladder is exhausted.  One LP per iteration.  Converged only if every
@@ -411,7 +411,7 @@ def swan_sequence(
     """
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
-    caps = _geo_ladder(problem, u, alpha, max_bins)
+    caps = _geo_ladder(problem, u, alpha, bins)
     session = session or SolveSession()
     start = session.count
     base, forms = _fragment(problem, compiled, "capped-seq")
@@ -542,12 +542,12 @@ def geo_binner(
     problem: Problem,
     u: float | None = None,
     alpha: float = 2.0,
-    max_bins: int | None = None,
+    bins: int | None = None,
     epsilon: float | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """One-shot geometric binner: the binned LP over the capped sequence's
-    ladder, ``suggest_bin_config(problem, alpha, u, max_bins)``, with the
+    ladder, ``suggest_bin_config(problem, alpha, u, bins)``, with the
     problem compiled once for the estimate of u and the LP.
 
     The decaying weights make every optimum fill a demand's lower bins before
@@ -559,16 +559,16 @@ def geo_binner(
     whole ladder, since the top boundary may have truncated it.
 
     epsilon defaults to ``default_epsilon`` of the ladder's length.  A default
-    ladder (``max_bins`` None) longer than the guard admits even at epsilon
+    ladder (``bins`` None) longer than the guard admits even at epsilon
     0.5 keeps its lowest ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches
     the top of those is flagged as above.  An asked-for ladder is weighed
     whole, and an epsilon that breaks the guard raises.
     """
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
-    boundaries = _geo_ladder(problem, u, alpha, max_bins)
+    boundaries = _geo_ladder(problem, u, alpha, bins)
     if epsilon is None:
-        if max_bins is None:
+        if bins is None:
             boundaries = boundaries[:MAX_DEFAULT_LEVELS]
         epsilon = default_epsilon(len(boundaries))
     return _binned(problem, compiled, boundaries, epsilon, session, "geo-binner")
@@ -627,24 +627,24 @@ def merge_boundaries(boundaries: Sequence[float]) -> list[float]:
     return out
 
 
-def _equi_depth_bins(problem: Problem, num_bins: int | None) -> int:
-    """The equi-depth binners' bin count: ``num_bins``, else half the demands
+def _equi_depth_bins(problem: Problem, bins: int | None) -> int:
+    """The equi-depth binners' bin count: ``bins``, else half the demands
     clamped to 2..8."""
-    return max(2, min(8, len(problem.demands) // 2)) if num_bins is None else num_bins
+    return max(2, min(8, len(problem.demands) // 2)) if bins is None else bins
 
 
 def equi_depth_elastic(
     problem: Problem,
-    num_bins: int | None = None,
+    bins: int | None = None,
     epsilon: float = 0.25,
     slack: float | None = None,
-    aw_iterations: int = 10,
+    iterations: int = 10,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Equi-depth binner with elastic boundaries.
 
-    An adaptive-waterfill run of ``aw_iterations`` rounds orders the
-    demands; each of ``num_bins`` equal-size groups is assigned to one bin
+    An adaptive-waterfill run of ``iterations`` rounds orders the
+    demands; each of ``bins`` equal-size groups is assigned to one bin
     whose boundary is an LP variable, with the group's ratios constrained to
     l_(b-1) <= rho_k <= l_b + s_b.  The slack absorbs estimate inaccuracies.
     One LP regardless of bin count.
@@ -655,7 +655,7 @@ def equi_depth_elastic(
     identical demands on one link of capacity 10 get 5 + s/2 and 5 - s/2
     (5.0000025 and 4.9999975, with s = 5e-6).
     """
-    num_bins = _equi_depth_bins(problem, num_bins)
+    bins = _equi_depth_bins(problem, bins)
     if slack is not None and not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
     if slack is not None and slack < 0:
@@ -664,9 +664,9 @@ def equi_depth_elastic(
     start = session.count
 
     compiled = build_subdemands(problem)
-    est_ratio, rounds = _estimate_ratios(problem, compiled, aw_iterations)
+    est_ratio, rounds = _estimate_ratios(problem, compiled, iterations)
     est_bounds, groups = compute_equi_boundaries(
-        est_ratio, min(num_bins, len(problem.demands))
+        est_ratio, min(bins, len(problem.demands))
     )
     n_groups = len(groups)
     _check_levels(epsilon, n_groups)  # one level per group built, not per bin asked for
@@ -714,25 +714,25 @@ def equi_depth_elastic(
 
 def equi_depth_multibin(
     problem: Problem,
-    num_bins: int | None = None,
+    bins: int | None = None,
     epsilon: float = 0.25,
-    aw_iterations: int = 10,
+    iterations: int = 10,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Equi-depth multi-bin binner: the binned LP over a ladder from an
-    adaptive-waterfill estimate of ``aw_iterations`` rounds, with the problem
+    adaptive-waterfill estimate of ``iterations`` rounds, with the problem
     compiled once for the estimate and the LP.
 
     The ladder is the equi-depth boundaries of the estimated ratios (the
-    ``num_bins`` groups of ``equi_depth_elastic``), merged to be strictly
+    ``bins`` groups of ``equi_depth_elastic``), merged to be strictly
     increasing; it is one bin at the largest estimate, or 1.0, if no estimate
     is positive.  A demand is capped at the top boundary, the largest
     estimate, and a demand that reaches it is flagged like a truncated
     geometric binner.
     """
     compiled = build_subdemands(problem)
-    num_bins = _equi_depth_bins(problem, num_bins)
-    est, _ = _estimate_ratios(problem, compiled, aw_iterations)
-    bounds, _ = compute_equi_boundaries(est, min(num_bins, len(est)))
+    bins = _equi_depth_bins(problem, bins)
+    est, _ = _estimate_ratios(problem, compiled, iterations)
+    bounds, _ = compute_equi_boundaries(est, min(bins, len(est)))
     boundaries = merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
     return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")

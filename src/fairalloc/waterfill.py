@@ -263,7 +263,7 @@ def approx_waterfill(matrix: SubdemandMatrix, capacities: np.ndarray) -> np.ndar
 
 def adaptive_waterfill(
     problem: Problem,
-    max_iterations: int = 10,
+    iterations: int = 10,
     inner: str = "approx",
     theta_tol: float = THETA_CONVERGENCE,
 ) -> AllocatorReport:
@@ -271,27 +271,27 @@ def adaptive_waterfill(
     round's rate proportions: theta(t+1) = f_k^p(t) / sum_p f_k^p(t).
 
     Stops when the largest theta change drops to theta_tol (default 1e-6) or
-    at max_iterations; non-convergence is flagged in the report, not an
-    error.  Demands with zero total rate keep their previous theta (the
+    after ``iterations`` rounds; non-convergence is flagged in the report,
+    not an error.  Demands with zero total rate keep their previous theta (the
     update is undefined there).  The subdemand incidence is built once; each
     round rescales its weights in place.
 
     ``notes["theta_trace"]`` is ``{"columns": matrix.columns, "theta": T,
     "rates": R}``, where row t - 1 of the 2-D arrays holds iteration t.
     """
-    return _adaptive(problem, build_subdemands(problem), max_iterations, inner, theta_tol)
+    return _adaptive(problem, build_subdemands(problem), iterations, inner, theta_tol)
 
 
 def _adaptive(
     problem: Problem,
     compiled: tuple[SubdemandMatrix, np.ndarray],
-    max_iterations: int,
-    inner: str = "approx",
-    theta_tol: float = THETA_CONVERGENCE,
+    iterations: int,
+    inner: str,
+    theta_tol: float,
 ) -> AllocatorReport:
     """`adaptive_waterfill` on the problem's `build_subdemands` result,
     whose ``gamma`` it overwrites."""
-    if max_iterations < 1:
+    if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if inner not in ("exact", "approx"):
         raise ValueError(f"unknown inner waterfiller {inner!r}")
@@ -300,7 +300,7 @@ def _adaptive(
     matrix, caps = compiled
     theta = _even_split(matrix.owner)
     thetas, flows = [], []
-    for _ in range(max_iterations):
+    for _ in range(iterations):
         matrix.rescale(theta)
         flow = fill(matrix, caps)
         thetas.append(theta)

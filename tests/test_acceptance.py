@@ -90,7 +90,7 @@ def test_01_adaptive_waterfill_reproduces_worked_example_traces():
     want_f12 = [Fraction(1, 3), Fraction(2, 7), Fraction(4, 15),
                 Fraction(8, 31), Fraction(16, 63), Fraction(32, 127)]
 
-    six = fa.adaptive_waterfill(prob, max_iterations=6, inner="exact")
+    six = fa.adaptive_waterfill(prob, iterations=6, inner="exact")
     trace = six.notes["theta_trace"]
     p1, p2 = trace["columns"].index(("d1", "p1")), trace["columns"].index(("d1", "p2"))
     assert len(trace["theta"]) == len(trace["rates"]) == 6
@@ -98,7 +98,7 @@ def test_01_adaptive_waterfill_reproduces_worked_example_traces():
         assert trace["theta"][t, p1] == pytest.approx(float(want_theta[t]), abs=1e-9)
         assert trace["rates"][t, p2] == pytest.approx(float(want_f12[t]), abs=1e-9)
 
-    twenty = fa.adaptive_waterfill(prob, max_iterations=20, inner="exact")
+    twenty = fa.adaptive_waterfill(prob, iterations=20, inner="exact")
     rates = twenty.allocation.rates
     assert rates[("d1", "p1")] == pytest.approx(0.5, abs=1e-3)
     assert rates[("d1", "p2")] == pytest.approx(0.25, abs=1e-3)
@@ -148,7 +148,7 @@ def test_03_geo_binner_equals_swan_under_delta_rule(gb_runs):
     for entry in gb_runs:
         prob, u, delta = entry["prob"], entry["u"], entry["delta"]
         gb = entry["gb"]["delta-rule"]
-        sw = fa.swan_sequence(prob, u=u, alpha=2.0, max_bins=2)
+        sw = fa.swan_sequence(prob, u=u, alpha=2.0, bins=2)
         tg = total_allocation(prob, gb.allocation)
         ts = total_allocation(prob, sw.allocation)
         tol = max(1e-6, delta)
@@ -212,7 +212,7 @@ def test_05_bin_prefix_property_has_zero_violations(gb_runs):
         for rep in entry["gb"].values():
             violations += _prefix_violations(rep)
             runs += 1
-        mb = fa.equi_depth_multibin(prob, num_bins=3, epsilon=0.25, aw_iterations=10)
+        mb = fa.equi_depth_multibin(prob, bins=3, epsilon=0.25, iterations=10)
         violations += _prefix_violations(mb)
         runs += 1
     assert violations == 0
@@ -233,7 +233,7 @@ def test_06_bandwidth_bottleneck_theory():
     for seed in range(40):
         prob = unit_qr_instance(seed)
         rep = fa.adaptive_waterfill(
-            prob, max_iterations=4000, inner="exact", theta_tol=1e-11
+            prob, iterations=4000, inner="exact", theta_tol=1e-11
         )
         if not rep.converged:
             continue

@@ -79,7 +79,7 @@ def test_solve_rejects_a_flag_its_allocator_does_not_read(
     )
     assert code == 1
     assert not out.exists()
-    assert "['alpha', 'u', 'bins']" in capsys.readouterr().err
+    assert "['u', 'alpha', 'bins']" in capsys.readouterr().err
 
 
 def test_solve_unknown_allocator_is_usage_error(worked_example_file, tmp_path):

@@ -484,7 +484,7 @@ def test_swan_close_to_oracle_for_symmetric_case():
 
 def test_swan_reports_unconverged_when_the_ladder_runs_out():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    short = swan_sequence(prob, 0.1, 2.0, max_bins=2)
+    short = swan_sequence(prob, 0.1, 2.0, bins=2)
     totals = total_allocation(prob, short.allocation)
     assert totals == pytest.approx({"d0": 0.2, "d1": 0.2})
     assert not short.converged
@@ -501,26 +501,26 @@ def test_ladder_and_epsilon_validation():
     with pytest.raises(ValueError, match="alpha must be > 1"):
         suggest_bin_config(prob, alpha=1.0, u=1.0)
     with pytest.raises(ValueError, match="^bins must be >= 1"):
-        suggest_bin_config(prob, u=1.0, num_bins=0)
+        suggest_bin_config(prob, u=1.0, bins=0)
     with pytest.raises(ValueError, match="epsilon must be in"):
-        geo_binner(prob, u=1.0, max_bins=2, epsilon=1.5)
+        geo_binner(prob, u=1.0, bins=2, epsilon=1.5)
     with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, u=1.0, max_bins=8, epsilon=1e-6)  # 1e-42
-    assert suggest_bin_config(prob, u=1.0, num_bins=3) == [1.0, 2.0, 4.0]
-    assert geo_binner(prob, u=1.0, max_bins=3, epsilon=1e-6).converged  # exactly at the guard
+        geo_binner(prob, u=1.0, bins=8, epsilon=1e-6)  # 1e-42
+    assert suggest_bin_config(prob, u=1.0, bins=3) == [1.0, 2.0, 4.0]
+    assert geo_binner(prob, u=1.0, bins=3, epsilon=1e-6).converged  # exactly at the guard
 
 
 def test_single_demand_saturates_first_bin_exactly():
     prob = single_link(1.0, [(None, 1.0)])
-    rep = geo_binner(prob, u=1.0, max_bins=4, epsilon=0.1)
+    rep = geo_binner(prob, u=1.0, bins=4, epsilon=0.1)
     bins = rep.notes["bins"]["d0"]
     assert bins[0] == pytest.approx(1.0)
     assert all(b == pytest.approx(0.0, abs=1e-9) for b in bins[1:])
 
 
 def test_geo_binner_matches_swan_on_worked_example(two_link_example):
-    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
-    sw = swan_sequence(two_link_example, u=1 / 16, alpha=2.0, max_bins=6)
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
+    sw = swan_sequence(two_link_example, u=1 / 16, alpha=2.0, bins=6)
     tg = total_allocation(two_link_example, gb.allocation)
     ts = total_allocation(two_link_example, sw.allocation)
     for k in tg:
@@ -529,7 +529,7 @@ def test_geo_binner_matches_swan_on_worked_example(two_link_example):
 
 
 def test_geo_binner_bin_prefix_property(two_link_example):
-    rep = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
+    rep = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
@@ -635,7 +635,7 @@ def test_gb_default_keeps_the_rungs_the_guard_admits_on_a_wide_span():
     with pytest.raises(ValueError, match="guard"):  # an asked-for ladder is not cut
         run_allocator(prob, "gb", {"bins": len(ladder)})
     with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, max_bins=len(ladder), epsilon=0.5)
+        geo_binner(prob, bins=len(ladder), epsilon=0.5)
 
 
 # -- equi-depth binners ------------------------------------------------------------
@@ -685,7 +685,7 @@ def test_boundaries_validation():
 
 def test_elastic_single_bin_maximizes_ratio_sum():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, num_bins=1, epsilon=0.25)
+    rep = equi_depth_elastic(prob, bins=1, epsilon=0.25)
     totals = total_allocation(prob, rep.allocation)
     assert sum(totals.values()) == pytest.approx(10.0)
     assert rep.lp_solves == 1
@@ -695,7 +695,7 @@ def test_elastic_symmetric_split_is_fair():
     # One demand per group; the slack floor (1e-6 x the largest estimate, 5)
     # lets the lower group's ratio reach l_1 + s, so the split is off by s/2.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, num_bins=2, epsilon=0.25)
+    rep = equi_depth_elastic(prob, bins=2, epsilon=0.25)
     totals = total_allocation(prob, rep.allocation)
     slack = rep.notes["slack"][0]
     assert slack == pytest.approx(5e-6)
@@ -706,23 +706,23 @@ def test_elastic_symmetric_split_is_fair():
 
 def test_elastic_slack_is_one_float_for_every_bin():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0), (None, 2.0), (None, 2.0)])
-    rep = equi_depth_elastic(prob, num_bins=2, slack=0.3)
+    rep = equi_depth_elastic(prob, bins=2, slack=0.3)
     assert rep.notes["slack"] == [0.3, 0.3]
     with pytest.raises(ValueError, match="nonnegative"):
-        equi_depth_elastic(prob, num_bins=2, slack=-0.1)
+        equi_depth_elastic(prob, bins=2, slack=-0.1)
 
 
 def test_elastic_checks_its_parameters():
     prob = single_link(10.0, [(None, 1.0)] * 8)
     with pytest.raises(ValueError, match="guard"):
-        equi_depth_elastic(prob, num_bins=8, epsilon=1e-3)  # 1e-21 underflows
-    assert equi_depth_elastic(prob, num_bins=4, epsilon=1e-3).notes["epsilon"] == 1e-3  # 1e-9
+        equi_depth_elastic(prob, bins=8, epsilon=1e-3)  # 1e-21 underflows
+    assert equi_depth_elastic(prob, bins=4, epsilon=1e-3).notes["epsilon"] == 1e-3  # 1e-9
     with pytest.raises(ValueError, match="epsilon must be in"):
         equi_depth_elastic(prob, epsilon=1.0)
     with pytest.raises(ValueError, match="^bins must be >= 1"):
-        equi_depth_elastic(prob, num_bins=0)
+        equi_depth_elastic(prob, bins=0)
     with pytest.raises(ValueError, match="^iterations must be >= 1"):
-        equi_depth_elastic(prob, aw_iterations=0)
+        equi_depth_elastic(prob, iterations=0)
 
 
 def test_elastic_checks_the_guard_against_the_groups_it_builds():
@@ -746,7 +746,7 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
     star = total_allocation(
         two_link_example, exact_sequential_max_min(two_link_example).allocation
     )
-    eb = equi_depth_elastic(two_link_example, num_bins=2, epsilon=0.25)
+    eb = equi_depth_elastic(two_link_example, bins=2, epsilon=0.25)
     gb = geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05)
     q_eb = compare_rates(
         two_link_example, total_allocation(two_link_example, eb.allocation), star
@@ -766,7 +766,7 @@ def binned(prob, boundaries, epsilon):
 
 def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
     mb = binned(two_link_example, [1 / 16 * 2.0**b for b in range(6)], epsilon=0.05)
-    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, max_bins=6, epsilon=0.05)
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
     tm = total_allocation(two_link_example, mb.allocation)
     tg = total_allocation(two_link_example, gb.allocation)
     for k in tm:
@@ -801,7 +801,7 @@ def test_multibin_rejects_bad_boundaries(two_link_example):
     with pytest.raises(ValueError, match="increasing"):
         binned(two_link_example, [2.0, 1.0], epsilon=0.25)
     with pytest.raises(ValueError, match="overflows"):  # 1e300 * 1e10^2 is inf
-        geo_binner(two_link_example, u=1e300, alpha=1e10, max_bins=3, epsilon=0.25)
+        geo_binner(two_link_example, u=1e300, alpha=1e10, bins=3, epsilon=0.25)
 
 
 def test_multibin_bin_prefix_on_random_instance():
@@ -822,8 +822,8 @@ def test_all_optimizer_allocations_are_feasible():
             exact_sequential_max_min(prob),
             swan_sequence(prob, 0.3, 2.0),
             geo_binner(prob, alpha=2.0),
-            equi_depth_elastic(prob, num_bins=2),
-            equi_depth_multibin(prob, num_bins=2),
+            equi_depth_elastic(prob, bins=2),
+            equi_depth_multibin(prob, bins=2),
         ]
         for rep in reports:
             assert check_feasible(prob, rep.allocation).feasible

@@ -155,12 +155,12 @@ def test_csr_waterfillers_match_the_dense_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(
     case=subdemand_problems(),
-    max_iterations=st.integers(1, 6),
+    iterations=st.integers(1, 6),
     theta_tol=st.sampled_from([1e-6, 1e-2]),
 )
-def test_adaptive_waterfill_properties(inner, case, max_iterations, theta_tol):
+def test_adaptive_waterfill_properties(inner, case, iterations, theta_tol):
     prob, _ = case
-    rep = adaptive_waterfill(prob, max_iterations, inner, theta_tol)
+    rep = adaptive_waterfill(prob, iterations, inner, theta_tol)
     # Capacities and volumes are at most 10 here, so 1e-9 admits rounding
     # only.  The default tolerance scales with volumes too: a volume row may
     # round up an ulp when every link has capacity 0.
@@ -171,7 +171,7 @@ def test_adaptive_waterfill_properties(inner, case, max_iterations, theta_tol):
         row = [final[(d.id, pid)] for pid in d.paths]
         assert min(row) >= 0.0
         assert sum(row) == pytest.approx(1.0, rel=0, abs=1e-9)
-    assert 1 <= rep.iterations <= max_iterations
+    assert 1 <= rep.iterations <= iterations
     trace = rep.notes["theta_trace"]
     assert len(trace["theta"]) == len(trace["rates"]) == rep.iterations
     last = dict(zip(trace["columns"], trace["theta"][-1].tolist()))
@@ -356,13 +356,13 @@ def test_zero_weight_column_gets_zero_rate(two_link_example):
 
 def test_single_path_problem_converges_in_one_iteration():
     prob = chain_instance()
-    rep = adaptive_waterfill(prob, max_iterations=5, inner="exact")
+    rep = adaptive_waterfill(prob, iterations=5, inner="exact")
     assert rep.converged and rep.iterations == 1
     assert rep.allocation.rates[("dC", "pc")] == pytest.approx(9.0)
 
 
 def test_nonconvergence_is_flagged_not_raised(two_link_example):
-    rep = adaptive_waterfill(two_link_example, max_iterations=2, inner="exact")
+    rep = adaptive_waterfill(two_link_example, iterations=2, inner="exact")
     assert not rep.converged
     assert rep.iterations == 2
 
@@ -374,7 +374,7 @@ def test_zero_rate_demand_keeps_theta():
         [Path("p1", ["dead", "L"]), Path("p2", ["L"])],
         [Demand("blocked", ["p1"]), Demand("live", ["p2"])],
     )
-    rep = adaptive_waterfill(prob, max_iterations=3, inner="exact")
+    rep = adaptive_waterfill(prob, iterations=3, inner="exact")
     assert rep.notes["final_theta"][("blocked", "p1")] == 1.0
     assert rep.allocation.rates[("live", "p2")] == pytest.approx(4.0)
 
@@ -388,7 +388,7 @@ def test_adaptive_builds_the_incidence_once(monkeypatch, two_link_example):
         return build(*args)
 
     monkeypatch.setattr(wf, "build_subdemands", counted)
-    rep = adaptive_waterfill(two_link_example, max_iterations=10)
+    rep = adaptive_waterfill(two_link_example, iterations=10)
     assert rep.iterations == 10
     assert len(calls) == 1
 
@@ -399,7 +399,7 @@ def test_adaptive_matches_a_rebuild_per_iteration():
     # column order.
     for seed in range(20):
         prob = unit_qr_instance(seed)
-        rep = adaptive_waterfill(prob, max_iterations=6)
+        rep = adaptive_waterfill(prob, iterations=6)
         trace = rep.notes["theta_trace"]
         assert len(trace["theta"]) == len(trace["rates"]) == rep.iterations
         theta = {(d.id, p): 1.0 / len(d.paths) for d in prob.demands for p in d.paths}
@@ -451,14 +451,14 @@ def test_theta_trace_csv_shape(two_link_example):
     # Three iterations x three subdemands, pinned to the byte: rows sort by
     # (demand id, path id) whatever the problem's order, and values print as
     # reprs of Python floats.
-    rep = adaptive_waterfill(two_link_example, max_iterations=3, inner="exact")
+    rep = adaptive_waterfill(two_link_example, iterations=3, inner="exact")
     assert theta_trace_csv(rep) == WORKED_EXAMPLE_TRACE_CSV
     reordered = Problem(
         two_link_example.resources,
         list(reversed(two_link_example.paths)),
         [Demand("d2", ["p3"]), Demand("d1", ["p2", "p1"])],
     )
-    rep = adaptive_waterfill(reordered, max_iterations=3, inner="exact")
+    rep = adaptive_waterfill(reordered, iterations=3, inner="exact")
     assert theta_trace_csv(rep) == WORKED_EXAMPLE_TRACE_CSV
 
 
@@ -468,7 +468,7 @@ def test_theta_trace_csv_quotes_ids_holding_commas_and_quotes():
         [Path("c", ["L"]), Path('x,"y"', ["L"])],
         [Demand("a,b", ["c"]), Demand("a", ['x,"y"'])],
     )
-    rep = adaptive_waterfill(prob, max_iterations=2, inner="exact")
+    rep = adaptive_waterfill(prob, iterations=2, inner="exact")
     rows = list(csv.reader(io.StringIO(theta_trace_csv(rep))))
     assert rows[0] == ["iteration", "demand", "path", "theta", "rate"]
     assert all(len(row) == 5 for row in rows)
