@@ -578,7 +578,7 @@ def geo_binner(
 
 
 def compute_equi_boundaries(
-    aw_rates: Mapping[str, float], num_bins: int
+    aw_rates: Mapping[str, float], bins: int
 ) -> tuple[list[float], list[list[str]]]:
     """Split demands into contiguous equal-size groups by ascending estimated
     rate; boundary b is the largest rate in group b.
@@ -588,12 +588,10 @@ def compute_equi_boundaries(
     not decide the grouping."""
     if not aw_rates:
         raise ValueError("empty rates map")
-    if num_bins < 1:
+    if bins < 1:
         raise ValueError("bins must be >= 1")
-    if num_bins > len(aw_rates):
-        raise ValueError(
-            f"num_bins={num_bins} exceeds the {len(aw_rates)} demands"
-        )
+    if bins > len(aw_rates):
+        raise ValueError(f"bins={bins} exceeds the number of demands ({len(aw_rates)})")
     ranked = sorted(aw_rates.items(), key=lambda kv: (kv[1], kv[0]))
     order: list[tuple[str, float]] = []
     tied: list[tuple[str, float]] = []
@@ -603,7 +601,7 @@ def compute_equi_boundaries(
             tied = []
         tied.append(kv)
     order += sorted(tied)
-    size = math.ceil(len(order) / num_bins)
+    size = math.ceil(len(order) / bins)
     groups: list[list[str]] = []
     boundaries: list[float] = []
     for start in range(0, len(order), size):

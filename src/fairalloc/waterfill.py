@@ -17,12 +17,15 @@ and only rescales its weights between rounds.  The bottleneck check and
 the LP allocators' fragment (``optimizers.build_feasible_alloc``) read the
 same rows, so a problem becomes rows, and is validated, in this one place.
 
-The single pass walks each row's members as Python scalars, cut as list
-slices from one filtered pass over the nonzeros.  Most rows are short: a
-virtual edge holds one column per path (4 on the K = 4 WAN ladder, where
-virtual edges are 870 of the 920 rows at 870 demands), against about 250
-columns on each of the 50 link rows.  On such rows the dozen numpy calls per
-row of a vectorised walk cost several times the arithmetic they replace.
+The single pass keeps one water level per column (its rate over its
+weight) and settles each row with at most one sort of its members by level.
+Most rows are short: a virtual edge holds one column per path (4 on the
+K = 4 WAN ladder, where virtual edges are 870 of the 920 rows at 870
+demands), against 136-616 (median 269) on each of the 50 link rows.  A row
+of fewer than ``_NUMPY_ROW`` members is settled as Python scalars, a longer
+one with numpy; both add the same terms in the same order, so they agree to
+the bit.  The crossover is where the two cost the same on the rows the
+benchmark inputs send to them (about 35 us a row at 48-63 members).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -101,29 +104,33 @@ def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
     raises the allocators' "invalid problem (...)" ValueError.
     """
     raise_if_invalid(validate_problem(problem))
-    path_map = problem.path_map()
     rows = [r.id for r in problem.resources]
     row_idx = {rid: i for i, rid in enumerate(rows)}
+    path_rows = {p.id: list(map(row_idx.__getitem__, p.resources)) for p in problem.paths}
+    path_map = problem.path_map()
 
     caps = [r.capacity for r in problem.resources]
     columns: list[tuple[str, str]] = []
-    nz_col: list[int] = []
+    nz_per_col: list[int] = []
     nz_row: list[int] = []
-    nz_cons: list[float] = []
+    cons_at: list[int] = []  # entries of demands with consumption entries
+    cons_val: list[float] = []
     for d in problem.demands:
-        if d.bounded:
+        bounded = d.bounded
+        if bounded:
             vrow = len(rows)
             rows.append(f"{d.id}::vol")
             caps.append(float(d.volume))
         for pid in d.paths:
-            on_path = path_map[pid].resources
-            nz_col += [len(columns)] * (len(on_path) + d.bounded)
-            columns.append((d.id, pid))
-            nz_row += [row_idx[rid] for rid in on_path]
-            nz_cons += [d.consumption_on(rid) for rid in on_path]
-            if d.bounded:
+            on_path = path_rows[pid]
+            if d.consumption:
+                cons_at += range(len(nz_row), len(nz_row) + len(on_path))
+                cons_val += [d.consumption_on(rid) for rid in path_map[pid].resources]
+            nz_row += on_path
+            if bounded:
                 nz_row.append(vrow)
-                nz_cons.append(1.0)
+            nz_per_col.append(len(on_path) + bounded)
+            columns.append((d.id, pid))
 
     # Entries were appended in column order, so a stable sort by row leaves
     # every row's columns increasing.
@@ -131,17 +138,18 @@ def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
     order = np.argsort(nz_row_arr, kind="stable")
     indptr = np.zeros(len(rows) + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_row_arr, minlength=len(rows)), out=indptr[1:])
-    indices = np.array(nz_col, dtype=np.intp)[order]
+    nz_cons = np.ones(len(nz_row))
+    nz_cons[cons_at] = cons_val
     paths_per_demand = [len(d.paths) for d in problem.demands]
     weight = np.array([d.weight for d in problem.demands], dtype=float)
     matrix = SubdemandMatrix(
         rows=tuple(rows),
         columns=tuple(columns),
         indptr=indptr,
-        indices=indices,
+        indices=np.repeat(np.arange(len(columns)), nz_per_col)[order],
         row_of=nz_row_arr[order],
-        gamma=np.empty(len(indices)),
-        consumption=np.array(nz_cons, dtype=float)[order],
+        gamma=np.empty(len(order)),
+        consumption=nz_cons[order],
         weight=np.repeat(weight, paths_per_demand),
         owner=np.repeat(np.arange(len(problem.demands)), paths_per_demand),
     )
@@ -196,69 +204,113 @@ def single_path_waterfill(
     return rates
 
 
+# Rows with at least this many members take the numpy evaluator of the
+# water level, shorter rows the scalar one; the two give identical results.
+_NUMPY_ROW = 48
+
+
 def approx_waterfill(matrix: SubdemandMatrix, capacities: np.ndarray) -> np.ndarray:
     """Single pass in the initial fair-share order of the links.
 
-    Per link, an inner fixed point drops subdemands already bottlenecked at a
-    smaller rate elsewhere (deducting their usage), then fixes the remaining
-    ones at the link's weighted share.  Approximate even for single-path
-    inputs, but never exceeds any capacity.
-
-    Numpy does the O(nnz) set-up: loads, shares, the order, and one pass
-    that keeps the nonzeros of live columns.  The row loop then walks each
-    row's members as Python scalars, because most rows hold 3-5 members (a
-    virtual edge has one per path): there, per-row numpy calls (mask, three
-    gathers, dot, compare, scatter) took about 15-20 us a row, several times
-    the scalar walk.
+    Column j keeps a level z_j, inf until a row fixes it, and its rate is
+    z_j * g_j (g_j = w_k * theta_k^p).  A row fixes every member at the
+    row's share when every member's level is at least that share, and does
+    nothing when every level is below it.  Otherwise the members that
+    earlier rows fixed lower drop out, their usage deducted, and the rest are
+    fixed at the level the remaining capacity gives them (`_water_level`).
+    Approximate even for single-path inputs, but never exceeds any capacity.
     """
-    active = _active_columns(matrix)
-    cols, gamma, cons = matrix.indices, matrix.gamma, matrix.consumption
+    cols, gamma = matrix.indices, matrix.gamma
     n_rows = len(matrix.rows)
     caps = np.array(capacities, dtype=float)
+    g = np.zeros(len(matrix.columns))
+    g[cols] = gamma
+    a = gamma * matrix.consumption
 
-    load = np.bincount(matrix.row_of, gamma * cons * active[cols], minlength=n_rows)
+    load = np.bincount(matrix.row_of, a, minlength=n_rows)
     share = np.full(n_rows, np.inf)
     share[load > 0.0] = caps[load > 0.0] / load[load > 0.0]
     order = np.argsort(share, kind="stable")  # ties: lowest resource index
     order = order[: np.count_nonzero(np.isfinite(share))]  # inf and nan sort last
 
-    # The nonzeros a row can fix, still grouped by row; row e's members are
-    # the list slices ptr[e]:ptr[e + 1].
-    keep = active[cols] & (gamma > 0.0)
-    ptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(matrix.row_of[keep], minlength=n_rows), out=ptr[1:])
-    ptr = ptr.tolist()
-    g_kept, q_kept = gamma[keep], cons[keep]
-    col_l, g_l, q_l = cols[keep].tolist(), g_kept.tolist(), q_kept.tolist()
-    gq_l = (g_kept * q_kept).tolist()
-    caps_l = caps.tolist()
-    rates = np.where(active, np.inf, 0.0).tolist()
-
+    # Row e's members are the slices ptr[e]:ptr[e + 1].  A zero-weight
+    # column sits at level 0 with a = 0: it takes no capacity and keeps rate 0.
+    ptr, col_l = matrix.indptr.tolist(), cols.tolist()
+    caps_l, share_l = caps.tolist(), share.tolist()
+    level = np.where(g > 0.0, np.inf, 0.0).tolist()
     for e in order.tolist():
         s, t = ptr[e], ptr[e + 1]
-        members, g, q, gq = col_l[s:t], g_l[s:t], q_l[s:t], gq_l[s:t]
-        cap = caps_l[e]
-        while members:
-            denom = sum(gq)
-            if denom <= 0.0:
-                break
-            zeta = max(cap, 0.0) / denom
-            low = [rates[j] < zeta * gj for j, gj in zip(members, g)]
-            if not any(low):
-                for j, gj in zip(members, g):
-                    rates[j] = zeta * gj
-                break
-            if all(low):  # every member is fixed lower elsewhere
-                break
-            cap -= sum([qi * rates[j] for j, qi, lo in zip(members, q, low) if lo])
-            stay = [not lo for lo in low]
-            members = list(compress(members, stay))
-            g = list(compress(g, stay))
-            q = list(compress(q, stay))
-            gq = list(compress(gq, stay))
-    out = np.array(rates)
-    out[np.isinf(out)] = 0.0
-    return out
+        zeta = share_l[e]
+        members = col_l[s:t]
+        if t - s < _NUMPY_ROW:
+            z = [level[j] for j in members]
+            if min(z) < zeta:
+                if max(z) < zeta:
+                    continue
+                fixed, zeta = _water_level(z, a[s:t].tolist(), caps_l[e])
+                members = [members[i] for i in fixed]
+        else:
+            z = np.fromiter(map(level.__getitem__, members), float, t - s)
+            if z.min() < zeta:
+                if z.max() < zeta:
+                    continue
+                fixed, zeta = _water_level_np(z, a[s:t], caps_l[e])
+                members = cols[s:t][fixed].tolist()
+        for j in members:
+            level[j] = zeta
+
+    z = np.array(level)
+    z[np.isinf(z)] = 0.0
+    return z * g
+
+
+def _water_level(z: list[float], a: list[float], cap: float) -> tuple[list[int], float]:
+    """The members a row fixes (indices into ``z``) and their level.
+
+    With the members in level order (a stable sort), the first position i
+    where z_(i) >= max(cap - below_i, 0) / above_i fixes itself and every
+    later member at that level; below_i = sum_{<i} a z is the usage of the
+    members that drop out, above_i = sum_{>=i} a, and a_j = g_j * q_j.
+    below adds up the order and above down it, one term at a time, so
+    `_water_level_np` gets the same bits.  None are fixed when no position
+    qualifies or above_i reaches 0 first.
+    """
+    rank = sorted(range(len(z)), key=z.__getitem__)
+    above = list(accumulate(a[r] for r in reversed(rank)))[::-1]
+    below = 0.0
+    for i, r in enumerate(rank):
+        if above[i] <= 0.0:
+            break
+        zeta = max(cap - below, 0.0) / above[i]
+        if z[r] >= zeta:
+            return rank[i:], zeta
+        below += a[r] * z[r]
+    return [], 0.0
+
+
+def _water_level_np(z: np.ndarray, a: np.ndarray, cap: float) -> tuple[np.ndarray, float]:
+    """`_water_level` in numpy, for long rows (``np.cumsum`` adds one term
+    at a time, in order)."""
+    rank = np.argsort(z, kind="stable")
+    z, a = z[rank], a[rank]
+    above = np.cumsum(a[::-1])[::-1]
+    # The first unfixed member (level inf) is the last that can qualify;
+    # above only decreases along the order.
+    n = min(int(np.searchsorted(z, np.inf)) + 1, len(z))
+    if not above[n - 1] > 0.0:
+        n = int(np.count_nonzero(above[:n] > 0.0))
+        if not n:
+            return rank[:0], 0.0
+    zeta = np.empty(n)
+    zeta[0] = cap
+    np.subtract(cap, np.cumsum(a[: n - 1] * z[: n - 1]), out=zeta[1:])
+    np.maximum(zeta, 0.0, out=zeta)
+    zeta /= above[:n]
+    stop = z[:n] >= zeta
+    i = int(np.argmax(stop))
+    if not stop[i]:
+        return rank[:0], 0.0
+    return rank[i:], float(zeta[i])
 
 
 def adaptive_waterfill(

@@ -679,8 +679,10 @@ def test_boundaries_six_demands_three_bins():
 def test_boundaries_validation():
     with pytest.raises(ValueError, match="empty"):
         compute_equi_boundaries({}, 1)
-    with pytest.raises(ValueError, match="exceeds"):
-        compute_equi_boundaries({"a": 1.0}, 2)
+    with pytest.raises(ValueError, match=r"^bins=2 exceeds the number of demands \(1\)$"):
+        compute_equi_boundaries({"a": 1.0}, bins=2)
+    with pytest.raises(ValueError, match=r"^bins must be >= 1$"):
+        compute_equi_boundaries({"a": 1.0}, bins=0)
 
 
 def test_elastic_single_bin_maximizes_ratio_sum():

@@ -1,5 +1,6 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,7 +149,11 @@ def test_csr_waterfillers_match_the_dense_reference(case):
     exact = dense_single_path_waterfill(gamma, cons, caps)
     np.testing.assert_allclose(single_path_waterfill(m, caps), exact, rtol=0, atol=1e-12)
     approx = dense_approx_waterfill(gamma, cons, caps)
-    np.testing.assert_allclose(approx_waterfill(m, caps), approx, rtol=0, atol=1e-12)
+    # At the default crossover these rows take the scalar evaluator; at 0,
+    # every row takes the numpy one.
+    for numpy_row in (wf._NUMPY_ROW, 0):
+        with mock.patch.object(wf, "_NUMPY_ROW", numpy_row):
+            np.testing.assert_allclose(approx_waterfill(m, caps), approx, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("inner", ["approx", "exact"])
@@ -200,6 +205,41 @@ def test_approx_row_drops_members_in_two_successive_rounds():
     want = [1.0, 3.0, 3.25, 3.25]
     assert approx_waterfill(m, caps).tolist() == want
     assert dense_approx_waterfill(*dense(m), caps).tolist() == want
+
+
+def test_approx_tiny_weight_member_takes_what_is_left():
+    # L1 fixes A at 1.  On L2, A (a = 1) drops out and B (a = 1e-17) gets the
+    # 1 left, at level 1e17.  1 + 1e-17 rounds to 1, so a sum over the
+    # members still in, taken as the row total minus the dropped ones, would
+    # read 0 and leave B unfixed.
+    prob = Problem(
+        [Resource("L1", 1.0), Resource("L2", 2.0)],
+        [Path("pa", ["L1", "L2"]), Path("pb", ["L2"])],
+        [Demand("A", ["pa"]), Demand("B", ["pb"])],
+    )
+    m, caps = build_subdemands(prob)
+    m.rescale(np.array([1.0, 1e-17]))
+    want = dense_approx_waterfill(*dense(m), caps)
+    np.testing.assert_allclose(want, [1.0, 1.0], rtol=0, atol=1e-12)
+    for numpy_row in (wf._NUMPY_ROW, 0):
+        with mock.patch.object(wf, "_NUMPY_ROW", numpy_row):
+            np.testing.assert_allclose(approx_waterfill(m, caps), want, rtol=0, atol=1e-12)
+
+
+def test_numpy_and_scalar_water_levels_are_bit_identical():
+    # Crossover 0 sends every row to the numpy evaluator, a huge one every
+    # row to the scalar one; D = 90, 4 paths a demand, 10 adaptive rounds.
+    prob = generate_problem(10, 15, TrafficSpec("gravity", 8.0, 0), 4)
+    outs = []
+    for numpy_row in (0, 10**9):
+        with mock.patch.object(wf, "_NUMPY_ROW", numpy_row):
+            m, caps = build_subdemands(prob)
+            rep = adaptive_waterfill(prob, iterations=10, theta_tol=0.0)
+            outs.append((approx_waterfill(m, caps), rep.notes["theta_trace"]["rates"]))
+    (approx_np, rounds_np), (approx_py, rounds_py) = outs
+    assert approx_np.tobytes() == approx_py.tobytes()
+    assert rounds_np.shape == rounds_py.shape
+    assert rounds_np.tobytes() == rounds_py.tobytes()
 
 
 def test_approx_zero_capacity_link_fixes_its_members_at_zero():
