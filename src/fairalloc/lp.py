@@ -20,14 +20,29 @@ crash start covers zero-rhs rows without artificials, and the largest
 reduced cost enters, with Bland's rule as the anti-cycling fallback after a
 run of degenerate pivots.  It is deterministic: solving the same program
 twice yields bit-identical values.
+
+A solve may start from a basis.  `LpSolution.basis` is the built-in
+solver's optimal basis, one entry per basic position: a column index
+j < ncols, or ncols + i for row i's own unit column (its slack if it has
+one, otherwise its artificial).  `SimplexBackend.solve(lp, start)` and
+`SolveSession.solve(lp, start)` take such a basis for an LP with the same
+columns and rows, typically the next LP of a sequence: the simplex
+refactors the tableau on it, with every other column at 0, and goes
+straight to phase 2 when that point is feasible; a singular, non-finite or
+infeasible start falls back to the cold start.  `ScipyBackend` ignores the
+start and returns no basis, and a session hands a start only to a backend
+whose ``solve`` has a ``start`` parameter: one without it, such as the
+tests' `_Recording` backend, solves every LP cold.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Protocol
+from functools import cached_property
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -127,13 +142,18 @@ class LpSolution:
     d objective / d rhs (so >= 0 on a "<=" row, <= 0 on a ">=" row, and 0 on
     a slack row).  ``iterations`` is the backend's work count: simplex pivots
     plus bound flips for the built-in solver, HiGHS's iteration count for the
-    scipy backend."""
+    scipy backend.  ``basis`` is the built-in solver's optimal basis, one
+    entry per basic position: a column j < ncols, or ncols + i for row i's
+    own unit column (its slack if it has one, otherwise its artificial).  It
+    can start an LP with the same columns and rows (see the module
+    docstring); the scipy backend leaves it empty."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: list[float]
     objective: float
     duals: tuple[float, ...] = ()
     iterations: int = 0
+    basis: tuple[int, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -182,11 +202,22 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
 
 
 def _optimal(
-    lp: LinearProgram, x: np.ndarray, duals: np.ndarray, iterations: int
+    lp: LinearProgram,
+    x: np.ndarray,
+    duals: np.ndarray,
+    iterations: int,
+    basis: np.ndarray | None = None,
 ) -> LpSolution:
     values = x.tolist()
     obj = sum(a * values[j] for j, a in lp.objective.items())
-    return LpSolution("optimal", values, float(obj), tuple(duals.tolist()), iterations)
+    return LpSolution(
+        "optimal",
+        values,
+        float(obj),
+        tuple(duals.tolist()),
+        iterations,
+        () if basis is None else tuple(basis.tolist()),
+    )
 
 
 # -- built-in solver ----------------------------------------------------------
@@ -231,9 +262,60 @@ def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> No
         left = left[~got]
 
 
+def _refactor(
+    T: np.ndarray, cols: np.ndarray, ub: np.ndarray, lim: int, ncols: int, entry: np.ndarray
+) -> bool:
+    """Make `cols` (one tableau column per row) the basis of the fresh
+    tableau `T`, every other column at 0, and price the phase-2 row out on
+    it.  A basic unit column (`entry` names its row i as ncols + i) covers
+    its row, so only the k rows it leaves to the k basic structural columns
+    need a dense solve: one `np.linalg.solve` by that k x k block turns
+    those rows, b included, into the structural positions of B^-1 T, and
+    each covered row then gives its unit column's position by substitution.
+
+    Returns False, with `T` untouched, when the basis is singular or
+    ill-conditioned (a repeated column, two unit columns of one row, the
+    block's B^-1 B not the identity within 1e-9), non-finite, or its point
+    is infeasible: a basic value below 0 or above its column's bound, or an
+    artificial column above 0.  Values within 1e-9 of the scale of b are
+    rounded onto their bound."""
+    m = len(cols)
+    is_unit = cols >= ncols
+    struct, units = np.flatnonzero(~is_unit), np.flatnonzero(is_unit)
+    covered = entry[cols[units]] - ncols
+    free = np.ones(m, dtype=bool)  # rows left to the structural columns
+    free[covered] = False
+    seen = np.zeros(T.shape[1], dtype=bool)
+    seen[cols] = True
+    if np.count_nonzero(seen) < m or np.count_nonzero(free) != struct.size:
+        return False
+    T0, sc, rows = T[:m], cols[struct], T[:m][free]
+    try:
+        Xs = np.linalg.solve(rows[:, sc], rows)
+    except np.linalg.LinAlgError:
+        return False
+    if not np.isfinite(Xs).all() or np.abs(Xs[:, sc] - np.eye(sc.size)).max(initial=0.0) > 1e-9:
+        return False
+    X = np.empty_like(T0)
+    X[struct] = Xs
+    Tc = T0[covered]
+    X[units] = (Tc - Tc[:, sc] @ Xs) * T0[covered, cols[units]][:, None]  # a unit's sign, +-1
+    xb, top, art = X[:, -1], ub[cols], cols >= lim
+    tol = 1e-9 * max(1.0, float(np.abs(T0[:, -1]).max(initial=0.0)))
+    if (xb < -tol).any() or (xb > top + tol).any() or (xb[art] > tol).any():
+        return False
+    np.clip(xb, 0.0, top, out=xb)
+    xb[art] = 0.0
+    X[:, cols] = np.eye(m)
+    T[:m] = X
+    T[m] -= T[m, cols] @ X
+    T[m, cols] = 0.0
+    return True
+
+
 def _simplex_core(
-    sf: _StandardForm, name: str
-) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
+    sf: _StandardForm, name: str, start: Sequence[int] | None = None
+) -> tuple[str, np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
     """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u`.
 
     The tableau's last column is b, so a pivot or a bound flip is one
@@ -253,16 +335,22 @@ def _simplex_core(
     their sum.  The phase-2 objective row rides along in phase 1, so no
     pricing-out pass is needed.
 
+    Warm start: `_refactor` makes `start` (a basis in `LpSolution.basis`'s
+    terms) the tableau's basis, all other columns at 0; where it cannot, the
+    cold start above runs on the same tableau.  A warm basis skips phase 1:
+    its artificials are at 0, and they are driven out as after phase 1.
+
     Pricing is Dantzig's: the largest reduced cost enters.  After
     DEGENERATE_RUN consecutive degenerate steps Bland's rule (lowest index
     enters) takes over until a step makes progress.  Ties in the ratio test
     always go to the lowest basic index, so every choice is deterministic.
 
     Returns the status, x in column order and the duals y of `sf`'s rows
-    when optimal, and the number of pivots plus bound flips.  The duals are
-    read from the phase-2 reduced costs z = c - y^T A: a row's artificial (or
-    a "<=" row's slack) column is e_i with cost 0 and is never complemented,
-    so z there is -y_i.  Negated rows' duals change sign back."""
+    when optimal, the number of pivots plus bound flips, and the optimal
+    basis in `start`'s terms.  The duals are read from the phase-2 reduced
+    costs z = c - y^T A: a row's artificial (or a "<=" row's slack) column is
+    e_i with cost 0 and is never complemented, so z there is -y_i.  Negated
+    rows' duals change sign back."""
     ncols = len(sf.c)
     flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
     rel = np.where(flip, -sf.relations, sf.relations)
@@ -291,15 +379,32 @@ def _simplex_core(
     T[art_rows, art_cols] = 1.0
     T[m, :ncols] = sf.c
     b = T[:, width]
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols  # a ">=" row starts on its artificial
-    _crash(T[:, :width], basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
-    # phase 1 maximises minus the leftover artificials, priced out on the basis
-    left = np.nonzero(basis >= lim)[0]
-    T[m + 1, :width] = T[left, :width].sum(axis=0)
-    T[m + 1, basis[left]] = 0.0
-    b[m + 1] = b[left].sum()
+    unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
+    unit[slack_rows] = slack_cols
+    unit[art_rows] = art_cols
+    entry = np.empty(width, dtype=int)  # each column as a basis entry
+    entry[:ncols] = np.arange(ncols)
+    entry[art_cols] = ncols + art_rows
+    entry[slack_cols] = ncols + slack_rows
+    phase1 = False
+    if start is not None:
+        start = np.asarray(start, dtype=np.intp)
+        if start.shape != (m,) or not ((start >= 0) & (start < ncols + m)).all():
+            raise ValueError(f"{name}: a start basis is {m} entries in [0, {ncols + m})")
+        column = np.empty(ncols + m, dtype=int)  # each entry's tableau column
+        column[:ncols] = np.arange(ncols)
+        column[ncols + art_rows] = art_cols
+        column[ncols + slack_rows] = slack_cols  # a row's slack before its artificial
+        basis = column[start]
+    if start is None or not _refactor(T, basis, ub, lim, ncols, entry):
+        basis = unit.copy()  # a ">=" row starts on its artificial
+        _crash(T[:, :width], basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
+        # phase 1 maximises minus the leftover artificials, priced out on the basis
+        left = np.nonzero(basis >= lim)[0]
+        T[m + 1, :width] = T[left, :width].sum(axis=0)
+        T[m + 1, basis[left]] = 0.0
+        b[m + 1] = b[left].sum()
+        phase1 = left.size > 0
     ub_basic = ub[basis]
     max_iter = max(5000, 200 * (m + width))
     steps = 0
@@ -372,34 +477,31 @@ def _simplex_core(
             f"simplex iteration cap exceeded on LP {name!r} ({m} rows, {width} cols)"
         )
 
-    if left.size:
+    if phase1:
         run(T)
         if b[m + 1] > 1e-7 * max(1.0, float(np.max(b[:m]))):
-            return "infeasible", None, None, steps
-        # Drive leftover artificials out of the basis where possible.  Any
-        # non-artificial column works (slack columns included: a row whose
-        # structural part was eliminated can still constrain the slack
-        # space); a row with no such column is genuinely redundant.
-        for i in np.nonzero(basis >= lim)[0]:
-            nz = np.where(np.abs(T[i, :lim]) > PIVOT_TOL)[0]
-            if nz.size:
-                _pivot(T, i, int(nz[0]))
-                basis[i] = nz[0]
-                ub_basic[i] = ub[nz[0]]
-                steps += 1
+            return "infeasible", None, None, steps, None
+    # Drive leftover artificials out of the basis where possible.  Any
+    # non-artificial column works (slack columns included: a row whose
+    # structural part was eliminated can still constrain the slack space); a
+    # row with no such column is genuinely redundant.
+    for i in np.nonzero(basis >= lim)[0]:
+        nz = np.where(np.abs(T[i, :lim]) > PIVOT_TOL)[0]
+        if nz.size:
+            _pivot(T, i, int(nz[0]))
+            basis[i] = nz[0]
+            ub_basic[i] = ub[nz[0]]
+            steps += 1
     T = T[: m + 1]
     if not run(T):
-        return "unbounded", None, None, steps
+        return "unbounded", None, None, steps, None
 
     x = np.zeros(width)
     x[basis] = b[:m]
     x[flipped] = ub[flipped] - x[flipped]
-    unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
-    unit[slack_rows] = slack_cols
-    unit[art_rows] = art_cols
     z2 = T[m, :width]
     duals = np.where(flip, z2[unit], -z2[unit])
-    return "optimal", x[:ncols], duals, steps
+    return "optimal", x[:ncols], duals, steps, entry[basis]
 
 
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
@@ -428,15 +530,16 @@ class LpBackend(Protocol):  # pragma: no cover - typing seam
 
 
 class SimplexBackend:
-    """The built-in deterministic solver."""
+    """The built-in deterministic solver.  ``start``, a basis in the terms of
+    ``LpSolution.basis``, is tried first; see `_simplex_core`."""
 
-    def solve(self, lp: LinearProgram) -> LpSolution:
+    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
         sf = _standard_form(lp)
-        status, x, duals, iterations = _simplex_core(sf, lp.name)
+        status, x, duals, iterations, basis = _simplex_core(sf, lp.name, start)
         if status != "optimal":
             return LpSolution(status, [], float("nan"), iterations=iterations)
         _check_solution(lp, sf, x)
-        return _optimal(lp, x, duals, iterations)
+        return _optimal(lp, x, duals, iterations, basis)
 
 
 class ScipyBackend:
@@ -446,7 +549,8 @@ class ScipyBackend:
     the plug-in example for a high-performance solver.
     """
 
-    def solve(self, lp: LinearProgram) -> LpSolution:
+    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
+        """Solves with HiGHS; ``start`` is ignored."""
         from scipy.optimize import linprog
 
         sf = _standard_form(lp)
@@ -481,6 +585,9 @@ class SolveSession:
     """Counts LP solves; the count is the hardware-independent cost metric
     the benchmark reports.
 
+    ``solve``'s ``start`` reaches the backend only if its ``solve`` has a
+    ``start`` parameter; a backend without one solves every LP cold.
+
     Thread-safe: concurrent allocator runs may share a session (each
     report's lp_solves then also counts the solves of runs it overlapped).
     """
@@ -490,10 +597,16 @@ class SolveSession:
         self._count = 0
         self._lock = threading.Lock()
 
-    def solve(self, lp: LinearProgram) -> LpSolution:
+    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
         with self._lock:
             self._count += 1
+        if start is not None and self._takes_start:
+            return self._backend.solve(lp, start=start)
         return self._backend.solve(lp)
+
+    @cached_property
+    def _takes_start(self) -> bool:
+        return "start" in inspect.signature(self._backend.solve).parameters
 
     @property
     def count(self) -> int:

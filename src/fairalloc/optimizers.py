@@ -93,8 +93,8 @@ def default_epsilon(levels: int) -> float:
     return min(0.5, max(1e-6, (EPSILON_GUARD * 1.01) ** (1.0 / (levels - 1))))
 
 
-def _solved(session: SolveSession, lp: LinearProgram):
-    sol = session.solve(lp)
+def _solved(session: SolveSession, lp: LinearProgram, start: list[int] | None = None):
+    sol = session.solve(lp, start)
     if sol.status != "optimal":
         raise AllocationError(f"LP {lp.name!r} is {sol.status}")
     return sol
@@ -174,25 +174,35 @@ def exact_sequential_max_min(
 ) -> AllocatorReport:
     """Weighted max-min fairness by the classic LP sequence, one LP a round.
 
-    Round i maximizes a common floor t_i over the unfrozen ratios: maximize
-    t subject to rho_k - t >= 0 for each unfrozen k (rho_k is k's form over
-    the rate columns), the frozen ratios held fixed.  Its optimal duals say
-    which demands are bottlenecked (the dual saturation test of Danna,
-    Mandal & Singh, INFOCOM 2012).  Write y_k >= 0 for the dual of k's floor
-    row.  By complementary slackness, y_k > 0 means rho_k = t_i in every
-    optimum, so k freezes at t_i.  Dual feasibility on t's column gives
-    sum_k y_k >= 1, so every round freezes at least one demand, and
-    lp_solves = rounds <= len(demands).  A demand that is bottlenecked but
-    whose dual happens to be 0 (degeneracy) stays unfrozen and freezes at
-    the same t in a later round.
+    Round i raises a common floor t_i over the unfrozen ratios: maximize
+    delta subject to rho_k - delta >= t_(i-1) for each unfrozen k (rho_k is
+    k's form over the rate columns, t_0 = 0), the frozen ratios held fixed,
+    and t_i = t_(i-1) + delta.  Its optimal duals say which demands are
+    bottlenecked (the dual saturation test of Danna, Mandal & Singh, INFOCOM
+    2012).  Write y_k >= 0 for the dual of k's floor row.  By complementary
+    slackness, y_k > 0 means rho_k = t_i in every optimum, so k freezes at
+    t_i.  Dual feasibility on delta's column gives sum_k y_k >= 1, so every
+    round freezes at least one demand, and lp_solves = rounds <=
+    len(demands).  A demand that is bottlenecked but whose dual happens to be
+    0 (degeneracy) stays unfrozen and freezes at the same t in a later round.
+
+    Every round has the same columns and rows, and round i's optimum, with
+    delta = 0, is feasible in round i + 1, so each round after the first
+    starts from the last optimal basis with delta's position given to the
+    unit column of the newly frozen row with the largest dual.  That basis
+    is nonsingular because the dual is delta's row of B^-1, and its point
+    is the last optimum.
     """
     session = session or SolveSession()
-    start = session.count
+    solves = session.count
     demands = [d.id for d in problem.demands]
     base, forms = build_feasible_alloc(problem, "max-min")
-    t = base.add_variable()
+    delta = base.add_variable()
     floor_row = len(base.constraints)  # demand i's floor or freeze row: floor_row + i
+    unit = len(base.variables) + floor_row  # demand i's row's unit column: unit + i
     frozen: dict[str, float] = {}
+    floor = 0.0  # t_(i-1)
+    basis: list[int] | None = None
     rounds = 0
     last_values: list[float] = []
 
@@ -205,26 +215,29 @@ def exact_sequential_max_min(
             + [
                 Constraint(form, "==", frozen[k], name=f"freeze:{k}")
                 if k in frozen
-                else Constraint({**form, t: -1.0}, ">=", 0.0)
+                else Constraint({**form, delta: -1.0}, ">=", floor)
                 for k, form in zip(demands, forms)
             ],
-            {t: 1.0},
+            {delta: 1.0},
         )
-        sol = _solved(session, lp)
+        sol = _solved(session, lp, basis)
         last_values = sol.values
-        y = {k: -sol.duals[floor_row + i] for i, k in enumerate(demands) if k not in frozen}
-        if sum(y.values()) < 1.0 - 1e-6:  # dual feasibility on t's column fails
+        y = {i: -sol.duals[floor_row + i] for i, k in enumerate(demands) if k not in frozen}
+        if sum(y.values()) < 1.0 - 1e-6:  # dual feasibility on delta's column fails
             raise AllocationError(
                 f"LP {lp.name!r}: floor duals sum to {sum(y.values()):.6g} < 1"
             )
-        t_i = sol.values[t]
-        for k, y_k in y.items():
-            if y_k > DUAL_TOL:
-                frozen[k] = t_i
+        floor += sol.values[delta]
+        newly = [i for i, y_i in y.items() if y_i > DUAL_TOL]
+        for i in newly:
+            frozen[demands[i]] = floor
+        basis = list(sol.basis) or None
+        if basis and delta in basis:
+            basis[basis.index(delta)] = unit + max(newly, key=y.__getitem__)
 
     return AllocatorReport(
         _allocation_from(problem, last_values),
-        lp_solves=session.count - start,
+        lp_solves=session.count - solves,
         iterations=rounds,
         notes={
             "allocator": "exact-sequential",
@@ -408,50 +421,62 @@ def swan_sequence(
     for all later iterations.  Runs until every demand is frozen or the
     ladder is exhausted.  One LP per iteration.  Converged only if every
     demand froze; otherwise the top cap truncated some.
+
+    Every iteration has the same rows: demand k's rho_k <= hi_k and
+    rho_k >= lo_k, with hi_k the cap and lo_k k's last ratio (0 at first),
+    and hi_k = lo_k = rho_k once k froze.  So each LP after the first starts
+    from the last optimal basis, with the slack of lo_k swapped for that of
+    hi_k for each demand still at its cap: the last optimum, with those two
+    slacks trading places, is that basis's point in the next LP.
     """
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
     caps = _geo_ladder(problem, u, alpha, bins)
     session = session or SolveSession()
-    start = session.count
+    solves = session.count
     base, forms = _fragment(problem, compiled, "capped-seq")
     objective = {j: a for form in forms for j, a in form.items()}
+    # demand i's rows are hi_row + 2i (<= hi) and hi_row + 2i + 1 (>= lo); a
+    # row's unit column is its index plus the column count
+    hi_row = len(base.constraints)
+    hi_unit = len(base.variables) + hi_row
     frozen: dict[str, float] = {}
-    prev: dict[str, float] = {}
+    lo = [0.0] * len(forms)
+    basis: list[int] | None = None
     iterations = 0
     last_values: list[float] = []
 
     for b, cap in enumerate(caps, start=1):
         iterations = b
         rows: list[Constraint] = []
-        for d, form in zip(problem.demands, forms):
-            k = d.id
-            if k in frozen:
-                rows.append(Constraint(form, "==", frozen[k], name=f"freeze:{k}"))
-            else:
-                rows.append(Constraint(form, "<=", cap))
-                if b > 1:
-                    rows.append(Constraint(form, ">=", prev[k]))
+        for d, form, floor in zip(problem.demands, forms, lo):
+            name = f"freeze:{d.id}" if d.id in frozen else ""
+            rows.append(Constraint(form, "<=", frozen.get(d.id, cap), name=name))
+            rows.append(Constraint(form, ">=", floor, name=name))
         lp = LinearProgram(
             f"capped-seq-{b}", base.variables, base.constraints + rows, objective
         )
-        sol = _solved(session, lp)
+        sol = _solved(session, lp, basis)
         last_values = sol.values
 
-        for d, form in zip(problem.demands, forms):
-            k = d.id
-            if k in frozen:
+        basis = list(sol.basis) or None
+        position = {col: p for p, col in enumerate(sol.basis)}
+        for i, (d, form) in enumerate(zip(problem.demands, forms)):
+            if d.id in frozen:
                 continue
-            r = _value(form, sol.values)
-            prev[k] = r
+            lo[i] = r = _value(form, sol.values)
             if r < cap - FREEZE_TOL * max(1.0, cap):
-                frozen[k] = r
+                frozen[d.id] = r
+                continue
+            hi_slack, lo_slack = hi_unit + 2 * i, hi_unit + 2 * i + 1
+            if basis and hi_slack not in position and lo_slack in position:
+                basis[position[lo_slack]] = hi_slack
         if len(frozen) == len(problem.demands):
             break
 
     return AllocatorReport(
         _allocation_from(problem, last_values),
-        lp_solves=session.count - start,
+        lp_solves=session.count - solves,
         iterations=iterations,
         notes={
             "allocator": "swan-sequence",

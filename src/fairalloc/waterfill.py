@@ -121,16 +121,21 @@ def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
             vrow = len(rows)
             rows.append(f"{d.id}::vol")
             caps.append(float(d.volume))
+        first = len(nz_row)
         for pid in d.paths:
             on_path = path_rows[pid]
-            if d.consumption:
-                cons_at += range(len(nz_row), len(nz_row) + len(on_path))
-                cons_val += [d.consumption_on(rid) for rid in path_map[pid].resources]
             nz_row += on_path
             if bounded:
                 nz_row.append(vrow)
             nz_per_col.append(len(on_path) + bounded)
             columns.append((d.id, pid))
+        cons = d.consumption
+        if cons:  # the demand's entries, in the order just appended
+            cons_at += range(first, len(nz_row))
+            for pid in d.paths:
+                cons_val += [cons.get(rid, 1.0) for rid in path_map[pid].resources]
+                if bounded:
+                    cons_val.append(1.0)
 
     # Entries were appended in column order, so a stable sort by row leaves
     # every row's columns increasing.
@@ -138,8 +143,11 @@ def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
     order = np.argsort(nz_row_arr, kind="stable")
     indptr = np.zeros(len(rows) + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_row_arr, minlength=len(rows)), out=indptr[1:])
-    nz_cons = np.ones(len(nz_row))
-    nz_cons[cons_at] = cons_val
+    if len(cons_at) == len(nz_row):  # every demand has consumption entries
+        nz_cons = np.array(cons_val, dtype=float)
+    else:
+        nz_cons = np.ones(len(nz_row))
+        nz_cons[cons_at] = cons_val
     paths_per_demand = [len(d.paths) for d in problem.demands]
     weight = np.array([d.weight for d in problem.demands], dtype=float)
     matrix = SubdemandMatrix(

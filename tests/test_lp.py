@@ -6,6 +6,7 @@ import fairalloc.optimizers as opt
 from fairalloc.lp import (
     Constraint,
     LinearProgram,
+    LpSolution,
     ScipyBackend,
     SimplexBackend,
     SimplexError,
@@ -345,7 +346,7 @@ def test_simplex_backend_rejects_a_corrupt_optimal_point(monkeypatch, point, mes
     monkeypatch.setattr(
         lp_module,
         "_simplex_core",
-        lambda sf, name: ("optimal", np.array(point), np.zeros(len(sf.b)), 0),
+        lambda sf, name, start=None: ("optimal", np.array(point), np.zeros(len(sf.b)), 0, None),
     )
     if message is None:
         assert SimplexBackend().solve(_guard_lp()).values == [2.0, 1.0]
@@ -397,21 +398,90 @@ def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     assert session.count == report.iterations > 1
 
 
+def _three_round_example():
+    """d1 and d2 share link A (1.0) and freeze at 0.5; d4 reaches its volume
+    1.0 on link B (3.0), and d3 takes the rest of B, 1.5."""
+    return Problem(
+        [Resource("A", 1.0), Resource("B", 3.0)],
+        [Path("p1", ["A"]), Path("p2", ["A", "B"]), Path("p3", ["B"]), Path("p4", ["B"])],
+        [
+            Demand("d1", ["p1"]),
+            Demand("d2", ["p2"]),
+            Demand("d3", ["p3"]),
+            Demand("d4", ["p4"], volume=1.0),
+        ],
+    )
+
+
 def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
-    """Pivots plus bound flips per LP.  The crash start leaves these LPs no
-    artificials, and the bin caps are column bounds (6 of gb's 11 steps are
-    flips), so a change that brings back phase-1 work or bound rows fails
-    here.  Before both, gb took 18 pivots and exact 8."""
+    """Pivots plus bound flips per LP.  The crash start leaves the first LP
+    of each run no artificials, and the bin caps are column bounds (6 of
+    gb's 11 steps are flips), so a change that brings back phase-1 work or
+    bound rows fails here.  Before both, gb took 18 pivots and exact 8.
+    exact's later rounds and swan's later rungs start from the last basis,
+    so a fall back to cold starts fails here too: cold, the three rounds
+    take [5, 6, 7] and the six rungs [2, 4, 4, 5, 4, 5]."""
     runs = {
         "gb": lambda s: geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05, s),
         "exact": lambda s: exact_sequential_max_min(two_link_example, s),
+        "exact-3-rounds": lambda s: exact_sequential_max_min(_three_round_example(), s),
+        "swan": lambda s: swan_sequence(two_link_example, 1 / 16, 2.0, session=s),
     }
     iterations = {}
     for name, run in runs.items():
-        rec = _Recording()
+        rec = _WarmRecording()
         run(SolveSession(rec))
         iterations[name] = [sol.iterations for sol in rec.solutions]
-    assert iterations == {"gb": [11], "exact": [4]}
+    assert iterations == {
+        "gb": [11],
+        "exact": [4],
+        "exact-3-rounds": [5, 2, 2],
+        "swan": [2, 2, 2, 3, 1, 0],
+    }
+
+
+def _start_lp():
+    """max x + y with x + 2y <= 4 and x <= 1: optimal at x = 1, y = 1.5."""
+    lp = LinearProgram(name="start")
+    x, y = lp.add_variable(), lp.add_variable()
+    lp.add_constraint({x: 1.0, y: 2.0}, "<=", 4.0)
+    lp.add_constraint({x: 1.0}, "<=", 1.0)
+    lp.objective = {x: 1.0, y: 1.0}
+    return lp
+
+
+def test_a_start_from_the_optimal_basis_takes_no_steps():
+    cold = SimplexBackend().solve(_start_lp())
+    assert cold.basis == (1, 0) and cold.iterations == 2  # y in row 0, x in row 1
+    warm = SimplexBackend().solve(_start_lp(), start=cold.basis)
+    assert warm == LpSolution("optimal", [1.0, 1.5], 2.5, (0.5, 0.5), 0, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        pytest.param([0, 0], id="singular-repeated-column"),
+        # x basic in row 0 puts x = 4 there, and row 1's slack at 1 - 4 < 0
+        pytest.param([0, 3], id="infeasible-point"),
+    ],
+)
+def test_a_singular_or_infeasible_start_returns_what_no_start_returns(start):
+    assert SimplexBackend().solve(_start_lp(), start=start) == SimplexBackend().solve(_start_lp())
+
+
+@pytest.mark.parametrize("start", [[0], [0, 1, 2], [0, 4], [-1, 0]])
+def test_a_start_that_is_not_a_basis_of_the_lp_is_rejected(start):
+    with pytest.raises(ValueError, match=r"^start: a start basis is 2 entries in \[0, 4\)"):
+        SimplexBackend().solve(_start_lp(), start=start)
+
+
+def test_the_session_passes_a_start_only_to_a_backend_that_takes_one():
+    basis = SimplexBackend().solve(_start_lp()).basis
+    warm, cold = _WarmRecording(), _Recording()
+    for backend in (warm, cold):
+        SolveSession(backend).solve(_start_lp(), start=basis)
+    assert warm.solutions[0].iterations == 0 and cold.solutions[0].iterations == 2
+    assert ScipyBackend().solve(_start_lp(), start=basis).basis == ()
 
 
 # -- feasible-allocation fragment ----------------------------------------------
@@ -527,6 +597,16 @@ def _nested_loop_capacity_rows(problem):
     return rows
 
 
+def _nested_loop_volume_rows(problem):
+    # The reference build: a bounded demand's rates sum to at most its volume.
+    col = _rate_columns(problem)
+    return [
+        Constraint({col[d.id, pid]: 1.0 for pid in d.paths}, "<=", d.volume, name=f"volume:{d.id}")
+        for d in problem.demands
+        if d.bounded
+    ]
+
+
 def test_capacity_rows_match_the_nested_loop_reference():
     # ids out of sorted order, a resource no path uses, consumption != 1
     consuming = Problem(
@@ -538,13 +618,18 @@ def test_capacity_rows_match_the_nested_loop_reference():
             Demand("early", ["q0"], volume=1.0, consumption={"a": 4.0}),
         ],
     )
+    # a bounded demand without consumption entries among consuming ones
+    mixed = Problem(
+        consuming.resources,
+        [*consuming.paths, Path("q3", ["z", "a"]), Path("q4", ["m"])],
+        [*consuming.demands, Demand("plain", ["q3", "q4"], volume=2.0)],
+    )
     problems = [small_grid_instance(s) for s in range(20)]
-    problems += [distinct_utility_instance(s) for s in range(5)] + [consuming]
+    problems += [distinct_utility_instance(s) for s in range(5)] + [consuming, mixed]
     for problem in problems:
         lp, _ = build_feasible_alloc(problem)
         ref, _ = build_feasible_alloc(problem)
-        volume = [c for c in ref.constraints if c.name.startswith("volume:")]
-        ref.constraints = volume + _nested_loop_capacity_rows(problem)
+        ref.constraints = _nested_loop_volume_rows(problem) + _nested_loop_capacity_rows(problem)
         assert _structure(lp) == _structure(ref)
     rows = build_feasible_alloc(consuming)[0].constraints
     caps = [c for c in rows if c.name.startswith("cap:")]
@@ -596,6 +681,8 @@ def test_ratio_forms_match_the_nested_loop_reference():
 
 
 class _Recording:
+    """A backend without a start parameter: every LP solves cold."""
+
     def __init__(self):
         self.lps = []
         self.solutions = []
@@ -606,50 +693,59 @@ class _Recording:
         return self.solutions[-1]
 
 
+class _WarmRecording(_Recording):
+    """`_Recording` that hands each start basis on to the simplex."""
+
+    def solve(self, lp, start=None):
+        self.lps.append(lp)
+        self.solutions.append(SimplexBackend().solve(lp, start))
+        return self.solutions[-1]
+
+
 def _rebuilt_exact(problem, solve):
-    """The exact sequence's round LPs with a fresh fragment per LP."""
+    """The exact sequence's round LPs with a fresh fragment per LP: round r
+    maximizes the floor's rise delta over t_(r-1)."""
     demands = [d.id for d in problem.demands]
-    frozen, rounds, lps = {}, 0, []
+    frozen, rounds, lps, floor = {}, 0, [], 0.0
     while len(frozen) < len(demands):
         rounds += 1
         lp, forms = build_feasible_alloc(problem, f"max-min-round-{rounds}")
-        t = lp.add_variable()
+        delta = lp.add_variable()
         for k, form in zip(demands, forms):
             if k in frozen:
                 lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
             else:
-                lp.add_constraint({**form, t: -1.0}, ">=", 0.0)
-        lp.objective = {t: 1.0}
+                lp.add_constraint({**form, delta: -1.0}, ">=", floor)
+        lp.objective = {delta: 1.0}
         lps.append(lp)
         sol = solve(lp)
+        floor += sol.values[delta]
         floor_duals = sol.duals[len(sol.duals) - len(demands) :]
         for k, y in zip(demands, floor_duals):
             if k not in frozen and -y > DUAL_TOL:
-                frozen[k] = sol.values[t]
+                frozen[k] = floor
     return lps
 
 
 def _rebuilt_swan(problem, u, alpha, solve):
-    """The capped sequence's LPs with a fresh fragment per LP."""
-    frozen, prev, lps = {}, {}, []
+    """The capped sequence's LPs with a fresh fragment per LP: two rows per
+    demand, rho <= hi and rho >= lo."""
+    frozen, lo, lps = {}, {}, []
     for b, cap in enumerate(suggest_bin_config(problem, alpha, u), start=1):
         lp, forms = build_feasible_alloc(problem, f"capped-seq-{b}")
         for d, form in zip(problem.demands, forms):
             k = d.id
-            if k in frozen:
-                lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
-            else:
-                lp.add_constraint(form, "<=", cap)
-                if b > 1:
-                    lp.add_constraint(form, ">=", prev[k])
+            name = f"freeze:{k}" if k in frozen else ""
+            lp.add_constraint(form, "<=", frozen.get(k, cap), name=name)
+            lp.add_constraint(form, ">=", lo.get(k, 0.0), name=name)
         lp.objective = {j: a for form in forms for j, a in form.items()}
         lps.append(lp)
         values = solve(lp).values
         for d, form in zip(problem.demands, forms):
             if d.id not in frozen:
-                prev[d.id] = sum(a * values[j] for j, a in form.items())
-                if prev[d.id] < cap - FREEZE_TOL * max(1.0, cap):
-                    frozen[d.id] = prev[d.id]
+                lo[d.id] = sum(a * values[j] for j, a in form.items())
+                if lo[d.id] < cap - FREEZE_TOL * max(1.0, cap):
+                    frozen[d.id] = lo[d.id]
         if len(frozen) == len(problem.demands):
             break
     return lps

@@ -58,11 +58,17 @@ def _bits(a):
 
 
 def _assert_bit_identical(lp):
+    """The cold path matches the reference, also when a start basis with a
+    repeated column sends it there."""
     sf = lp_module._standard_form(lp)
-    got, want = lp_module._simplex_core(sf, lp.name), reference_core(sf, lp.name)
-    assert (got[0], got[3]) == (want[0], want[3]), lp.name
-    assert _bits(got[1]) == _bits(want[1]), lp.name  # values, -0.0 included
-    assert _bits(got[2]) == _bits(want[2]), lp.name  # duals
+    want = reference_core(sf, lp.name)
+    m = len(sf.b)
+    starts = [None] + ([np.zeros(m, dtype=int)] if m > 1 else [])
+    for start in starts:
+        got = lp_module._simplex_core(sf, lp.name, start)
+        assert (got[0], got[3]) == (want[0], want[3]), lp.name
+        assert _bits(got[1]) == _bits(want[1]), lp.name  # values, -0.0 included
+        assert _bits(got[2]) == _bits(want[2]), lp.name  # duals
 
 
 @pytest.mark.parametrize("corpus, seed", [(_random_lp, 11), (_random_zero_rhs_lp, 41)])
@@ -110,27 +116,29 @@ def _ratio_column_fragment(problem, name):
 
 
 def _ratio_column_exact(problem):
-    """The LP sequence over ratio columns: round objectives and the last
-    round's values."""
+    """The LP sequence over ratio columns, each round raising the floor by
+    delta over the last: round objectives (the rises) and the last round's
+    values."""
     demands = [d.id for d in problem.demands]
     base, rho = _ratio_column_fragment(problem, "max-min")
-    t = base.add_variable()
+    delta = base.add_variable()
     floor_row = len(base.constraints)
-    frozen, objectives, values = {}, [], []
+    frozen, objectives, values, floor = {}, [], [], 0.0
     while len(frozen) < len(demands):
         rows = [
             Constraint({r: 1.0}, "==", frozen[k]) if k in frozen
-            else Constraint({r: 1.0, t: -1.0}, ">=", 0.0)
+            else Constraint({r: 1.0, delta: -1.0}, ">=", floor)
             for k, r in zip(demands, rho)
         ]
         sol = SimplexBackend().solve(
-            LinearProgram("round", base.variables, base.constraints + rows, {t: 1.0})
+            LinearProgram("round", base.variables, base.constraints + rows, {delta: 1.0})
         )
         objectives.append(sol.objective)
         values = sol.values
+        floor += sol.values[delta]
         for i, k in enumerate(demands):
             if k not in frozen and -sol.duals[floor_row + i] > DUAL_TOL:
-                frozen[k] = sol.values[t]
+                frozen[k] = floor
     return objectives, values
 
 
@@ -222,7 +230,7 @@ def _ratio_column_lps(problem, allocator, report):
 def _own_columns(problem, allocator, notes):
     """The columns an allocator adds to the rate columns."""
     if allocator == "exact":
-        return 1  # the floor t
+        return 1  # the floor's rise delta
     if allocator == "oneshot":
         return notes["comparators"]  # lo per comparator
     if allocator == "swan":

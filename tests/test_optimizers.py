@@ -288,10 +288,17 @@ def per_demand_exact(problem):
     return frozen, total_allocation(problem, opt._allocation_from(problem, last))
 
 
-def _close(got, want):
+def _close(got, want, rel=1e-6):
     assert got.keys() == want.keys()
     for k in want:
-        assert abs(got[k] - want[k]) <= 1e-6 * max(1.0, abs(want[k])), k
+        assert abs(got[k] - want[k]) <= rel * max(1.0, abs(want[k])), k
+
+
+class _ColdSession(SolveSession):
+    """A session that drops every start basis, so each LP solves cold."""
+
+    def solve(self, lp, start=None):
+        return super().solve(lp)
 
 
 @pytest.mark.parametrize(
@@ -303,15 +310,21 @@ def _close(got, want):
     ],
 )
 def test_grouped_probes_match_the_per_demand_reference(make, seeds):
-    # (the name predates the dual-certified freezes that replaced grouped probes)
+    # (the name predates the dual-certified freezes that replaced grouped
+    # probes) The sequence as it runs, each round after the first from the
+    # last basis, and the cold sequence (every start dropped) both match.
+    later_rounds = 0
     for seed in seeds:
         prob = make(seed)
-        report = exact_sequential_max_min(prob)
         frozen, totals = per_demand_exact(prob)
-        _close(report.notes["frozen_ratios"], frozen)
-        _close(total_allocation(prob, report.allocation), totals)
-        assert report.converged
-        assert report.lp_solves == report.iterations <= len(prob.demands)
+        for session in (SolveSession(), _ColdSession()):
+            report = exact_sequential_max_min(prob, session)
+            _close(report.notes["frozen_ratios"], frozen, rel=1e-9)
+            _close(total_allocation(prob, report.allocation), totals, rel=1e-9)
+            assert report.converged
+            assert report.lp_solves == report.iterations <= len(prob.demands)
+        later_rounds += report.lp_solves - 1
+    assert later_rounds > 0  # rounds that start from the last basis
 
 
 def test_identical_demands_on_one_link_take_one_lp():
@@ -489,6 +502,21 @@ def test_swan_reports_unconverged_when_the_ladder_runs_out():
     assert totals == pytest.approx({"d0": 0.2, "d1": 0.2})
     assert not short.converged
     assert swan_sequence(prob, 0.1, 2.0).converged
+
+
+def test_swan_from_the_last_basis_matches_the_cold_sequence_where_rungs_are_unique():
+    # distinct per-path utilities give each rung LP a unique optimum, so the
+    # start may change the pivots but not the totals or the rung count
+    later_rungs = 0
+    for seed in range(16):
+        prob = distinct_utility_instance(seed)
+        warm = swan_sequence(prob, 0.3, 2.0)
+        cold = swan_sequence(prob, 0.3, 2.0, session=_ColdSession())
+        assert warm.lp_solves == cold.lp_solves
+        want = total_allocation(prob, cold.allocation)
+        _close(total_allocation(prob, warm.allocation), want, rel=1e-9)
+        later_rungs += warm.lp_solves - 1
+    assert later_rungs > 0
 
 
 # -- geometric binner ------------------------------------------------------------
