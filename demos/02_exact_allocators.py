@@ -5,9 +5,9 @@ floor over the unfrozen ratios, and the demands whose floor rows carry a
 positive optimal dual are bottlenecked there, so they freeze; repeat.  The
 duals sum to at least 1, so every round freezes a demand and there are at
 most as many LPs as demands.  The one-shot allocator embeds a Batcher
-odd-even merge network in a single LP so the objective can weight the
-sorted ratios directly:
-maximize sum_i epsilon^(i-1) t_i with t the sorted ratio vector.
+odd-even merge network in a single LP so the objective can rank the sorted
+ratios directly: it maximizes t_1, then t_2, and so on (one objective level
+each), with t the sorted ratio vector.
 """
 
 from fairalloc import (
@@ -36,7 +36,7 @@ print("sequential LP solves:", seq.lp_solves, "= freeze rounds", seq.iterations,
       "for", len(problem.demands), "demands")
 
 # One LP total, thanks to the sorting network.
-shot = one_shot_exact(problem, epsilon=0.05)
+shot = one_shot_exact(problem)
 print("one-shot totals:  ", total_allocation(problem, shot.allocation))
 print("one-shot LP solves:", shot.lp_solves,
       "comparators:", shot.notes["comparators"],

@@ -3,9 +3,10 @@
 The capped sequence raises a per-demand rate cap geometrically (u, u*a,
 u*a^2, ...), solving one LP per step and freezing demands that stall below
 their cap.  The geometric binner collapses the whole ladder into a single
-LP by giving each demand one variable per bin and paying geometrically less
-for higher bins: every optimum then fills a demand's lower bins first, so
-the single solve reproduces the sequence's allocation.
+LP by giving each demand one variable per bin and ranking the bins: one
+objective level per bin, the lowest first.  Every optimum then fills a
+demand's lower bins first, so the single solve reproduces the sequence's
+allocation.
 """
 
 from fairalloc import (
@@ -36,7 +37,7 @@ sw = swan_sequence(problem, u=1 / 16, alpha=2.0, bins=6)
 print("capped sequence:", total_allocation(problem, sw.allocation),
       f"({sw.lp_solves} LP solves)")
 
-gb = geo_binner(problem, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
+gb = geo_binner(problem, u=1 / 16, alpha=2.0, bins=6)
 print("geometric binner:", total_allocation(problem, gb.allocation),
       f"({gb.lp_solves} LP solve)")
 for k, bins in gb.notes["bins"].items():
@@ -50,12 +51,11 @@ print("exact oracle:    ", star)
 # The equi-depth binner spreads demands uniformly over bins (boundaries come
 # from a quick waterfill estimate and are solved as LP variables).  On this
 # instance it recovers the exact allocation.
-eb = equi_depth_elastic(problem, bins=2, epsilon=0.25)
+eb = equi_depth_elastic(problem, bins=2)
 print("equi-depth:      ", total_allocation(problem, eb.allocation),
       f"({eb.lp_solves} LP solve)")
 
 # By default the ladder takes u from a waterfill estimate and covers the
-# achievable range; geo_binner then picks the smallest epsilon that keeps
-# the top bin's weight above the double-precision guard.
+# achievable range, one objective level per rung however many there are.
 default = geo_binner(problem, alpha=2.0)
-print("default ladder:", default.notes["boundaries"], "epsilon:", default.notes["epsilon"])
+print("default ladder:", default.notes["boundaries"])

@@ -155,7 +155,7 @@ _CONFIG_KEYS = {
     for a, ps in _PARAMETERS.items()
 }
 _COUNT_KEYS = ("bins", "iterations")
-_REAL_KEYS = ("alpha", "epsilon", "u", "slack")
+_REAL_KEYS = ("alpha", "u", "slack")
 
 
 def _count(key: str, value) -> int:
@@ -186,8 +186,8 @@ def run_allocator(
     built-in-simplex session by default).  A config that is not a mapping
     is an error, and so is a key the allocator does not read, so no key is
     reported as applied when it was not; so is a ``bins`` or ``iterations``
-    value that is not a whole number, and an ``alpha``, ``epsilon``, ``u``
-    or ``slack`` value that is not a real number."""
+    value that is not a whole number, and an ``alpha``, ``u`` or ``slack``
+    value that is not a real number."""
     if allocator not in _ALLOCATORS:
         raise ValueError(
             f"unknown allocator {allocator!r}; choose from {', '.join(ALLOCATOR_IDS)}"

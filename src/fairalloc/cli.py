@@ -33,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--alpha", type=float, help="geometric bin growth factor")
     p_solve.add_argument("--u", type=float, help="minimum rate (first bin cap)")
-    p_solve.add_argument("--epsilon", type=float, help="objective decay per level")
     p_solve.add_argument("--bins", type=int, help="number of bins")
     p_solve.add_argument("--iterations", type=int, help="waterfill iterations")
     p_solve.add_argument("--slack", type=float, help="equi-depth boundary slack")

@@ -3,23 +3,29 @@ a pluggable backend seam.  The module knows nothing of the allocation
 model: the allocators (``optimizers``) turn a problem into LP rows.
 
 Every LP has one shape: nonnegative columns, each with an optional upper
-bound, linear rows, and an objective that is maximised.  A column is its
-index: `add_variable` returns it, and rows, the objective and a solution's
+bound, linear rows, and an objective that is maximised.  The objective is a
+list of levels, highest priority first: level 1 is maximised, then level 2
+over level 1's optima, and so on (a lexicographic objective); a
+single-level LP is a one-element list.  A column is its index:
+`add_variable` returns it, and rows, the objective levels and a solution's
 values are keyed or ordered by it.  Every solve goes through one standard
 form: `_standard_form` validates a `LinearProgram` once (column keys, upper
 bounds, and finite coefficients, right-hand sides and objective) and lays
-it out as dense arrays (`A`, relations, `b`, `c`, upper bounds) in column
-and constraint order.  The built-in simplex, the scipy HiGHS backend and
-the solution check all work on those arrays.  Both backends return optimal
-row duals in one sign convention.
+it out as dense arrays (`A`, relations, `b`, one row of `c` per level,
+upper bounds) in column and constraint order.  The built-in simplex, the
+scipy HiGHS backend and the solution check all work on those arrays.  Both
+backends return optimal row duals in one sign convention, for single-level
+LPs only: a multi-level solution carries none.
 
 The built-in solver is a dense two-phase primal simplex on one tableau
 whose last column is b, so a pivot or a bound flip is one operation on
 whole rows: upper bounds stay column bounds (bounded-variable simplex), a
 crash start covers zero-rhs rows without artificials, and the largest
 reduced cost enters, with Bland's rule as the anti-cycling fallback after a
-run of degenerate pivots.  It is deterministic: solving the same program
-twice yields bit-identical values.
+run of degenerate pivots.  After each level it blocks the columns whose
+entry would lower that level and prices the next level out on the same
+basis.  It is deterministic: solving the same program twice yields
+bit-identical values.
 
 A solve may start from a basis.  `LpSolution.basis` is the built-in
 solver's optimal basis, one entry per basic position: a column index
@@ -29,19 +35,15 @@ one, otherwise its artificial).  `SimplexBackend.solve(lp, start)` and
 columns and rows, typically the next LP of a sequence: the simplex
 refactors the tableau on it, with every other column at 0, and goes
 straight to phase 2 when that point is feasible; a singular, non-finite or
-infeasible start falls back to the cold start.  `ScipyBackend` ignores the
-start and returns no basis, and a session hands a start only to a backend
-whose ``solve`` has a ``start`` parameter: one without it, such as the
-tests' `_Recording` backend, solves every LP cold.
+infeasible start falls back to the cold start.  Every backend's ``solve``
+takes a start; `ScipyBackend` ignores it and returns no basis.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -58,6 +60,7 @@ __all__ = [
 
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-12  # a reduced cost <= OPT_TOL * max(1, max|z|) counts as zero
+LEVEL_TOL = 1e-9  # a solved level's reduced cost below -LEVEL_TOL * max|c| blocks its column
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,16 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A named LP: nonnegative columns, linear constraints, and a linear
-    objective (column index -> coefficient) to maximise.  ``variables`` holds
+    """A named LP: nonnegative columns, linear constraints, and an objective
+    to maximise lexicographically: a list of levels, highest priority first,
+    each a linear form (column index -> coefficient).  ``variables`` holds
     each column's upper bound (None: unbounded above).  Treated as immutable
     once handed to a solver."""
 
     name: str = "lp"
     variables: list[float | None] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
+    objective: list[dict[int, float]] = field(default_factory=lambda: [{}])
 
     def add_variable(self, *, upper: float | None = None) -> int:
         """Append a column x >= 0 (x <= upper unless that is None); returns
@@ -108,7 +112,8 @@ class LinearProgram:
         a column, an int in [0, n) (numpy would wrap -1 to the last column),
         and a coefficient, right-hand side or objective entry that is not
         finite (a NaN fails every comparison the simplex makes, so it would
-        come back as a wrong status, not an error)."""
+        come back as a wrong status, not an error), and an objective without
+        a level."""
         for j, upper in enumerate(self.variables):
             if upper is not None and not upper >= 0:
                 what = "a negative" if upper < 0 else "a NaN"
@@ -120,10 +125,13 @@ class LinearProgram:
                 if type(j) is not int or not 0 <= j < n:
                     raise ValueError(f"{self.name}: constraint uses unknown column {j!r}")
             total += c.rhs + sum(c.coeffs.values())
-        for j in self.objective:
-            if type(j) is not int or not 0 <= j < n:
-                raise ValueError(f"{self.name}: objective uses unknown column {j!r}")
-        total += sum(self.objective.values())
+        if not self.objective:
+            raise ValueError(f"{self.name}: objective has no level")
+        for level in self.objective:
+            for j in level:
+                if type(j) is not int or not 0 <= j < n:
+                    raise ValueError(f"{self.name}: objective uses unknown column {j!r}")
+            total += sum(level.values())
         if not math.isfinite(total):
             for i, c in enumerate(self.constraints):
                 if not all(map(math.isfinite, [c.rhs, *c.coeffs.values()])):
@@ -131,22 +139,24 @@ class LinearProgram:
                         f"{self.name}: constraint {c.name or i} has a non-finite "
                         f"coefficient or right-hand side"
                     )
-            if not all(map(math.isfinite, self.objective.values())):
+            if not all(math.isfinite(a) for level in self.objective for a in level.values()):
                 raise ValueError(f"{self.name}: objective has a non-finite coefficient")
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """When optimal, ``values`` holds x per column, in column order (empty
-    otherwise), and ``duals`` an optimal dual per constraint, in order:
-    d objective / d rhs (so >= 0 on a "<=" row, <= 0 on a ">=" row, and 0 on
-    a slack row).  ``iterations`` is the backend's work count: simplex pivots
-    plus bound flips for the built-in solver, HiGHS's iteration count for the
-    scipy backend.  ``basis`` is the built-in solver's optimal basis, one
-    entry per basic position: a column j < ncols, or ncols + i for row i's
-    own unit column (its slack if it has one, otherwise its artificial).  It
-    can start an LP with the same columns and rows (see the module
-    docstring); the scipy backend leaves it empty."""
+    otherwise), ``objective`` the first level's value, and ``duals`` of a
+    single-level LP an optimal dual per constraint, in order: d objective /
+    d rhs (so >= 0 on a "<=" row, <= 0 on a ">=" row, and 0 on a slack row);
+    a multi-level LP's are empty.  ``iterations`` is the backend's work
+    count: simplex pivots plus bound flips for the built-in solver, HiGHS's
+    iteration count, summed over the levels, for the scipy backend.
+    ``basis`` is the built-in solver's optimal basis, one entry per basic
+    position: a column j < ncols, or ncols + i for row i's own unit column
+    (its slack if it has one, otherwise its artificial).  It can start an LP
+    with the same columns and rows (see the module docstring); the scipy
+    backend leaves it empty."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: list[float]
@@ -172,12 +182,12 @@ _RELATION_SIGN = {"<=": 1, "==": 0, ">=": -1}
 class _StandardForm(NamedTuple):
     """Dense arrays of a validated LP, rows in constraint order and columns
     in column order: `A x (relations) b`, `0 <= x <= upper`, maximize
-    `c x`."""
+    `c[0] x`, then `c[1] x`, ... (one row of `c` per objective level)."""
 
     A: np.ndarray
     relations: np.ndarray  # per row: 1 for "<=", 0 for "==", -1 for ">="
     b: np.ndarray
-    c: np.ndarray
+    c: np.ndarray  # levels x columns
     upper: np.ndarray  # +inf where unbounded above
 
 
@@ -190,8 +200,11 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     A[rows, [j for con in cons for j in con.coeffs]] = [
         a for con in cons for a in con.coeffs.values()
     ]
-    c = np.zeros(len(lp.variables))
-    c[list(lp.objective)] = list(lp.objective.values())
+    c = np.zeros((len(lp.objective), len(lp.variables)))
+    levels = np.repeat(np.arange(len(lp.objective)), [len(level) for level in lp.objective])
+    c[levels, [j for level in lp.objective for j in level]] = [
+        a for level in lp.objective for a in level.values()
+    ]
     return _StandardForm(
         A,
         np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int),
@@ -204,17 +217,18 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
 def _optimal(
     lp: LinearProgram,
     x: np.ndarray,
-    duals: np.ndarray,
+    duals: np.ndarray | None,
     iterations: int,
     basis: np.ndarray | None = None,
 ) -> LpSolution:
+    """The optimal solution; `duals` is None for a multi-level LP."""
     values = x.tolist()
-    obj = sum(a * values[j] for j, a in lp.objective.items())
+    obj = sum(a * values[j] for j, a in lp.objective[0].items())
     return LpSolution(
         "optimal",
         values,
         float(obj),
-        tuple(duals.tolist()),
+        () if duals is None else tuple(duals.tolist()),
         iterations,
         () if basis is None else tuple(basis.tolist()),
     )
@@ -345,13 +359,21 @@ def _simplex_core(
     enters) takes over until a step makes progress.  Ties in the ratio test
     always go to the lowest basic index, so every choice is deterministic.
 
-    Returns the status, x in column order and the duals y of `sf`'s rows
-    when optimal, the number of pivots plus bound flips, and the optimal
-    basis in `start`'s terms.  The duals are read from the phase-2 reduced
-    costs z = c - y^T A: a row's artificial (or a "<=" row's slack) column is
-    e_i with cost 0 and is never complemented, so z there is -y_i.  Negated
-    rows' duals change sign back."""
-    ncols = len(sf.c)
+    Levels: phase 2 maximises `sf.c[0]`.  At a level's optimum, every
+    nonbasic column whose reduced cost is below -LEVEL_TOL times the level's
+    largest coefficient is blocked: entering it would lower that level.
+    The next level is priced out on the same basis, with each blocked
+    column's reduced cost at -inf so that it never enters, and phase 2
+    continues.  Levels stop once every nonbasic column is blocked.
+
+    Returns the status, x in column order and, for a single-level LP, the
+    duals y of `sf`'s rows when optimal (None otherwise), the number of
+    pivots plus bound flips, and the optimal basis in `start`'s terms.  The
+    duals are read from the phase-2 reduced costs z = c - y^T A: a row's
+    artificial (or a "<=" row's slack) column is e_i with cost 0 and is never
+    complemented, so z there is -y_i.  Negated rows' duals change sign
+    back."""
+    ncols = sf.c.shape[1]
     flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
     rel = np.where(flip, -sf.relations, sf.relations)
 
@@ -377,7 +399,7 @@ def _simplex_core(
     T[:m][flip] *= -1.0
     T[slack_rows, slack_cols] = rel[slack_rows]
     T[art_rows, art_cols] = 1.0
-    T[m, :ncols] = sf.c
+    T[m, :ncols] = sf.c[0]
     b = T[:, width]
     unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
     unit[slack_rows] = slack_cols
@@ -420,10 +442,9 @@ def _simplex_core(
         nonlocal steps
         z = T[-1, :lim]
         bm = T[:m, width]
-        # Scales with the largest reduced cost, well above float noise, but is
-        # not below every level an allocator sets: `gb`'s default epsilon puts
-        # its last bin at 1.01e-12, which counts as zero once max|z| >= 1.01.
-        tol_opt = OPT_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+        # scales with the largest reduced cost, well above float noise; a
+        # blocked column's -inf is no scale
+        tol_opt = OPT_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0, where=z > -np.inf)))
         degenerate = 0
         for _ in range(max_iter):
             if degenerate < DEGENERATE_RUN:
@@ -495,12 +516,27 @@ def _simplex_core(
     T = T[: m + 1]
     if not run(T):
         return "unbounded", None, None, steps, None
+    duals = None
+    if len(sf.c) == 1:
+        z2 = T[m, :width]
+        duals = np.where(flip, z2[unit], -z2[unit])
+    z = T[m, :lim]
+    blocked = np.zeros(lim, dtype=bool)  # never basic: a basic column's z is 0
+    cost = np.zeros(width + 1)
+    tols = LEVEL_TOL * np.abs(sf.c).max(axis=1, initial=0.0)
+    for tol, c in zip(tols, sf.c[1:]):
+        blocked |= z < -tol
+        if np.count_nonzero(blocked) + np.count_nonzero(basis < lim) == lim:
+            break  # no column is left to move
+        cost[:ncols] = np.where(flipped[:ncols], -c, c)  # a flipped column holds u - x
+        T[m] = cost - cost[basis] @ T[:m]
+        z[blocked] = -np.inf
+        if not run(T):
+            return "unbounded", None, None, steps, None
 
     x = np.zeros(width)
     x[basis] = b[:m]
     x[flipped] = ub[flipped] - x[flipped]
-    z2 = T[m, :width]
-    duals = np.where(flip, z2[unit], -z2[unit])
     return "optimal", x[:ncols], duals, steps, entry[basis]
 
 
@@ -526,7 +562,7 @@ def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None
 
 
 class LpBackend(Protocol):  # pragma: no cover - typing seam
-    def solve(self, lp: LinearProgram) -> LpSolution: ...
+    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution: ...
 
 
 class SimplexBackend:
@@ -546,7 +582,9 @@ class ScipyBackend:
     """Optional external backend (scipy HiGHS) behind the same seam.
 
     The acceptance suite never needs it; it exists for cross-checking and as
-    the plug-in example for a high-performance solver.
+    the plug-in example for a high-performance solver.  It solves the levels
+    in sequence: each level after the first adds a ">=" row that holds the
+    level before it at its optimum, less 1e-9 relative.
     """
 
     def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
@@ -556,23 +594,32 @@ class ScipyBackend:
         sf = _standard_form(lp)
         ub = sf.relations != 0  # ">=" rows enter negated
         eq = ~ub
-        res = linprog(
-            -sf.c,  # linprog minimizes
-            A_ub=sf.A[ub] * sf.relations[ub, None] if ub.any() else None,
-            b_ub=sf.b[ub] * sf.relations[ub] if ub.any() else None,
-            A_eq=sf.A[eq] if eq.any() else None,
-            b_eq=sf.b[eq] if eq.any() else None,
-            bounds=np.column_stack((np.zeros_like(sf.upper), sf.upper)),
-            method="highs",
-        )
-        iterations = int(res.nit)
-        if res.status == 2:
-            return LpSolution("infeasible", [], float("nan"), iterations=iterations)
-        if res.status == 3:
-            return LpSolution("unbounded", [], float("nan"), iterations=iterations)
-        if not res.success:
-            raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
+        A_ub, b_ub = sf.A[ub] * sf.relations[ub, None], sf.b[ub] * sf.relations[ub]
+        iterations = 0
+        for level, c in enumerate(sf.c):
+            if level:  # c_prev x >= opt - 1e-9 max(1, |opt|), negated
+                A_ub = np.vstack([A_ub, -sf.c[level - 1]])
+                b_ub = np.append(b_ub, 1e-9 * max(1.0, abs(opt)) - opt)
+            res = linprog(
+                -c,  # linprog minimizes
+                A_ub=A_ub if len(b_ub) else None,
+                b_ub=b_ub if len(b_ub) else None,
+                A_eq=sf.A[eq] if eq.any() else None,
+                b_eq=sf.b[eq] if eq.any() else None,
+                bounds=np.column_stack((np.zeros_like(sf.upper), sf.upper)),
+                method="highs",
+            )
+            iterations += int(res.nit)
+            if res.status == 2:
+                return LpSolution("infeasible", [], float("nan"), iterations=iterations)
+            if res.status == 3:
+                return LpSolution("unbounded", [], float("nan"), iterations=iterations)
+            if not res.success:
+                raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
+            opt = float(c @ res.x)
         _check_solution(lp, sf, res.x)
+        if len(sf.c) > 1:
+            return _optimal(lp, res.x, None, iterations)
         # marginals are d(min -c x)/d(rhs) of linprog's rows; ">=" rows went
         # in negated
         duals = np.empty(len(sf.b))
@@ -584,9 +631,6 @@ class ScipyBackend:
 class SolveSession:
     """Counts LP solves; the count is the hardware-independent cost metric
     the benchmark reports.
-
-    ``solve``'s ``start`` reaches the backend only if its ``solve`` has a
-    ``start`` parameter; a backend without one solves every LP cold.
 
     Thread-safe: concurrent allocator runs may share a session (each
     report's lp_solves then also counts the solves of runs it overlapped).
@@ -600,13 +644,7 @@ class SolveSession:
     def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
         with self._lock:
             self._count += 1
-        if start is not None and self._takes_start:
-            return self._backend.solve(lp, start=start)
-        return self._backend.solve(lp)
-
-    @cached_property
-    def _takes_start(self) -> bool:
-        return "start" in inspect.signature(self._backend.solve).parameters
+        return self._backend.solve(lp, start)
 
     @property
     def count(self) -> int:

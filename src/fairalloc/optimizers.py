@@ -17,13 +17,13 @@ and rows, written over the forms:
   repeat;
 * one-shot exact: a single LP that sorts the ratios with a comparator
   network (a min column per comparator, its max output a form) and
-  maximizes a geometrically weighted sum of the sorted outputs;
+  maximizes the sorted outputs lexicographically, one objective level each;
 * capped sequence (SWAN-style): one LP per rung of the geometric boundary
   ladder that ``suggest_bin_config`` builds;
-* binned LP: per-bin rate variables with geometrically decaying objective
-  weights, solved once over a boundary ladder; the geometric binner bins by
-  the capped sequence's ladder, the equi-depth multi-bin variant by
-  boundaries from an adaptive-waterfill estimate;
+* binned LP: per-bin rate variables, one objective level per bin, solved
+  once over a boundary ladder; the geometric binner bins by the capped
+  sequence's ladder, the equi-depth multi-bin variant by boundaries from an
+  adaptive-waterfill estimate;
 * equi-depth elastic binner: boundaries taken from that estimate and
   solved as LP variables.
 """
@@ -57,12 +57,8 @@ __all__ = [
     "equi_depth_multibin",
     "achievable_ratio_bound",
     "suggest_bin_config",
-    "default_epsilon",
 ]
 
-EPSILON_GUARD = 1e-12  # smallest representable objective level we trust
-# The most objective levels the guard admits at the largest default epsilon, 0.5.
-MAX_DEFAULT_LEVELS = 1 + int(math.log(EPSILON_GUARD) / math.log(0.5))
 FREEZE_TOL = 1e-7
 DUAL_TOL = 1e-9  # a floor dual above this certifies that the demand is bottlenecked
 TIE_REL_TOL = 1e-9  # estimates or boundaries this close (relative) count as equal
@@ -70,27 +66,6 @@ TIE_REL_TOL = 1e-9  # estimates or boundaries this close (relative) count as equ
 
 class AllocationError(RuntimeError):
     """An allocator could not produce a solution (infeasible or numeric)."""
-
-
-def _check_levels(
-    epsilon: float, levels: int, advice: str = "use fewer bins or a larger epsilon"
-) -> None:
-    """An objective weighting levels by epsilon^0 .. epsilon^(levels-1) needs
-    epsilon in (0, 1) and a smallest weight above the double-precision guard."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if epsilon ** (levels - 1) < EPSILON_GUARD:
-        raise ValueError(
-            f"epsilon^{levels - 1} = {epsilon ** (levels - 1):.3g} underflows the "
-            f"double-precision guard {EPSILON_GUARD:g}; {advice}"
-        )
-
-
-def default_epsilon(levels: int) -> float:
-    """1e-6, lifted (up to 0.5) until epsilon^(levels-1) clears the guard."""
-    if levels <= 1:
-        return 1e-6
-    return min(0.5, max(1e-6, (EPSILON_GUARD * 1.01) ** (1.0 / (levels - 1))))
 
 
 def _solved(session: SolveSession, lp: LinearProgram, start: list[int] | None = None):
@@ -218,7 +193,7 @@ def exact_sequential_max_min(
                 else Constraint({**form, delta: -1.0}, ">=", floor)
                 for k, form in zip(demands, forms)
             ],
-            {delta: 1.0},
+            [{delta: 1.0}],
         )
         sol = _solved(session, lp, basis)
         last_values = sol.values
@@ -247,9 +222,7 @@ def exact_sequential_max_min(
     )
 
 
-def one_shot_exact(
-    problem: Problem, epsilon: float = 0.01, session: SolveSession | None = None
-) -> AllocatorReport:
+def one_shot_exact(problem: Problem, session: SolveSession | None = None) -> AllocatorReport:
     """Single-LP exact max-min fairness.
 
     A comparator network sorts the ratios inside the LP.  Every wire is a
@@ -258,13 +231,12 @@ def one_shot_exact(
     lo and its max output the form x + y - lo (where a comparator's min and
     max outputs meet again, its lo cancels and is dropped).  So the LP has
     only "<=" rows with a zero or positive right-hand side, and its
-    all-slack start is feasible.  The objective sum_i epsilon^(i-1) t_i puts
-    strictly more weight on smaller sorted outputs, which both drives every
-    lo to min(x, y) at the optimum and makes the sorted vector
-    lexicographically maximal.
+    all-slack start is feasible.  The objective's levels are the sorted
+    outputs t_1 <= ... <= t_n, smallest first: maximizing them
+    lexicographically both drives every lo to min(x, y) at the optimum and
+    makes the sorted vector lexicographically maximal.
     """
     n = len(problem.demands)
-    _check_levels(epsilon, n, f"for n={n} demands, use the geometric binner instead")
     session = session or SolveSession()
     start = session.count
 
@@ -284,11 +256,7 @@ def one_shot_exact(
         hi[lo] = -1.0
         wires[i], wires[j] = {lo: 1.0}, hi
 
-    objective: dict[int, float] = {}
-    for pos, wire in enumerate(wires):
-        for col, a in wire.items():
-            objective[col] = objective.get(col, 0.0) + epsilon**pos * a
-    lp.objective = objective
+    lp.objective = wires
     sol = _solved(session, lp)
 
     sorted_out = [_value(w, sol.values) for w in wires]
@@ -307,7 +275,6 @@ def one_shot_exact(
         iterations=1,
         notes={
             "allocator": "one-shot-exact",
-            "epsilon": epsilon,
             "sorted_ratios": sorted_out,
             "comparators": len(net.comparators),
             "converged": True,
@@ -454,7 +421,7 @@ def swan_sequence(
             rows.append(Constraint(form, "<=", frozen.get(d.id, cap), name=name))
             rows.append(Constraint(form, ">=", floor, name=name))
         lp = LinearProgram(
-            f"capped-seq-{b}", base.variables, base.constraints + rows, objective
+            f"capped-seq-{b}", base.variables, base.constraints + rows, [objective]
         )
         sol = _solved(session, lp, basis)
         last_values = sol.values
@@ -492,41 +459,37 @@ def _binned(
     problem: Problem,
     compiled: Compiled,
     boundaries: Sequence[float],
-    epsilon: float,
     session: SolveSession | None,
     allocator: str,
 ) -> AllocatorReport:
     """The one-shot binned LP over a boundary ladder l_1 < ... < l_B.
 
     Bin b holds y_kb in [0, l_b - l_(b-1)] (l_0 = 0), the bins sum to rho_k
-    (a row `sum_b y_kb - form_k = 0`), and the objective is
-    sum_k sum_b epsilon^(b-1) y_kb.  One LP, named ``allocator``.  LP optima
-    are unique in objective value but not in the individual bins, so each
-    demand's total is restacked into its lowest bins first (``bins`` note);
-    that keeps the total, hence feasibility and objective value.  A demand
-    that fills the whole ladder may have been truncated by its top boundary:
-    the report then says ``converged=False`` and carries a ``coverage``
-    note.
+    (a row `sum_b y_kb - form_k = 0`), and objective level b is sum_k y_kb:
+    bin 1's total is maximized first, then bin 2's, and so on.  One LP,
+    named ``allocator``.  LP optima are unique in each level's value but not
+    in the individual bins, so each demand's total is restacked into its
+    lowest bins first (``bins`` note); that keeps the total, hence
+    feasibility and objective value.  A demand that fills the whole ladder
+    may have been truncated by its top boundary: the report then says
+    ``converged=False`` and carries a ``coverage`` note.
     """
     if not boundaries:
         raise ValueError("need at least one boundary")
     if boundaries[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
         raise ValueError("boundaries must be strictly increasing and positive")
-    _check_levels(epsilon, len(boundaries))
     session = session or SolveSession()
     start = session.count
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
     lp, forms = _fragment(problem, compiled, allocator)
-    objective: dict[int, float] = {}
     bin_cols: list[list[int]] = []  # per demand, its y_kb columns
     for d, form in zip(problem.demands, forms):
         cols = [lp.add_variable(upper=cap) for cap in caps]
         bin_cols.append(cols)
-        objective.update({y: epsilon**b for b, y in enumerate(cols)})
         coeffs = {**_minus(form), **dict.fromkeys(cols, 1.0)}
         lp.add_constraint(coeffs, "==", 0.0, name=f"bins:{d.id}")
-    lp.objective = objective
+    lp.objective = [dict.fromkeys(level, 1.0) for level in zip(*bin_cols)]
     sol = _solved(session, lp)
 
     top = boundaries[-1]
@@ -545,7 +508,6 @@ def _binned(
 
     notes = {
         "allocator": allocator,
-        "epsilon": epsilon,
         "boundaries": list(boundaries),
         "bin_caps": caps,
         "bins": bins,
@@ -568,35 +530,25 @@ def geo_binner(
     u: float | None = None,
     alpha: float = 2.0,
     bins: int | None = None,
-    epsilon: float | None = None,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """One-shot geometric binner: the binned LP over the capped sequence's
     ladder, ``suggest_bin_config(problem, alpha, u, bins)``, with the
     problem compiled once for the estimate of u and the LP.
 
-    The decaying weights make every optimum fill a demand's lower bins before
-    the higher ones.  Over the same ladder this reproduces ``swan_sequence``'s
-    allocation without iterating, provided epsilon is small enough that no
-    trade of lower-bin rate for higher-bin rate pays (the delta rule); at a
-    larger epsilon the two can differ.  Like the sequence, it reports
-    ``converged=False`` (and a ``coverage`` note) when some demand fills the
-    whole ladder, since the top boundary may have truncated it.
-
-    epsilon defaults to ``default_epsilon`` of the ladder's length.  A default
-    ladder (``bins`` None) longer than the guard admits even at epsilon
-    0.5 keeps its lowest ``MAX_DEFAULT_LEVELS`` rungs; a demand that reaches
-    the top of those is flagged as above.  An asked-for ladder is weighed
-    whole, and an epsilon that breaks the guard raises.
+    One objective level per bin makes every optimum fill a demand's lower
+    bins before the higher ones, so no trade of lower-bin rate for
+    higher-bin rate pays.  On a two-bin ladder this reproduces
+    ``swan_sequence``'s allocation without iterating; on a longer one the
+    LP ranks only bin sums, so per-demand totals can differ.  Like the
+    sequence, it reports ``converged=False`` (and a ``coverage`` note) when
+    some demand fills the whole ladder, since the top boundary may have
+    truncated it.
     """
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
     boundaries = _geo_ladder(problem, u, alpha, bins)
-    if epsilon is None:
-        if bins is None:
-            boundaries = boundaries[:MAX_DEFAULT_LEVELS]
-        epsilon = default_epsilon(len(boundaries))
-    return _binned(problem, compiled, boundaries, epsilon, session, "geo-binner")
+    return _binned(problem, compiled, boundaries, session, "geo-binner")
 
 
 # -- equi-depth binners ---------------------------------------------------------
@@ -659,7 +611,6 @@ def _equi_depth_bins(problem: Problem, bins: int | None) -> int:
 def equi_depth_elastic(
     problem: Problem,
     bins: int | None = None,
-    epsilon: float = 0.25,
     slack: float | None = None,
     iterations: int = 10,
     session: SolveSession | None = None,
@@ -670,7 +621,8 @@ def equi_depth_elastic(
     demands; each of ``bins`` equal-size groups is assigned to one bin
     whose boundary is an LP variable, with the group's ratios constrained to
     l_(b-1) <= rho_k <= l_b + s_b.  The slack absorbs estimate inaccuracies.
-    One LP regardless of bin count.
+    Objective level b is group b's ratio sum, lowest group first.  One LP
+    regardless of bin count.
 
     By design the slack can tilt a tied split: s_b (``slack``, by default
     5% of the group's estimate span) is at least 1e-6 of the largest
@@ -692,7 +644,6 @@ def equi_depth_elastic(
         est_ratio, min(bins, len(problem.demands))
     )
     n_groups = len(groups)
-    _check_levels(epsilon, n_groups)  # one level per group built, not per bin asked for
 
     max_ratio = max(est_ratio.values(), default=0.0)
     slacks: list[float] = []
@@ -706,16 +657,17 @@ def equi_depth_elastic(
     lp, forms = _fragment(problem, compiled, "equi-depth-elastic")
     bounds = [lp.add_variable() for _ in groups]  # l_b, the top of group b
     index_of = {d.id: i for i, d in enumerate(problem.demands)}
-    objective: dict[int, float] = {}
+    lp.objective = []
     for b, group in enumerate(groups):
+        level: Form = {}
         for k in group:
             form = forms[index_of[k]]
             if b > 0:
                 lp.add_constraint({**form, bounds[b - 1]: -1.0}, ">=", 0.0)
             if b < n_groups - 1:
                 lp.add_constraint({**form, bounds[b]: -1.0}, "<=", slacks[b])
-            objective.update({j: epsilon**b * a for j, a in form.items()})
-    lp.objective = objective
+            level.update(form)
+        lp.objective.append(level)
     sol = _solved(session, lp)
 
     return AllocatorReport(
@@ -724,7 +676,6 @@ def equi_depth_elastic(
         iterations=1,
         notes={
             "allocator": "equi-depth-elastic",
-            "epsilon": epsilon,
             "groups": groups,
             "estimate_boundaries": est_bounds,
             "solved_boundaries": [sol.values[j] for j in bounds],
@@ -738,7 +689,6 @@ def equi_depth_elastic(
 def equi_depth_multibin(
     problem: Problem,
     bins: int | None = None,
-    epsilon: float = 0.25,
     iterations: int = 10,
     session: SolveSession | None = None,
 ) -> AllocatorReport:
@@ -758,4 +708,4 @@ def equi_depth_multibin(
     est, _ = _estimate_ratios(problem, compiled, iterations)
     bounds, _ = compute_equi_boundaries(est, min(bins, len(est)))
     boundaries = merge_boundaries(bounds) or [max(est.values(), default=1.0) or 1.0]
-    return _binned(problem, compiled, boundaries, epsilon, session, "equi-depth-multibin")
+    return _binned(problem, compiled, boundaries, session, "equi-depth-multibin")

@@ -41,8 +41,7 @@ def worked_example() -> Problem:
 @pytest.fixture(scope="module")
 def narrow_corpus():
     """50 instances with distinct per-path utilities whose max-min ratio
-    spread stays below 1.9 (so two geometric bins cover the range and the
-    delta-rule epsilon = 1e-6 respects the precision guard)."""
+    spread stays below 1.9 (so two geometric bins cover the range)."""
     corpus = []
     seed = 0
     while len(corpus) < 50:
@@ -59,7 +58,7 @@ def narrow_corpus():
 
 @pytest.fixture(scope="module")
 def gb_runs(narrow_corpus):
-    """Geometric-binner runs shared by criteria 3-5: the delta-rule run at
+    """Geometric-binner runs shared by criteria 3-5: the two-bin run at
     alpha=2 plus envelope runs at alpha in {1.5, 2, 4}."""
     runs = []
     for prob, star, ratios in narrow_corpus:
@@ -67,10 +66,10 @@ def gb_runs(narrow_corpus):
         total_cap = sum(r.capacity for r in prob.resources)
         delta = 1e-6 * total_cap
         entry = {"prob": prob, "star": star, "u": u, "delta": delta, "gb": {}}
-        entry["gb"]["delta-rule"] = fa.geo_binner(prob, u, 2.0, 2, epsilon=delta / total_cap)
+        entry["gb"]["delta-rule"] = fa.geo_binner(prob, u, 2.0, 2)
         for alpha in (1.5, 2.0, 4.0):
             bins = max(2, math.ceil(math.log(ratios[-1] * 1.05 / u, alpha)) + 1)
-            entry["gb"][alpha] = fa.geo_binner(prob, u, alpha, bins, epsilon=0.1)
+            entry["gb"][alpha] = fa.geo_binner(prob, u, alpha, bins)
         runs.append(entry)
     return runs
 
@@ -121,7 +120,7 @@ def test_02_one_shot_matches_sequential_oracle_on_100_instances():
     for seed in range(100):
         prob = small_grid_instance(seed)
         star = total_allocation(prob, fa.exact_sequential_max_min(prob).allocation)
-        rep = fa.one_shot_exact(prob, epsilon=0.01)
+        rep = fa.one_shot_exact(prob)
         assert rep.lp_solves == 1
         got = total_allocation(prob, rep.allocation)
         diff = max(abs(star[k] - got[k]) for k in star)
@@ -137,12 +136,11 @@ def test_02_one_shot_matches_sequential_oracle_on_100_instances():
 
 
 def test_03_geo_binner_equals_swan_under_delta_rule(gb_runs):
-    """With epsilon = delta / sum(c) (delta = 1e-6 * sum(c)) and identical
-    (U, alpha=2) over the same two-bin ladder, the one-shot binner and the
-    capped sequence agree per-demand within max(1e-6, delta); one LP vs
-    >= 2 LPs.  (The ladder length is shared: the equivalence is bin-for-bin,
-    and the delta-rule epsilon admits at most N = 2 bins under the
-    double-precision guard.)"""
+    """With identical (U, alpha=2) over the same two-bin ladder, the one-shot
+    binner (one objective level per bin, which the delta rule's small
+    epsilon once approximated) and the capped sequence agree per-demand
+    within max(1e-6, delta), delta = 1e-6 * sum(c); one LP vs >= 2 LPs.
+    (The ladder length is shared: the equivalence is bin-for-bin.)"""
     worst = 0.0
     worst_onesided = 0.0
     for entry in gb_runs:
@@ -212,7 +210,7 @@ def test_05_bin_prefix_property_has_zero_violations(gb_runs):
         for rep in entry["gb"].values():
             violations += _prefix_violations(rep)
             runs += 1
-        mb = fa.equi_depth_multibin(prob, bins=3, epsilon=0.25, iterations=10)
+        mb = fa.equi_depth_multibin(prob, bins=3, iterations=10)
         violations += _prefix_violations(mb)
         runs += 1
     assert violations == 0

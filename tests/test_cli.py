@@ -59,7 +59,7 @@ def test_solve_swan_at_a_fine_ladder(tmp_path):
 
 
 def test_every_runner_parameter_is_a_solve_flag():
-    flags = ["--alpha", "2", "--u", "1", "--epsilon", "0.5", "--bins", "3",
+    flags = ["--alpha", "2", "--u", "1", "--bins", "3",
              "--iterations", "4", "--slack", "0.1", "--inner", "exact"]
     args = _build_parser().parse_args(
         ["solve", "--input", "x", "--allocator", "gb", "--output", "y", *flags]
@@ -75,7 +75,7 @@ def test_solve_rejects_a_flag_its_allocator_does_not_read(
     out = tmp_path / "report.json"
     code = cli_main(
         ["solve", "--input", str(worked_example_file), "--allocator", "swan",
-         "--epsilon", "0.5", "--output", str(out)]
+         "--slack", "0.5", "--output", str(out)]
     )
     assert code == 1
     assert not out.exists()

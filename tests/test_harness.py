@@ -335,6 +335,8 @@ def test_run_allocator_rejects_config_keys_its_allocator_does_not_read(two_link_
     )
     with pytest.raises(ValueError, match="accepts none"):
         run_allocator(two_link_example, "exact", {"epsilon": 0.5})
+    with pytest.raises(ValueError, match="oneshot does not read config keys .'epsilon'."):
+        run_allocator(two_link_example, "oneshot", {"epsilon": 0.01})  # levels, not weights
     assert run_allocator(two_link_example, "swan", {"alpha": 2.0}).converged
 
 
@@ -369,11 +371,11 @@ def test_runner_signatures_are_the_config_schema():
     # Keys in signature order: the rejection message above lists them so.
     assert bench._CONFIG_KEYS == {
         "exact": (),
-        "oneshot": ("epsilon",),
+        "oneshot": (),
         "swan": ("u", "alpha", "bins"),
-        "gb": ("u", "alpha", "bins", "epsilon"),
-        "eb-elastic": ("bins", "epsilon", "slack", "iterations"),
-        "eb-multibin": ("bins", "epsilon", "iterations"),
+        "gb": ("u", "alpha", "bins"),
+        "eb-elastic": ("bins", "slack", "iterations"),
+        "eb-multibin": ("bins", "iterations"),
         "waterfill": (),
         "approx-waterfill": (),
         "adaptive-waterfill": ("iterations", "inner"),
@@ -403,7 +405,7 @@ def _gravity_5():
 
 @pytest.mark.parametrize("config", [{"alpha": 1.05}, {"alpha": 1.05, "bins": 2}])
 def test_swan_runs_at_a_fine_ladder(config):
-    # swan has no epsilon, so a long ladder is no precision problem for it.
+    # A fine ladder is a long one: swan solves at most one LP per rung.
     prob = _gravity_5()
     rep = run_allocator(prob, "swan", config)
     assert check_feasible(prob, rep.allocation).feasible
@@ -422,18 +424,18 @@ RUNNER_CASES = [
     ("swan", {"alpha": 1.5, "u": 0.25}, lambda p: swan_sequence(p, u=0.25, alpha=1.5)),
     ("gb", {}, lambda p: geo_binner(p)),
     ("gb", {"alpha": 1.5, "bins": 4}, lambda p: geo_binner(p, alpha=1.5, bins=4)),
-    ("gb", {"u": 0.25, "epsilon": 0.1}, lambda p: geo_binner(p, u=0.25, epsilon=0.1)),
+    ("gb", {"u": 0.25}, lambda p: geo_binner(p, u=0.25)),
     ("eb-elastic", {}, lambda p: equi_depth_elastic(p)),
     (
         "eb-elastic",
-        {"bins": 3, "epsilon": 0.1, "slack": 0.01, "iterations": 4},
-        lambda p: equi_depth_elastic(p, bins=3, epsilon=0.1, slack=0.01, iterations=4),
+        {"bins": 3, "slack": 0.01, "iterations": 4},
+        lambda p: equi_depth_elastic(p, bins=3, slack=0.01, iterations=4),
     ),
     ("eb-multibin", {}, lambda p: equi_depth_multibin(p)),
     (
         "eb-multibin",
-        {"bins": 3, "epsilon": 0.1, "iterations": 4},
-        lambda p: equi_depth_multibin(p, bins=3, epsilon=0.1, iterations=4),
+        {"bins": 3, "iterations": 4},
+        lambda p: equi_depth_multibin(p, bins=3, iterations=4),
     ),
     ("waterfill", {}, lambda p: bench._run_waterfill(p)),
     ("approx-waterfill", {}, lambda p: bench._run_approx_waterfill(p)),
@@ -447,9 +449,8 @@ RUNNER_CASES = [
     ids=["-".join([allocator, *config]) for allocator, config, _ in RUNNER_CASES],
 )
 def test_each_runner_is_its_public_function(allocator, config, direct):
-    # oneshot's objective underflows past a few demands, and waterfill takes
-    # single-path demands only: those two run on 6 single-path demands.
-    if allocator in ("oneshot", "waterfill"):
+    # waterfill takes single-path demands only: it runs on 6 of them.
+    if allocator == "waterfill":
         prob = generate_problem(3, 3, TrafficSpec("gravity", 8.0, 0), 1)
     else:
         prob = _gravity_5()

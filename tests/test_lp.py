@@ -30,7 +30,7 @@ def lp_max_x_le_3():
     lp = LinearProgram(name="t")
     x = lp.add_variable()
     lp.add_constraint({x: 1.0}, "<=", 3.0)
-    lp.objective = {x: 1.0}
+    lp.objective = [{x: 1.0}]
     return lp
 
 
@@ -44,7 +44,7 @@ def test_shared_budget():
     lp = LinearProgram(name="t")
     x, y = lp.add_variable(), lp.add_variable()
     lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
-    lp.objective = {x: 1.0, y: 1.0}
+    lp.objective = [{x: 1.0, y: 1.0}]
     assert SimplexBackend().solve(lp).objective == pytest.approx(1.0)
 
 
@@ -53,14 +53,14 @@ def test_infeasible_pair():
     x = lp.add_variable()
     lp.add_constraint({x: 1.0}, "<=", 0.0)
     lp.add_constraint({x: 1.0}, ">=", 1.0)
-    lp.objective = {x: 1.0}
+    lp.objective = [{x: 1.0}]
     assert SimplexBackend().solve(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram(name="t")
     x = lp.add_variable()
-    lp.objective = {x: 1.0}
+    lp.objective = [{x: 1.0}]
     assert SimplexBackend().solve(lp).status == "unbounded"
 
 
@@ -71,7 +71,7 @@ def test_deterministic_resolve():
         lp.add_variable(upper=3.0)
     for _ in range(9):
         lp.add_constraint({j: float(rng.normal()) for j in range(12)}, "<=", 2.0)
-    lp.objective = {j: float(rng.normal()) for j in range(12)}
+    lp.objective = [{j: float(rng.normal()) for j in range(12)}]
     first = SimplexBackend().solve(lp)
     second = SimplexBackend().solve(lp)
     assert first.values == second.values  # bitwise identical
@@ -115,7 +115,7 @@ def test_non_finite_input_is_rejected_naming_the_lp(part, value, message, backen
     y = lp.add_variable(upper=2.0)
     coeffs = {x: value if part == "coefficient" else 1.0, y: 1.0}
     lp.add_constraint(coeffs, "<=", value if part == "rhs" else 3.0, name="budget")
-    lp.objective = {x: value if part == "objective" else 1.0, y: 1.0}
+    lp.objective = [{x: value if part == "objective" else 1.0, y: 1.0}]
     with pytest.raises(ValueError, match=f"^nonfinite: {message}"):
         backend().solve(lp)
 
@@ -136,11 +136,11 @@ def test_keys_must_be_column_indices(key, where):
     lp = LinearProgram(name="keys")
     x, y = lp.add_variable(), lp.add_variable()
     lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
-    lp.objective = {x: 1.0}
+    lp.objective = [{x: 1.0}]
     if where == "constraint":
         lp.add_constraint({key: 1.0}, "<=", 1.0)
     else:
-        lp.objective = {key: 1.0}  # a fresh dict: 0.0 would reuse the key 0
+        lp.objective = [{key: 1.0}]  # a fresh dict: 0.0 would reuse the key 0
     with pytest.raises(ValueError, match=f"{where} uses unknown column"):
         SimplexBackend().solve(lp)
 
@@ -166,7 +166,7 @@ def _random_lp(rng, trial):
             lp.add_constraint(coeffs, ">=", lhs0 - float(rng.uniform(0, 2)))
         else:
             lp.add_constraint(coeffs, "==", lhs0)
-    lp.objective = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.8}
+    lp.objective = [{j: float(rng.normal()) for j in range(n) if rng.random() < 0.8}]
     return lp
 
 
@@ -233,7 +233,7 @@ def _random_zero_rhs_lp(rng, trial):
     for relation in rng.choice([">=", "=="], size=int(rng.integers(0, 4))):
         cols = rng.choice(n, size=min(n, 3), replace=False)
         lp.add_constraint({int(j): float(rng.normal()) for j in cols}, str(relation), 0.0)
-    lp.objective = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.6}
+    lp.objective = [{j: float(rng.normal()) for j in range(n) if rng.random() < 0.6}]
     return lp
 
 
@@ -256,7 +256,7 @@ def _beale_cycling_lp():
     lp.add_constraint({x4: 0.25, x5: -8.0, x6: -1.0, x7: 9.0}, "<=", 0.0)
     lp.add_constraint({x4: 0.5, x5: -12.0, x6: -0.5, x7: 3.0}, "<=", 0.0)
     lp.add_constraint({x6: 1.0}, "<=", 1.0)
-    lp.objective = {x4: 0.75, x5: -20.0, x6: 0.5, x7: -6.0}
+    lp.objective = [{x4: 0.75, x5: -20.0, x6: 0.5, x7: -6.0}]
     return lp
 
 
@@ -282,13 +282,14 @@ def _assert_optimal_duals(lp, sol, tol=1e-7):
     assert y.shape == sf.b.shape
     assert np.all(sf.relations * y >= -tol), lp.name  # "<=" rows y >= 0, ">=" y <= 0
     assert np.all(np.abs(y * (sf.A @ x - sf.b)) <= tol), lp.name
-    d = sf.c - sf.A.T @ y  # reduced costs: > 0 only at an upper bound, < 0 only at 0
+    (c,) = sf.c
+    d = c - sf.A.T @ y  # reduced costs: > 0 only at an upper bound, < 0 only at 0
     tight = np.abs(d) > tol
     bound = np.where(d > 0, sf.upper, 0.0)[tight]
     assert np.all(np.isfinite(bound)), lp.name
     assert np.all(np.abs(d[tight] * (x[tight] - bound)) <= tol), lp.name
     dual_objective = y @ sf.b + d[tight] @ bound
-    assert abs(sf.c @ x - dual_objective) <= tol * max(1.0, abs(sf.c @ x)), lp.name
+    assert abs(c @ x - dual_objective) <= tol * max(1.0, abs(c @ x)), lp.name
 
 
 @pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
@@ -316,7 +317,7 @@ def _guard_lp():
     lp.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0, name="budget")
     lp.add_constraint({x: 1.0, y: -1.0}, ">=", -1.0, name="floor")
     lp.add_constraint({y: 1.0}, "==", 1.0, name="pin")
-    lp.objective = {x: 1.0}
+    lp.objective = [{x: 1.0}]
     return lp
 
 
@@ -374,6 +375,80 @@ def test_scipy_backend_rejects_a_corrupt_optimal_point(monkeypatch):
         ScipyBackend().solve(_guard_lp())
 
 
+# -- objective levels ------------------------------------------------------------
+
+
+def _two_level_lp():
+    """x + y <= 2 with x, y <= 1.5: level 1 (x + y) has a face of optima, on
+    which level 2 (y) picks x = 0.5, y = 1.5; level 3 (x) cannot undo it."""
+    lp = LinearProgram(name="levels")
+    x, y = lp.add_variable(upper=1.5), lp.add_variable(upper=1.5)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 2.0)
+    lp.objective = [{x: 1.0, y: 1.0}, {y: 1.0}, {x: 1.0}]
+    return lp
+
+
+@pytest.mark.parametrize("backend", [SimplexBackend, ScipyBackend])
+def test_levels_are_maximised_in_order_and_carry_no_duals(backend):
+    sol = backend().solve(_two_level_lp())
+    assert sol.values == pytest.approx([0.5, 1.5])
+    assert sol.objective == pytest.approx(2.0)  # the first level's value
+    assert sol.duals == ()
+    one = _two_level_lp()
+    one.objective = one.objective[:1]
+    assert len(backend().solve(one).duals) == 1
+
+
+def test_a_level_whose_reduced_costs_are_float_noise_blocks_no_column():
+    # Level 2 is constant on level 1's optima, so its reduced costs there are
+    # 0 up to rounding (one reads -1.1e-16); blocking by their own scale
+    # would fix a column that level 3 needs, and level 3 would end at 4/3.
+    lp = LinearProgram(name="noise", variables=[2.0, None, 2.0, None, None])
+    lp.add_constraint({0: 2.0, 1: 0.0, 2: -2.0, 4: -1.0}, "<=", 4.0)
+    lp.add_constraint({0: 0.0, 1: 1.0, 3: 3.0, 4: -2.0}, "<=", 1.0)
+    lp.add_constraint({0: 0.0, 1: -1.0, 2: 0.0, 4: -1.0}, "<=", 1.0)
+    lp.add_constraint({j: 1.0 for j in range(5)}, "<=", 5.0)
+    lp.objective = [{0: 1.0, 1: 1.0, 4: 1.0}, {j: 1.0 for j in range(5)}, {1: 0.0, 2: 1.0, 4: 1.0}]
+    for backend in (SimplexBackend, ScipyBackend):
+        values = backend().solve(lp).values
+        assert [sum(a * values[j] for j, a in level.items()) for level in lp.objective] == (
+            pytest.approx([5.0, 5.0, 5.0])
+        )
+
+
+def test_random_multi_level_lps_match_highs():
+    # Small-integer data, so that no trade-off between levels is steep
+    # enough for HiGHS's 1e-9 hold on each earlier level to show: each
+    # level's value must agree.
+    rng = np.random.default_rng(1)
+    for trial in range(120):
+        n = int(rng.integers(2, 6))
+        lp = LinearProgram(name=f"levels{trial}")
+        for _ in range(n):
+            lp.add_variable(upper=float(rng.integers(1, 4)) if rng.random() < 0.5 else None)
+        for _ in range(int(rng.integers(1, 5))):
+            coeffs = {j: float(rng.integers(-2, 4)) for j in range(n) if rng.random() < 0.7}
+            lp.add_constraint(coeffs, "<=", float(rng.integers(0, 5)))
+        lp.add_constraint(dict.fromkeys(range(n), 1.0), "<=", 5.0)
+        lp.objective = [
+            {j: float(rng.integers(-1, 2)) for j in range(n) if rng.random() < 0.6}
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        mine, theirs = SimplexBackend().solve(lp), ScipyBackend().solve(lp)
+        assert mine.status == theirs.status == "optimal", lp.name  # x = 0 is feasible
+        for level in lp.objective:
+            a = sum(c * mine.values[j] for j, c in level.items())
+            b = sum(c * theirs.values[j] for j, c in level.items())
+            assert abs(a - b) <= 1e-7, lp.name
+
+
+def test_an_objective_needs_a_level():
+    lp = lp_max_x_le_3()
+    lp.objective = []
+    with pytest.raises(ValueError, match="^t: objective has no level$"):
+        SimplexBackend().solve(lp)
+
+
 # -- solve sessions ------------------------------------------------------------
 
 
@@ -391,7 +466,7 @@ def test_session_counts_each_solve():
 
 def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
     session = SolveSession()
-    geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05, session)
+    geo_binner(two_link_example, 1 / 16, 2.0, 6, session)
     assert session.count == 1
     session = SolveSession()
     report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
@@ -422,7 +497,7 @@ def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
     so a fall back to cold starts fails here too: cold, the three rounds
     take [5, 6, 7] and the six rungs [2, 4, 4, 5, 4, 5]."""
     runs = {
-        "gb": lambda s: geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05, s),
+        "gb": lambda s: geo_binner(two_link_example, 1 / 16, 2.0, 6, s),
         "exact": lambda s: exact_sequential_max_min(two_link_example, s),
         "exact-3-rounds": lambda s: exact_sequential_max_min(_three_round_example(), s),
         "swan": lambda s: swan_sequence(two_link_example, 1 / 16, 2.0, session=s),
@@ -446,7 +521,7 @@ def _start_lp():
     x, y = lp.add_variable(), lp.add_variable()
     lp.add_constraint({x: 1.0, y: 2.0}, "<=", 4.0)
     lp.add_constraint({x: 1.0}, "<=", 1.0)
-    lp.objective = {x: 1.0, y: 1.0}
+    lp.objective = [{x: 1.0, y: 1.0}]
     return lp
 
 
@@ -571,7 +646,7 @@ def _structure(lp):
             (c.name, c.relation, num(c.rhs), [(k, num(a)) for k, a in c.coeffs.items()])
             for c in lp.constraints
         ],
-        [(k, num(a)) for k, a in lp.objective.items()],
+        [[(k, num(a)) for k, a in level.items()] for level in lp.objective],
     )
 
 
@@ -681,13 +756,13 @@ def test_ratio_forms_match_the_nested_loop_reference():
 
 
 class _Recording:
-    """A backend without a start parameter: every LP solves cold."""
+    """A backend that ignores the start: every LP solves cold."""
 
     def __init__(self):
         self.lps = []
         self.solutions = []
 
-    def solve(self, lp):
+    def solve(self, lp, start=None):
         self.lps.append(lp)
         self.solutions.append(SimplexBackend().solve(lp))
         return self.solutions[-1]
@@ -716,7 +791,7 @@ def _rebuilt_exact(problem, solve):
                 lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
             else:
                 lp.add_constraint({**form, delta: -1.0}, ">=", floor)
-        lp.objective = {delta: 1.0}
+        lp.objective = [{delta: 1.0}]
         lps.append(lp)
         sol = solve(lp)
         floor += sol.values[delta]
@@ -738,7 +813,7 @@ def _rebuilt_swan(problem, u, alpha, solve):
             name = f"freeze:{k}" if k in frozen else ""
             lp.add_constraint(form, "<=", frozen.get(k, cap), name=name)
             lp.add_constraint(form, ">=", lo.get(k, 0.0), name=name)
-        lp.objective = {j: a for form in forms for j, a in form.items()}
+        lp.objective = [{j: a for form in forms for j, a in form.items()}]
         lps.append(lp)
         values = solve(lp).values
         for d, form in zip(problem.demands, forms):

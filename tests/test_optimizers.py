@@ -18,8 +18,6 @@ from fairalloc.lp import (
 )
 from fairalloc.model import Demand, Path, Problem, Resource, check_feasible, total_allocation
 from fairalloc.optimizers import (
-    EPSILON_GUARD,
-    MAX_DEFAULT_LEVELS,
     compute_equi_boundaries,
     equi_depth_elastic,
     equi_depth_multibin,
@@ -168,15 +166,11 @@ def test_a_count_config_value_is_an_integer_or_an_integral_float(allocator, key)
 
 
 REAL_KEYS = [
-    ("oneshot", "epsilon"),
     ("swan", "alpha"),
     ("swan", "u"),
     ("gb", "alpha"),
     ("gb", "u"),
-    ("gb", "epsilon"),
-    ("eb-elastic", "epsilon"),
     ("eb-elastic", "slack"),
-    ("eb-multibin", "epsilon"),
 ]
 
 
@@ -185,9 +179,8 @@ def test_a_real_config_value_is_a_number(allocator, key):
     # JSON may write 2.0 as 2; a string, a bool or null is no number and is
     # neither parsed nor passed on.
     prob = single_link(1.0, [(None, 1.0), (2.0, 1.0)])
-    value, same = (0.5, [np.float64(0.5)]) if key == "epsilon" else (2.0, [2, np.int64(2)])
-    want = report_to_dict(prob, run_allocator(prob, allocator, {key: value}))
-    for v in same:
+    want = report_to_dict(prob, run_allocator(prob, allocator, {key: 2.0}))
+    for v in (2, np.int64(2)):
         assert report_to_dict(prob, run_allocator(prob, allocator, {key: v})) == want
     for bad in ("0.5", True, None):
         with pytest.raises(ValueError) as err:
@@ -272,13 +265,13 @@ def per_demand_exact(problem):
                 "round",
                 base.variables + [None],
                 rows(lambda rho: Constraint({**rho, t: -1.0}, ">=", 0.0)),
-                {t: 1.0},
+                [{t: 1.0}],
             )
         )
         t_i, last = sol.values[t], sol.values
         probe_rows = rows(lambda rho: Constraint(rho, ">=", t_i))
         probes = {
-            k: session.solve(LinearProgram("probe", base.variables, probe_rows, rho)).objective
+            k: session.solve(LinearProgram("probe", base.variables, probe_rows, [rho])).objective
             for k, rho in demands.items()
             if k not in frozen
         }
@@ -348,7 +341,7 @@ class _FloorDuals:
     def __init__(self, backend, demands):
         self.backend, self.demands, self.rounds = backend, demands, []
 
-    def solve(self, lp):
+    def solve(self, lp, start=None):
         sol = self.backend.solve(lp)
         tail = sol.duals[len(sol.duals) - len(self.demands) :]
         self.rounds.append({k: -y for k, y in zip(self.demands, tail)})
@@ -386,7 +379,7 @@ def test_zero_capacity_resource_freezes_its_demand_at_zero():
 
 def test_floor_duals_summing_below_one_raise():
     class ZeroDuals:
-        def solve(self, lp):
+        def solve(self, lp, start=None):
             # without the guard no demand would freeze and rounds would repeat
             assert lp.name == "max-min-round-1"
             sol = SimplexBackend().solve(lp)
@@ -411,6 +404,20 @@ def test_exact_agrees_across_backends():
         _close(highs.notes["frozen_ratios"], simplex.notes["frozen_ratios"])
 
 
+def test_one_shot_under_highs_matches_exact():
+    # HiGHS solves oneshot's levels in sequence, each held within 1e-9
+    # relative of its optimum.  (gb and the EB binners are left out: their
+    # LPs have several optimal vertices, so their totals depend on the
+    # backend.)
+    worst = 0.0
+    for seed in range(40):
+        prob = small_grid_instance(seed)
+        want = total_allocation(prob, exact_sequential_max_min(prob).allocation)
+        got = total_allocation(prob, one_shot_exact(prob, SolveSession(ScipyBackend())).allocation)
+        worst = max(worst, max(abs(got[k] - want[k]) for k in want))
+    assert worst <= 1e-6
+
+
 def test_each_report_counts_only_its_own_lps():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
     session = SolveSession()
@@ -424,14 +431,14 @@ def test_each_report_counts_only_its_own_lps():
 
 def test_one_shot_single_demand_takes_the_link():
     prob = single_link(3.0, [(None, 1.0)])
-    rep = one_shot_exact(prob, epsilon=0.05)
+    rep = one_shot_exact(prob)
     assert rep.lp_solves == 1
     assert rep.notes["sorted_ratios"] == pytest.approx([3.0])
 
 
 def test_one_shot_worked_example(two_link_example):
     totals = total_allocation(
-        two_link_example, one_shot_exact(two_link_example, 0.05).allocation
+        two_link_example, one_shot_exact(two_link_example).allocation
     )
     assert totals == pytest.approx({"d1": 0.75, "d2": 0.75}, abs=1e-6)
 
@@ -439,19 +446,63 @@ def test_one_shot_worked_example(two_link_example):
 def test_one_shot_matches_oracle_on_random_instance():
     prob = small_grid_instance(12345)
     want = total_allocation(prob, exact_sequential_max_min(prob).allocation)
-    got = total_allocation(prob, one_shot_exact(prob, 0.01).allocation)
+    got = total_allocation(prob, one_shot_exact(prob).allocation)
     for k in want:
         assert got[k] == pytest.approx(want[k], abs=1e-5)
 
 
-def test_one_shot_precision_guard_advises_binner():
-    prob = single_link(3.0, [(None, 1.0)] * 8)
-    with pytest.raises(ValueError, match="geometric binner"):
-        one_shot_exact(prob, epsilon=0.01)  # 0.01^7 = 1e-14 < 1e-12
+def _assert_one_shot_matches_exact(prob):
+    want = total_allocation(prob, exact_sequential_max_min(prob).allocation)
+    rep = one_shot_exact(prob)
+    got = total_allocation(prob, rep.allocation)
+    assert rep.converged
+    for k in want:
+        assert abs(got[k] - want[k]) <= 1e-9 * max(1.0, abs(want[k])), k
+
+
+def test_one_shot_matches_exact_at_30_demands():
+    # One objective level per sorted output: no weight underflows, however
+    # many demands there are.
+    prob = generate_problem(6, 8, TrafficSpec("gravity", 8.0, 0), 4)
+    assert len(prob.demands) == 30
+    _assert_one_shot_matches_exact(prob)
+
+
+def test_one_shot_matches_exact_on_a_cluster_problem():
+    # Jobs on two servers with non-unit weight, utility and consumption (the
+    # benchmark's cluster-2x6 problem 2 of seed 900001).  Weights
+    # 0.01^(i-1) on the sorted outputs missed exact here by 6.4e-3.
+    cpu, mem = {"srv0": 64.0, "srv1": 64.0}, {"srv0": 256.0, "srv1": 128.0}
+    jobs = [  # volume, weight, utility, cpu and mem per unit of rate
+        (None, 1.0, 0.7361652045432788, 2.5350185696235092, 9.148999168072528),
+        (7.9449346974065245, 4.0, 0.8771457020171755, 0.905181956618774, 2.2445482517357034),
+        (2.117291549099047, 4.0, 0.7416281686768653, 2.998280577164673, 4.195821190366991),
+        (6.2479692578412145, 2.0, 0.5093051468629597, 2.6761745873517095, 10.33958992623641),
+        (6.299439934108101, 4.0, 0.6790996150133732, 3.1786742032167727, 3.54559200944205),
+        (10.569106858776092, 2.0, 0.7180106000743413, 1.2699008233950908, 4.460326918142931),
+    ]
+    servers = ("srv0", "srv1")
+    prob = Problem(
+        [Resource(f"{s}:cpu", cpu[s]) for s in servers]
+        + [Resource(f"{s}:mem", mem[s]) for s in servers],
+        [Path(s, [f"{s}:cpu", f"{s}:mem"]) for s in servers],
+        [
+            Demand(
+                f"j{i}",
+                list(servers),
+                volume,
+                weight,
+                dict.fromkeys(servers, q),
+                {f"{s}:{kind}": r for s in servers for kind, r in (("cpu", c), ("mem", m))},
+            )
+            for i, (volume, weight, q, c, m) in enumerate(jobs)
+        ],
+    )
+    _assert_one_shot_matches_exact(prob)
 
 
 def test_one_shot_sorted_outputs_are_sorted(two_link_example):
-    rep = one_shot_exact(two_link_example, 0.05)
+    rep = one_shot_exact(two_link_example)
     t = rep.notes["sorted_ratios"]
     assert all(a <= b + 1e-9 for a, b in zip(t, t[1:]))
 
@@ -522,7 +573,7 @@ def test_swan_from_the_last_basis_matches_the_cold_sequence_where_rungs_are_uniq
 # -- geometric binner ------------------------------------------------------------
 
 
-def test_ladder_and_epsilon_validation():
+def test_ladder_validation():
     prob = single_link(1.0, [(None, 1.0)])
     with pytest.raises(ValueError, match="u must be > 0"):
         suggest_bin_config(prob, u=0.0)
@@ -530,24 +581,20 @@ def test_ladder_and_epsilon_validation():
         suggest_bin_config(prob, alpha=1.0, u=1.0)
     with pytest.raises(ValueError, match="^bins must be >= 1"):
         suggest_bin_config(prob, u=1.0, bins=0)
-    with pytest.raises(ValueError, match="epsilon must be in"):
-        geo_binner(prob, u=1.0, bins=2, epsilon=1.5)
-    with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, u=1.0, bins=8, epsilon=1e-6)  # 1e-42
     assert suggest_bin_config(prob, u=1.0, bins=3) == [1.0, 2.0, 4.0]
-    assert geo_binner(prob, u=1.0, bins=3, epsilon=1e-6).converged  # exactly at the guard
+    assert geo_binner(prob, u=1.0, bins=3).converged
 
 
 def test_single_demand_saturates_first_bin_exactly():
     prob = single_link(1.0, [(None, 1.0)])
-    rep = geo_binner(prob, u=1.0, bins=4, epsilon=0.1)
+    rep = geo_binner(prob, u=1.0, bins=4)
     bins = rep.notes["bins"]["d0"]
     assert bins[0] == pytest.approx(1.0)
     assert all(b == pytest.approx(0.0, abs=1e-9) for b in bins[1:])
 
 
 def test_geo_binner_matches_swan_on_worked_example(two_link_example):
-    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6)
     sw = swan_sequence(two_link_example, u=1 / 16, alpha=2.0, bins=6)
     tg = total_allocation(two_link_example, gb.allocation)
     ts = total_allocation(two_link_example, sw.allocation)
@@ -557,7 +604,7 @@ def test_geo_binner_matches_swan_on_worked_example(two_link_example):
 
 
 def test_geo_binner_bin_prefix_property(two_link_example):
-    rep = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
+    rep = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6)
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
@@ -567,7 +614,7 @@ def test_geo_binner_bin_prefix_property(two_link_example):
 
 
 def test_geo_binner_allocation_is_feasible(two_link_example):
-    rep = geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05)
+    rep = geo_binner(two_link_example, 1 / 16, 2.0, 6)
     assert check_feasible(two_link_example, rep.allocation).feasible
 
 
@@ -621,14 +668,13 @@ def test_geo_binner_converges_on_a_wan_problem():
     assert "coverage" not in rep.notes
 
 
-def test_suggest_bin_config_covers_range_and_respects_guard():
+def test_suggest_bin_config_covers_range():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
     ladder = suggest_bin_config(prob, alpha=2.0)
     assert ladder[0] > 0
     assert ladder[-2] < opt.achievable_ratio_bound(prob) <= ladder[-1]
     rep = geo_binner(prob, alpha=2.0)
     assert rep.notes["boundaries"] == ladder
-    assert rep.notes["epsilon"] ** (len(ladder) - 1) >= EPSILON_GUARD
 
 
 def test_swan_and_gb_share_the_default_ladder():
@@ -639,31 +685,27 @@ def test_swan_and_gb_share_the_default_ladder():
     assert caps == gb.notes["boundaries"] == suggest_bin_config(prob)
 
 
-def test_gb_default_keeps_the_rungs_the_guard_admits_on_a_wide_span():
+def test_gb_weighs_the_whole_default_ladder_on_a_wide_span():
     # u is just under 1e-6 and the bound is 1e6: the ladder needs 42 rungs,
-    # more than epsilon 0.5 can weigh above the guard.
+    # one objective level each.
     prob = Problem(
         [Resource("L", 1e6)],
         [Path("p0", ["L"]), Path("p1", ["L"])],
         [Demand("small", ["p0"], volume=1e-6), Demand("big", ["p1"])],
     )
     ladder = suggest_bin_config(prob)
-    assert len(ladder) > MAX_DEFAULT_LEVELS
-    assert 0.5 ** (MAX_DEFAULT_LEVELS - 1) >= EPSILON_GUARD > 0.5**MAX_DEFAULT_LEVELS
+    assert len(ladder) == 42
     rep = run_allocator(prob, "gb")
-    assert rep.notes["boundaries"] == ladder[:MAX_DEFAULT_LEVELS]
-    assert rep.notes["epsilon"] ** (MAX_DEFAULT_LEVELS - 1) >= EPSILON_GUARD
+    assert rep.notes["boundaries"] == ladder
     assert check_feasible(prob, rep.allocation).feasible
+    assert rep.converged
+    assert "coverage" not in rep.notes
     totals = total_allocation(prob, rep.allocation)
+    assert totals == total_allocation(prob, run_allocator(prob, "swan").allocation)
     assert totals["small"] == pytest.approx(1e-6)
-    assert totals["big"] == pytest.approx(ladder[MAX_DEFAULT_LEVELS - 1])
-    assert not rep.converged
-    assert "coverage" in rep.notes
-    assert run_allocator(prob, "swan").converged  # swan has no epsilon to guard
-    with pytest.raises(ValueError, match="guard"):  # an asked-for ladder is not cut
-        run_allocator(prob, "gb", {"bins": len(ladder)})
-    with pytest.raises(ValueError, match="guard"):
-        geo_binner(prob, bins=len(ladder), epsilon=0.5)
+    assert totals["big"] == pytest.approx(1e6 - 1e-6)
+    asked = run_allocator(prob, "gb", {"bins": len(ladder)})
+    assert asked.allocation == rep.allocation
 
 
 # -- equi-depth binners ------------------------------------------------------------
@@ -715,7 +757,7 @@ def test_boundaries_validation():
 
 def test_elastic_single_bin_maximizes_ratio_sum():
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, bins=1, epsilon=0.25)
+    rep = equi_depth_elastic(prob, bins=1)
     totals = total_allocation(prob, rep.allocation)
     assert sum(totals.values()) == pytest.approx(10.0)
     assert rep.lp_solves == 1
@@ -725,7 +767,7 @@ def test_elastic_symmetric_split_is_fair():
     # One demand per group; the slack floor (1e-6 x the largest estimate, 5)
     # lets the lower group's ratio reach l_1 + s, so the split is off by s/2.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = equi_depth_elastic(prob, bins=2, epsilon=0.25)
+    rep = equi_depth_elastic(prob, bins=2)
     totals = total_allocation(prob, rep.allocation)
     slack = rep.notes["slack"][0]
     assert slack == pytest.approx(5e-6)
@@ -744,20 +786,15 @@ def test_elastic_slack_is_one_float_for_every_bin():
 
 def test_elastic_checks_its_parameters():
     prob = single_link(10.0, [(None, 1.0)] * 8)
-    with pytest.raises(ValueError, match="guard"):
-        equi_depth_elastic(prob, bins=8, epsilon=1e-3)  # 1e-21 underflows
-    assert equi_depth_elastic(prob, bins=4, epsilon=1e-3).notes["epsilon"] == 1e-3  # 1e-9
-    with pytest.raises(ValueError, match="epsilon must be in"):
-        equi_depth_elastic(prob, epsilon=1.0)
+    assert len(equi_depth_elastic(prob, bins=8).notes["groups"]) == 8  # one level each
     with pytest.raises(ValueError, match="^bins must be >= 1"):
         equi_depth_elastic(prob, bins=0)
     with pytest.raises(ValueError, match="^iterations must be >= 1"):
         equi_depth_elastic(prob, iterations=0)
 
 
-def test_elastic_checks_the_guard_against_the_groups_it_builds():
-    # 30 bins asked of 3 demands build 3 groups, so the smallest objective
-    # weight is 0.25^2, not the 0.25^29 that the guard refuses.
+def test_elastic_builds_at_most_one_group_per_demand():
+    # 30 bins asked of 3 demands build 3 groups, one objective level each.
     prob = single_link(10.0, [(None, 1.0), (4.0, 1.0), (2.0, 2.0)])
     many = run_allocator(prob, "eb-elastic", {"bins": 30})
     three = run_allocator(prob, "eb-elastic", {"bins": 3})
@@ -776,8 +813,8 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
     star = total_allocation(
         two_link_example, exact_sequential_max_min(two_link_example).allocation
     )
-    eb = equi_depth_elastic(two_link_example, bins=2, epsilon=0.25)
-    gb = geo_binner(two_link_example, 1 / 16, 2.0, 6, 0.05)
+    eb = equi_depth_elastic(two_link_example, bins=2)
+    gb = geo_binner(two_link_example, 1 / 16, 2.0, 6)
     q_eb = compare_rates(
         two_link_example, total_allocation(two_link_example, eb.allocation), star
     ).fairness_geomean
@@ -787,16 +824,14 @@ def test_elastic_is_at_least_as_fair_as_geo_binner_on_worked_example(two_link_ex
     assert q_eb >= q_gb - 1e-9
 
 
-def binned(prob, boundaries, epsilon):
+def binned(prob, boundaries):
     """The binned LP that gb and eb-multibin solve, over a given ladder."""
-    return opt._binned(
-        prob, build_subdemands(prob), boundaries, epsilon, None, "equi-depth-multibin"
-    )
+    return opt._binned(prob, build_subdemands(prob), boundaries, None, "equi-depth-multibin")
 
 
 def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
-    mb = binned(two_link_example, [1 / 16 * 2.0**b for b in range(6)], epsilon=0.05)
-    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6, epsilon=0.05)
+    mb = binned(two_link_example, [1 / 16 * 2.0**b for b in range(6)])
+    gb = geo_binner(two_link_example, u=1 / 16, alpha=2.0, bins=6)
     tm = total_allocation(two_link_example, mb.allocation)
     tg = total_allocation(two_link_example, gb.allocation)
     for k in tm:
@@ -805,21 +840,21 @@ def test_multibin_with_geometric_boundaries_equals_geo_binner(two_link_example):
 
 def test_multibin_single_boundary_caps_rate():
     prob = single_link(3.0, [(5.0, 1.0)])
-    rep = binned(prob, [3.0], epsilon=0.25)
+    rep = binned(prob, [3.0])
     assert total_allocation(prob, rep.allocation)["d0"] == pytest.approx(3.0)
     prob2 = single_link(3.0, [(2.0, 1.0)])
-    rep2 = binned(prob2, [3.0], epsilon=0.25)
+    rep2 = binned(prob2, [3.0])
     assert total_allocation(prob2, rep2.allocation)["d0"] == pytest.approx(2.0)
 
 
 def test_multibin_reports_truncation_at_its_top_boundary():
     # Both demands could get 5, but the top boundary stops them at 3.
     prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    rep = binned(prob, [1.0, 3.0], epsilon=0.25)
+    rep = binned(prob, [1.0, 3.0])
     assert total_allocation(prob, rep.allocation) == pytest.approx({"d0": 3.0, "d1": 3.0})
     assert not rep.converged
     assert "coverage" in rep.notes
-    roomy = binned(prob, [1.0, 5.0, 10.0], epsilon=0.25)
+    roomy = binned(prob, [1.0, 5.0, 10.0])
     assert total_allocation(prob, roomy.allocation) == pytest.approx({"d0": 5.0, "d1": 5.0})
     assert roomy.converged
     assert "coverage" not in roomy.notes
@@ -827,16 +862,16 @@ def test_multibin_reports_truncation_at_its_top_boundary():
 
 def test_multibin_rejects_bad_boundaries(two_link_example):
     with pytest.raises(ValueError, match="increasing"):
-        binned(two_link_example, [1.0, 1.0], epsilon=0.25)
+        binned(two_link_example, [1.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
-        binned(two_link_example, [2.0, 1.0], epsilon=0.25)
+        binned(two_link_example, [2.0, 1.0])
     with pytest.raises(ValueError, match="overflows"):  # 1e300 * 1e10^2 is inf
-        geo_binner(two_link_example, u=1e300, alpha=1e10, bins=3, epsilon=0.25)
+        geo_binner(two_link_example, u=1e300, alpha=1e10, bins=3)
 
 
 def test_multibin_bin_prefix_on_random_instance():
     prob = distinct_utility_instance(4)
-    rep = binned(prob, [0.3, 0.6, 1.2], epsilon=0.25)
+    rep = binned(prob, [0.3, 0.6, 1.2])
     caps = rep.notes["bin_caps"]
     for bins in rep.notes["bins"].values():
         for b in range(1, len(bins)):
