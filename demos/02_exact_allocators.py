@@ -15,7 +15,6 @@ from fairalloc import (
     Path,
     Problem,
     Resource,
-    SolveSession,
     build_sorting_network,
     exact_sequential_max_min,
     one_shot_exact,
@@ -29,8 +28,7 @@ problem = Problem(
     demands=[Demand("d1", ["p1", "p2"]), Demand("d2", ["p3"])],
 )
 
-session = SolveSession()
-seq = exact_sequential_max_min(problem, session)
+seq = exact_sequential_max_min(problem)
 print("sequential totals:", total_allocation(problem, seq.allocation))
 print("sequential LP solves:", seq.lp_solves, "= freeze rounds", seq.iterations,
       "for", len(problem.demands), "demands")

@@ -183,7 +183,8 @@ def run_allocator(
     session: SolveSession | None = None,
 ) -> AllocatorReport:
     """Run a registered allocator; its LPs go through ``session`` (a fresh
-    built-in-simplex session by default).  A config that is not a mapping
+    built-in-simplex session by default), and the report's ``lp_solves``
+    counts the LPs of this run only.  A config that is not a mapping
     is an error, and so is a key the allocator does not read, so no key is
     reported as applied when it was not; so is a ``bins`` or ``iterations``
     value that is not a whole number, and an ``alpha``, ``u`` or ``slack``

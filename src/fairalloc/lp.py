@@ -9,13 +9,17 @@ over level 1's optima, and so on (a lexicographic objective); a
 single-level LP is a one-element list.  A column is its index:
 `add_variable` returns it, and rows, the objective levels and a solution's
 values are keyed or ordered by it.  Every solve goes through one standard
-form: `_standard_form` validates a `LinearProgram` once (column keys, upper
-bounds, and finite coefficients, right-hand sides and objective) and lays
-it out as dense arrays (`A`, relations, `b`, one row of `c` per level,
-upper bounds) in column and constraint order.  The built-in simplex, the
-scipy HiGHS backend and the solution check all work on those arrays.  Both
-backends return optimal row duals in one sign convention, for single-level
-LPs only: a multi-level solution carries none.
+form: `_standard_form` is the only pass over a `LinearProgram`'s entries.
+It lays the LP out as dense arrays (`A`, relations, `b`, one row of `c` per
+level, upper bounds) in column and constraint order, and checks the
+column keys, the upper bounds, and that coefficients, right-hand sides and
+objective are finite on the way.  The built-in simplex, the scipy HiGHS
+backend and the solution check all work on those arrays.  Both backends
+return optimal row duals in one sign convention, for single-level LPs
+only: a multi-level solution carries none.
+
+`SolveSession` is the allocators' seam to a backend and keeps no state:
+an allocator's report counts the LPs it solved itself.
 
 The built-in solver is a dense two-phase primal simplex on one tableau
 whose last column is b, so a pivot or a bound flip is one operation on
@@ -41,8 +45,6 @@ takes a start; `ScipyBackend` ignores it and returns no basis.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
@@ -107,41 +109,6 @@ class LinearProgram:
     ) -> None:
         self.constraints.append(Constraint(coeffs, relation, rhs, name))
 
-    def validate(self) -> None:
-        """Reject an upper bound that is negative or NaN, any key that is not
-        a column, an int in [0, n) (numpy would wrap -1 to the last column),
-        and a coefficient, right-hand side or objective entry that is not
-        finite (a NaN fails every comparison the simplex makes, so it would
-        come back as a wrong status, not an error), and an objective without
-        a level."""
-        for j, upper in enumerate(self.variables):
-            if upper is not None and not upper >= 0:
-                what = "a negative" if upper < 0 else "a NaN"
-                raise ValueError(f"{self.name}: column {j} has {what} upper bound")
-        n = len(self.variables)
-        total = 0.0  # finite when every entry is, unless it overflows
-        for c in self.constraints:
-            for j in c.coeffs:
-                if type(j) is not int or not 0 <= j < n:
-                    raise ValueError(f"{self.name}: constraint uses unknown column {j!r}")
-            total += c.rhs + sum(c.coeffs.values())
-        if not self.objective:
-            raise ValueError(f"{self.name}: objective has no level")
-        for level in self.objective:
-            for j in level:
-                if type(j) is not int or not 0 <= j < n:
-                    raise ValueError(f"{self.name}: objective uses unknown column {j!r}")
-            total += sum(level.values())
-        if not math.isfinite(total):
-            for i, c in enumerate(self.constraints):
-                if not all(map(math.isfinite, [c.rhs, *c.coeffs.values()])):
-                    raise ValueError(
-                        f"{self.name}: constraint {c.name or i} has a non-finite "
-                        f"coefficient or right-hand side"
-                    )
-            if not all(math.isfinite(a) for level in self.objective for a in level.values()):
-                raise ValueError(f"{self.name}: objective has a non-finite coefficient")
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -191,27 +158,56 @@ class _StandardForm(NamedTuple):
     upper: np.ndarray  # +inf where unbounded above
 
 
+def _columns(lp: LinearProgram, keys: list, where: str) -> list:
+    """`keys`, each checked to be a column: an int in [0, n) (numpy would
+    wrap -1 to the last column)."""
+    n = len(lp.variables)
+    if keys and (set(map(type, keys)) != {int} or min(keys) < 0 or max(keys) >= n):
+        bad = next(j for j in keys if type(j) is not int or not 0 <= j < n)
+        raise ValueError(f"{lp.name}: {where} uses unknown column {bad!r}")
+    return keys
+
+
 def _standard_form(lp: LinearProgram) -> _StandardForm:
-    """Validate `lp` and translate it to arrays."""
-    lp.validate()
-    cons = lp.constraints
-    A = np.zeros((len(cons), len(lp.variables)))
+    """Check `lp` and lay it out as arrays, in one pass over its entries.
+    It refuses an upper bound that is negative or NaN, a key that is not a
+    column, a coefficient, right-hand side or objective entry that is not
+    finite (a NaN fails every comparison the simplex makes, so it would come
+    back as a wrong status, not an error), and an objective without a
+    level."""
+    cons, levels = lp.constraints, lp.objective
+    upper = np.array([np.inf if u is None else u for u in lp.variables], dtype=float)
+    bad = np.flatnonzero(~(upper >= 0))
+    if bad.size:
+        what = "a negative" if upper[bad[0]] < 0 else "a NaN"
+        raise ValueError(f"{lp.name}: column {bad[0]} has {what} upper bound")
+    cols = _columns(lp, [j for con in cons for j in con.coeffs], "constraint")
+    if not levels:
+        raise ValueError(f"{lp.name}: objective has no level")
+    level_cols = _columns(lp, [j for level in levels for j in level], "objective")
+
     rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    A[rows, [j for con in cons for j in con.coeffs]] = [
-        a for con in cons for a in con.coeffs.values()
-    ]
-    c = np.zeros((len(lp.objective), len(lp.variables)))
-    levels = np.repeat(np.arange(len(lp.objective)), [len(level) for level in lp.objective])
-    c[levels, [j for level in lp.objective for j in level]] = [
-        a for level in lp.objective for a in level.values()
-    ]
-    return _StandardForm(
-        A,
-        np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int),
-        np.array([con.rhs for con in cons], dtype=float),
-        c,
-        np.array([np.inf if u is None else u for u in lp.variables]),
-    )
+    coeffs = np.array([a for con in cons for a in con.coeffs.values()], dtype=float)
+    b = np.array([con.rhs for con in cons], dtype=float)
+    bad_row = ~np.isfinite(b)
+    bad_row[rows[~np.isfinite(coeffs)]] = True
+    if bad_row.any():
+        i = int(bad_row.argmax())
+        raise ValueError(
+            f"{lp.name}: constraint {cons[i].name or i} has a non-finite "
+            f"coefficient or right-hand side"
+        )
+    level_coeffs = np.array([a for level in levels for a in level.values()], dtype=float)
+    if not np.isfinite(level_coeffs).all():
+        raise ValueError(f"{lp.name}: objective has a non-finite coefficient")
+
+    A = np.zeros((len(cons), len(upper)))
+    A[rows, cols] = coeffs
+    c = np.zeros((len(levels), len(upper)))
+    level_of = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    c[level_of, level_cols] = level_coeffs
+    relations = np.array([_RELATION_SIGN[con.relation] for con in cons], dtype=int)
+    return _StandardForm(A, relations, b, c, upper)
 
 
 def _optimal(
@@ -629,23 +625,12 @@ class ScipyBackend:
 
 
 class SolveSession:
-    """Counts LP solves; the count is the hardware-independent cost metric
-    the benchmark reports.
-
-    Thread-safe: concurrent allocator runs may share a session (each
-    report's lp_solves then also counts the solves of runs it overlapped).
-    """
+    """The seam between the allocators and an LP backend (the built-in
+    simplex by default): every LP an allocator solves goes through `solve`.
+    It keeps no state; each allocator's report counts its own LPs."""
 
     def __init__(self, backend: LpBackend | None = None):
         self._backend = backend or SimplexBackend()
-        self._count = 0
-        self._lock = threading.Lock()
 
     def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
-        with self._lock:
-            self._count += 1
         return self._backend.solve(lp, start)
-
-    @property
-    def count(self) -> int:
-        return self._count

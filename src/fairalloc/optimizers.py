@@ -68,8 +68,10 @@ class AllocationError(RuntimeError):
     """An allocator could not produce a solution (infeasible or numeric)."""
 
 
-def _solved(session: SolveSession, lp: LinearProgram, start: list[int] | None = None):
-    sol = session.solve(lp, start)
+def _solved(session: SolveSession | None, lp: LinearProgram, start: list[int] | None = None):
+    """`lp`'s optimal solution through ``session`` (a fresh built-in-simplex
+    session if None)."""
+    sol = (session or SolveSession()).solve(lp, start)
     if sol.status != "optimal":
         raise AllocationError(f"LP {lp.name!r} is {sol.status}")
     return sol
@@ -168,8 +170,6 @@ def exact_sequential_max_min(
     is nonsingular because the dual is delta's row of B^-1, and its point
     is the last optimum.
     """
-    session = session or SolveSession()
-    solves = session.count
     demands = [d.id for d in problem.demands]
     base, forms = build_feasible_alloc(problem, "max-min")
     delta = base.add_variable()
@@ -212,7 +212,7 @@ def exact_sequential_max_min(
 
     return AllocatorReport(
         _allocation_from(problem, last_values),
-        lp_solves=session.count - solves,
+        lp_solves=rounds,
         iterations=rounds,
         notes={
             "allocator": "exact-sequential",
@@ -237,9 +237,6 @@ def one_shot_exact(problem: Problem, session: SolveSession | None = None) -> All
     makes the sorted vector lexicographically maximal.
     """
     n = len(problem.demands)
-    session = session or SolveSession()
-    start = session.count
-
     lp, forms = build_feasible_alloc(problem, "one-shot-exact")
     wires = list(forms)
     net: SortingNetwork = build_sorting_network(n)
@@ -271,7 +268,7 @@ def one_shot_exact(problem: Problem, session: SolveSession | None = None) -> All
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count - start,
+        lp_solves=1,
         iterations=1,
         notes={
             "allocator": "one-shot-exact",
@@ -399,8 +396,6 @@ def swan_sequence(
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
     caps = _geo_ladder(problem, u, alpha, bins)
-    session = session or SolveSession()
-    solves = session.count
     base, forms = _fragment(problem, compiled, "capped-seq")
     objective = {j: a for form in forms for j, a in form.items()}
     # demand i's rows are hi_row + 2i (<= hi) and hi_row + 2i + 1 (>= lo); a
@@ -443,7 +438,7 @@ def swan_sequence(
 
     return AllocatorReport(
         _allocation_from(problem, last_values),
-        lp_solves=session.count - solves,
+        lp_solves=iterations,
         iterations=iterations,
         notes={
             "allocator": "swan-sequence",
@@ -478,8 +473,6 @@ def _binned(
         raise ValueError("need at least one boundary")
     if boundaries[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
         raise ValueError("boundaries must be strictly increasing and positive")
-    session = session or SolveSession()
-    start = session.count
     caps = [boundaries[0]] + [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
 
     lp, forms = _fragment(problem, compiled, allocator)
@@ -519,7 +512,7 @@ def _binned(
         )
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count - start,
+        lp_solves=1,
         iterations=1,
         notes=notes,
     )
@@ -635,8 +628,6 @@ def equi_depth_elastic(
         raise ValueError(f"slack must be finite, got {slack}")
     if slack is not None and slack < 0:
         raise ValueError("slack must be nonnegative")
-    session = session or SolveSession()
-    start = session.count
 
     compiled = build_subdemands(problem)
     est_ratio, rounds = _estimate_ratios(problem, compiled, iterations)
@@ -672,7 +663,7 @@ def equi_depth_elastic(
 
     return AllocatorReport(
         _allocation_from(problem, sol.values),
-        lp_solves=session.count - start,
+        lp_solves=1,
         iterations=1,
         notes={
             "allocator": "equi-depth-elastic",

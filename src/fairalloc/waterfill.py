@@ -143,11 +143,8 @@ def build_subdemands(problem: Problem) -> tuple[SubdemandMatrix, np.ndarray]:
     order = np.argsort(nz_row_arr, kind="stable")
     indptr = np.zeros(len(rows) + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_row_arr, minlength=len(rows)), out=indptr[1:])
-    if len(cons_at) == len(nz_row):  # every demand has consumption entries
-        nz_cons = np.array(cons_val, dtype=float)
-    else:
-        nz_cons = np.ones(len(nz_row))
-        nz_cons[cons_at] = cons_val
+    nz_cons = np.ones(len(nz_row))
+    nz_cons[cons_at] = cons_val
     paths_per_demand = [len(d.paths) for d in problem.demands]
     weight = np.array([d.weight for d in problem.demands], dtype=float)
     matrix = SubdemandMatrix(

@@ -125,7 +125,7 @@ def test_huge_finite_coefficients_are_accepted():
     lp = LinearProgram(name="huge")
     x, y = lp.add_variable(upper=1.0), lp.add_variable(upper=1.0)
     lp.add_constraint({x: 1e308, y: 1e308}, "<=", 1e308)
-    lp.validate()
+    lp_module._standard_form(lp)
 
 
 @pytest.mark.parametrize("key", [-1, 2, "x0", 0.0, np.int64(0)])
@@ -452,25 +452,13 @@ def test_an_objective_needs_a_level():
 # -- solve sessions ------------------------------------------------------------
 
 
-def test_fresh_session_counts_zero():
-    session = SolveSession()
-    assert session.count == 0
-
-
-def test_session_counts_each_solve():
-    session = SolveSession()
-    session.solve(lp_max_x_le_3())
-    session.solve(lp_max_x_le_3())
-    assert session.count == 2
-
-
 def test_geo_binner_uses_one_solve_and_swan_uses_one_per_bin(two_link_example):
-    session = SolveSession()
-    geo_binner(two_link_example, 1 / 16, 2.0, 6, session)
-    assert session.count == 1
-    session = SolveSession()
-    report = swan_sequence(two_link_example, 1 / 16, 2.0, session=session)
-    assert session.count == report.iterations > 1
+    rec = _WarmRecording()
+    geo_binner(two_link_example, 1 / 16, 2.0, 6, SolveSession(rec))
+    assert len(rec.lps) == 1
+    rec = _WarmRecording()
+    report = swan_sequence(two_link_example, 1 / 16, 2.0, session=SolveSession(rec))
+    assert len(rec.lps) == report.iterations > 1
 
 
 def _three_round_example():
@@ -550,7 +538,7 @@ def test_a_start_that_is_not_a_basis_of_the_lp_is_rejected(start):
         SimplexBackend().solve(_start_lp(), start=start)
 
 
-def test_the_session_passes_a_start_only_to_a_backend_that_takes_one():
+def test_the_session_hands_the_start_to_its_backend():
     basis = SimplexBackend().solve(_start_lp()).basis
     warm, cold = _WarmRecording(), _Recording()
     for backend in (warm, cold):

@@ -418,12 +418,30 @@ def test_one_shot_under_highs_matches_exact():
     assert worst <= 1e-6
 
 
-def test_each_report_counts_only_its_own_lps():
-    prob = single_link(10.0, [(None, 1.0), (None, 1.0)])
-    session = SolveSession()
-    runs = [run_allocator(prob, a, session=session) for a in ("gb", "gb", "exact", "oneshot")]
-    assert [r.lp_solves for r in runs] == [1, 1, 1, 1]
-    assert session.count == 4
+class _Counted:
+    """A backend that counts the LPs it solves, each from its start."""
+
+    def __init__(self):
+        self.lps = 0
+
+    def solve(self, lp, start=None):
+        self.lps += 1
+        return SimplexBackend().solve(lp, start)
+
+
+@pytest.mark.parametrize(
+    "allocator", ["exact", "oneshot", "swan", "gb", "eb-elastic", "eb-multibin"]
+)
+def test_each_run_reports_the_lps_it_solved(allocator):
+    # Two runs share one session: each report's lp_solves is the number of
+    # LPs its own run handed the backend.
+    backend = _Counted()
+    session = SolveSession(backend)
+    for prob in (small_grid_instance(3), distinct_utility_instance(1)):
+        before = backend.lps
+        report = run_allocator(prob, allocator, session=session)
+        assert report.lp_solves == backend.lps - before
+    assert allocator not in ("exact", "swan") or report.lp_solves > 1
 
 
 # -- one-shot exact ----------------------------------------------------------------
