@@ -156,7 +156,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"{len(rows)} rows ({len(errors)} errors) -> {args.output}")
     for r in errors:
         print(f"  {r.scenario}/{r.allocator}: {r.error}", file=sys.stderr)
-    return 0
+    return 1 if errors else 0
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:

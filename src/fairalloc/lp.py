@@ -8,12 +8,12 @@ list of levels, highest priority first: level 1 is maximised, then level 2
 over level 1's optima, and so on (a lexicographic objective); a
 single-level LP is a one-element list.  A column is its index:
 `add_variable` returns it, and rows, the objective levels and a solution's
-values are keyed or ordered by it.  Every solve goes through one standard
-form: `_standard_form` is the only pass over a `LinearProgram`'s entries.
-It lays the LP out as dense arrays (`A`, relations, `b`, one row of `c` per
-level, upper bounds) in column and constraint order, and checks the
-column keys, the upper bounds, and that coefficients, right-hand sides and
-objective are finite on the way.  The built-in simplex, the scipy HiGHS
+values are keyed or ordered by it.  Every cold solve goes through one
+standard form: `_standard_form` is the only pass over a `LinearProgram`'s
+entries.  It lays the LP out as dense arrays (`A`, relations, `b`, one row
+of `c` per level, upper bounds) in column and constraint order, and checks
+the column keys, the upper bounds, and that coefficients, right-hand sides
+and objective are finite on the way.  The built-in simplex, the scipy HiGHS
 backend and the solution check all work on those arrays.  Both backends
 return optimal row duals in one sign convention, for single-level LPs
 only: a multi-level solution carries none.
@@ -31,20 +31,28 @@ entry would lower that level and prices the next level out on the same
 basis.  It is deterministic: solving the same program twice yields
 bit-identical values.
 
-A solve may start from a basis.  `LpSolution.basis` is the built-in
-solver's optimal basis, one entry per basic position: a column index
-j < ncols, or ncols + i for row i's own unit column (its slack if it has
-one, otherwise its artificial).  `SimplexBackend.solve(lp, start)` and
-`SolveSession.solve(lp, start)` take such a basis for an LP with the same
-columns and rows, typically the next LP of a sequence: the simplex
-refactors the tableau on it, with every other column at 0, and goes
-straight to phase 2 when that point is feasible; a singular, non-finite or
-infeasible start falls back to the cold start.  Every backend's ``solve``
-takes a start; `ScipyBackend` ignores it and returns no basis.
+Sequences of LPs solve hot.  `LinearProgram.edited` makes the next LP of a
+sequence from the last: the same columns, objective and row count, with
+some rows replaced, and it records its parent and the replaced rows.
+`SolveSession.solve(lp, start)` takes the parent's `LpSolution` as
+``start``.  The built-in solver's solution keeps its optimal tableau, so
+`SimplexBackend` applies only the replaced rows to it, in place: a change
+of right-hand side or of coefficients through B^-1, and a "<=" or ">="
+row made "==" by fixing its slack at 0.  It then pivots to
+``start.basis`` (an allocator may replace it) and resumes phase 2.  Any
+other start solves cold: no tableau, one already used by another solve, a
+different parent, a changed column count, an edit it cannot take, a
+near-zero pivot, or an infeasible point.  `LpSolution.basis` names the basis, one entry per basic
+position: a column index j < ncols, or ncols + i for row i's own unit
+column (its slack if it has one, otherwise its artificial).  Every
+backend's ``solve`` takes a start; `ScipyBackend` ignores it and returns no
+basis.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
@@ -93,6 +101,10 @@ class LinearProgram:
     variables: list[float | None] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: list[dict[int, float]] = field(default_factory=lambda: [{}])
+    # set by `edited`: the LP this one edits and the rows replaced; the weak
+    # reference keeps a sequence from holding every earlier LP alive
+    _parent: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
+    _changed: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def add_variable(self, *, upper: float | None = None) -> int:
         """Append a column x >= 0 (x <= upper unless that is None); returns
@@ -109,6 +121,21 @@ class LinearProgram:
     ) -> None:
         self.constraints.append(Constraint(coeffs, relation, rhs, name))
 
+    def edited(self, rows: Mapping[int, Constraint], name: str) -> LinearProgram:
+        """A new LP, ``name``, that is this one with the constraint at each
+        index of ``rows`` replaced by its value.  It shares this LP's columns
+        and objective, and records this LP as its parent and ``rows``' indices
+        as its changed rows, so a solve that starts from this LP's solution
+        can apply just those rows (see the module docstring)."""
+        constraints = list(self.constraints)
+        for i, con in rows.items():
+            if not 0 <= i < len(constraints):
+                raise IndexError(f"{self.name}: no constraint {i} to edit")
+            constraints[i] = con
+        lp = LinearProgram(name, self.variables, constraints, self.objective)
+        lp._parent, lp._changed = weakref.ref(self), tuple(rows)
+        return lp
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -121,9 +148,12 @@ class LpSolution:
     iteration count, summed over the levels, for the scipy backend.
     ``basis`` is the built-in solver's optimal basis, one entry per basic
     position: a column j < ncols, or ncols + i for row i's own unit column
-    (its slack if it has one, otherwise its artificial).  It can start an LP
-    with the same columns and rows (see the module docstring); the scipy
-    backend leaves it empty."""
+    (its slack if it has one, otherwise its artificial); the scipy backend
+    leaves it empty.  A basis alone starts nothing: the solution is the
+    start of an edit of its LP (see the module docstring), and the basis,
+    which the caller may replace, is where that solve pivots to.  The
+    built-in solver's solution also holds its tableau in a private field,
+    neither compared nor printed."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: list[float]
@@ -131,6 +161,7 @@ class LpSolution:
     duals: tuple[float, ...] = ()
     iterations: int = 0
     basis: tuple[int, ...] = ()
+    _tableau: _Tableau | None = field(default=None, compare=False, repr=False)
 
     @property
     def optimal(self) -> bool:
@@ -215,7 +246,7 @@ def _optimal(
     x: np.ndarray,
     duals: np.ndarray | None,
     iterations: int,
-    basis: np.ndarray | None = None,
+    tableau: _Tableau | None = None,
 ) -> LpSolution:
     """The optimal solution; `duals` is None for a multi-level LP."""
     values = x.tolist()
@@ -226,7 +257,8 @@ def _optimal(
         float(obj),
         () if duals is None else tuple(duals.tolist()),
         iterations,
-        () if basis is None else tuple(basis.tolist()),
+        () if tableau is None else tuple(tableau.entry[tableau.basis].tolist()),
+        tableau,
     )
 
 
@@ -272,64 +304,17 @@ def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> No
         left = left[~got]
 
 
-def _refactor(
-    T: np.ndarray, cols: np.ndarray, ub: np.ndarray, lim: int, ncols: int, entry: np.ndarray
-) -> bool:
-    """Make `cols` (one tableau column per row) the basis of the fresh
-    tableau `T`, every other column at 0, and price the phase-2 row out on
-    it.  A basic unit column (`entry` names its row i as ncols + i) covers
-    its row, so only the k rows it leaves to the k basic structural columns
-    need a dense solve: one `np.linalg.solve` by that k x k block turns
-    those rows, b included, into the structural positions of B^-1 T, and
-    each covered row then gives its unit column's position by substitution.
+class _Tableau:
+    """The built-in solver's state for one LP: a dense two-phase primal
+    simplex tableau over `A x (rel) b, 0 <= x <= u`, and what the pivot loop
+    keeps next to it.  An optimal one stays with its `LpSolution` and can
+    solve an edit of its LP (`resolve`).
 
-    Returns False, with `T` untouched, when the basis is singular or
-    ill-conditioned (a repeated column, two unit columns of one row, the
-    block's B^-1 B not the identity within 1e-9), non-finite, or its point
-    is infeasible: a basic value below 0 or above its column's bound, or an
-    artificial column above 0.  Values within 1e-9 of the scale of b are
-    rounded onto their bound."""
-    m = len(cols)
-    is_unit = cols >= ncols
-    struct, units = np.flatnonzero(~is_unit), np.flatnonzero(is_unit)
-    covered = entry[cols[units]] - ncols
-    free = np.ones(m, dtype=bool)  # rows left to the structural columns
-    free[covered] = False
-    seen = np.zeros(T.shape[1], dtype=bool)
-    seen[cols] = True
-    if np.count_nonzero(seen) < m or np.count_nonzero(free) != struct.size:
-        return False
-    T0, sc, rows = T[:m], cols[struct], T[:m][free]
-    try:
-        Xs = np.linalg.solve(rows[:, sc], rows)
-    except np.linalg.LinAlgError:
-        return False
-    if not np.isfinite(Xs).all() or np.abs(Xs[:, sc] - np.eye(sc.size)).max(initial=0.0) > 1e-9:
-        return False
-    X = np.empty_like(T0)
-    X[struct] = Xs
-    Tc = T0[covered]
-    X[units] = (Tc - Tc[:, sc] @ Xs) * T0[covered, cols[units]][:, None]  # a unit's sign, +-1
-    xb, top, art = X[:, -1], ub[cols], cols >= lim
-    tol = 1e-9 * max(1.0, float(np.abs(T0[:, -1]).max(initial=0.0)))
-    if (xb < -tol).any() or (xb > top + tol).any() or (xb[art] > tol).any():
-        return False
-    np.clip(xb, 0.0, top, out=xb)
-    xb[art] = 0.0
-    X[:, cols] = np.eye(m)
-    T[:m] = X
-    T[m] -= T[m, cols] @ X
-    T[m, cols] = 0.0
-    return True
-
-
-def _simplex_core(
-    sf: _StandardForm, name: str, start: Sequence[int] | None = None
-) -> tuple[str, np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
-    """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u`.
-
-    The tableau's last column is b, so a pivot or a bound flip is one
-    operation on whole rows.
+    Rows 0..m-1 of `T` are the constraints, by basis position; row m holds
+    the phase-2 reduced costs, and row m + 1, during phase 1 only, phase 1's.
+    Its columns are the structural columns, a slack per row that has one, an
+    artificial per row that needs one, and b last (-objective in row m), so
+    a pivot or a bound flip is one operation on whole rows.
 
     A finite upper bound stays a column bound (bounded-variable simplex): a
     nonbasic column sits at 0 or at its bound, kept as the complement u - x,
@@ -337,18 +322,9 @@ def _simplex_core(
     column that reaches its own bound first flips there without a pivot.
     Each row's basic upper bound is kept in an array that follows the basis.
 
-    Crash start: a row with b < 0 is negated, and so is a ">=" row with
-    b = 0, which then starts on its slack; "==" rows with b = 0 take
-    structural columns by `_crash`.  Rows are negated in the tableau and in
-    new arrays, never in `sf`, which the solution check reads afterwards.
-    Only the rows left over start on artificials, and phase 1 maximises minus
-    their sum.  The phase-2 objective row rides along in phase 1, so no
-    pricing-out pass is needed.
-
-    Warm start: `_refactor` makes `start` (a basis in `LpSolution.basis`'s
-    terms) the tableau's basis, all other columns at 0; where it cannot, the
-    cold start above runs on the same tableau.  A warm basis skips phase 1:
-    its artificials are at 0, and they are driven out as after phase 1.
+    A fixed column never enters: every artificial, and the slack of a row
+    that an edit made "==".  A basic fixed column must be at 0; after phase 1
+    (or a hot start) it is driven out of the basis where its row allows.
 
     Pricing is Dantzig's: the largest reduced cost enters.  After
     DEGENERATE_RUN consecutive degenerate steps Bland's rule (lowest index
@@ -362,87 +338,223 @@ def _simplex_core(
     column's reduced cost at -inf so that it never enters, and phase 2
     continues.  Levels stop once every nonbasic column is blocked.
 
-    Returns the status, x in column order and, for a single-level LP, the
-    duals y of `sf`'s rows when optimal (None otherwise), the number of
-    pivots plus bound flips, and the optimal basis in `start`'s terms.  The
-    duals are read from the phase-2 reduced costs z = c - y^T A: a row's
-    artificial (or a "<=" row's slack) column is e_i with cost 0 and is never
-    complemented, so z there is -y_i.  Negated rows' duals change sign
-    back."""
-    ncols = sf.c.shape[1]
-    flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
-    rel = np.where(flip, -sf.relations, sf.relations)
+    The duals of a single-level LP are read from the phase-2 reduced costs
+    z = c - y^T A: a row's unit column (its "<=" slack or its artificial,
+    e_i in the tableau's start) has cost 0 and is never complemented, so z
+    there is -y_i.  Negated rows' duals change sign back."""
 
-    m = len(sf.b)
-    slack_rows = np.nonzero(rel != 0)[0]
-    art_rows = np.nonzero(rel != 1)[0]
-    n_slack = len(slack_rows)
-    slack_cols = ncols + np.arange(n_slack)
-    art_cols = ncols + n_slack + np.arange(len(art_rows))
-    lim = ncols + n_slack  # columns that may enter: artificials never do
-    width = lim + len(art_rows)
-    ub = np.full(width, np.inf)
-    ub[:ncols] = sf.upper
-    has_ub = bool(np.isfinite(ub).any())
-    flipped = np.zeros(width, dtype=bool)  # column holds u - x
+    def __init__(self, sf: _StandardForm, name: str):
+        """The tableau of `sf` before any pivot.  A row with b < 0 is
+        negated, and so is a ">=" row with b = 0, which then starts on its
+        slack.  Rows are negated in the tableau and in new arrays, never in
+        `sf`, which the solution check reads afterwards."""
+        self.sf, self.name, self.lp = sf, name, None
+        ncols = sf.c.shape[1]
+        self.flip = flip = (sf.b < 0.0) | ((sf.b == 0.0) & (sf.relations == -1))
+        self.sign = np.where(flip, -1.0, 1.0)  # each row's sign in the tableau
+        self.rel = rel = np.where(flip, -sf.relations, sf.relations)
 
-    # rows 0..m-1: constraints; m: phase-2 reduced costs; m+1: phase-1
-    # reduced costs, dropped after phase 1.  Columns 0..width-1: structural,
-    # slack and artificial columns; the last: b (-objective in row m).
-    T = np.zeros((m + 2, width + 1))
-    T[:m, :ncols] = sf.A
-    T[:m, width] = sf.b
-    T[:m][flip] *= -1.0
-    T[slack_rows, slack_cols] = rel[slack_rows]
-    T[art_rows, art_cols] = 1.0
-    T[m, :ncols] = sf.c[0]
-    b = T[:, width]
-    unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
-    unit[slack_rows] = slack_cols
-    unit[art_rows] = art_cols
-    entry = np.empty(width, dtype=int)  # each column as a basis entry
-    entry[:ncols] = np.arange(ncols)
-    entry[art_cols] = ncols + art_rows
-    entry[slack_cols] = ncols + slack_rows
-    phase1 = False
-    if start is not None:
-        start = np.asarray(start, dtype=np.intp)
-        if start.shape != (m,) or not ((start >= 0) & (start < ncols + m)).all():
-            raise ValueError(f"{name}: a start basis is {m} entries in [0, {ncols + m})")
-        column = np.empty(ncols + m, dtype=int)  # each entry's tableau column
-        column[:ncols] = np.arange(ncols)
-        column[ncols + art_rows] = art_cols
-        column[ncols + slack_rows] = slack_cols  # a row's slack before its artificial
-        basis = column[start]
-    if start is None or not _refactor(T, basis, ub, lim, ncols, entry):
-        basis = unit.copy()  # a ">=" row starts on its artificial
-        _crash(T[:, :width], basis, art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)], ncols)
+        self.m = m = len(sf.b)
+        slack_rows = np.nonzero(rel != 0)[0]
+        art_rows = np.nonzero(rel != 1)[0]
+        n_slack = len(slack_rows)
+        slack_cols = ncols + np.arange(n_slack)
+        art_cols = ncols + n_slack + np.arange(len(art_rows))
+        self.ncols, self.lim = ncols, ncols + n_slack  # columns that may enter: below lim
+        self.width = width = self.lim + len(art_rows)
+        self.ub = np.full(width, np.inf)
+        self.ub[:ncols] = sf.upper
+        self.has_ub = bool(np.isfinite(sf.upper).any())
+        self.flipped = np.zeros(width, dtype=bool)  # column holds u - x
+        self.fixed = np.zeros(width, dtype=bool)
+        self.fixed[self.lim :] = True
+        self.barred = np.empty(0, dtype=np.intp)  # fixed columns below lim: slacks
+
+        self.T = T = np.zeros((m + 2, width + 1))
+        T[:m, :ncols] = sf.A
+        T[:m, width] = sf.b
+        T[:m][flip] *= -1.0
+        T[slack_rows, slack_cols] = rel[slack_rows]
+        T[art_rows, art_cols] = 1.0
+        T[m, :ncols] = sf.c[0]
+        self.unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
+        self.unit[slack_rows] = slack_cols
+        self.unit[art_rows] = art_cols
+        self.slack = np.full(m, -1)  # per row, its slack column (-1: none)
+        self.slack[slack_rows] = slack_cols
+        self.entry = np.empty(width, dtype=int)  # each column as a basis entry
+        self.entry[:ncols] = np.arange(ncols)
+        self.entry[art_cols] = ncols + art_rows
+        self.entry[slack_cols] = ncols + slack_rows
+        self.column = np.empty(ncols + m, dtype=int)  # each basis entry's column
+        self.column[:ncols] = np.arange(ncols)
+        self.column[ncols:] = np.where(self.slack >= 0, self.slack, self.unit)
+        self.basis = self.unit.copy()  # a ">=" row starts on its artificial
+        self.steps = 0
+
+    def solve(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+        """Solve from the cold start: "==" rows with b = 0 take structural
+        columns by `_crash`, and only the rows left over start on
+        artificials; phase 1 maximises minus their sum.  The phase-2
+        objective row rides along in phase 1, so no pricing-out pass is
+        needed.  Returns the status, x in column order and the duals (see
+        `_finish`)."""
+        T, m, width, b, rel = self.T, self.m, self.width, self.T[:, self.width], self.rel
+        art_rows = np.flatnonzero(rel != 1)
+        zero_eq = art_rows[(rel[art_rows] == 0) & (b[art_rows] == 0.0)]
+        _crash(T[:, :width], self.basis, zero_eq, self.ncols)
+        self.ub_basic = self.ub[self.basis]
         # phase 1 maximises minus the leftover artificials, priced out on the basis
-        left = np.nonzero(basis >= lim)[0]
-        T[m + 1, :width] = T[left, :width].sum(axis=0)
-        T[m + 1, basis[left]] = 0.0
-        b[m + 1] = b[left].sum()
-        phase1 = left.size > 0
-    ub_basic = ub[basis]
-    max_iter = max(5000, 200 * (m + width))
-    steps = 0
-    # ratio-test buffers, one entry per row
-    down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-    room, mag, ratio = np.empty(m), np.empty(m), np.empty(m)
+        left = np.nonzero(self.basis >= self.lim)[0]
+        if left.size:
+            T[m + 1, :width] = T[left, :width].sum(axis=0)
+            T[m + 1, self.basis[left]] = 0.0
+            b[m + 1] = b[left].sum()
+            self._run(T)
+            if b[m + 1] > 1e-7 * max(1.0, float(np.max(b[:m]))):
+                return "infeasible", None, None
+        return self._finish()
+
+    def resolve(self, lp: LinearProgram, start: Sequence[int]):
+        """Solve `lp`, an edit of the LP this tableau is optimal for, hot:
+        apply its changed rows to the tableau, pivot to the basis `start` and
+        resume phase 2.  Returns `solve`'s triple, or None where `lp` has to
+        be solved cold: the edit is one the tableau cannot take, a pivot to
+        `start` is near zero (a repeated column meets an exact 0: a basic
+        column is a unit column), or `start`'s point is infeasible.  Either
+        way the tableau is used up; a successful solve makes it `lp`'s."""
+        parent, self.lp = self.lp, None
+        m, ncols = self.m, self.ncols
+        if len(start) != m or m and not (0 <= min(start) and max(start) < ncols + m):
+            raise ValueError(f"{lp.name}: a start basis is {m} entries in [0, {ncols + m})")
+        if len(self.sf.c) > 1:  # back to the first level's reduced costs
+            T, cost = self.T, self._cost(self.sf.c[0])
+            T[m] = cost - cost[self.basis] @ T[:m]
+        stale = self._edit(lp, parent)
+        if stale is None or not self._rebase(self.column[list(start)], stale):
+            return None
+        self.steps = 0
+        return self._finish()
+
+    def _edit(self, lp: LinearProgram, parent: LinearProgram) -> np.ndarray | None:
+        """Apply `lp`'s changed rows to the tableau and to `sf`, which then
+        describe `lp` on the unchanged basis B: a change of right-hand side
+        adds B^-1 db to b, and a change of coefficients adds B^-1 dA to the
+        columns it touches (B^-1's columns are the rows' unit columns in the
+        tableau, signed as the rows are); a row made "==" fixes its slack at
+        0.  Returns the columns whose coefficients changed, or None, with the
+        tableau untouched, if a row changes its relation in any other way.
+        The right-hand sides and the coefficients that change are checked as
+        `_standard_form` checks them."""
+        sf, T, width = self.sf, self.T, self.width
+        changed, old = lp._changed, parent.constraints
+        cons = [lp.constraints[i] for i in changed]
+        rhs = [con.rhs for con in cons]
+        entries = []  # (row k of `changed`, column, new coefficient, change)
+        for k, i in enumerate(changed):
+            new, was = cons[k].coeffs, old[i].coeffs
+            if new != was:
+                for j in new.keys() | was.keys():
+                    a, a0 = new.get(j, 0.0), was.get(j, 0.0)
+                    if a != a0:
+                        entries.append((k, j, a, a - a0))
+        at, keys, values, changes = zip(*entries) if entries else ((), (), (), ())
+        _columns(lp, list(keys), "constraint")
+        if not math.isfinite(sum(rhs) + sum(values)):  # names the first bad row, if any
+            bad = [not math.isfinite(b) for b in rhs]
+            for k, a in zip(at, values):
+                bad[k] |= not math.isfinite(a)
+            if any(bad):
+                k = bad.index(True)
+                raise ValueError(
+                    f"{lp.name}: constraint {cons[k].name or changed[k]} has a non-finite "
+                    f"coefficient or right-hand side"
+                )
+        to_eq = [k for k, i in enumerate(changed) if cons[k].relation != old[i].relation]
+        if any(cons[k].relation != "==" for k in to_eq):
+            return None
+
+        rows = np.array(changed, dtype=np.intp)
+        stale = sorted(set(keys))
+        delta = np.zeros((len(rows), len(stale) + 1))  # per row: its columns' changes, db
+        delta[:, -1] = [con.rhs - old[i].rhs for con, i in zip(cons, changed)]
+        if entries:
+            place = {j: p for p, j in enumerate(stale)}
+            delta[at, [place[j] for j in keys]] = changes
+            sf.A[rows[list(at)], keys] = values
+        delta *= self.sign[rows, None]
+        D = T[:, self.unit[rows]] @ delta
+        T[:, width] += D[:, -1]
+        stale = np.array(stale, dtype=np.intp)
+        if stale.size:
+            D = D[:, :-1]
+            back = self.flipped[stale]  # a complemented column holds u - x
+            if back.any():
+                D[:, back] *= -1.0
+                T[:, width] += D[:, back] @ self.ub[stale[back]]
+            T[:, stale] += D
+        sf.b[rows] = rhs
+        if to_eq:
+            eq = rows[to_eq]
+            sf.relations[eq] = 0
+            self.fixed[self.slack[eq]] = True
+            self.barred = np.flatnonzero(self.fixed[: self.lim])
+        return stale
+
+    def _rebase(self, target: np.ndarray, stale: np.ndarray) -> bool:
+        """Pivot the edited tableau onto the basis `target` (one tableau
+        column per position): one pivot per position whose column differs,
+        or whose basic column's coefficients changed.  False where a pivot is
+        near zero, or where the basis's point is not finite or infeasible: a
+        basic value below 0 or above its column's bound, or a fixed column
+        above 0.  Values within 1e-9 of the scale of b are rounded onto their
+        bound."""
+        T, basis, m = self.T, self.basis, self.m
+        redo = target != basis
+        if stale.size:
+            edited = np.zeros(self.width, dtype=bool)
+            edited[stale] = True
+            redo |= edited[basis]
+        for r in np.flatnonzero(redo):
+            j = target[r]
+            if abs(T[r, j]) <= PIVOT_TOL:
+                return False
+            _pivot(T, r, j)
+            basis[r] = j
+        xb, top, fix = T[:m, self.width], self.ub[basis], self.fixed[basis]
+        tol = 1e-9 * max(1.0, float(np.abs(self.sf.b).max(initial=0.0)))
+        # a NaN fails both bounds
+        if not ((xb >= -tol) & (xb <= top + tol)).all() or (xb[fix] > tol).any():
+            return False
+        np.minimum(np.maximum(xb, 0.0, out=xb), top, out=xb)
+        xb[fix] = 0.0
+        self.ub_basic = top
+        return True
+
+    def _cost(self, c: np.ndarray) -> np.ndarray:
+        """A level's costs over the tableau's columns and b: a complemented
+        column holds u - x, so its cost changes sign."""
+        cost = np.zeros(self.width + 1)
+        cost[: self.ncols] = np.where(self.flipped[: self.ncols], -c, c)
+        return cost
 
     @np.errstate(over="ignore")  # an inf ratio: no limit; _check_solution catches a bad pivot
-    def run(T: np.ndarray) -> bool:
+    def _run(self, T: np.ndarray) -> bool:
         """Pivot on the tableau whose last row holds the reduced costs until
         it is optimal (True) or unbounded (False); raises on the iteration
         cap."""
-        nonlocal steps
+        m, width, lim, ub = self.m, self.width, self.lim, self.ub
+        basis, ub_basic, flipped, has_ub = self.basis, self.ub_basic, self.flipped, self.has_ub
         z = T[-1, :lim]
         bm = T[:m, width]
+        # ratio-test buffers, one entry per row
+        down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        room, mag, ratio = np.empty(m), np.empty(m), np.empty(m)
         # scales with the largest reduced cost, well above float noise; a
         # blocked column's -inf is no scale
         tol_opt = OPT_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0, where=z > -np.inf)))
         degenerate = 0
-        for _ in range(max_iter):
+        for _ in range(max(5000, 200 * (m + width))):
             if degenerate < DEGENERATE_RUN:
                 j = int(z.argmax())
                 if z[j] <= tol_opt:
@@ -487,53 +599,74 @@ def _simplex_core(
                 _pivot(T, r, j)
                 basis[r] = j
                 ub_basic[r] = ub[j]
-            steps += 1
+            self.steps += 1
             bm[(bm < 0.0) & (bm > -1e-11)] = 0.0
             degenerate = 0 if step > 1e-12 else degenerate + 1
         raise SimplexError(
-            f"simplex iteration cap exceeded on LP {name!r} ({m} rows, {width} cols)"
+            f"simplex iteration cap exceeded on LP {self.name!r} ({m} rows, {width} cols)"
         )
 
-    if phase1:
-        run(T)
-        if b[m + 1] > 1e-7 * max(1.0, float(np.max(b[:m]))):
-            return "infeasible", None, None, steps, None
-    # Drive leftover artificials out of the basis where possible.  Any
-    # non-artificial column works (slack columns included: a row whose
-    # structural part was eliminated can still constrain the slack space); a
-    # row with no such column is genuinely redundant.
-    for i in np.nonzero(basis >= lim)[0]:
-        nz = np.where(np.abs(T[i, :lim]) > PIVOT_TOL)[0]
-        if nz.size:
-            _pivot(T, i, int(nz[0]))
-            basis[i] = nz[0]
-            ub_basic[i] = ub[nz[0]]
-            steps += 1
-    T = T[: m + 1]
-    if not run(T):
-        return "unbounded", None, None, steps, None
-    duals = None
-    if len(sf.c) == 1:
-        z2 = T[m, :width]
-        duals = np.where(flip, z2[unit], -z2[unit])
-    z = T[m, :lim]
-    blocked = np.zeros(lim, dtype=bool)  # never basic: a basic column's z is 0
-    cost = np.zeros(width + 1)
-    tols = LEVEL_TOL * np.abs(sf.c).max(axis=1, initial=0.0)
-    for tol, c in zip(tols, sf.c[1:]):
-        blocked |= z < -tol
-        if np.count_nonzero(blocked) + np.count_nonzero(basis < lim) == lim:
-            break  # no column is left to move
-        cost[:ncols] = np.where(flipped[:ncols], -c, c)  # a flipped column holds u - x
-        T[m] = cost - cost[basis] @ T[:m]
-        z[blocked] = -np.inf
-        if not run(T):
-            return "unbounded", None, None, steps, None
+    def _finish(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+        """Phase 2 and the later levels from a feasible basis.  Returns the
+        status, x in column order and, for a single-level LP, the duals y of
+        `sf`'s rows when optimal (None otherwise)."""
+        sf, m, width, lim, ncols = self.sf, self.m, self.width, self.lim, self.ncols
+        basis, ub, fixed = self.basis, self.ub, self.fixed
+        T = self.T = self.T[: m + 1]
+        # Drive fixed columns out of the basis where possible.  Any other
+        # column works (slack columns included: a row whose structural part
+        # was eliminated can still constrain the slack space); a row with no
+        # such column is genuinely redundant.
+        free, barred = ~fixed[:lim], self.barred  # fixed slacks never enter
+        for i in np.flatnonzero(fixed[basis]):
+            nz = np.flatnonzero(np.abs(T[i, :lim]) > PIVOT_TOL)
+            if barred.size:
+                nz = nz[free[nz]]
+            if nz.size:
+                _pivot(T, i, int(nz[0]))
+                basis[i] = nz[0]
+                self.ub_basic[i] = ub[nz[0]]
+                self.steps += 1
+        T[m, barred] = -np.inf
+        if not self._run(T):
+            return "unbounded", None, None
+        if barred.size:  # their reduced costs back (a slack costs 0)
+            T[m, barred] = -(self._cost(sf.c[0])[basis] @ T[:m, barred])
+        duals = None
+        if len(sf.c) == 1:
+            z2 = T[m, :width]
+            duals = np.where(self.flip, z2[self.unit], -z2[self.unit])
+        z = T[m, :lim]
+        blocked = ~free  # never basic, unless fixed: a basic column's z is 0
+        tols = LEVEL_TOL * np.abs(sf.c).max(axis=1, initial=0.0) if len(sf.c) > 1 else ()
+        for tol, c in zip(tols, sf.c[1:]):
+            blocked |= z < -tol
+            if np.count_nonzero(blocked) + np.count_nonzero(free[basis[basis < lim]]) == lim:
+                break  # no column is left to move
+            cost = self._cost(c)
+            T[m] = cost - cost[basis] @ T[:m]
+            z[blocked] = -np.inf
+            if not self._run(T):
+                return "unbounded", None, None
 
-    x = np.zeros(width)
-    x[basis] = b[:m]
-    x[flipped] = ub[flipped] - x[flipped]
-    return "optimal", x[:ncols], duals, steps, entry[basis]
+        x = np.zeros(width)
+        x[basis] = T[:m, width]
+        flipped = self.flipped
+        x[flipped] = ub[flipped] - x[flipped]
+        return "optimal", x[:ncols], duals
+
+
+def _simplex_core(
+    sf: _StandardForm, name: str
+) -> tuple[str, np.ndarray | None, np.ndarray | None, int, _Tableau | None]:
+    """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u` from
+    the cold start (see `_Tableau`).  Returns the status, x in column order
+    and, for a single-level LP, the duals y of `sf`'s rows when optimal (None
+    otherwise), the number of pivots plus bound flips, and the optimal
+    tableau (None unless optimal)."""
+    t = _Tableau(sf, name)
+    status, x, duals = t.solve()
+    return status, x, duals, t.steps, t if status == "optimal" else None
 
 
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
@@ -558,20 +691,41 @@ def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None
 
 
 class LpBackend(Protocol):  # pragma: no cover - typing seam
-    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution: ...
+    def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution: ...
 
 
 class SimplexBackend:
-    """The built-in deterministic solver.  ``start``, a basis in the terms of
-    ``LpSolution.basis``, is tried first; see `_simplex_core`."""
+    """The built-in deterministic solver.  A ``start`` whose tableau is live
+    for ``lp``'s parent (see `LinearProgram.edited`) solves ``lp`` hot, from
+    that tableau; any other solves cold (see `_Tableau`)."""
 
-    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
-        sf = _standard_form(lp)
-        status, x, duals, iterations, basis = _simplex_core(sf, lp.name, start)
+    def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
+        hot = _live(lp, start)
+        out = hot and hot.resolve(lp, start.basis)
+        if out:
+            (status, x, duals), steps, tableau, sf = out, hot.steps, hot, hot.sf
+        else:
+            sf = _standard_form(lp)
+            status, x, duals, steps, tableau = _simplex_core(sf, lp.name)
         if status != "optimal":
-            return LpSolution(status, [], float("nan"), iterations=iterations)
+            return LpSolution(status, [], float("nan"), iterations=steps)
         _check_solution(lp, sf, x)
-        return _optimal(lp, x, duals, iterations, basis)
+        if tableau is not None:
+            tableau.lp = lp
+        return _optimal(lp, x, duals, steps, tableau)
+
+
+def _live(lp: LinearProgram, start: LpSolution | None) -> _Tableau | None:
+    """``start``'s tableau if it is still the optimal tableau of ``lp``'s
+    parent, and ``lp`` keeps the parent's columns, objective and row count."""
+    tableau = None if start is None else start._tableau
+    parent = None if lp._parent is None else lp._parent()
+    if tableau is None or parent is None or tableau.lp is not parent:
+        return None
+    if lp.variables is not parent.variables or lp.objective is not parent.objective:
+        return None
+    same_shape = (len(lp.variables), len(lp.constraints)) == (tableau.ncols, tableau.m)
+    return tableau if same_shape else None
 
 
 class ScipyBackend:
@@ -583,7 +737,7 @@ class ScipyBackend:
     level before it at its optimum, less 1e-9 relative.
     """
 
-    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
+    def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         """Solves with HiGHS; ``start`` is ignored."""
         from scipy.optimize import linprog
 
@@ -632,5 +786,5 @@ class SolveSession:
     def __init__(self, backend: LpBackend | None = None):
         self._backend = backend or SimplexBackend()
 
-    def solve(self, lp: LinearProgram, start: Sequence[int] | None = None) -> LpSolution:
+    def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         return self._backend.solve(lp, start)

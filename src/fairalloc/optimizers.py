@@ -30,12 +30,13 @@ and rows, written over the forms:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lp import Constraint, LinearProgram, SolveSession
+from .lp import Constraint, LinearProgram, LpSolution, SolveSession
 from .model import Allocation, Problem, raise_if_invalid, total_allocation, validate_problem
 from .report import AllocatorReport
 from .sortnet import SortingNetwork, build_sorting_network
@@ -68,9 +69,11 @@ class AllocationError(RuntimeError):
     """An allocator could not produce a solution (infeasible or numeric)."""
 
 
-def _solved(session: SolveSession | None, lp: LinearProgram, start: list[int] | None = None):
+def _solved(
+    session: SolveSession | None, lp: LinearProgram, start: LpSolution | None = None
+) -> LpSolution:
     """`lp`'s optimal solution through ``session`` (a fresh built-in-simplex
-    session if None)."""
+    session if None), from ``start``, the solution of the LP it edits."""
     sol = (session or SolveSession()).solve(lp, start)
     if sol.status != "optimal":
         raise AllocationError(f"LP {lp.name!r} is {sol.status}")
@@ -163,8 +166,10 @@ def exact_sequential_max_min(
     len(demands).  A demand that is bottlenecked but whose dual happens to be
     0 (degeneracy) stays unfrozen and freezes at the same t in a later round.
 
-    Every round has the same columns and rows, and round i's optimum, with
-    delta = 0, is feasible in round i + 1, so each round after the first
+    Every round has the same columns and rows: round i + 1 edits round i's
+    LP (`LinearProgram.edited`) in the rows of the demands still unfrozen,
+    each a new floor or a freeze row, and starts from round i's solution.
+    Round i's optimum, with delta = 0, is feasible in round i + 1, so it
     starts from the last optimal basis with delta's position given to the
     unit column of the newly frozen row with the largest dual.  That basis
     is nonsingular because the dual is delta's row of B^-1, and its point
@@ -177,26 +182,13 @@ def exact_sequential_max_min(
     unit = len(base.variables) + floor_row  # demand i's row's unit column: unit + i
     frozen: dict[str, float] = {}
     floor = 0.0  # t_(i-1)
-    basis: list[int] | None = None
-    rounds = 0
-    last_values: list[float] = []
+    rows = [Constraint({**form, delta: -1.0}, ">=", floor) for form in forms]
+    lp = LinearProgram("max-min-round-1", base.variables, base.constraints + rows, [{delta: 1.0}])
+    sol = None
+    rounds = 1
 
-    while len(frozen) < len(demands):
-        rounds += 1
-        lp = LinearProgram(
-            f"max-min-round-{rounds}",
-            base.variables,
-            base.constraints
-            + [
-                Constraint(form, "==", frozen[k], name=f"freeze:{k}")
-                if k in frozen
-                else Constraint({**form, delta: -1.0}, ">=", floor)
-                for k, form in zip(demands, forms)
-            ],
-            [{delta: 1.0}],
-        )
-        sol = _solved(session, lp, basis)
-        last_values = sol.values
+    while True:
+        sol = _solved(session, lp, sol)
         y = {i: -sol.duals[floor_row + i] for i, k in enumerate(demands) if k not in frozen}
         if sum(y.values()) < 1.0 - 1e-6:  # dual feasibility on delta's column fails
             raise AllocationError(
@@ -206,12 +198,25 @@ def exact_sequential_max_min(
         newly = [i for i, y_i in y.items() if y_i > DUAL_TOL]
         for i in newly:
             frozen[demands[i]] = floor
-        basis = list(sol.basis) or None
-        if basis and delta in basis:
+        if len(frozen) == len(demands):
+            break
+        if delta in sol.basis:
+            basis = list(sol.basis)
             basis[basis.index(delta)] = unit + max(newly, key=y.__getitem__)
+            sol = dataclasses.replace(sol, basis=tuple(basis))
+        rounds += 1
+        lp = lp.edited(
+            {
+                floor_row + i: Constraint(forms[i], "==", floor, name=f"freeze:{demands[i]}")
+                if demands[i] in frozen
+                else Constraint({**forms[i], delta: -1.0}, ">=", floor)
+                for i in y
+            },
+            f"max-min-round-{rounds}",
+        )
 
     return AllocatorReport(
-        _allocation_from(problem, last_values),
+        _allocation_from(problem, sol.values),
         lp_solves=rounds,
         iterations=rounds,
         notes={
@@ -388,10 +393,12 @@ def swan_sequence(
 
     Every iteration has the same rows: demand k's rho_k <= hi_k and
     rho_k >= lo_k, with hi_k the cap and lo_k k's last ratio (0 at first),
-    and hi_k = lo_k = rho_k once k froze.  So each LP after the first starts
-    from the last optimal basis, with the slack of lo_k swapped for that of
-    hi_k for each demand still at its cap: the last optimum, with those two
-    slacks trading places, is that basis's point in the next LP.
+    and hi_k = lo_k = rho_k once k froze.  So each LP after the first edits
+    the last (`LinearProgram.edited`) in the rows of the demands that were
+    unfrozen, and starts from its solution, with the slack of lo_k swapped
+    for that of hi_k for each demand still at its cap: the last optimum,
+    with those two slacks trading places, is that basis's point in the next
+    LP.
     """
     compiled = build_subdemands(problem)
     u = _default_u(problem, compiled) if u is None else u
@@ -404,40 +411,43 @@ def swan_sequence(
     hi_unit = len(base.variables) + hi_row
     frozen: dict[str, float] = {}
     lo = [0.0] * len(forms)
-    basis: list[int] | None = None
+    lp: LinearProgram | None = None
+    sol = None
+    edit = range(len(forms))  # demands whose rows change: unfrozen before the last rung
     iterations = 0
-    last_values: list[float] = []
 
     for b, cap in enumerate(caps, start=1):
         iterations = b
-        rows: list[Constraint] = []
-        for d, form, floor in zip(problem.demands, forms, lo):
+        rows: dict[int, Constraint] = {}
+        for i in edit:
+            d, form = problem.demands[i], forms[i]
             name = f"freeze:{d.id}" if d.id in frozen else ""
-            rows.append(Constraint(form, "<=", frozen.get(d.id, cap), name=name))
-            rows.append(Constraint(form, ">=", floor, name=name))
-        lp = LinearProgram(
-            f"capped-seq-{b}", base.variables, base.constraints + rows, [objective]
-        )
-        sol = _solved(session, lp, basis)
-        last_values = sol.values
+            rows[hi_row + 2 * i] = Constraint(form, "<=", frozen.get(d.id, cap), name=name)
+            rows[hi_row + 2 * i + 1] = Constraint(form, ">=", lo[i], name=name)
+        if lp is None:
+            rungs = base.constraints + list(rows.values())
+            lp = LinearProgram(f"capped-seq-{b}", base.variables, rungs, [objective])
+        else:
+            lp = lp.edited(rows, f"capped-seq-{b}")
+        sol = _solved(session, lp, sol)
 
-        basis = list(sol.basis) or None
-        position = {col: p for p, col in enumerate(sol.basis)}
-        for i, (d, form) in enumerate(zip(problem.demands, forms)):
-            if d.id in frozen:
-                continue
-            lo[i] = r = _value(form, sol.values)
+        edit = [i for i, d in enumerate(problem.demands) if d.id not in frozen]
+        basis = list(sol.basis)
+        position = {col: p for p, col in enumerate(basis)}
+        for i in edit:
+            lo[i] = r = _value(forms[i], sol.values)
             if r < cap - FREEZE_TOL * max(1.0, cap):
-                frozen[d.id] = r
+                frozen[problem.demands[i].id] = r
                 continue
             hi_slack, lo_slack = hi_unit + 2 * i, hi_unit + 2 * i + 1
-            if basis and hi_slack not in position and lo_slack in position:
+            if hi_slack not in position and lo_slack in position:
                 basis[position[lo_slack]] = hi_slack
+        sol = dataclasses.replace(sol, basis=tuple(basis))
         if len(frozen) == len(problem.demands):
             break
 
     return AllocatorReport(
-        _allocation_from(problem, last_values),
+        _allocation_from(problem, sol.values),
         lp_solves=iterations,
         iterations=iterations,
         notes={

@@ -184,6 +184,24 @@ def test_bench_three_scenarios_to_csv(worked_example_file, tmp_path):
     assert lines[0].startswith("scenario,allocator,fairness_geomean")
 
 
+def test_bench_exits_1_and_lists_the_rows_that_failed(worked_example_file, tmp_path, capsys):
+    # waterfill takes single-path problems only; the worked example has a
+    # two-path demand, so that row fails and the other one runs
+    scen = tmp_path / "scenarios.json"
+    scen.write_text(json.dumps({
+        "scenarios": [
+            {"label": "ok", "problem": "worked.json", "allocator": "exact"},
+            {"label": "bad", "problem": "worked.json", "allocator": "waterfill"},
+        ]
+    }))
+    out = tmp_path / "bench.csv"
+    assert cli_main(["bench", "--scenarios", str(scen), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "2 rows (1 errors)" in captured.out
+    assert captured.err.startswith("  bad/waterfill: ")
+    assert len(out.read_text().strip().splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "spec, after_path",
     [

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairalloc.lp as lp_module
 import fairalloc.optimizers as opt
@@ -514,9 +517,10 @@ def _start_lp():
 
 
 def test_a_start_from_the_optimal_basis_takes_no_steps():
-    cold = SimplexBackend().solve(_start_lp())
+    lp = _start_lp()
+    cold = SimplexBackend().solve(lp)
     assert cold.basis == (1, 0) and cold.iterations == 2  # y in row 0, x in row 1
-    warm = SimplexBackend().solve(_start_lp(), start=cold.basis)
+    warm = SimplexBackend().solve(lp.edited({}, "start"), start=cold)
     assert warm == LpSolution("optimal", [1.0, 1.5], 2.5, (0.5, 0.5), 0, (1, 0))
 
 
@@ -529,22 +533,205 @@ def test_a_start_from_the_optimal_basis_takes_no_steps():
     ],
 )
 def test_a_singular_or_infeasible_start_returns_what_no_start_returns(start):
-    assert SimplexBackend().solve(_start_lp(), start=start) == SimplexBackend().solve(_start_lp())
+    lp = _start_lp()
+    sol = dataclasses.replace(SimplexBackend().solve(lp), basis=tuple(start))
+    edit = lp.edited({}, "start")
+    assert SimplexBackend().solve(edit, start=sol) == SimplexBackend().solve(edit)
 
 
 @pytest.mark.parametrize("start", [[0], [0, 1, 2], [0, 4], [-1, 0]])
 def test_a_start_that_is_not_a_basis_of_the_lp_is_rejected(start):
+    lp = _start_lp()
+    sol = dataclasses.replace(SimplexBackend().solve(lp), basis=tuple(start))
     with pytest.raises(ValueError, match=r"^start: a start basis is 2 entries in \[0, 4\)"):
-        SimplexBackend().solve(_start_lp(), start=start)
+        SimplexBackend().solve(lp.edited({}, "start"), start=sol)
 
 
 def test_the_session_hands_the_start_to_its_backend():
-    basis = SimplexBackend().solve(_start_lp()).basis
+    lp = _start_lp()
+    sol = SimplexBackend().solve(lp)
     warm, cold = _WarmRecording(), _Recording()
     for backend in (warm, cold):
-        SolveSession(backend).solve(_start_lp(), start=basis)
+        SolveSession(backend).solve(lp.edited({}, "start"), start=sol)
     assert warm.solutions[0].iterations == 0 and cold.solutions[0].iterations == 2
-    assert ScipyBackend().solve(_start_lp(), start=basis).basis == ()
+    assert ScipyBackend().solve(lp.edited({}, "start"), start=sol).basis == ()
+
+
+# -- hot re-solves of edited LPs ------------------------------------------------
+
+EDITS = ("rhs", "eq", "column", "basis")
+
+
+def _edited(rng, lp, sol, kinds, name):
+    """`lp` edited by each edit in ``kinds``, and the start to solve it from:
+    right-hand sides moved (mostly loosened), a "<=" or ">=" row made "=="
+    (mostly at its value in `sol`), one column's coefficients changed in a
+    few rows, or one entry of `sol`'s basis replaced (a hint the solve may
+    not be able to take)."""
+    m, n = len(lp.constraints), len(lp.variables)
+    rows = {}
+
+    def row(i):
+        return rows.get(i, lp.constraints[i])
+
+    for kind in kinds:
+        picked = rng.choice(m, size=int(rng.integers(1, min(m, 3) + 1)), replace=False)
+        if kind == "rhs":
+            for i in map(int, picked):
+                c = row(i)
+                loosen = {"<=": 1.0, ">=": -1.0, "==": 0.0}[c.relation]
+                step = float(rng.normal())
+                if rng.random() < 0.7 and loosen:
+                    step = loosen * abs(step)
+                rows[i] = Constraint(c.coeffs, c.relation, c.rhs + step, c.name)
+        elif kind == "eq":
+            open_rows = [i for i in range(m) if row(i).relation != "=="]
+            if open_rows:
+                c = row(i := int(rng.choice(open_rows)))
+                at = sum(a * sol.values[j] for j, a in c.coeffs.items())
+                rows[i] = Constraint(c.coeffs, "==", at if rng.random() < 0.8 else c.rhs, c.name)
+        elif kind == "column":
+            j = int(rng.integers(n))
+            for i in map(int, picked):
+                c = row(i)
+                coeffs = dict(c.coeffs)
+                if j in coeffs and rng.random() < 0.3:
+                    del coeffs[j]
+                else:
+                    coeffs[j] = float(rng.normal())
+                rows[i] = Constraint(coeffs, c.relation, c.rhs, c.name)
+        else:
+            basis = list(sol.basis)
+            basis[int(rng.integers(m))] = int(rng.integers(n + m))
+            sol = dataclasses.replace(sol, basis=tuple(basis))
+    return lp.edited(rows, name), sol
+
+
+def _hot_and_cold(seed, sequence, corpus=_random_lp):
+    """Each step of ``sequence`` edits the last LP of a chain that starts at
+    an LP of ``corpus`` and solves it from the last solution (hot) and from
+    nothing (cold).  Yields the LP and both solutions; the chain goes on
+    from the hot solution while it is optimal."""
+    rng = np.random.default_rng(seed)
+    lp = corpus(rng, seed)
+    sol = SimplexBackend().solve(lp)
+    for step, kinds in enumerate(sequence):
+        if not sol.optimal:
+            return
+        lp, start = _edited(rng, lp, sol, kinds, f"{lp.name}-{step}")
+        sol, cold = SimplexBackend().solve(lp, start), SimplexBackend().solve(lp)
+        yield lp, sol, cold
+
+
+def _assert_same_answer(lp, hot, cold):
+    assert hot.status == cold.status, lp.name
+    if cold.optimal:
+        assert abs(hot.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
+        lp_module._check_solution(lp, lp_module._standard_form(lp), np.array(hot.values))
+        _assert_optimal_duals(lp, hot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([_random_lp, _random_zero_rhs_lp]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.lists(st.sampled_from(EDITS), min_size=1, max_size=3), min_size=1, max_size=4),
+)
+def test_a_hot_resolve_of_an_edited_lp_matches_a_cold_solve(corpus, seed, sequence):
+    for lp, hot, cold in _hot_and_cold(seed, sequence, corpus):
+        _assert_same_answer(lp, hot, cold)
+
+
+def test_hot_resolves_take_every_kind_of_edit(monkeypatch):
+    # The property above holds vacuously if every hot start falls back to a
+    # cold solve: each kind of edit must also solve hot.
+    resolve, hot = lp_module._Tableau.resolve, []
+
+    def counted(self, lp, start):
+        out = resolve(self, lp, start)
+        hot.append(out is not None)
+        return out
+
+    monkeypatch.setattr(lp_module._Tableau, "resolve", counted)
+    for kind, least in zip(EDITS, (30, 30, 25, 5)):  # a random basis hint is rarely feasible
+        hot.clear()
+        for seed in range(60):
+            for lp, sol, cold in _hot_and_cold(seed, [[kind]] * 3):
+                _assert_same_answer(lp, sol, cold)
+        assert sum(hot) >= least, kind  # 47, 52, 38 and 9 of 60-69 at the time of writing
+
+
+def test_a_used_or_foreign_start_solves_cold():
+    # repr: the solutions' fields as compared, with an infeasible LP's NaN
+    # objective equal to itself
+    def cold(lp):
+        return repr(SimplexBackend().solve(lp))
+
+    lp = _start_lp()  # optimal at x = 1, y = 1.5
+    looser = {1: Constraint({0: 1.0}, "<=", 2.0)}  # optimal at x = 2, y = 1
+    same = lp.edited({}, "same")
+    # a start whose tableau another solve used
+    sol = SimplexBackend().solve(lp)
+    assert SimplexBackend().solve(lp.edited(looser, "first"), sol).values == [2.0, 1.0]
+    assert repr(SimplexBackend().solve(same, sol)) == cold(same)
+    # a start whose hot solve fell back to a cold one after the tableau took
+    # the edit: x basic in row 0 and row 1's slack in row 1 is infeasible
+    sol = SimplexBackend().solve(lp)
+    SimplexBackend().solve(lp.edited(looser, "second"), dataclasses.replace(sol, basis=(0, 3)))
+    assert repr(SimplexBackend().solve(same, sol)) == cold(same)
+    # a start from another LP, even one of the same shape
+    other = LinearProgram("other", lp.variables, lp.constraints, lp.objective)
+    assert repr(SimplexBackend().solve(same, SimplexBackend().solve(other))) == cold(same)
+    # an edit given a new column, which its parent shares
+    sol = SimplexBackend().solve(lp)
+    wider = lp.edited({}, "wider")
+    wider.add_variable()
+    assert repr(SimplexBackend().solve(wider, sol)) == cold(wider)
+
+
+def test_a_hot_resolve_of_a_multi_level_lp_starts_from_its_first_level():
+    # The tableau of a multi-level solve ends priced on its last level; a hot
+    # start prices the first level back.  Small-integer data as in
+    # `test_random_multi_level_lps_match_highs`; the edit gives one column a
+    # new coefficient in the row that bounds every column, which changes its
+    # reduced costs, so the hot solve has to pivot.
+    rng = np.random.default_rng(3)
+    pivoted = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 6))
+        lp = LinearProgram(name=f"levels{trial}")
+        for _ in range(n):
+            lp.add_variable(upper=float(rng.integers(1, 4)) if rng.random() < 0.5 else None)
+        for _ in range(int(rng.integers(1, 5))):
+            coeffs = {j: float(rng.integers(-2, 4)) for j in range(n) if rng.random() < 0.7}
+            lp.add_constraint(coeffs, "<=", float(rng.integers(0, 5)))
+        lp.add_constraint(dict.fromkeys(range(n), 1.0), "<=", 5.0)
+        lp.objective = [
+            {j: float(rng.integers(-1, 2)) for j in range(n) if rng.random() < 0.6}
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        sol = SimplexBackend().solve(lp)
+        bound = {**dict.fromkeys(range(n), 1.0), int(rng.integers(n)): float(rng.integers(2, 5))}
+        edit = lp.edited(
+            {len(lp.constraints) - 1: Constraint(bound, "<=", 5.0)}, f"levels{trial}-edit"
+        )
+        hot, cold = SimplexBackend().solve(edit, sol), SimplexBackend().solve(edit)
+        pivoted += hot.iterations > 0
+        for level in lp.objective:
+            a = sum(c * hot.values[j] for j, c in level.items())
+            b = sum(c * cold.values[j] for j, c in level.items())
+            assert abs(a - b) <= 1e-7, edit.name
+    assert pivoted >= 3  # 4 at the time of writing
+
+
+def test_edited_replaces_rows_and_keeps_the_rest():
+    lp = _start_lp()
+    row = Constraint({0: 1.0}, "<=", 2.0)
+    edit = lp.edited({1: row}, "next")
+    assert edit.constraints == [lp.constraints[0], row] and lp.constraints[1].rhs == 1.0
+    assert edit.variables is lp.variables and edit.objective is lp.objective
+    with pytest.raises(IndexError, match="^start: no constraint 2 to edit$"):
+        lp.edited({2: row}, "next")
 
 
 # -- feasible-allocation fragment ----------------------------------------------
@@ -757,7 +944,7 @@ class _Recording:
 
 
 class _WarmRecording(_Recording):
-    """`_Recording` that hands each start basis on to the simplex."""
+    """`_Recording` that hands each start on to the simplex."""
 
     def solve(self, lp, start=None):
         self.lps.append(lp)
@@ -846,3 +1033,36 @@ def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
         longest = max(longest, len(rec.lps))
         assert [_structure(lp) for lp in rec.lps] == [_structure(lp) for lp in ref]
     assert longest > 1  # some sequence reuses the fragment
+
+
+@pytest.mark.parametrize("allocator", ["exact", "swan"])
+def test_the_benchmark_tracer_sees_every_lp_of_a_sequence(allocator):
+    # perfbench's tracer wraps `SolveSession.solve`: every LP of a sequence,
+    # the edited ones included, must reach it whole.
+    from fairalloc.bench import run_allocator
+    from fairalloc.generate import TrafficSpec, generate_problem
+    from perfbench.trace import ROOT, Tracer
+
+    problem = generate_problem(5, 7, TrafficSpec("gravity", 8.0, 0), 4)
+    base, forms = build_feasible_alloc(problem)
+    rows, cols = {
+        "exact": (len(base.constraints) + len(forms), len(base.variables) + 1),
+        "swan": (len(base.constraints) + 2 * len(forms), len(base.variables)),
+    }[allocator]
+    rec = _WarmRecording()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        report = tracer.wrap(run_allocator, ROOT)(problem, allocator, session=SolveSession(rec))
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    spans = [s.info for s in tracer.spans if s.name == "lp.SolveSession.solve"]
+    assert len(spans) == report.lp_solves == len(rec.lps) > 1
+    assert spans == [
+        {"rows": rows, "cols": cols, "nnz": sum(len(c.coeffs) for c in lp.constraints)}
+        for lp in rec.lps
+    ]
+    assert [lp.name for lp in rec.lps[1:]] == [
+        f"{rec.lps[0].name[:-2]}-{i}" for i in range(2, len(rec.lps) + 1)
+    ]

@@ -288,7 +288,7 @@ def _close(got, want, rel=1e-6):
 
 
 class _ColdSession(SolveSession):
-    """A session that drops every start basis, so each LP solves cold."""
+    """A session that drops every start, so each LP solves cold."""
 
     def solve(self, lp, start=None):
         return super().solve(lp)
