@@ -9,11 +9,12 @@ over level 1's optima, and so on (a lexicographic objective); a
 single-level LP is a one-element list.  A column is its index:
 `add_variable` returns it, and rows, the objective levels and a solution's
 values are keyed or ordered by it.  Every cold solve goes through one
-standard form: `_standard_form` is the only pass over a `LinearProgram`'s
-entries.  It lays the LP out as dense arrays (`A`, relations, `b`, one row
-of `c` per level, upper bounds) in column and constraint order, and checks
-the column keys, the upper bounds, and that coefficients, right-hand sides
-and objective are finite on the way.  The built-in simplex, the scipy HiGHS
+standard form: `_standard_form` lays the LP out as dense arrays (`A`,
+relations, `b`, one row of `c` per level, upper bounds) in column and
+constraint order, and checks the column keys, the upper bounds, and that
+coefficients, right-hand sides and objective are finite on the way.  Its
+rows come from `_rows`, the one pass that compiles and checks constraint
+rows, cold or hot (see below).  The built-in simplex, the scipy HiGHS
 backend and the solution check all work on those arrays.  Both backends
 return optimal row duals in one sign convention, for single-level LPs
 only: a multi-level solution carries none.
@@ -31,18 +32,20 @@ entry would lower that level and prices the next level out on the same
 basis.  It is deterministic: solving the same program twice yields
 bit-identical values.
 
-Sequences of LPs solve hot.  `LinearProgram.edited` makes the next LP of a
-sequence from the last: the same columns, objective and row count, with
-some rows replaced, and it records its parent and the replaced rows.
-`SolveSession.solve(lp, start)` takes the parent's `LpSolution` as
-``start``.  The built-in solver's solution keeps its optimal tableau, so
-`SimplexBackend` applies only the replaced rows to it, in place: a change
-of right-hand side or of coefficients through B^-1, and a "<=" or ">="
-row made "==" by fixing its slack at 0.  It then pivots to
-``start.basis`` (an allocator may replace it) and resumes phase 2.  Any
-other start solves cold: no tableau, one already used by another solve, a
-different parent, a changed column count, an edit it cannot take, a
-near-zero pivot, or an infeasible point.  `LpSolution.basis` names the basis, one entry per basic
+Sequences of LPs solve hot.  The built-in solver's solution keeps its
+optimal tableau, and the tableau keeps the LP it is optimal for.
+`SolveSession.solve(lp, start)` solves ``lp`` from ``start``'s tableau when
+``lp`` shares that LP's ``variables`` and ``objective`` objects and has its
+column and row counts.  Its changed rows are the indices whose `Constraint`
+object is not that LP's, in ascending order: a row is replaced, never
+mutated (`LinearProgram.edited` replaces rows).  `SimplexBackend` applies
+only those rows to the tableau, in place: a change of right-hand side or of
+coefficients through B^-1, and a "<=" or ">=" row made "==" by fixing its
+slack at 0.  It then pivots to ``start.basis`` (an allocator may replace it)
+and resumes phase 2.  Any other start solves cold: no tableau, one used up
+by a hot solve that fell back, other columns or objective, a changed column
+or row count, an edit it cannot take, a near-zero pivot, or an infeasible
+point.  `LpSolution.basis` names the basis, one entry per basic
 position: a column index j < ncols, or ncols + i for row i's own unit
 column (its slack if it has one, otherwise its artificial).  Every
 backend's ``solve`` takes a start; `ScipyBackend` ignores it and returns no
@@ -51,8 +54,6 @@ basis.
 
 from __future__ import annotations
 
-import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
@@ -101,10 +102,6 @@ class LinearProgram:
     variables: list[float | None] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: list[dict[int, float]] = field(default_factory=lambda: [{}])
-    # set by `edited`: the LP this one edits and the rows replaced; the weak
-    # reference keeps a sequence from holding every earlier LP alive
-    _parent: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
-    _changed: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def add_variable(self, *, upper: float | None = None) -> int:
         """Append a column x >= 0 (x <= upper unless that is None); returns
@@ -124,17 +121,14 @@ class LinearProgram:
     def edited(self, rows: Mapping[int, Constraint], name: str) -> LinearProgram:
         """A new LP, ``name``, that is this one with the constraint at each
         index of ``rows`` replaced by its value.  It shares this LP's columns
-        and objective, and records this LP as its parent and ``rows``' indices
-        as its changed rows, so a solve that starts from this LP's solution
-        can apply just those rows (see the module docstring)."""
+        and objective, so a solve that starts from this LP's solution applies
+        just the replaced rows (see the module docstring)."""
         constraints = list(self.constraints)
         for i, con in rows.items():
             if not 0 <= i < len(constraints):
                 raise IndexError(f"{self.name}: no constraint {i} to edit")
             constraints[i] = con
-        lp = LinearProgram(name, self.variables, constraints, self.objective)
-        lp._parent, lp._changed = weakref.ref(self), tuple(rows)
-        return lp
+        return LinearProgram(name, self.variables, constraints, self.objective)
 
 
 @dataclass(frozen=True)
@@ -149,11 +143,11 @@ class LpSolution:
     ``basis`` is the built-in solver's optimal basis, one entry per basic
     position: a column j < ncols, or ncols + i for row i's own unit column
     (its slack if it has one, otherwise its artificial); the scipy backend
-    leaves it empty.  A basis alone starts nothing: the solution is the
-    start of an edit of its LP (see the module docstring), and the basis,
-    which the caller may replace, is where that solve pivots to.  The
-    built-in solver's solution also holds its tableau in a private field,
-    neither compared nor printed."""
+    leaves it empty.  A basis alone starts nothing: the built-in solver's
+    solution also holds its tableau in a private field, neither compared
+    nor printed, and a solve started from the solution edits that tableau
+    (see the module docstring) and pivots to the basis, which the caller
+    may replace."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: list[float]
@@ -199,41 +193,49 @@ def _columns(lp: LinearProgram, keys: list, where: str) -> list:
     return keys
 
 
+def _rows(lp: LinearProgram, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The constraints of `lp` at `indices`, checked and laid out as a dense
+    block over the columns (one row per index) and their right-hand sides.
+    It refuses a key that is not a column, and a coefficient or right-hand
+    side that is not finite: a NaN fails every comparison the simplex makes,
+    so it would come back as a wrong status, not an error."""
+    cons = [lp.constraints[i] for i in indices]
+    cols = _columns(lp, [j for con in cons for j in con.coeffs], "constraint")
+    at = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+    coeffs = np.array([a for con in cons for a in con.coeffs.values()], dtype=float)
+    b = np.array([con.rhs for con in cons], dtype=float)
+    bad = ~np.isfinite(b)
+    bad[at[~np.isfinite(coeffs)]] = True
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(
+            f"{lp.name}: constraint {cons[k].name or indices[k]} has a non-finite "
+            f"coefficient or right-hand side"
+        )
+    A = np.zeros((len(cons), len(lp.variables)))
+    A[at, cols] = coeffs
+    return A, b
+
+
 def _standard_form(lp: LinearProgram) -> _StandardForm:
     """Check `lp` and lay it out as arrays, in one pass over its entries.
-    It refuses an upper bound that is negative or NaN, a key that is not a
-    column, a coefficient, right-hand side or objective entry that is not
-    finite (a NaN fails every comparison the simplex makes, so it would come
-    back as a wrong status, not an error), and an objective without a
-    level."""
+    It refuses an upper bound that is negative or NaN, a row `_rows`
+    refuses, an objective without a level, and an objective key that is not
+    a column or an objective entry that is not finite."""
     cons, levels = lp.constraints, lp.objective
     upper = np.array([np.inf if u is None else u for u in lp.variables], dtype=float)
     bad = np.flatnonzero(~(upper >= 0))
     if bad.size:
         what = "a negative" if upper[bad[0]] < 0 else "a NaN"
         raise ValueError(f"{lp.name}: column {bad[0]} has {what} upper bound")
-    cols = _columns(lp, [j for con in cons for j in con.coeffs], "constraint")
+    A, b = _rows(lp, range(len(cons)))
     if not levels:
         raise ValueError(f"{lp.name}: objective has no level")
     level_cols = _columns(lp, [j for level in levels for j in level], "objective")
-
-    rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    coeffs = np.array([a for con in cons for a in con.coeffs.values()], dtype=float)
-    b = np.array([con.rhs for con in cons], dtype=float)
-    bad_row = ~np.isfinite(b)
-    bad_row[rows[~np.isfinite(coeffs)]] = True
-    if bad_row.any():
-        i = int(bad_row.argmax())
-        raise ValueError(
-            f"{lp.name}: constraint {cons[i].name or i} has a non-finite "
-            f"coefficient or right-hand side"
-        )
     level_coeffs = np.array([a for level in levels for a in level.values()], dtype=float)
     if not np.isfinite(level_coeffs).all():
         raise ValueError(f"{lp.name}: objective has a non-finite coefficient")
 
-    A = np.zeros((len(cons), len(upper)))
-    A[rows, cols] = coeffs
     c = np.zeros((len(levels), len(upper)))
     level_of = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
     c[level_of, level_cols] = level_coeffs
@@ -307,8 +309,10 @@ def _crash(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, ncols: int) -> No
 class _Tableau:
     """The built-in solver's state for one LP: a dense two-phase primal
     simplex tableau over `A x (rel) b, 0 <= x <= u`, and what the pivot loop
-    keeps next to it.  An optimal one stays with its `LpSolution` and can
-    solve an edit of its LP (`resolve`).
+    keeps next to it.  An optimal one stays with its `LpSolution`, keeps
+    the LP it is optimal for in `lp` (None until a solve succeeds, and once
+    a hot solve has used it up), and can solve an edit of that LP
+    (`resolve`).
 
     Rows 0..m-1 of `T` are the constraints, by basis position; row m holds
     the phase-2 reduced costs, and row m + 1, during phase 1 only, phase 1's.
@@ -416,76 +420,53 @@ class _Tableau:
         return self._finish()
 
     def resolve(self, lp: LinearProgram, start: Sequence[int]):
-        """Solve `lp`, an edit of the LP this tableau is optimal for, hot:
-        apply its changed rows to the tableau, pivot to the basis `start` and
-        resume phase 2.  Returns `solve`'s triple, or None where `lp` has to
-        be solved cold: the edit is one the tableau cannot take, a pivot to
-        `start` is near zero (a repeated column meets an exact 0: a basic
-        column is a unit column), or `start`'s point is infeasible.  Either
-        way the tableau is used up; a successful solve makes it `lp`'s."""
-        parent, self.lp = self.lp, None
+        """Solve `lp`, which has the columns, objective and row count of the
+        LP this tableau is optimal for, hot: apply the rows it replaced to
+        the tableau, pivot to the basis `start` and resume phase 2.  Returns
+        `solve`'s triple, or None where `lp` has to be solved cold: the edit
+        is one the tableau cannot take, a pivot to `start` is near zero (a
+        repeated column meets an exact 0: a basic column is a unit column),
+        or `start`'s point is infeasible.  Either way the tableau is used up;
+        a successful solve makes it `lp`'s."""
+        last, self.lp = self.lp, None
         m, ncols = self.m, self.ncols
         if len(start) != m or m and not (0 <= min(start) and max(start) < ncols + m):
             raise ValueError(f"{lp.name}: a start basis is {m} entries in [0, {ncols + m})")
         if len(self.sf.c) > 1:  # back to the first level's reduced costs
             T, cost = self.T, self._cost(self.sf.c[0])
             T[m] = cost - cost[self.basis] @ T[:m]
-        stale = self._edit(lp, parent)
+        stale = self._edit(lp, last.constraints)
         if stale is None or not self._rebase(self.column[list(start)], stale):
             return None
         self.steps = 0
         return self._finish()
 
-    def _edit(self, lp: LinearProgram, parent: LinearProgram) -> np.ndarray | None:
-        """Apply `lp`'s changed rows to the tableau and to `sf`, which then
+    def _edit(self, lp: LinearProgram, old: list[Constraint]) -> np.ndarray | None:
+        """Apply the rows of `lp` that are not the objects in `old`, the
+        tableau's LP's constraints, to the tableau and to `sf`, which then
         describe `lp` on the unchanged basis B: a change of right-hand side
         adds B^-1 db to b, and a change of coefficients adds B^-1 dA to the
         columns it touches (B^-1's columns are the rows' unit columns in the
         tableau, signed as the rows are); a row made "==" fixes its slack at
         0.  Returns the columns whose coefficients changed, or None, with the
         tableau untouched, if a row changes its relation in any other way.
-        The right-hand sides and the coefficients that change are checked as
-        `_standard_form` checks them."""
+        The changed rows are checked by `_rows`, as a cold solve checks
+        them."""
         sf, T, width = self.sf, self.T, self.width
-        changed, old = lp._changed, parent.constraints
-        cons = [lp.constraints[i] for i in changed]
-        rhs = [con.rhs for con in cons]
-        entries = []  # (row k of `changed`, column, new coefficient, change)
-        for k, i in enumerate(changed):
-            new, was = cons[k].coeffs, old[i].coeffs
-            if new != was:
-                for j in new.keys() | was.keys():
-                    a, a0 = new.get(j, 0.0), was.get(j, 0.0)
-                    if a != a0:
-                        entries.append((k, j, a, a - a0))
-        at, keys, values, changes = zip(*entries) if entries else ((), (), (), ())
-        _columns(lp, list(keys), "constraint")
-        if not math.isfinite(sum(rhs) + sum(values)):  # names the first bad row, if any
-            bad = [not math.isfinite(b) for b in rhs]
-            for k, a in zip(at, values):
-                bad[k] |= not math.isfinite(a)
-            if any(bad):
-                k = bad.index(True)
-                raise ValueError(
-                    f"{lp.name}: constraint {cons[k].name or changed[k]} has a non-finite "
-                    f"coefficient or right-hand side"
-                )
-        to_eq = [k for k, i in enumerate(changed) if cons[k].relation != old[i].relation]
-        if any(cons[k].relation != "==" for k in to_eq):
+        cons = lp.constraints
+        rows = np.array([i for i, con in enumerate(cons) if con is not old[i]], dtype=np.intp)
+        new, rhs = _rows(lp, rows)
+        relations = np.array([_RELATION_SIGN[cons[i].relation] for i in rows], dtype=int)
+        moved = relations != sf.relations[rows]
+        if relations[moved].any():
             return None
 
-        rows = np.array(changed, dtype=np.intp)
-        stale = sorted(set(keys))
-        delta = np.zeros((len(rows), len(stale) + 1))  # per row: its columns' changes, db
-        delta[:, -1] = [con.rhs - old[i].rhs for con, i in zip(cons, changed)]
-        if entries:
-            place = {j: p for p, j in enumerate(stale)}
-            delta[at, [place[j] for j in keys]] = changes
-            sf.A[rows[list(at)], keys] = values
-        delta *= self.sign[rows, None]
+        dA = new - sf.A[rows]
+        stale = np.flatnonzero(dA.any(axis=0))
+        # per row: its columns' changes and db, signed as the row is in T
+        delta = np.column_stack((dA[:, stale], rhs - sf.b[rows])) * self.sign[rows, None]
         D = T[:, self.unit[rows]] @ delta
         T[:, width] += D[:, -1]
-        stale = np.array(stale, dtype=np.intp)
         if stale.size:
             D = D[:, :-1]
             back = self.flipped[stale]  # a complemented column holds u - x
@@ -493,9 +474,9 @@ class _Tableau:
                 D[:, back] *= -1.0
                 T[:, width] += D[:, back] @ self.ub[stale[back]]
             T[:, stale] += D
-        sf.b[rows] = rhs
-        if to_eq:
-            eq = rows[to_eq]
+        sf.A[rows], sf.b[rows] = new, rhs
+        if moved.any():
+            eq = rows[moved]
             sf.relations[eq] = 0
             self.fixed[self.slack[eq]] = True
             self.barred = np.flatnonzero(self.fixed[: self.lim])
@@ -656,19 +637,6 @@ class _Tableau:
         return "optimal", x[:ncols], duals
 
 
-def _simplex_core(
-    sf: _StandardForm, name: str
-) -> tuple[str, np.ndarray | None, np.ndarray | None, int, _Tableau | None]:
-    """Two-phase dense tableau simplex over `A x (rel) b, 0 <= x <= u` from
-    the cold start (see `_Tableau`).  Returns the status, x in column order
-    and, for a single-level LP, the duals y of `sf`'s rows when optimal (None
-    otherwise), the number of pivots plus bound flips, and the optimal
-    tableau (None unless optimal)."""
-    t = _Tableau(sf, name)
-    status, x, duals = t.solve()
-    return status, x, duals, t.steps, t if status == "optimal" else None
-
-
 def _check_solution(lp: LinearProgram, sf: _StandardForm, x: np.ndarray) -> None:
     """Guard against silent numeric corruption: an 'optimal' answer must
     actually satisfy the bounds and the constraints."""
@@ -695,37 +663,30 @@ class LpBackend(Protocol):  # pragma: no cover - typing seam
 
 
 class SimplexBackend:
-    """The built-in deterministic solver.  A ``start`` whose tableau is live
-    for ``lp``'s parent (see `LinearProgram.edited`) solves ``lp`` hot, from
-    that tableau; any other solves cold (see `_Tableau`)."""
+    """The built-in deterministic solver (see `_Tableau`).  A ``start`` whose
+    tableau is still optimal for an LP with ``lp``'s columns, objective and
+    row count solves ``lp`` hot, from that tableau, applying the rows ``lp``
+    replaced (see the module docstring); any other solves cold."""
 
     def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
-        hot = _live(lp, start)
-        out = hot and hot.resolve(lp, start.basis)
-        if out:
-            (status, x, duals), steps, tableau, sf = out, hot.steps, hot, hot.sf
-        else:
-            sf = _standard_form(lp)
-            status, x, duals, steps, tableau = _simplex_core(sf, lp.name)
+        t = None if start is None else start._tableau
+        last = None if t is None else t.lp
+        hot = (
+            last is not None
+            and lp.variables is last.variables
+            and lp.objective is last.objective
+            and (len(lp.variables), len(lp.constraints)) == (t.ncols, t.m)
+        )
+        out = hot and t.resolve(lp, start.basis)
+        if not out:
+            t = _Tableau(_standard_form(lp), lp.name)
+            out = t.solve()
+        status, x, duals = out
         if status != "optimal":
-            return LpSolution(status, [], float("nan"), iterations=steps)
-        _check_solution(lp, sf, x)
-        if tableau is not None:
-            tableau.lp = lp
-        return _optimal(lp, x, duals, steps, tableau)
-
-
-def _live(lp: LinearProgram, start: LpSolution | None) -> _Tableau | None:
-    """``start``'s tableau if it is still the optimal tableau of ``lp``'s
-    parent, and ``lp`` keeps the parent's columns, objective and row count."""
-    tableau = None if start is None else start._tableau
-    parent = None if lp._parent is None else lp._parent()
-    if tableau is None or parent is None or tableau.lp is not parent:
-        return None
-    if lp.variables is not parent.variables or lp.objective is not parent.objective:
-        return None
-    same_shape = (len(lp.variables), len(lp.constraints)) == (tableau.ncols, tableau.m)
-    return tableau if same_shape else None
+            return LpSolution(status, [], float("nan"), iterations=t.steps)
+        _check_solution(lp, t.sf, x)
+        t.lp = lp
+        return _optimal(lp, x, duals, t.steps, t)
 
 
 class ScipyBackend:
@@ -733,8 +694,11 @@ class ScipyBackend:
 
     The acceptance suite never needs it; it exists for cross-checking and as
     the plug-in example for a high-performance solver.  It solves the levels
-    in sequence: each level after the first adds a ">=" row that holds the
-    level before it at its optimum, less 1e-9 relative.
+    in sequence and holds each solved level on its optimal face, as the
+    built-in simplex blocks columns: every column whose bound marginal
+    exceeds LEVEL_TOL times the level's largest coefficient is fixed at that
+    bound, and every "<=" row (">=" rows enter negated) whose marginal does
+    is made "==".
     """
 
     def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
@@ -745,18 +709,25 @@ class ScipyBackend:
         ub = sf.relations != 0  # ">=" rows enter negated
         eq = ~ub
         A_ub, b_ub = sf.A[ub] * sf.relations[ub, None], sf.b[ub] * sf.relations[ub]
+        A_eq, b_eq = sf.A[eq], sf.b[eq]
+        bounds = np.column_stack((np.zeros_like(sf.upper), sf.upper))
         iterations = 0
         for level, c in enumerate(sf.c):
-            if level:  # c_prev x >= opt - 1e-9 max(1, |opt|), negated
-                A_ub = np.vstack([A_ub, -sf.c[level - 1]])
-                b_ub = np.append(b_ub, 1e-9 * max(1.0, abs(opt)) - opt)
+            if level:  # hold the level before on its optimal face
+                tol = LEVEL_TOL * np.abs(sf.c[level - 1]).max(initial=0.0)
+                low, high = np.abs(res.lower.marginals) > tol, np.abs(res.upper.marginals) > tol
+                bounds[low, 1] = bounds[low, 0]
+                bounds[high, 0] = bounds[high, 1]
+                tight = np.abs(res.ineqlin.marginals) > tol
+                A_eq, b_eq = np.vstack([A_eq, A_ub[tight]]), np.append(b_eq, b_ub[tight])
+                A_ub, b_ub = A_ub[~tight], b_ub[~tight]
             res = linprog(
                 -c,  # linprog minimizes
                 A_ub=A_ub if len(b_ub) else None,
                 b_ub=b_ub if len(b_ub) else None,
-                A_eq=sf.A[eq] if eq.any() else None,
-                b_eq=sf.b[eq] if eq.any() else None,
-                bounds=np.column_stack((np.zeros_like(sf.upper), sf.upper)),
+                A_eq=A_eq if len(b_eq) else None,
+                b_eq=b_eq if len(b_eq) else None,
+                bounds=bounds,
                 method="highs",
             )
             iterations += int(res.nit)
@@ -766,7 +737,6 @@ class ScipyBackend:
                 return LpSolution("unbounded", [], float("nan"), iterations=iterations)
             if not res.success:
                 raise SimplexError(f"scipy backend failed on {lp.name!r}: {res.message}")
-            opt = float(c @ res.x)
         _check_solution(lp, sf, res.x)
         if len(sf.c) > 1:
             return _optimal(lp, res.x, None, iterations)

@@ -1,7 +1,7 @@
 """The dense two-phase simplex as it was before the right-hand side moved into
 the tableau: `_simplex_core`, `_pivot` and `_crash`, kept verbatim as the
-reference that `fairalloc.lp._simplex_core` must match bit for bit (status,
-values, duals and step count)."""
+reference that a cold `fairalloc.lp._Tableau` solve must match bit for bit
+(status, values, duals and step count)."""
 
 import numpy as np
 

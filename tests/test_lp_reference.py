@@ -65,10 +65,11 @@ def _assert_bit_identical(lp):
     lp = LinearProgram(lp.name, lp.variables, lp.constraints, lp.objective[:1])
     sf = lp_module._standard_form(lp)
     want = reference_core(sf._replace(c=sf.c[0]), lp.name)
-    got = lp_module._simplex_core(sf, lp.name)
-    assert (got[0], got[3]) == (want[0], want[3]), lp.name
-    assert _bits(got[1]) == _bits(want[1]), lp.name  # values, -0.0 included
-    assert _bits(got[2]) == _bits(want[2]), lp.name  # duals
+    tableau = lp_module._Tableau(sf, lp.name)
+    status, x, duals = tableau.solve()
+    assert (status, tableau.steps) == (want[0], want[3]), lp.name
+    assert _bits(x) == _bits(want[1]), lp.name  # values, -0.0 included
+    assert _bits(duals) == _bits(want[2]), lp.name  # duals
 
 
 @pytest.mark.parametrize("corpus, seed", [(_random_lp, 11), (_random_zero_rhs_lp, 41)])
@@ -78,7 +79,7 @@ def test_simplex_core_matches_the_reference_bit_for_bit_on_random_lps(corpus, se
     for trial in range(300):
         lp = corpus(rng, trial)
         _assert_bit_identical(lp)
-        statuses.add(lp_module._simplex_core(lp_module._standard_form(lp), lp.name)[0])
+        statuses.add(lp_module._Tableau(lp_module._standard_form(lp), lp.name).solve()[0])
     assert "optimal" in statuses and len(statuses) > 1
 
 
