@@ -38,18 +38,17 @@ optimal tableau, and the tableau keeps the LP it is optimal for.
 ``lp`` shares that LP's ``variables`` and ``objective`` objects and has its
 column and row counts.  Its changed rows are the indices whose `Constraint`
 object is not that LP's, in ascending order: a row is replaced, never
-mutated (`LinearProgram.edited` replaces rows).  `SimplexBackend` applies
-only those rows to the tableau, in place: a change of right-hand side or of
-coefficients through B^-1, and a "<=" or ">=" row made "==" by fixing its
-slack at 0.  It then pivots to ``start.basis`` (an allocator may replace it)
-and resumes phase 2.  Any other start solves cold: no tableau, one used up
-by a hot solve that fell back, other columns or objective, a changed column
-or row count, an edit it cannot take, a near-zero pivot, or an infeasible
-point.  `LpSolution.basis` names the basis, one entry per basic
-position: a column index j < ncols, or ncols + i for row i's own unit
-column (its slack if it has one, otherwise its artificial).  Every
-backend's ``solve`` takes a start; `ScipyBackend` ignores it and returns no
-basis.
+mutated (`LinearProgram.edited` replaces rows).  An edit changes
+right-hand sides and coefficients, never a row's relation.  `SimplexBackend`
+applies only the changed rows to the tableau, in place, through B^-1.  It
+then pivots to ``start.basis`` (an allocator may replace it) and resumes
+phase 2.  Any other start solves cold: no tableau, one used up by a hot
+solve that fell back, other columns or objective, a changed column or row
+count, a changed relation, a near-zero pivot, or an infeasible point.
+`LpSolution.basis` names the basis, one entry per basic position: a column
+index j < ncols, or ncols + i for row i's own unit column (its slack if it
+has one, otherwise its artificial).  Every backend's ``solve`` takes a
+start; `ScipyBackend` ignores it and returns no basis.
 """
 
 from __future__ import annotations
@@ -326,9 +325,9 @@ class _Tableau:
     column that reaches its own bound first flips there without a pivot.
     Each row's basic upper bound is kept in an array that follows the basis.
 
-    A fixed column never enters: every artificial, and the slack of a row
-    that an edit made "==".  A basic fixed column must be at 0; after phase 1
-    (or a hot start) it is driven out of the basis where its row allows.
+    An artificial never enters: the columns that may are those below `lim`.
+    A basic artificial must be at 0; after phase 1 (or a hot start) it is
+    driven out of the basis where its row allows.
 
     Pricing is Dantzig's: the largest reduced cost enters.  After
     DEGENERATE_RUN consecutive degenerate steps Bland's rule (lowest index
@@ -370,9 +369,6 @@ class _Tableau:
         self.ub[:ncols] = sf.upper
         self.has_ub = bool(np.isfinite(sf.upper).any())
         self.flipped = np.zeros(width, dtype=bool)  # column holds u - x
-        self.fixed = np.zeros(width, dtype=bool)
-        self.fixed[self.lim :] = True
-        self.barred = np.empty(0, dtype=np.intp)  # fixed columns below lim: slacks
 
         self.T = T = np.zeros((m + 2, width + 1))
         T[:m, :ncols] = sf.A
@@ -384,15 +380,11 @@ class _Tableau:
         self.unit = np.empty(m, dtype=int)  # per row, a column equal to e_i at the start
         self.unit[slack_rows] = slack_cols
         self.unit[art_rows] = art_cols
-        self.slack = np.full(m, -1)  # per row, its slack column (-1: none)
-        self.slack[slack_rows] = slack_cols
-        self.entry = np.empty(width, dtype=int)  # each column as a basis entry
-        self.entry[:ncols] = np.arange(ncols)
-        self.entry[art_cols] = ncols + art_rows
-        self.entry[slack_cols] = ncols + slack_rows
-        self.column = np.empty(ncols + m, dtype=int)  # each basis entry's column
-        self.column[:ncols] = np.arange(ncols)
-        self.column[ncols:] = np.where(self.slack >= 0, self.slack, self.unit)
+        # each column as a basis entry, in column order: structural, slack, artificial
+        self.entry = np.concatenate((np.arange(ncols), ncols + slack_rows, ncols + art_rows))
+        # each basis entry's column: a row's entry is its slack if it has one
+        self.column = np.concatenate((np.arange(ncols), self.unit))
+        self.column[ncols + slack_rows] = slack_cols
         self.basis = self.unit.copy()  # a ">=" row starts on its artificial
         self.steps = 0
 
@@ -424,7 +416,7 @@ class _Tableau:
         LP this tableau is optimal for, hot: apply the rows it replaced to
         the tableau, pivot to the basis `start` and resume phase 2.  Returns
         `solve`'s triple, or None where `lp` has to be solved cold: the edit
-        is one the tableau cannot take, a pivot to `start` is near zero (a
+        changes a row's relation, a pivot to `start` is near zero (a
         repeated column meets an exact 0: a basic column is a unit column),
         or `start`'s point is infeasible.  Either way the tableau is used up;
         a successful solve makes it `lp`'s."""
@@ -444,22 +436,20 @@ class _Tableau:
     def _edit(self, lp: LinearProgram, old: list[Constraint]) -> np.ndarray | None:
         """Apply the rows of `lp` that are not the objects in `old`, the
         tableau's LP's constraints, to the tableau and to `sf`, which then
-        describe `lp` on the unchanged basis B: a change of right-hand side
-        adds B^-1 db to b, and a change of coefficients adds B^-1 dA to the
-        columns it touches (B^-1's columns are the rows' unit columns in the
-        tableau, signed as the rows are); a row made "==" fixes its slack at
-        0.  Returns the columns whose coefficients changed, or None, with the
-        tableau untouched, if a row changes its relation in any other way.
-        The changed rows are checked by `_rows`, as a cold solve checks
-        them."""
+        describe `lp` on the unchanged basis B.  An edit changes right-hand
+        sides and coefficients, never a relation: a change of right-hand
+        side adds B^-1 db to b, and a change of coefficients adds B^-1 dA to
+        the columns it touches (B^-1's columns are the rows' unit columns in
+        the tableau, signed as the rows are).  Returns the columns whose
+        coefficients changed, or None, with the tableau untouched, if a row
+        changes its relation.  The changed rows are checked by `_rows`, as a
+        cold solve checks them."""
         sf, T, width = self.sf, self.T, self.width
         cons = lp.constraints
         rows = np.array([i for i, con in enumerate(cons) if con is not old[i]], dtype=np.intp)
-        new, rhs = _rows(lp, rows)
-        relations = np.array([_RELATION_SIGN[cons[i].relation] for i in rows], dtype=int)
-        moved = relations != sf.relations[rows]
-        if relations[moved].any():
+        if any(cons[i].relation != old[i].relation for i in rows):
             return None
+        new, rhs = _rows(lp, rows)
 
         dA = new - sf.A[rows]
         stale = np.flatnonzero(dA.any(axis=0))
@@ -475,11 +465,6 @@ class _Tableau:
                 T[:, width] += D[:, back] @ self.ub[stale[back]]
             T[:, stale] += D
         sf.A[rows], sf.b[rows] = new, rhs
-        if moved.any():
-            eq = rows[moved]
-            sf.relations[eq] = 0
-            self.fixed[self.slack[eq]] = True
-            self.barred = np.flatnonzero(self.fixed[: self.lim])
         return stale
 
     def _rebase(self, target: np.ndarray, stale: np.ndarray) -> bool:
@@ -487,7 +472,7 @@ class _Tableau:
         column per position): one pivot per position whose column differs,
         or whose basic column's coefficients changed.  False where a pivot is
         near zero, or where the basis's point is not finite or infeasible: a
-        basic value below 0 or above its column's bound, or a fixed column
+        basic value below 0 or above its column's bound, or an artificial
         above 0.  Values within 1e-9 of the scale of b are rounded onto their
         bound."""
         T, basis, m = self.T, self.basis, self.m
@@ -502,13 +487,13 @@ class _Tableau:
                 return False
             _pivot(T, r, j)
             basis[r] = j
-        xb, top, fix = T[:m, self.width], self.ub[basis], self.fixed[basis]
+        xb, top, art = T[:m, self.width], self.ub[basis], basis >= self.lim
         tol = 1e-9 * max(1.0, float(np.abs(self.sf.b).max(initial=0.0)))
         # a NaN fails both bounds
-        if not ((xb >= -tol) & (xb <= top + tol)).all() or (xb[fix] > tol).any():
+        if not ((xb >= -tol) & (xb <= top + tol)).all() or (xb[art] > tol).any():
             return False
         np.minimum(np.maximum(xb, 0.0, out=xb), top, out=xb)
-        xb[fix] = 0.0
+        xb[art] = 0.0
         self.ub_basic = top
         return True
 
@@ -592,37 +577,31 @@ class _Tableau:
         status, x in column order and, for a single-level LP, the duals y of
         `sf`'s rows when optimal (None otherwise)."""
         sf, m, width, lim, ncols = self.sf, self.m, self.width, self.lim, self.ncols
-        basis, ub, fixed = self.basis, self.ub, self.fixed
+        basis, ub = self.basis, self.ub
         T = self.T = self.T[: m + 1]
-        # Drive fixed columns out of the basis where possible.  Any other
+        # Drive artificials out of the basis where possible.  Any other
         # column works (slack columns included: a row whose structural part
         # was eliminated can still constrain the slack space); a row with no
         # such column is genuinely redundant.
-        free, barred = ~fixed[:lim], self.barred  # fixed slacks never enter
-        for i in np.flatnonzero(fixed[basis]):
+        for i in np.flatnonzero(basis >= lim):
             nz = np.flatnonzero(np.abs(T[i, :lim]) > PIVOT_TOL)
-            if barred.size:
-                nz = nz[free[nz]]
             if nz.size:
                 _pivot(T, i, int(nz[0]))
                 basis[i] = nz[0]
                 self.ub_basic[i] = ub[nz[0]]
                 self.steps += 1
-        T[m, barred] = -np.inf
         if not self._run(T):
             return "unbounded", None, None
-        if barred.size:  # their reduced costs back (a slack costs 0)
-            T[m, barred] = -(self._cost(sf.c[0])[basis] @ T[:m, barred])
         duals = None
         if len(sf.c) == 1:
             z2 = T[m, :width]
             duals = np.where(self.flip, z2[self.unit], -z2[self.unit])
         z = T[m, :lim]
-        blocked = ~free  # never basic, unless fixed: a basic column's z is 0
+        blocked = np.zeros(lim, dtype=bool)  # never basic: a basic column's z is 0
         tols = LEVEL_TOL * np.abs(sf.c).max(axis=1, initial=0.0) if len(sf.c) > 1 else ()
         for tol, c in zip(tols, sf.c[1:]):
             blocked |= z < -tol
-            if np.count_nonzero(blocked) + np.count_nonzero(free[basis[basis < lim]]) == lim:
+            if np.count_nonzero(blocked) + np.count_nonzero(basis < lim) == lim:
                 break  # no column is left to move
             cost = self._cost(c)
             T[m] = cost - cost[basis] @ T[:m]

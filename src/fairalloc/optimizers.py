@@ -156,15 +156,22 @@ def exact_sequential_max_min(
 
     Round i raises a common floor t_i over the unfrozen ratios: maximize
     delta subject to rho_k - delta >= t_(i-1) for each unfrozen k (rho_k is
-    k's form over the rate columns, t_0 = 0), the frozen ratios held fixed,
-    and t_i = t_(i-1) + delta.  Its optimal duals say which demands are
-    bottlenecked (the dual saturation test of Danna, Mandal & Singh, INFOCOM
-    2012).  Write y_k >= 0 for the dual of k's floor row.  By complementary
-    slackness, y_k > 0 means rho_k = t_i in every optimum, so k freezes at
-    t_i.  Dual feasibility on delta's column gives sum_k y_k >= 1, so every
-    round freezes at least one demand, and lp_solves = rounds <=
-    len(demands).  A demand that is bottlenecked but whose dual happens to be
-    0 (degeneracy) stays unfrozen and freezes at the same t in a later round.
+    k's form over the rate columns, t_0 = 0), each frozen ratio held at or
+    above its level, and t_i = t_(i-1) + delta.  Its optimal duals say which
+    demands are bottlenecked (the dual saturation test of Danna, Mandal &
+    Singh, INFOCOM 2012).  Write y_k >= 0 for the dual of k's floor row.
+    By complementary slackness, y_k > 0 means rho_k = t_i in every
+    optimum, so k freezes at t_i.  Dual feasibility on delta's column gives
+    sum_k y_k >= 1, so every round freezes at least one demand, and
+    lp_solves = rounds <= len(demands).  A demand that is bottlenecked but
+    whose dual happens to be 0 (degeneracy) stays unfrozen and freezes at
+    the same t in a later round.
+
+    So k's freeze row, rho_k >= t_i, holds rho_k at t_i in every later
+    round j, as a "==" row would: a feasible point of round j meets round
+    i's rows with delta = t_i - t_(i-1) (a ratio unfrozen in round i is
+    >= t_i by its row in round j), so it is optimal in round i, and
+    complementary slackness with round i's duals gives rho_k = t_i.
 
     Every round has the same columns and rows: round i + 1 edits round i's
     LP (`LinearProgram.edited`) in the rows of the demands still unfrozen,
@@ -207,7 +214,7 @@ def exact_sequential_max_min(
         rounds += 1
         lp = lp.edited(
             {
-                floor_row + i: Constraint(forms[i], "==", floor, name=f"freeze:{demands[i]}")
+                floor_row + i: Constraint(forms[i], ">=", floor, name=f"freeze:{demands[i]}")
                 if demands[i] in frozen
                 else Constraint({**forms[i], delta: -1.0}, ">=", floor)
                 for i in y

@@ -15,7 +15,7 @@ from fairalloc.lp import (
     SimplexError,
     SolveSession,
 )
-from fairalloc.model import Demand, Path, Problem, Resource
+from fairalloc.model import Demand, Path, Problem, Resource, total_allocation
 from fairalloc.optimizers import (
     DUAL_TOL,
     FREEZE_TOL,
@@ -525,7 +525,9 @@ def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
     bound rows fails here.  Before both, gb took 18 pivots and exact 8.
     exact's later rounds and swan's later rungs start from the last basis,
     so a fall back to cold starts fails here too: cold, the three rounds
-    take [5, 6, 7] and the six rungs [2, 4, 4, 5, 4, 5]."""
+    take [5, 6, 7] and the six rungs [2, 4, 4, 5, 4, 5].  While exact froze
+    with "==" rows, its second round took one more pivot, to drive the
+    fixed slack of the newly frozen row out of the basis."""
     runs = {
         "gb": lambda s: geo_binner(two_link_example, 1 / 16, 2.0, 6, s),
         "exact": lambda s: exact_sequential_max_min(two_link_example, s),
@@ -540,7 +542,7 @@ def test_simplex_iterations_are_pinned_on_the_worked_example(two_link_example):
     assert iterations == {
         "gb": [11],
         "exact": [4],
-        "exact-3-rounds": [5, 2, 2],
+        "exact-3-rounds": [5, 1, 2],
         "swan": [2, 2, 2, 3, 1, 0],
     }
 
@@ -604,10 +606,11 @@ EDITS = ("rhs", "eq", "column", "basis")
 def _edited(rng, lp, sol, kinds, name):
     """`lp` edited by each edit in ``kinds``, and the start to solve it from:
     right-hand sides moved (mostly loosened), a "<=" or ">=" row made "=="
-    (mostly at its value in `sol`), one column's coefficients changed in a
-    few rows, or one entry of `sol`'s basis replaced (a hint the solve may
-    not be able to take).  The edit is `LinearProgram.edited`'s or, now and
-    then, an LP built by hand from `lp`'s columns, rows and objective."""
+    (mostly at its value in `sol`; that edit solves cold), one column's
+    coefficients changed in a few rows, or one entry of `sol`'s basis
+    replaced (a hint the solve may not be able to take).  The edit is
+    `LinearProgram.edited`'s or, now and then, an LP built by hand from
+    `lp`'s columns, rows and objective."""
     m, n = len(lp.constraints), len(lp.variables)
     rows = {}
 
@@ -687,21 +690,29 @@ def test_a_hot_resolve_of_an_edited_lp_matches_a_cold_solve(corpus, seed, sequen
 
 def test_hot_resolves_take_every_kind_of_edit(monkeypatch):
     # The property above holds vacuously if every hot start falls back to a
-    # cold solve: each kind of edit must also solve hot.
-    resolve, hot = lp_module._Tableau.resolve, []
+    # cold solve: each kind of edit that keeps the relations must also solve
+    # hot.  An edit changes right-hand sides and coefficients, never a
+    # relation: a row made "==" solves cold, with the same answer.
+    resolve, hot, moved = lp_module._Tableau.resolve, [], []
 
     def counted(self, lp, start):
+        old = self.lp.constraints
+        moved.append(any(c.relation != o.relation for c, o in zip(lp.constraints, old)))
         out = resolve(self, lp, start)
         hot.append(out is not None)
         return out
 
     monkeypatch.setattr(lp_module._Tableau, "resolve", counted)
-    for kind, least in zip(EDITS, (30, 30, 25, 5)):  # a random basis hint is rarely feasible
+    for kind, least in zip(EDITS, (30, 0, 25, 5)):  # a random basis hint is rarely feasible
         hot.clear()
+        moved.clear()
         for seed in range(60):
             for lp, sol, cold in _hot_and_cold(seed, [[kind]] * 3):
                 _assert_same_answer(lp, sol, cold)
-        assert sum(hot) >= least, kind  # 50, 57, 38 and 8 of 60-69 at the time of writing
+        assert sum(hot) >= least, kind  # 50, 2, 38 and 8 of 60-69 at the time of writing
+        assert not any(h and m for h, m in zip(hot, moved)), kind
+        if kind == "eq":  # 60 of 62 made a row "==" (2 found none left to make)
+            assert sum(moved) >= 50
 
 
 def test_a_start_solves_hot_from_any_lp_with_the_same_columns_and_objective(monkeypatch):
@@ -1034,9 +1045,10 @@ class _BackendRecording(_Recording):
         return self.solutions[-1]
 
 
-def _rebuilt_exact(problem, solve):
+def _rebuilt_exact(problem, solve, freeze=">="):
     """The exact sequence's round LPs with a fresh fragment per LP: round r
-    maximizes the floor's rise delta over t_(r-1)."""
+    maximizes the floor's rise delta over t_(r-1), each frozen ratio held by
+    a ``freeze`` row at its level."""
     demands = [d.id for d in problem.demands]
     frozen, rounds, lps, floor = {}, 0, [], 0.0
     while len(frozen) < len(demands):
@@ -1045,7 +1057,7 @@ def _rebuilt_exact(problem, solve):
         delta = lp.add_variable()
         for k, form in zip(demands, forms):
             if k in frozen:
-                lp.add_constraint(form, "==", frozen[k], name=f"freeze:{k}")
+                lp.add_constraint(form, freeze, frozen[k], name=f"freeze:{k}")
             else:
                 lp.add_constraint({**form, delta: -1.0}, ">=", floor)
         lp.objective = [{delta: 1.0}]
@@ -1115,6 +1127,37 @@ def test_sequences_build_the_fragment_once_and_solve_the_rebuilt_lps(
         longest = max(longest, len(rec.lps))
         assert [_structure(lp) for lp in rec.lps] == [_structure(lp) for lp in ref]
     assert longest > 1  # some sequence reuses the fragment
+
+
+def test_exact_freeze_rows_hold_each_ratio_at_its_level():
+    # exact freezes a ratio with a ">=" row.  The dual certificate that froze
+    # it holds it at its level in every later round (see
+    # `exact_sequential_max_min`), so the sequence ends where the one with
+    # "==" freeze rows, solved cold, ends.
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    held = 0
+    problems = [("grid", s, small_grid_instance(s)) for s in range(15)]
+    problems += [("utility", s, distinct_utility_instance(s)) for s in range(8)]
+    for *label, problem in problems:
+        rec = _WarmRecording()
+        report = exact_sequential_max_min(problem, SolveSession(rec))
+        levels = report.notes["frozen_ratios"]
+        _, forms = build_feasible_alloc(problem)
+        for lp, sol in zip(rec.lps, rec.solutions):
+            for con, d, form in zip(lp.constraints[-len(forms) :], problem.demands, forms):
+                assert con.relation == ">=", lp.name
+                if con.name == f"freeze:{d.id}":
+                    rho = sum(a * sol.values[j] for j, a in form.items())
+                    assert close(rho, levels[d.id]), (label, lp.name, d.id)
+                    held += 1
+        last = _rebuilt_exact(problem, SimplexBackend().solve, freeze="==")[-1]
+        ref = opt._allocation_from(problem, SimplexBackend().solve(last).values)
+        want, got = total_allocation(problem, ref), total_allocation(problem, report.allocation)
+        assert got.keys() == want.keys()
+        assert all(close(got[k], want[k]) for k in want), label
+    assert held > 0  # some ratio was held by a freeze row
 
 
 @pytest.mark.parametrize("allocator", ["exact", "swan"])
