@@ -35,20 +35,23 @@ bit-identical values.
 Sequences of LPs solve hot.  The built-in solver's solution keeps its
 optimal tableau, and the tableau keeps the LP it is optimal for.
 `SolveSession.solve(lp, start)` solves ``lp`` from ``start``'s tableau when
-``lp`` shares that LP's ``variables`` and ``objective`` objects and has its
-column and row counts.  Its changed rows are the indices whose `Constraint`
-object is not that LP's, in ascending order: a row is replaced, never
-mutated (`LinearProgram.edited` replaces rows).  An edit changes
-right-hand sides and coefficients, never a row's relation.  `SimplexBackend`
-applies only the changed rows to the tableau, in place, through B^-1.  It
-then pivots to ``start.basis`` (an allocator may replace it) and resumes
-phase 2.  Any other start solves cold: no tableau, one used up by a hot
-solve that fell back, other columns or objective, a changed column or row
-count, a changed relation, a near-zero pivot, or an infeasible point.
-`LpSolution.basis` names the basis, one entry per basic position: a column
-index j < ncols, or ncols + i for row i's own unit column (its slack if it
-has one, otherwise its artificial).  Every backend's ``solve`` takes a
-start; `ScipyBackend` ignores it and returns no basis.
+``lp`` is a single-level LP that shares that LP's ``variables`` and
+``objective`` objects and has its column and row counts.  Its changed rows
+are the indices whose `Constraint` object is not that LP's, in ascending
+order: a row is replaced, never mutated (`LinearProgram.edited` replaces
+rows).  A hot edit changes right-hand sides, and coefficients only of
+columns that sit at 0 outside the start basis; that is all `exact` and
+`swan`, the two LP sequences, send.  `SimplexBackend` applies only the
+changed rows to the tableau, in place, through B^-1.  It then pivots to
+``start.basis`` (an allocator may replace it) and resumes phase 2.  Any
+other start solves cold: no tableau, one used up by a hot solve that fell
+back, other columns or objective, more than one level, a changed column or
+row count, a changed relation, changed coefficients of a column at its
+upper bound or in the start basis, a near-zero pivot, or an infeasible
+point.  `LpSolution.basis` names the basis, one entry per basic position:
+a column index j < ncols, or ncols + i for row i's own unit column (its
+slack if it has one, otherwise its artificial).  Every backend's ``solve``
+takes a start; `ScipyBackend` ignores it and returns no basis.
 """
 
 from __future__ import annotations
@@ -144,9 +147,9 @@ class LpSolution:
     (its slack if it has one, otherwise its artificial); the scipy backend
     leaves it empty.  A basis alone starts nothing: the built-in solver's
     solution also holds its tableau in a private field, neither compared
-    nor printed, and a solve started from the solution edits that tableau
-    (see the module docstring) and pivots to the basis, which the caller
-    may replace."""
+    nor printed, and a single-level solve started from the solution edits
+    that tableau (see the module docstring) and pivots to the basis, which
+    the caller may replace."""
 
     status: str  # "optimal", "infeasible" or "unbounded"
     values: list[float]
@@ -311,7 +314,8 @@ class _Tableau:
     keeps next to it.  An optimal one stays with its `LpSolution`, keeps
     the LP it is optimal for in `lp` (None until a solve succeeds, and once
     a hot solve has used it up), and can solve an edit of that LP
-    (`resolve`).
+    (`resolve`) when the LP has one level and the edit changes right-hand
+    sides, and coefficients only of columns at 0 outside the start basis.
 
     Rows 0..m-1 of `T` are the constraints, by basis position; row m holds
     the phase-2 reduced costs, and row m + 1, during phase 1 only, phase 1's.
@@ -412,76 +416,65 @@ class _Tableau:
         return self._finish()
 
     def resolve(self, lp: LinearProgram, start: Sequence[int]):
-        """Solve `lp`, which has the columns, objective and row count of the
-        LP this tableau is optimal for, hot: apply the rows it replaced to
-        the tableau, pivot to the basis `start` and resume phase 2.  Returns
-        `solve`'s triple, or None where `lp` has to be solved cold: the edit
-        changes a row's relation, a pivot to `start` is near zero (a
-        repeated column meets an exact 0: a basic column is a unit column),
-        or `start`'s point is infeasible.  Either way the tableau is used up;
-        a successful solve makes it `lp`'s."""
+        """Solve `lp`, a single-level LP with the columns, objective and row
+        count of the LP this tableau is optimal for, hot: apply the rows it
+        replaced to the tableau, pivot to the basis `start` and resume phase
+        2.  Returns `solve`'s triple, or None where `lp` has to be solved
+        cold: the edit is one `_edit` does not take, a pivot to `start` is
+        near zero (a repeated column meets an exact 0: a basic column is a
+        unit column), or `start`'s point is infeasible.  Either way the
+        tableau is used up; a successful solve makes it `lp`'s."""
         last, self.lp = self.lp, None
         m, ncols = self.m, self.ncols
         if len(start) != m or m and not (0 <= min(start) and max(start) < ncols + m):
             raise ValueError(f"{lp.name}: a start basis is {m} entries in [0, {ncols + m})")
-        if len(self.sf.c) > 1:  # back to the first level's reduced costs
-            T, cost = self.T, self._cost(self.sf.c[0])
-            T[m] = cost - cost[self.basis] @ T[:m]
-        stale = self._edit(lp, last.constraints)
-        if stale is None or not self._rebase(self.column[list(start)], stale):
+        target = self.column[list(start)]
+        if not (self._edit(lp, last.constraints, target) and self._rebase(target)):
             return None
         self.steps = 0
         return self._finish()
 
-    def _edit(self, lp: LinearProgram, old: list[Constraint]) -> np.ndarray | None:
+    def _edit(self, lp: LinearProgram, old: list[Constraint], target: np.ndarray) -> bool:
         """Apply the rows of `lp` that are not the objects in `old`, the
         tableau's LP's constraints, to the tableau and to `sf`, which then
         describe `lp` on the unchanged basis B.  An edit changes right-hand
-        sides and coefficients, never a relation: a change of right-hand
-        side adds B^-1 db to b, and a change of coefficients adds B^-1 dA to
-        the columns it touches (B^-1's columns are the rows' unit columns in
-        the tableau, signed as the rows are).  Returns the columns whose
-        coefficients changed, or None, with the tableau untouched, if a row
-        changes its relation.  The changed rows are checked by `_rows`, as a
-        cold solve checks them."""
+        sides, and coefficients only of columns that sit at 0 outside the
+        basis `target` (tableau columns): a change of right-hand side adds
+        B^-1 db to b, and a change of coefficients adds B^-1 dA to the
+        columns it touches (B^-1's columns are the rows' unit columns in the
+        tableau, signed as the rows are).  Returns False, with the tableau
+        untouched, for any other edit: one that changes a row's relation, or
+        the coefficients of a complemented column (held at its upper bound)
+        or of a column in `target`.  The changed rows are checked by
+        `_rows`, as a cold solve checks them."""
         sf, T, width = self.sf, self.T, self.width
         cons = lp.constraints
         rows = np.array([i for i, con in enumerate(cons) if con is not old[i]], dtype=np.intp)
         if any(cons[i].relation != old[i].relation for i in rows):
-            return None
+            return False
         new, rhs = _rows(lp, rows)
 
         dA = new - sf.A[rows]
         stale = np.flatnonzero(dA.any(axis=0))
+        if self.flipped[stale].any() or (target == stale[:, None]).any():
+            return False
         # per row: its columns' changes and db, signed as the row is in T
         delta = np.column_stack((dA[:, stale], rhs - sf.b[rows])) * self.sign[rows, None]
         D = T[:, self.unit[rows]] @ delta
         T[:, width] += D[:, -1]
-        if stale.size:
-            D = D[:, :-1]
-            back = self.flipped[stale]  # a complemented column holds u - x
-            if back.any():
-                D[:, back] *= -1.0
-                T[:, width] += D[:, back] @ self.ub[stale[back]]
-            T[:, stale] += D
+        T[:, stale] += D[:, :-1]
         sf.A[rows], sf.b[rows] = new, rhs
-        return stale
+        return True
 
-    def _rebase(self, target: np.ndarray, stale: np.ndarray) -> bool:
+    def _rebase(self, target: np.ndarray) -> bool:
         """Pivot the edited tableau onto the basis `target` (one tableau
-        column per position): one pivot per position whose column differs,
-        or whose basic column's coefficients changed.  False where a pivot is
-        near zero, or where the basis's point is not finite or infeasible: a
-        basic value below 0 or above its column's bound, or an artificial
-        above 0.  Values within 1e-9 of the scale of b are rounded onto their
-        bound."""
+        column per position): one pivot per position whose column differs.
+        False where a pivot is near zero, or where the basis's point is not
+        finite or infeasible: a basic value below 0 or above its column's
+        bound, or an artificial above 0.  Values within 1e-9 of the scale of
+        b are rounded onto their bound."""
         T, basis, m = self.T, self.basis, self.m
-        redo = target != basis
-        if stale.size:
-            edited = np.zeros(self.width, dtype=bool)
-            edited[stale] = True
-            redo |= edited[basis]
-        for r in np.flatnonzero(redo):
+        for r in np.flatnonzero(target != basis):
             j = target[r]
             if abs(T[r, j]) <= PIVOT_TOL:
                 return False
@@ -496,13 +489,6 @@ class _Tableau:
         xb[art] = 0.0
         self.ub_basic = top
         return True
-
-    def _cost(self, c: np.ndarray) -> np.ndarray:
-        """A level's costs over the tableau's columns and b: a complemented
-        column holds u - x, so its cost changes sign."""
-        cost = np.zeros(self.width + 1)
-        cost[: self.ncols] = np.where(self.flipped[: self.ncols], -c, c)
-        return cost
 
     @np.errstate(over="ignore")  # an inf ratio: no limit; _check_solution catches a bad pivot
     def _run(self, T: np.ndarray) -> bool:
@@ -603,7 +589,8 @@ class _Tableau:
             blocked |= z < -tol
             if np.count_nonzero(blocked) + np.count_nonzero(basis < lim) == lim:
                 break  # no column is left to move
-            cost = self._cost(c)
+            cost = np.zeros(width + 1)  # a complemented column holds u - x
+            cost[:ncols] = np.where(self.flipped[:ncols], -c, c)
             T[m] = cost - cost[basis] @ T[:m]
             z[blocked] = -np.inf
             if not self._run(T):
@@ -644,8 +631,9 @@ class LpBackend(Protocol):  # pragma: no cover - typing seam
 class SimplexBackend:
     """The built-in deterministic solver (see `_Tableau`).  A ``start`` whose
     tableau is still optimal for an LP with ``lp``'s columns, objective and
-    row count solves ``lp`` hot, from that tableau, applying the rows ``lp``
-    replaced (see the module docstring); any other solves cold."""
+    row count solves a single-level ``lp`` hot, from that tableau, applying
+    the rows ``lp`` replaced where `_Tableau.resolve` can take them (see the
+    module docstring); any other solves cold."""
 
     def solve(self, lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         t = None if start is None else start._tableau
@@ -654,6 +642,7 @@ class SimplexBackend:
             last is not None
             and lp.variables is last.variables
             and lp.objective is last.objective
+            and len(lp.objective) == 1
             and (len(lp.variables), len(lp.constraints)) == (t.ncols, t.m)
         )
         out = hot and t.resolve(lp, start.basis)
